@@ -10,7 +10,6 @@ from .dispersion import (
     NondimDispersion,
     WaveParameters,
     derive_parameters,
-    ferrari_roots,
     nondimensionalize,
     root_brackets,
     solve_dispersion,
@@ -63,7 +62,6 @@ __all__ = [
     "coriolis",
     "derive_parameters",
     "eulerian_velocity",
-    "ferrari_roots",
     "invert_map",
     "jacobian",
     "min_wavenumber",

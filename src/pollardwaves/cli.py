@@ -129,10 +129,7 @@ def solve_configured(config: RunConfig):
     site = coriolis(constants, math.radians(config.latitude_deg))
     strat = reduced_gravity(constants, config.rho0, config.rho_plus)
     k = config.k
-    if not k > min_wavenumber(constants, strat):
-        raise ConfigError(
-            f"wavenumber {k!r} is at or below the admissibility threshold "
-            f"{min_wavenumber(constants, strat)!r}")
+    # k at or below 4 Omega^2 / g_tilde: nondimensionalize or derive_parameters raise
     if site.f == 0.0:
         c_plus, c_minus = dsp.solve_equatorial(constants, strat, k)
         c = c_minus if config.branch == "negative" else c_plus
@@ -172,10 +169,11 @@ def write_table(path: str, columns, rows, fmt: str):
             handle.write(text)
 
 
-def _flow_row(sample: flow.FlowSample):
-    return (sample.t, sample.label.q, sample.label.r, sample.label.s,
-            *sample.position, *sample.velocity, sample.pressure,
-            *sample.vorticity)
+def _flow_rows(fields: flow.Flow, strat):
+    """FIELD_COLUMNS rows of a kernel evaluation, in row-major label order."""
+    columns = (fields.t, fields.q, fields.r, fields.s, *fields.position,
+               *fields.velocity, fields.pressure(strat), *fields.vorticity)
+    return np.column_stack([c.ravel() for c in np.broadcast_arrays(*columns)]).tolist()
 
 
 def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
@@ -238,13 +236,12 @@ def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
 
 
 def cmd_trajectory(config: RunConfig, args) -> int:
-    _, site, strat, params = solve_configured(config)
+    _, _, strat, params = solve_configured(config)
     s = params.s0 if args.s is None else args.s
     t1 = args.t1 if args.t1 is not None else ver.wave_period(params)
-    label = flow.LagrangianLabel(q=args.q, r=args.r, s=s)
-    samples = flow.trajectory(params, site, strat, label, (args.t0, t1), args.n)
-    write_table(args.out, FIELD_COLUMNS, [_flow_row(s_) for s_ in samples],
-                config.output_format)
+    ts = np.linspace(args.t0, t1, args.n)
+    rows = _flow_rows(flow.Flow(params, args.q, args.r, s, ts), strat)
+    write_table(args.out, FIELD_COLUMNS, rows, config.output_format)
     return EXIT_OK
 
 
@@ -252,21 +249,20 @@ def cmd_profile(config: RunConfig, args) -> int:
     _, _, _, params = solve_configured(config)
     s = params.s0 if args.s is None else args.s
     q1 = args.q1 if args.q1 is not None else params.L
-    samples = flow.profile(params, s, args.r, args.t, (args.q0, q1), args.n)
-    rows = [(p.q, *p.position) for p in samples]
+    qs = np.linspace(args.q0, q1, args.n)
+    rows = np.column_stack(
+        (qs, *flow.Flow(params, qs, args.r, s, args.t).position)).tolist()
     write_table(args.out, PROFILE_COLUMNS, rows, config.output_format)
     return EXIT_OK
 
 
 def cmd_field(config: RunConfig, args) -> int:
-    _, site, strat, params = solve_configured(config)
+    _, _, strat, params = solve_configured(config)
     q1 = args.q1 if args.q1 is not None else params.L
-    rows = []
-    for s in np.linspace(params.s0, params.s_plus, args.ns):
-        for q in np.linspace(args.q0, q1, args.nq):
-            label = flow.LagrangianLabel(q=float(q), r=args.r, s=float(s))
-            rows.append(_flow_row(flow.sample_flow(params, site, strat,
-                                                   label, args.t)))
+    qs = np.linspace(args.q0, q1, args.nq)
+    ss = np.linspace(params.s0, params.s_plus, args.ns)
+    # rows run over q within each s
+    rows = _flow_rows(flow.Flow(params, qs[None, :], args.r, ss[:, None], args.t), strat)
     write_table(args.out, FIELD_COLUMNS, rows, config.output_format)
     return EXIT_OK
 
@@ -401,6 +397,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
+        if getattr(args, "n", 2) < 2:  # trajectory and profile
+            raise ConfigError(f"--n must be at least 2, got {args.n!r}")
         if args.command == "dispersion":
             return cmd_dispersion(config, args.out, config.output_format)
         if args.command == "trajectory":

@@ -7,15 +7,17 @@ A particle with label (q, r, s) sits at
     z = s - a e^(-m s) cos(theta),
 
 so every quantity below is a closed form in the label, the time and the
-solved :class:`~pollardwaves.dispersion.WaveParameters`.  Labels are not
-range-checked here: the latitudinal half-width r0 of the strip and the
-vertical extent [s0, s_plus] are modelling choices enforced upstream, and
-every formula is well defined wherever the flow map stays a local
-diffeomorphism.
+solved :class:`~pollardwaves.dispersion.WaveParameters`.  One array kernel,
+:class:`Flow`, evaluates them over broadcast (q, r, s, t) arrays; the
+per-label functions are thin wrappers that evaluate it at one label.
+Labels are not range-checked here: the latitudinal half-width r0 of the
+strip and the vertical extent [s0, s_plus] are modelling choices enforced
+upstream, and every formula is well defined wherever the flow map stays a
+local diffeomorphism.
 """
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,195 +60,249 @@ class SurfaceSample:
     position: tuple
 
 
-def phase(params: WaveParameters, q: float, t: float) -> float:
+def phase(params: WaveParameters, q, t):
     """Travelling-wave phase theta = k (q - c t)."""
     return params.k * (q - params.c * t)
 
 
+def _require_positive(values, s, message):
+    """Raise DiffeomorphismError at the first entry of values that is not > 0."""
+    bad = np.flatnonzero(~(values > 0.0))
+    if bad.size:
+        i, s = bad[0], np.broadcast_to(s, np.shape(values))
+        raise DiffeomorphismError(message.format(s=float(s.flat[i]),
+                                                 value=float(values.flat[i])))
+
+
+class Flow:
+    """Every field of the wave at label and time arrays that broadcast.
+
+    theta, e^(-m s), sin and cos are computed once, each field on first use.
+    The label Jacobian's middle row d(x,y,z)/dr is (0, 1, 0), so its linear
+    systems reduce to a closed-form 2x2 block."""
+
+    def __init__(self, params: WaveParameters, q, r, s, t):
+        self.params = params
+        self.q, self.r, self.s, self.t = (np.asarray(v, dtype=float)
+                                          for v in (q, r, s, t))
+        theta = phase(params, self.q, self.t)
+        self.e = np.exp(-params.m * self.s)
+        self.sin = np.sin(theta)
+        self.cos = np.cos(theta)
+
+    @cached_property
+    def position(self):
+        """Particle position (x, y, z)."""
+        p, e = self.params, self.e
+        return (self.q - p.b * e * self.sin,
+                self.r - p.d * e * self.cos,
+                self.s - p.a * e * self.cos)
+
+    @cached_property
+    def velocity(self):
+        """Particle velocity (u, v, w)."""
+        p, e = self.params, self.e
+        kc = p.k * p.c
+        return (kc * p.b * e * self.cos,
+                -kc * p.d * e * self.sin,
+                -kc * p.a * e * self.sin)
+
+    @cached_property
+    def acceleration(self):
+        """Particle acceleration (Du/Dt, Dv/Dt, Dw/Dt)."""
+        p, e = self.params, self.e
+        kc2 = (p.k * p.c) ** 2
+        return (kc2 * p.b * e * self.sin,
+                kc2 * p.d * e * self.cos,
+                kc2 * p.a * e * self.cos)
+
+    @cached_property
+    def jacobian(self):
+        """Rows d(x,y,z)/dq and d(x,y,z)/ds of the label Jacobian."""
+        p, e, ct, st = self.params, self.e, self.cos, self.sin
+        k, m, a, b, d = p.k, p.m, p.a, p.b, p.d
+        return ((1.0 - k * b * e * ct, k * d * e * st, k * a * e * st),
+                (m * b * e * st, m * d * e * ct, 1.0 + m * a * e * ct))
+
+    @cached_property
+    def det(self):
+        """Jacobian determinant 1 + (m a - k b) e^(-m s) cos(theta) - k m a b e^(-2 m s),
+        time independent once m a = k b holds.  A non-positive value means the
+        flow map degenerated (unreachable for gated parameter sets)."""
+        p, e = self.params, self.e
+        det = (1.0 + (p.m * p.a - p.k * p.b) * e * self.cos
+               - p.k * p.m * p.a * p.b * e * e)
+        _require_positive(det, self.s, "flow map is singular at s={s!r} (det={value!r})")
+        return det
+
+    @cached_property
+    def velocity_gradient(self):
+        """Rows d(u,v,w)/dq and d(u,v,w)/ds; d(u,v,w)/dr vanishes."""
+        p, e, ct, st = self.params, self.e, self.cos, self.sin
+        k, m, c, a, b, d = p.k, p.m, p.c, p.a, p.b, p.d
+        return ((-k**2 * c * b * e * st, -k**2 * c * d * e * ct, -k**2 * c * a * e * ct),
+                (-m * k * c * b * e * ct, m * k * c * d * e * st, m * k * c * a * e * st))
+
+    def eulerian_gradient(self, g_q, g_r, g_s):
+        """Eulerian gradient (X_x, X_y, X_z) of a field X with label gradient
+        (X_q, X_r, X_s), solving J . (X_x, X_y, X_z) = (X_q, X_r, X_s)."""
+        (j00, j01, j02), (j20, j21, j22) = self.jacobian
+        h_q, h_s = g_q - j01 * g_r, g_s - j21 * g_r
+        return ((j22 * h_q - j02 * h_s) / self.det, g_r,
+                (j00 * h_s - j20 * h_q) / self.det)
+
+    def newton_step(self, res_x, res_y, res_z):
+        """Label change (dq, dr, ds) whose image under d(x,y,z)/d(q,r,s)
+        equals the given position residual."""
+        (j00, j01, j02), (j20, j21, j22) = self.jacobian
+        dq = (j22 * res_x - j20 * res_z) / self.det
+        ds = (j00 * res_z - j02 * res_x) / self.det
+        return dq, res_y - j01 * dq - j21 * ds, ds
+
+    def _pressure_coefficients(self, strat: Stratification):
+        """(A, B) of the wave pressure -rho0 (A e^(-2 m s) + B e^(-m s) cos(theta))."""
+        p = self.params
+        k, c, a, b, d, f, fh = p.k, p.c, p.a, p.b, p.d, p.f, p.f_hat
+        return (-0.5 * k**2 * c**2 * b**2 + 0.5 * fh * k * c * a * b
+                - 0.5 * f * k * c * b * d,
+                c * a * fh - c * d * f - k * c**2 * b - a * strat.g)
+
+    def dynamic_pressure(self, strat: Stratification):
+        """Wave part of the pressure: P + rho0 g s - P0_tilde [Pa].
+
+        Evaluated without the hydrostatic column term, so differences in q
+        or r do not cancel against rho0 g s.
+        """
+        A, B = self._pressure_coefficients(strat)
+        return -strat.rho0 * (A * self.e * self.e + B * self.e * self.cos)
+
+    def pressure(self, strat: Stratification):
+        """Pressure [Pa].
+
+        The quadratic cos^2 term of the raw expression carries the
+        coefficient a^2 + d^2 - b^2, identically zero for a solved set, and
+        is dropped; the gauge constant P0_tilde pins P = P0 - rho_plus g z
+        on the thermocline.
+        """
+        return (self.dynamic_pressure(strat)
+                - strat.rho0 * strat.g * self.s + self.params.P0_tilde)
+
+    def pressure_label_gradient(self, strat: Stratification):
+        """Analytic gradient (P_q, P_r, P_s); P_r vanishes identically."""
+        A, B = self._pressure_coefficients(strat)
+        k, m, e = self.params.k, self.params.m, self.e
+        p_q = -strat.rho0 * (-k * B * e * self.sin)
+        p_s = -strat.rho0 * (-2.0 * m * A * e * e - m * B * e * self.cos + strat.g)
+        return p_q, np.zeros_like(p_q), p_s
+
+    @cached_property
+    def vorticity(self):
+        """Vorticity (w_y - v_z, u_z - w_x, v_x - u_y).
+
+        Closed form with prefactor 1/(1 - m^2 a^2 e^(-2 m s)).  The third
+        component is f m a (cos(theta) + m a e^(-m s)) e^(-m s) times the
+        prefactor, the sign of the inner product term following from the
+        inverse-Jacobian construction."""
+        p, e = self.params, self.e
+        k, m, c, a, f = p.k, p.m, p.c, p.a, p.f
+        denom = 1.0 - m**2 * a**2 * e * e
+        _require_positive(denom, self.s,
+                          "vorticity prefactor degenerate at s={s!r} "
+                          "(1 - m^2 a^2 e^(-2 m s) = {value!r})")
+        w1 = (m**2 * a * f / k) * e * self.sin
+        w2 = (-c * (m**2 - k**2) * a * e * self.cos
+              + c * m * a**2 * (m**2 + k**2) * e * e)
+        w3 = f * m * a * (self.cos + m * a * e) * e
+        return (w1 / denom, w2 / denom, w3 / denom)
+
+
+def _at(params, label: LagrangianLabel, t) -> Flow:
+    return Flow(params, label.q, label.r, label.s, t)
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
 def position(params: WaveParameters, label: LagrangianLabel, t: float):
     """Particle position (x, y, z)."""
-    th = phase(params, label.q, t)
-    e = math.exp(-params.m * label.s)
-    return (label.q - params.b * e * math.sin(th),
-            label.r - params.d * e * math.cos(th),
-            label.s - params.a * e * math.cos(th))
+    return _floats(_at(params, label, t).position)
 
 
 def velocity(params: WaveParameters, label: LagrangianLabel, t: float):
     """Particle velocity (u, v, w)."""
-    th = phase(params, label.q, t)
-    e = math.exp(-params.m * label.s)
-    kc = params.k * params.c
-    return (kc * params.b * e * math.cos(th),
-            -kc * params.d * e * math.sin(th),
-            -kc * params.a * e * math.sin(th))
+    return _floats(_at(params, label, t).velocity)
 
 
 def acceleration(params: WaveParameters, label: LagrangianLabel, t: float):
     """Particle acceleration (Du/Dt, Dv/Dt, Dw/Dt)."""
-    th = phase(params, label.q, t)
-    e = math.exp(-params.m * label.s)
-    kc2 = (params.k * params.c) ** 2
-    return (kc2 * params.b * e * math.sin(th),
-            kc2 * params.d * e * math.cos(th),
-            kc2 * params.a * e * math.cos(th))
+    return _floats(_at(params, label, t).acceleration)
 
 
 def label_jacobian(params: WaveParameters, label: LagrangianLabel,
                    t: float) -> np.ndarray:
     """3x3 matrix with rows d(x,y,z)/dq, d(x,y,z)/dr, d(x,y,z)/ds."""
-    th = phase(params, label.q, t)
-    e = math.exp(-params.m * label.s)
-    k, m = params.k, params.m
-    a, b, d = params.a, params.b, params.d
-    ct, st = math.cos(th), math.sin(th)
-    return np.array([
-        [1.0 - k * b * e * ct, k * d * e * st, k * a * e * st],
-        [0.0, 1.0, 0.0],
-        [m * b * e * st, m * d * e * ct, 1.0 + m * a * e * ct],
-    ])
+    row_q, row_s = _at(params, label, t).jacobian
+    return np.array([row_q, (0.0, 1.0, 0.0), row_s])
 
 
 def jacobian(params: WaveParameters, label: LagrangianLabel, t: float):
-    """Label Jacobian and its determinant.
-
-    The determinant is 1 + (m a - k b) e^(-m s) cos(theta) - k m a b e^(-2 m s),
-    hence time independent once m a = k b holds.  A non-positive value means
-    the flow map degenerated (unreachable for gated parameter sets).
-    """
-    mat = label_jacobian(params, label, t)
-    th = phase(params, label.q, t)
-    e = math.exp(-params.m * label.s)
-    det = (1.0
-           + (params.m * params.a - params.k * params.b) * e * math.cos(th)
-           - params.k * params.m * params.a * params.b * e * e)
-    if not det > 0.0:
-        raise DiffeomorphismError(
-            f"flow map is singular at s={label.s!r} (det={det!r})")
-    return mat, det
+    """Label Jacobian and its determinant (see :attr:`Flow.det`)."""
+    return label_jacobian(params, label, t), float(_at(params, label, t).det)
 
 
 def velocity_label_gradient(params: WaveParameters, label: LagrangianLabel,
                             t: float) -> np.ndarray:
     """3x3 matrix with rows d(u,v,w)/dq, d(u,v,w)/dr, d(u,v,w)/ds."""
-    th = phase(params, label.q, t)
-    e = math.exp(-params.m * label.s)
-    k, m, c = params.k, params.m, params.c
-    a, b, d = params.a, params.b, params.d
-    ct, st = math.cos(th), math.sin(th)
-    return np.array([
-        [-k**2 * c * b * e * st, -k**2 * c * d * e * ct, -k**2 * c * a * e * ct],
-        [0.0, 0.0, 0.0],
-        [-m * k * c * b * e * ct, m * k * c * d * e * st, m * k * c * a * e * st],
-    ])
+    row_q, row_s = _at(params, label, t).velocity_gradient
+    return np.array([row_q, (0.0, 0.0, 0.0), row_s])
 
 
 def dynamic_pressure(params: WaveParameters, strat: Stratification,
                      label: LagrangianLabel, t: float) -> float:
-    """Wave part of the pressure: P + rho0 g s - P0_tilde [Pa].
-
-    Evaluated without the hydrostatic column term, so differences in q or r
-    do not cancel against rho0 g s.
-    """
-    th = phase(params, label.q, t)
-    e = math.exp(-params.m * label.s)
-    e2 = e * e
-    k, c = params.k, params.c
-    a, b, d = params.a, params.b, params.d
-    f, fh = params.f, params.f_hat
-    return -strat.rho0 * (
-        -0.5 * k**2 * c**2 * b**2 * e2
-        + 0.5 * fh * k * c * a * b * e2
-        - 0.5 * f * k * c * b * d * e2
-        + (c * a * fh - c * d * f - k * c**2 * b - a * strat.g) * e * math.cos(th))
+    """Wave part of the pressure: P + rho0 g s - P0_tilde [Pa]."""
+    return float(_at(params, label, t).dynamic_pressure(strat))
 
 
 def pressure(params: WaveParameters, strat: Stratification,
              label: LagrangianLabel, t: float) -> float:
-    """Pressure at a label [Pa].
-
-    The quadratic cos^2 term of the raw expression carries the coefficient
-    a^2 + d^2 - b^2, identically zero for a solved set, and is dropped; the
-    gauge constant P0_tilde pins P = P0 - rho_plus g z on the thermocline.
-    """
-    return (dynamic_pressure(params, strat, label, t)
-            - strat.rho0 * strat.g * label.s + params.P0_tilde)
+    """Pressure at a label [Pa]."""
+    return float(_at(params, label, t).pressure(strat))
 
 
 def pressure_label_gradient(params: WaveParameters, strat: Stratification,
                             label: LagrangianLabel, t: float):
-    """Analytic gradient (P_q, P_r, P_s) of the scalar pressure.
-
-    P_r vanishes identically: the pressure carries no r dependence.
-    """
-    th = phase(params, label.q, t)
-    e = math.exp(-params.m * label.s)
-    e2 = e * e
-    k, m, c = params.k, params.m, params.c
-    a, b, d = params.a, params.b, params.d
-    f, fh = params.f, params.f_hat
-    g = strat.g
-    cos_coeff = c * a * fh - c * d * f - k * c**2 * b - a * g
-    p_q = -strat.rho0 * (-k * cos_coeff * e * math.sin(th))
-    p_s = -strat.rho0 * (m * k**2 * c**2 * b**2 * e2
-                         - m * fh * k * c * a * b * e2
-                         + m * f * k * c * b * d * e2
-                         - m * cos_coeff * e * math.cos(th)
-                         + g)
-    return (p_q, 0.0, p_s)
+    """Analytic gradient (P_q, P_r, P_s) of the scalar pressure."""
+    return _floats(_at(params, label, t).pressure_label_gradient(strat))
 
 
 def pressure_gradient(params: WaveParameters, strat: Stratification,
                       label: LagrangianLabel, t: float):
-    """Eulerian pressure gradient (P_x, P_y, P_z) at the particle.
-
-    Transports the analytic label gradient through the label Jacobian:
-    (P_q, P_r, P_s) = J_label . (P_x, P_y, P_z).
-    """
-    mat, _ = jacobian(params, label, t)
-    grad_q = np.array(pressure_label_gradient(params, strat, label, t))
-    return tuple(np.linalg.solve(mat, grad_q))
+    """Eulerian pressure gradient (P_x, P_y, P_z): (P_q, P_r, P_s) = J . (P_x, P_y, P_z)."""
+    flow = _at(params, label, t)
+    return _floats(flow.eulerian_gradient(*flow.pressure_label_gradient(strat)))
 
 
 def vorticity(params: WaveParameters, site: Site, label: LagrangianLabel,
               t: float):
-    """Vorticity (w_y - v_z, u_z - w_x, v_x - u_y) at a label.
+    """Vorticity (w_y - v_z, u_z - w_x, v_x - u_y), with f = params.f (= site.f)."""
+    return _floats(_at(params, label, t).vorticity)
 
-    Closed form with prefactor 1/(1 - m^2 a^2 e^(-2 m s)).  The third
-    component is f m a (cos(theta) + m a e^(-m s)) e^(-m s) times the
-    prefactor, the sign of the inner product term following from the
-    inverse-Jacobian construction.
-    """
-    th = phase(params, label.q, t)
-    e = math.exp(-params.m * label.s)
-    k, m, c, a = params.k, params.m, params.c, params.a
-    f = site.f
-    denom = 1.0 - m**2 * a**2 * e * e
-    if not denom > 0.0:
-        raise DiffeomorphismError(
-            f"vorticity prefactor degenerate at s={label.s!r} "
-            f"(1 - m^2 a^2 e^(-2 m s) = {denom!r})")
-    w1 = (m**2 * a * f / k) * e * math.sin(th)
-    w2 = (-c * (m**2 - k**2) * a * e * math.cos(th)
-          + c * m * a**2 * (m**2 + k**2) * e * e)
-    w3 = f * m * a * (math.cos(th) + m * a * e) * e
-    return (w1 / denom, w2 / denom, w3 / denom)
+
+def _flow_samples(params, strat, label: LagrangianLabel, t):
+    flow = _at(params, label, t)
+    columns = np.broadcast_arrays(
+        flow.t, *flow.position, *flow.velocity, *flow.acceleration,
+        flow.pressure(strat), *flow.vorticity, flow.det)
+    return [FlowSample(r[0], label, tuple(r[1:4]), tuple(r[4:7]), tuple(r[7:10]),
+                       r[10], tuple(r[11:14]), r[14])
+            for r in np.column_stack([c.ravel() for c in columns]).tolist()]
 
 
 def sample_flow(params: WaveParameters, site: Site, strat: Stratification,
                 label: LagrangianLabel, t: float) -> FlowSample:
     """Evaluate every field quantity at one label and time."""
-    _, det = jacobian(params, label, t)
-    return FlowSample(
-        t=t,
-        label=label,
-        position=position(params, label, t),
-        velocity=velocity(params, label, t),
-        acceleration=acceleration(params, label, t),
-        pressure=pressure(params, strat, label, t),
-        vorticity=vorticity(params, site, label, t),
-        jacobian_det=det,
-    )
+    return _flow_samples(params, strat, label, t)[0]
 
 
 def trajectory(params: WaveParameters, site: Site, strat: Stratification,
@@ -259,9 +315,7 @@ def trajectory(params: WaveParameters, site: Site, strat: Stratification,
     """
     if n_samples < 2:
         raise ValueError("trajectory needs at least 2 samples")
-    t0, t1 = t_span
-    return [sample_flow(params, site, strat, label, float(t))
-            for t in np.linspace(t0, t1, n_samples)]
+    return _flow_samples(params, strat, label, np.linspace(*t_span, n_samples))
 
 
 def profile(params: WaveParameters, s: float, r: float, t: float,
@@ -272,75 +326,104 @@ def profile(params: WaveParameters, s: float, r: float, t: float,
     """
     if n_samples < 2:
         raise ValueError("profile needs at least 2 samples")
-    q0, q1 = q_span
-    out = []
-    for q in np.linspace(q0, q1, n_samples):
-        lab = LagrangianLabel(q=float(q), r=r, s=s)
-        out.append(SurfaceSample(q=float(q), position=position(params, lab, t)))
-    return out
+    qs = np.linspace(*q_span, n_samples)
+    xyz = np.column_stack(Flow(params, qs, r, s, t).position).tolist()
+    return [SurfaceSample(q=q, position=tuple(p)) for q, p in zip(qs.tolist(), xyz)]
+
+
+def _flat(values, shape):
+    return [np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in values]
+
+
+def _newton(unknowns, step, bound, max_iter):
+    """Masked Newton iteration on flat arrays, in place: ``step(i)`` gives
+    residual sizes and steps of ``unknowns`` at indices i, and an entry
+    freezes once its residual is within ``bound``.  Returns the open indices."""
+    open_ = np.arange(bound.size)
+    for _ in range(max_iter):
+        size, steps = step(open_)
+        going = size > bound[open_]
+        for v, d in zip(unknowns, steps):
+            v[open_[going]] -= d[going]
+        open_ = open_[going]
+        if not open_.size:
+            break
+    return open_
+
+
+def invert_labels(params: WaveParameters, x, y, z, t, guess=None,
+                  tol: float = _INVERT_TOL, max_iter: int = _INVERT_MAX_ITER):
+    """Labels (q, r, s) whose positions at times t are (x, y, z), by Newton
+    iteration over broadcast arrays.
+
+    A target stops once its residual is within max(tol, 4 eps |target|), the
+    rounding floor of the position; one still open after max_iter iterations
+    fails the inversion.  The default guess (q, r, s) = (x, y, z) lies in the
+    convergence basin of the gated domain."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (x, y, z, t)))
+    *target, t = _flat((x, y, z, t), shape)
+    label = [v.copy() for v in (target if guess is None else _flat(guess, shape))]
+
+    def step(i):
+        flow = Flow(params, *(v[i] for v in label), t[i])
+        residual = [p - v[i] for p, v in zip(flow.position, target)]
+        return np.sqrt(sum(v * v for v in residual)), flow.newton_step(*residual)
+
+    bound = np.maximum(tol, 4 * np.finfo(float).eps * np.sqrt(sum(v * v for v in target)))
+    open_ = _newton(label, step, bound, max_iter)
+    if open_.size:
+        first = tuple(float(v[open_[0]]) for v in target)
+        raise InversionError(
+            f"map inversion did not reach |residual| <= max({tol!r}, 4 eps |target|) "
+            f"in {max_iter} iterations (target {first!r})")
+    return tuple(v.reshape(shape) for v in label)
 
 
 def invert_map(params: WaveParameters, x_target, t: float,
                guess: LagrangianLabel | None = None,
                tol: float = _INVERT_TOL,
                max_iter: int = _INVERT_MAX_ITER) -> LagrangianLabel:
-    """Label whose position at time t equals x_target, by Newton iteration.
-
-    The default initial guess takes the target coordinates as labels, which
-    lies in the convergence basin throughout the gated domain.
-    """
-    target = np.asarray(x_target, dtype=float)
-    lab = guess or LagrangianLabel(q=float(target[0]), r=float(target[1]),
-                                   s=float(target[2]))
-    current = np.array([lab.q, lab.r, lab.s], dtype=float)
-    for _ in range(max_iter):
-        here = LagrangianLabel(q=float(current[0]), r=float(current[1]),
-                               s=float(current[2]))
-        residual = np.array(position(params, here, t)) - target
-        if np.linalg.norm(residual) <= tol:
-            return here
-        # d(position)/d(label) is the transpose of the row-layout Jacobian
-        mat = label_jacobian(params, here, t).T
-        current = current - np.linalg.solve(mat, residual)
-    raise InversionError(
-        f"map inversion did not reach |residual| <= {tol!r} in "
-        f"{max_iter} iterations (target {tuple(target)!r})")
+    """Label whose position at time t equals x_target (see invert_labels)."""
+    start = None if guess is None else (guess.q, guess.r, guess.s)
+    q, r, s = invert_labels(params, *x_target, t, guess=start, tol=tol,
+                            max_iter=max_iter)
+    return LagrangianLabel(q=float(q), r=float(r), s=float(s))
 
 
 def eulerian_velocity(params: WaveParameters, x_target, t: float,
                       guess: LagrangianLabel | None = None):
     """Velocity at a fixed spatial point, through numeric map inversion."""
-    lab = invert_map(params, x_target, t, guess=guess)
-    return velocity(params, lab, t)
+    return velocity(params, invert_map(params, x_target, t, guess=guess), t)
 
 
-def sheet_label_q(params: WaveParameters, s: float, x: float, t: float,
-                  tol: float = 1e-13, max_iter: int = 60) -> float:
+def sheet_label_q(params: WaveParameters, s, x, t,
+                  tol: float = 1e-13, max_iter: int = 60):
     """Label q on the sheet of constant s whose position has abscissa x.
 
-    Solves q - b e^(-m s) sin(k (q - c t)) = x by Newton; the derivative
-    1 - k b e^(-m s) cos(theta) is positive under the amplitude gate, so the
-    scalar map is monotone.
-    """
-    e = math.exp(-params.m * s)
-    q = x
-    for _ in range(max_iter):
-        th = params.k * (q - params.c * t)
-        residual = q - params.b * e * math.sin(th) - x
-        if abs(residual) <= tol * max(1.0, abs(x)):
-            return q
-        q -= residual / (1.0 - params.k * params.b * e * math.cos(th))
-    raise InversionError(
-        f"sheet abscissa inversion did not converge for x={x!r}, s={s!r}")
+    Solves q - b e^(-m s) sin(k (q - c t)) = x by Newton over broadcast
+    arrays; the derivative 1 - k b e^(-m s) cos(theta) is positive under the
+    amplitude gate."""
+    shape = np.broadcast_shapes(np.shape(s), np.shape(x), np.shape(t))
+    s, x, t = _flat((s, x, t), shape)
+    q = x.copy()
+
+    def step(i):
+        flow = Flow(params, q[i], 0.0, s[i], t[i])
+        residual = flow.position[0] - x[i]
+        return np.abs(residual), (residual / flow.jacobian[0][0],)
+
+    open_ = _newton([q], step, tol * np.maximum(1.0, np.abs(x)), max_iter)
+    if open_.size:
+        raise InversionError(
+            f"sheet abscissa inversion did not converge for "
+            f"x={float(x[open_[0]])!r}, s={float(s[open_[0]])!r}")
+    return q.reshape(shape)[()]
 
 
-def sheet_elevation(params: WaveParameters, s: float, x: float,
-                    t: float) -> float:
+def sheet_elevation(params: WaveParameters, s, x, t):
     """Eulerian elevation z of the material sheet of labels with vertical s.
 
     Independent of y: the sheet is a cylinder along the latitudinal
     direction.  For s = s0 this is the thermocline elevation.
     """
-    q = sheet_label_q(params, s, x, t)
-    e = math.exp(-params.m * s)
-    return s - params.a * e * math.cos(params.k * (q - params.c * t))
+    return Flow(params, sheet_label_q(params, s, x, t), 0.0, s, t).position[2][()]

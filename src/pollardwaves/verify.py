@@ -20,26 +20,12 @@ seeded; reports are deterministic.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dispersion import WaveParameters
-from .flowfield import (
-    LagrangianLabel,
-    acceleration,
-    dynamic_pressure,
-    eulerian_velocity,
-    jacobian,
-    label_jacobian,
-    position,
-    pressure,
-    pressure_gradient,
-    sheet_elevation,
-    velocity,
-    velocity_label_gradient,
-    vorticity,
-)
+from .flowfield import Flow, LagrangianLabel, invert_labels, sheet_elevation
 from .geo import Site, Stratification
 
 
@@ -85,16 +71,19 @@ class VerificationReport:
     components: tuple = field(default_factory=tuple)
 
 
-def _sample_dict(label: LagrangianLabel, t: float) -> dict:
-    return {"q": label.q, "r": label.r, "s": label.s, "t": t}
+def _arrays(samples):
+    """(q, r, s, t) arrays of a list of (label, t) samples."""
+    return tuple(np.array([(lab.q, lab.r, lab.s, t) for lab, t in samples],
+                          dtype=float).reshape(-1, 4).T)
 
 
-def _component(name, residuals, tolerance):
-    """Fold a list of (residual, label, t) into a CheckComponent."""
-    worst = max(residuals, key=lambda item: item[0])
-    return CheckComponent(name=name, max_residual=worst[0],
+def _component(name, residual, tolerance, where):
+    """CheckComponent of residuals at ``where`` = (q, r, s, t); worst = first largest."""
+    i = int(np.argmax(residual))
+    return CheckComponent(name=name, max_residual=float(residual[i]),
                           tolerance=tolerance,
-                          worst_sample=_sample_dict(worst[1], worst[2]))
+                          worst_sample={key: float(v[i])
+                                        for key, v in zip("qrst", where)})
 
 
 def _report(check_name, n_samples, components):
@@ -110,44 +99,66 @@ def _report(check_name, n_samples, components):
     )
 
 
+def _max_abs(*values):
+    return np.maximum.reduce([np.abs(v) for v in values])
+
+
+def _relative_error(a, b, floor):
+    """max_i |a_i - b_i| / max(|a|, |b|, floor) per sample, for vectors a, b."""
+    err = _max_abs(*(x - y for x, y in zip(a, b)))
+    return err / np.maximum(np.maximum(_max_abs(*a), _max_abs(*b)), floor)
+
+
+def _curl(grad):
+    """Curl of a velocity gradient grad[i][j] = d u_i / d x_j."""
+    return (grad[2][1] - grad[1][2],
+            grad[0][2] - grad[2][0],
+            grad[1][0] - grad[0][1])
+
+
 def wave_period(params: WaveParameters) -> float:
     """Time period 2 pi / (k |c|) of the travelling wave."""
     return 2.0 * math.pi / (params.k * abs(params.c))
 
 
+def _random_samples(params, rng, n, sheet=False):
+    """(q, r, s, t) of n seeded interior samples, each drawing q, r, s, t in
+    turn (not s on the sheet s = s0); lo + (hi - lo) u is rng.uniform(lo, hi)."""
+    u = iter(rng.random((n, 3 if sheet else 4)).T)
+    q = 0.0 + params.L * next(u)
+    r = -10.0 + 20.0 * next(u)
+    s = (np.full(n, params.s0) if sheet
+         else params.s0 + (params.s_plus - params.s0) * next(u))
+    return q, r, s, 0.0 + wave_period(params) * next(u)
+
+
+def _grid(params, config, sheet=False):
+    """(q, r, s, t) of the deterministic samples: a phase/height/time lattice
+    (phase/time on the sheet s = s0) plus seeded random interior points."""
+    qs = np.linspace(0.0, params.L, config.n_theta, endpoint=False)
+    ss = [params.s0] if sheet else np.linspace(params.s0, params.s_plus, config.n_s)
+    ts = np.linspace(0.0, wave_period(params), config.n_time, endpoint=False)
+    q, s, t = (a.ravel() for a in np.meshgrid(qs, ss, ts, indexing="ij"))
+    rng = np.random.default_rng(config.seed + (1 if sheet else 0))
+    return tuple(np.concatenate(pair) for pair in zip(
+        (q, np.zeros(q.size), s, t),
+        _random_samples(params, rng, config.n_random, sheet)))
+
+
+def _as_samples(where):
+    return [(LagrangianLabel(q=q, r=r, s=s), t)
+            for q, r, s, t in zip(*(a.tolist() for a in where))]
+
+
 def build_grid(params: WaveParameters, config: VerifyConfig):
     """Deterministic (label, t) samples: a phase/height/time lattice plus
     seeded random interior points."""
-    period = wave_period(params)
-    qs = np.linspace(0.0, params.L, config.n_theta, endpoint=False)
-    ss = np.linspace(params.s0, params.s_plus, config.n_s)
-    ts = np.linspace(0.0, period, config.n_time, endpoint=False)
-    grid = [(LagrangianLabel(q=float(q), r=0.0, s=float(s)), float(t))
-            for q in qs for s in ss for t in ts]
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.n_random):
-        grid.append((LagrangianLabel(
-            q=float(rng.uniform(0.0, params.L)),
-            r=float(rng.uniform(-10.0, 10.0)),
-            s=float(rng.uniform(params.s0, params.s_plus))),
-            float(rng.uniform(0.0, period))))
-    return grid
+    return _as_samples(_grid(params, config))
 
 
 def build_sheet_grid(params: WaveParameters, config: VerifyConfig):
     """Deterministic (label, t) samples on the thermocline sheet s = s0."""
-    period = wave_period(params)
-    qs = np.linspace(0.0, params.L, config.n_theta, endpoint=False)
-    ts = np.linspace(0.0, period, config.n_time, endpoint=False)
-    grid = [(LagrangianLabel(q=float(q), r=0.0, s=params.s0), float(t))
-            for q in qs for t in ts]
-    rng = np.random.default_rng(config.seed + 1)
-    for _ in range(config.n_random):
-        grid.append((LagrangianLabel(
-            q=float(rng.uniform(0.0, params.L)),
-            r=float(rng.uniform(-10.0, 10.0)),
-            s=params.s0), float(rng.uniform(0.0, period))))
-    return grid
+    return _as_samples(_grid(params, config, sheet=True))
 
 
 def check_euler(params: WaveParameters, site: Site, strat: Stratification,
@@ -159,31 +170,35 @@ def check_euler(params: WaveParameters, site: Site, strat: Stratification,
     pure roundoff.
     """
     config = config or VerifyConfig()
-    grid = grid if grid is not None else build_grid(params, config)
+    where = _grid(params, config) if grid is None else _arrays(grid)
+    flow = Flow(params, *where)
     f, fh, g = site.f, site.f_hat, strat.g
-    residuals = []
-    for label, t in grid:
-        du, dv, dw = acceleration(params, label, t)
-        u, v, w = velocity(params, label, t)
-        px, py, pz = pressure_gradient(params, strat, label, t)
-        r1 = du + fh * w - f * v + px / strat.rho0
-        r2 = dv + f * u + py / strat.rho0
-        r3 = dw - fh * u + pz / strat.rho0 + g
-        residuals.append((max(abs(r1), abs(r2), abs(r3)) / g, label, t))
-    comp = _component("momentum_residual", residuals, config.tol_identity)
-    return _report("euler", len(grid), [comp])
+    du, dv, dw = flow.acceleration
+    u, v, w = flow.velocity
+    px, py, pz = flow.eulerian_gradient(*flow.pressure_label_gradient(strat))
+    r1 = du + fh * w - f * v + px / strat.rho0
+    r2 = dv + f * u + py / strat.rho0
+    r3 = dw - fh * u + pz / strat.rho0 + g
+    comp = _component("momentum_residual", _max_abs(r1, r2, r3) / g,
+                      config.tol_identity, where)
+    return _report("euler", where[0].size, [comp])
 
 
-def _momentum_pressure_gradient(params, strat, label, t):
-    """(P_x, P_y, P_z) demanded by the momentum equations (closed forms)."""
-    du, dv, dw = acceleration(params, label, t)
-    u, v, w = velocity(params, label, t)
-    f, fh = params.f, params.f_hat
-    return np.array([
-        -strat.rho0 * (du + fh * w - f * v),
-        -strat.rho0 * (dv + f * u),
-        -strat.rho0 * (dw - fh * u + strat.g),
-    ])
+def _transported_gradient(flow: Flow, strat: Stratification):
+    """Label pressure gradient J . (P_x, P_y, P_z) by the chain rule, with
+    (P_x, P_y, P_z) demanded by the momentum equations.  The s component
+    omits its constant -rho0 g, so its differences do not cancel against it."""
+    p = flow.params
+    du, dv, dw = flow.acceleration
+    u, v, w = flow.velocity
+    gx = -strat.rho0 * (du + p.f_hat * w - p.f * v)
+    gy = -strat.rho0 * (dv + p.f * u)
+    gz = -strat.rho0 * (dw - p.f_hat * u + strat.g)
+    (j00, j01, j02), (j20, j21, _) = flow.jacobian
+    # J22 = 1 + m a e^(-m s) cos(theta); its 1 times gz carries the constant
+    wave_s = (j20 * gx + j21 * gy + p.m * p.a * flow.e * flow.cos * gz
+              - strat.rho0 * (dw - p.f_hat * u))
+    return j00 * gx + j01 * gy + j02 * gz, gy, wave_s
 
 
 def check_pressure_consistency(params: WaveParameters, strat: Stratification,
@@ -197,55 +212,43 @@ def check_pressure_consistency(params: WaveParameters, strat: Stratification,
     exactly the compatibility content of the construction.
     """
     config = config or VerifyConfig()
-    grid = grid if grid is not None else build_grid(params, config)
+    where = q, r, s, t = _grid(params, config) if grid is None else _arrays(grid)
     h = config.fd_space
     floor = config.tol_fd * strat.rho0 * strat.g  # [Pa/m] noise floor
-    grad_res, mixed_res, rfree_res = [], [], []
-    for label, t in grid:
-        transported = label_jacobian(params, label, t) @ \
-            _momentum_pressure_gradient(params, strat, label, t)
-        # q and r differences act on the wave part only: the hydrostatic
-        # column term is constant in both and would otherwise dominate the
-        # cancellation error
-        fd = np.array([
-            (dynamic_pressure(params, strat, replace(label, q=label.q + h), t)
-             - dynamic_pressure(params, strat, replace(label, q=label.q - h), t)) / (2 * h),
-            (dynamic_pressure(params, strat, replace(label, r=label.r + h), t)
-             - dynamic_pressure(params, strat, replace(label, r=label.r - h), t)) / (2 * h),
-            (pressure(params, strat, replace(label, s=label.s + h), t)
-             - pressure(params, strat, replace(label, s=label.s - h), t)) / (2 * h),
-        ])
-        err = max(abs(fd[i] - transported[i])
-                  / max(abs(fd[i]), abs(transported[i]), floor)
-                  for i in range(3))
-        grad_res.append((err, label, t))
-        # symmetry of the transported mixed partials d2P/dqds vs d2P/dsdq
-        pq_s = (_transported_component(params, strat,
-                                       replace(label, s=label.s + h), t, 0)
-                - _transported_component(params, strat,
-                                         replace(label, s=label.s - h), t, 0)) / (2 * h)
-        ps_q = (_transported_component(params, strat,
-                                       replace(label, q=label.q + h), t, 2)
-                - _transported_component(params, strat,
-                                         replace(label, q=label.q - h), t, 2)) / (2 * h)
-        mixed = abs(pq_s - ps_q) / max(abs(pq_s), abs(ps_q), floor)
-        mixed_res.append((mixed, label, t))
-        # r-independence of the scalar pressure
-        p0 = pressure(params, strat, label, t)
-        p1 = pressure(params, strat, replace(label, r=label.r + 7.5), t)
-        rfree_res.append((abs(p1 - p0) / max(abs(p0), abs(p1)), label, t))
+
+    def at(dq=0.0, dr=0.0, ds=0.0):
+        return Flow(params, q + dq, r + dr, s + ds, t)
+
+    def central(value, axis):  # central difference of value(flow) along a label
+        return (value(at(**{axis: h})) - value(at(**{axis: -h}))) / (2 * h)
+
+    def transported(i):
+        return lambda flow: _transported_gradient(flow, strat)[i]
+
+    here = at()
+    t_q, t_r, t_s = _transported_gradient(here, strat)
+    # q and r differences act on the wave part only: the hydrostatic
+    # column term is constant in both and would otherwise dominate the
+    # cancellation error
+    fd = (central(lambda flow: flow.dynamic_pressure(strat), "dq"),
+          central(lambda flow: flow.dynamic_pressure(strat), "dr"),
+          central(lambda flow: flow.pressure(strat), "ds"))
+    grad_res = np.maximum.reduce([
+        _relative_error((a,), (b,), floor)
+        for a, b in zip(fd, (t_q, t_r, t_s - strat.rho0 * strat.g))])
+    # symmetric mixed partials d2P/dqds = d2P/dsdq; P_s differences its wave part
+    mixed_res = _relative_error((central(transported(0), "ds"),),
+                                (central(transported(2), "dq"),), floor)
+    # r-independence of the scalar pressure
+    p0 = here.pressure(strat)
+    p1 = at(dr=7.5).pressure(strat)
+    rfree_res = np.abs(p1 - p0) / np.maximum(np.abs(p0), np.abs(p1))
     comps = [
-        _component("gradient_transport", grad_res, config.tol_fd),
-        _component("mixed_partials", mixed_res, config.tol_fd),
-        _component("r_independence", rfree_res, config.tol_identity),
+        _component("gradient_transport", grad_res, config.tol_fd, where),
+        _component("mixed_partials", mixed_res, config.tol_fd, where),
+        _component("r_independence", rfree_res, config.tol_identity, where),
     ]
-    return _report("pressure_consistency", len(grid), comps)
-
-
-def _transported_component(params, strat, label, t, index):
-    transported = label_jacobian(params, label, t) @ \
-        _momentum_pressure_gradient(params, strat, label, t)
-    return transported[index]
+    return _report("pressure_consistency", q.size, comps)
 
 
 def check_boundary(params: WaveParameters, strat: Stratification,
@@ -257,27 +260,38 @@ def check_boundary(params: WaveParameters, strat: Stratification,
     central differences (eta is independent of y), within tol_kinematic.
     """
     config = config or VerifyConfig()
-    grid = grid if grid is not None else build_sheet_grid(params, config)
+    where = _grid(params, config, sheet=True) if grid is None else _arrays(grid)
+    t = where[3]
     ht = config.fd_time_factor / (params.k * abs(params.c))
     hx = config.fd_space
-    dyn_res, kin_res = [], []
-    for label, t in grid:
-        x, _, z = position(params, label, t)
-        p = pressure(params, strat, label, t)
-        dyn = abs(p - (params.P0 - strat.rho_plus * strat.g * z)) / abs(params.P0)
-        dyn_res.append((dyn, label, t))
-        u, v, w = velocity(params, label, t)
-        eta_t = (sheet_elevation(params, params.s0, x, t + ht)
-                 - sheet_elevation(params, params.s0, x, t - ht)) / (2 * ht)
-        eta_x = (sheet_elevation(params, params.s0, x + hx, t)
-                 - sheet_elevation(params, params.s0, x - hx, t)) / (2 * hx)
-        eta_y = 0.0  # the sheet is y-invariant
-        kin_res.append((abs(w - (eta_t + u * eta_x + v * eta_y)), label, t))
+    flow = Flow(params, *where)
+    x, _, z = flow.position
+    p = flow.pressure(strat)
+    dyn_res = np.abs(p - (params.P0 - strat.rho_plus * strat.g * z)) / abs(params.P0)
+    u, v, w = flow.velocity
+    eta_t = (sheet_elevation(params, params.s0, x, t + ht)
+             - sheet_elevation(params, params.s0, x, t - ht)) / (2 * ht)
+    eta_x = (sheet_elevation(params, params.s0, x + hx, t)
+             - sheet_elevation(params, params.s0, x - hx, t)) / (2 * hx)
+    eta_y = 0.0  # the sheet is y-invariant
+    kin_res = np.abs(w - (eta_t + u * eta_x + v * eta_y))
     comps = [
-        _component("dynamic_condition", dyn_res, config.tol_dynamic),
-        _component("kinematic_condition", kin_res, config.tol_kinematic),
+        _component("dynamic_condition", dyn_res, config.tol_dynamic, where),
+        _component("kinematic_condition", kin_res, config.tol_kinematic, where),
     ]
-    return _report("boundary", len(grid), comps)
+    return _report("boundary", t.size, comps)
+
+
+def _fd_velocity_gradient(params, where, h):
+    """Central-difference velocity gradient grad[i][j] = d u_i / d x_j at the
+    particles ``where``, by one batched inversion of the points x +- h e_j."""
+    q, r, s, t = where
+    base = np.array(Flow(params, q, r, s, t).position)       # (xyz, n)
+    steps = h * np.eye(3)[:, None, :, None] * np.array([1.0, -1.0])[:, None, None]
+    points = base + steps                                      # (j, +-, xyz, n)
+    labels = invert_labels(params, *np.moveaxis(points, 2, 0), t)
+    vel = np.array(Flow(params, *labels, t).velocity)          # (i, j, +-, n)
+    return (vel[:, :, 0] - vel[:, :, 1]) / (2 * h)
 
 
 def check_incompressibility(params: WaveParameters, grid=None, t_grid=None,
@@ -288,41 +302,28 @@ def check_incompressibility(params: WaveParameters, grid=None, t_grid=None,
     compared against zero at the scale k |c| (tolerance tol_fd * k |c|).
     """
     config = config or VerifyConfig()
-    grid = grid if grid is not None else build_grid(params, config)
+    where = _grid(params, config) if grid is None else _arrays(grid)
     if t_grid is None:
         t_grid = np.linspace(0.0, wave_period(params), 100)
-    jac_res = []
-    labels = dict.fromkeys(label for label, _ in grid)  # dedupe, keep order
-    for label in labels:
-        _, det0 = jacobian(params, label, float(t_grid[0]))
-        worst = 0.0
-        for t in t_grid[1:]:
-            _, det = jacobian(params, label, float(t))
-            worst = max(worst, abs(det - det0))
-        jac_res.append((worst, label, float(t_grid[0])))
-    h = config.fd_space
-    speed_scale = params.k * abs(params.c)
-    div_res = []
+    # distinct labels in order of first appearance
+    labels = dict.fromkeys(zip(*(a.tolist() for a in where[:3])))
+    q, r, s = np.array(list(labels), dtype=float).reshape(-1, 3).T
+    t0 = np.full(q.size, float(t_grid[0]))
+    det0 = Flow(params, q, r, s, t0).det
+    jac_res = np.zeros_like(det0)
+    for t in t_grid[1:]:  # one time at a time keeps memory at one label row
+        det = Flow(params, q, r, s, float(t)).det
+        jac_res = np.maximum(jac_res, np.abs(det - det0))
     rng = np.random.default_rng(config.seed + 2)
-    for _ in range(config.n_random):
-        label = LagrangianLabel(q=float(rng.uniform(0.0, params.L)),
-                                r=float(rng.uniform(-10.0, 10.0)),
-                                s=float(rng.uniform(params.s0, params.s_plus)))
-        t = float(rng.uniform(0.0, wave_period(params)))
-        base = np.array(position(params, label, t))
-        div = 0.0
-        for axis in range(3):
-            step = np.zeros(3)
-            step[axis] = h
-            vel_p = eulerian_velocity(params, base + step, t)[axis]
-            vel_m = eulerian_velocity(params, base - step, t)[axis]
-            div += (vel_p - vel_m) / (2 * h)
-        div_res.append((abs(div) / speed_scale, label, t))
+    where = _random_samples(params, rng, config.n_random)
+    grad = _fd_velocity_gradient(params, where, config.fd_space)
+    div_res = np.abs(grad[0][0] + grad[1][1] + grad[2][2]) / (params.k * abs(params.c))
     comps = [
-        _component("jacobian_time_invariance", jac_res, config.tol_jacobian_time),
-        _component("eulerian_divergence", div_res, config.tol_fd),
+        _component("jacobian_time_invariance", jac_res, config.tol_jacobian_time,
+                   (q, r, s, t0)),
+        _component("eulerian_divergence", div_res, config.tol_fd, where),
     ]
-    return _report("incompressibility", len(jac_res) + len(div_res), comps)
+    return _report("incompressibility", q.size + config.n_random, comps)
 
 
 def check_vorticity(params: WaveParameters, site: Site, grid=None,
@@ -331,54 +332,28 @@ def check_vorticity(params: WaveParameters, site: Site, grid=None,
 
     (i) the inverse-Jacobian matrix product (antisymmetrized velocity
     gradient), an identity at tol_identity; (ii) a finite-difference curl
-    of the Eulerian velocity through map inversion, at tol_curl.
+    of the Eulerian velocity through map inversion, at tol_curl.  The
+    analytic vorticity takes f from ``params``, which carries ``site.f``.
     """
     config = config or VerifyConfig()
-    grid = grid if grid is not None else build_grid(params, config)
+    where = _grid(params, config) if grid is None else _arrays(grid)
     # deep in the layer the vorticity decays like e^(-2 m s) while matrix
     # roundoff does not; a tiny fraction of the advective scale k|c| keeps
     # the relative comparison meaningful there
     scale_floor = 1e-6 * params.k * abs(params.c)
-    mp_res = []
-    for label, t in grid:
-        omega = np.array(vorticity(params, site, label, t))
-        grad_t = np.linalg.solve(label_jacobian(params, label, t),
-                                 velocity_label_gradient(params, label, t))
-        gv = grad_t.T  # gv[i][j] = d u_i / d x_j
-        omega_mp = np.array([gv[2][1] - gv[1][2],
-                             gv[0][2] - gv[2][0],
-                             gv[1][0] - gv[0][1]])
-        scale = max(np.max(np.abs(omega)), np.max(np.abs(omega_mp)), scale_floor)
-        err = np.max(np.abs(omega - omega_mp)) / scale
-        mp_res.append((err, label, t))
-    h = config.fd_space
-    curl_res = []
+    flow = Flow(params, *where)
+    row_q, row_s = flow.velocity_gradient
+    grad = [flow.eulerian_gradient(row_q[i], 0.0, row_s[i]) for i in range(3)]
+    mp_res = _relative_error(flow.vorticity, _curl(grad), scale_floor)
     rng = np.random.default_rng(config.seed + 3)
-    for _ in range(config.n_random):
-        label = LagrangianLabel(q=float(rng.uniform(0.0, params.L)),
-                                r=float(rng.uniform(-10.0, 10.0)),
-                                s=float(rng.uniform(params.s0, params.s_plus)))
-        t = float(rng.uniform(0.0, wave_period(params)))
-        base = np.array(position(params, label, t))
-        grad = np.zeros((3, 3))  # grad[i][j] = d u_i / d x_j
-        for axis in range(3):
-            step = np.zeros(3)
-            step[axis] = h
-            vel_p = np.array(eulerian_velocity(params, base + step, t))
-            vel_m = np.array(eulerian_velocity(params, base - step, t))
-            grad[:, axis] = (vel_p - vel_m) / (2 * h)
-        curl = np.array([grad[2][1] - grad[1][2],
-                         grad[0][2] - grad[2][0],
-                         grad[1][0] - grad[0][1]])
-        omega = np.array(vorticity(params, site, label, t))
-        scale = max(np.max(np.abs(omega)), np.max(np.abs(curl)), scale_floor)
-        err = np.max(np.abs(omega - curl)) / scale
-        curl_res.append((err, label, t))
+    fd_where = _random_samples(params, rng, config.n_random)
+    curl = _curl(_fd_velocity_gradient(params, fd_where, config.fd_space))
+    curl_res = _relative_error(Flow(params, *fd_where).vorticity, curl, scale_floor)
     comps = [
-        _component("matrix_product", mp_res, config.tol_identity),
-        _component("fd_curl", curl_res, config.tol_curl),
+        _component("matrix_product", mp_res, config.tol_identity, where),
+        _component("fd_curl", curl_res, config.tol_curl, fd_where),
     ]
-    return _report("vorticity", len(grid) + config.n_random, comps)
+    return _report("vorticity", where[0].size + config.n_random, comps)
 
 
 def run_all(params: WaveParameters, site: Site, strat: Stratification,

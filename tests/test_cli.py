@@ -274,3 +274,17 @@ def test_negative_branch_selects_westward_speed(tmp_path):
     assert len(rows) == 8
     # u = k c b e^(-m s) at zero phase is negative on the westward branch
     assert rows[0][7] < 0.0
+
+
+def test_verify_long_wave_reaches_a_verdict(capsys):
+    """The map inversion stops at the coordinates' rounding floor, so this
+    admitted long-wave config gives a verdict, not a numeric error."""
+    code = main(["verify", "--lat", "5", "--k", "7.5e-6", "--amplitude", "1000",
+                 "--s0", "1"])
+    assert code in (0, 1), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trajectory", "profile"])
+def test_sampled_commands_need_two_samples(command, capsys):
+    assert main([command, "--n", "1"]) == 2
+    assert "--n must be at least 2" in capsys.readouterr().err

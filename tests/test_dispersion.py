@@ -9,7 +9,6 @@ from pollardwaves.dispersion import (
     _bisect_newton,
     _confirm_bracket,
     _interface_map,
-    ferrari_roots,
 )
 from pollardwaves.errors import (
     AmplitudeBoundError,
@@ -22,6 +21,7 @@ from pollardwaves.errors import (
 )
 
 from conftest import REF_A, REF_K, REF_S0
+from ferrari import ferrari_roots
 
 
 def scan_sign_changes(nd, lo=-3.0, hi=3.0, step=1e-4):

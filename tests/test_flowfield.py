@@ -380,3 +380,21 @@ def test_sheet_elevation_consistent_with_particles(ref_params):
         x, _, z = pw.position(ref_params, lab, 6.0)
         assert sheet_elevation(ref_params, ref_params.s0, x, 6.0) == pytest.approx(
             z, abs=1e-11)
+
+
+def test_invert_stops_at_rounding_floor_for_long_waves():
+    """At |x| ~ 1e5 m an absolute 1e-12 m is below the spacing of the
+    coordinates; the inversion stops at 4 eps |target| instead of failing.
+    The targets are finite-difference points of the verifier that an
+    absolute stopping rule failed on (lat 5, k 7.5e-6, a 1000 m, s0 1 m)."""
+    from pollardwaves.cli import RunConfig, solve_configured
+    config = RunConfig(latitude_deg=5.0, wavenumber=7.5e-6, amplitude=1000.0, s0=1.0)
+    params = solve_configured(config.validate())[3]
+    for target, t in [
+            ((347272.14586508356, -15.681170255824869, 1030.9973199172139), 9445.195280537442),
+            ((685070.7977167111, -16.906562321385415, 998.0641879324634), 3743.4263603122095),
+            ((9430.386986887572, -9.398589817408752, 703.8336220276968), 6546.814002625967)]:
+        back = pw.invert_map(params, target, t)
+        residual = np.subtract(pw.position(params, back, t), target)
+        assert np.linalg.norm(residual) <= max(
+            1e-12, 4 * np.finfo(float).eps * np.linalg.norm(target))

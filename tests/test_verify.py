@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import pollardwaves as pw
@@ -188,3 +189,61 @@ def test_grid_sizes(ref_params):
     assert len(verify.build_grid(ref_params, config)) == 4 * 3 * 2 + 5
     assert len(verify.build_sheet_grid(ref_params, config)) == 4 * 2 + 5
     assert all(lab.s == ref_params.s0 for lab, _ in verify.build_sheet_grid(ref_params, config))
+
+
+# --- sampling seeds and array bookkeeping --------------------------------------
+
+def test_pressure_consistency_passes_for_sampling_seeds(ref_params, strat):
+    """mixed_partials differences the wave part of P_s; the constant -rho0 g
+    no longer turns into finite-difference roundoff near the tolerance."""
+    for seed in range(40):
+        config = verify.VerifyConfig(seed=seed)
+        report = verify.check_pressure_consistency(ref_params, strat, config=config)
+        assert report.passed, (seed, report.components)
+        mixed = {c.name: c for c in report.components}["mixed_partials"]
+        # truncation only: roundoff of the constant term reached ~2e-6 here
+        assert mixed.max_residual <= 0.1 * config.tol_fd, seed
+
+
+def test_pressure_consistency_control_fails_on_default_grid(ref_params, strat):
+    bad = dataclasses.replace(ref_params, d=1.01 * ref_params.d)
+    assert not verify.check_pressure_consistency(bad, strat).passed
+
+
+def test_random_samples_follow_scalar_uniform_draws(ref_params):
+    """The grid's random part is the sequence of scalar rng.uniform draws
+    q, r, s, t per sample (q, r, t on the sheet)."""
+    config = verify.VerifyConfig(n_theta=2, n_s=2, n_time=2, n_random=25, seed=17)
+    period = verify.wave_period(ref_params)
+    rng = np.random.default_rng(17)
+    expected = []
+    for _ in range(25):
+        label = LagrangianLabel(q=float(rng.uniform(0.0, ref_params.L)),
+                                r=float(rng.uniform(-10.0, 10.0)),
+                                s=float(rng.uniform(ref_params.s0, ref_params.s_plus)))
+        expected.append((label, float(rng.uniform(0.0, period))))
+    assert verify.build_grid(ref_params, config)[8:] == expected
+    rng = np.random.default_rng(18)
+    sheet = []
+    for _ in range(25):
+        q, r = float(rng.uniform(0.0, ref_params.L)), float(rng.uniform(-10.0, 10.0))
+        sheet.append((LagrangianLabel(q=q, r=r, s=ref_params.s0),
+                      float(rng.uniform(0.0, period))))
+    assert verify.build_sheet_grid(ref_params, config)[4:] == sheet
+
+
+def test_worst_sample_is_first_largest_residual():
+    where = tuple(np.arange(4.0) + k for k in range(4))
+    comp = verify._component("x", np.array([1.0, 3.0, 2.0, 3.0]), 5.0, where)
+    assert comp.max_residual == 3.0
+    assert comp.worst_sample == {"q": 1.0, "r": 2.0, "s": 3.0, "t": 4.0}
+    assert all(type(v) is float for v in comp.worst_sample.values())
+
+
+def test_given_grid_matches_default_grid(ref_params, site45, strat):
+    grid = verify.build_grid(ref_params, SMALL)
+    assert (verify.check_vorticity(ref_params, site45, grid=grid, config=SMALL)
+            == verify.check_vorticity(ref_params, site45, config=SMALL))
+    sheet = verify.build_sheet_grid(ref_params, SMALL)
+    assert (verify.check_boundary(ref_params, strat, grid=sheet, config=SMALL)
+            == verify.check_boundary(ref_params, strat, config=SMALL))
