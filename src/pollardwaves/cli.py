@@ -149,19 +149,25 @@ def solve_configured(config: RunConfig):
     return constants, site, strat, params
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def write_table(path: str, columns, rows, fmt: str):
-    """Write rows as CSV (17 significant digits) or as JSON column arrays."""
+    """Write a (n_rows, n_cols) float array as CSV (the bytes of f"{v:.17g}") or
+    JSON column arrays (C-encoder floats in the layout of json.dumps(indent=2)),
+    formatting each distinct bit pattern of a column (-0.0 apart from 0.0) once."""
+    cells = []
+    for column in rows.T:
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
+        if fmt == "csv":
+            strings = ("%.17g," * len(values) % tuple(values)).split(",")[:-1]
+        else:
+            strings = json.dumps(values)[1:-1].split(", ")
+        cells.append(np.array(strings, dtype=object)[inverse].tolist())
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
     else:
-        data = {name: [row[i] for row in rows] for i, name in enumerate(columns)}
-        text = json.dumps(data, indent=2) + "\n"
+        arrays = ("[\n    " + ",\n    ".join(c) + "\n  ]" if c else "[]" for c in cells)
+        members = (f"  {json.dumps(n)}: {a}" for n, a in zip(columns, arrays))
+        text = "{\n" + ",\n".join(members) + "\n}\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -170,10 +176,10 @@ def write_table(path: str, columns, rows, fmt: str):
 
 
 def _flow_rows(fields: flow.Flow, strat):
-    """FIELD_COLUMNS rows of a kernel evaluation, in row-major label order."""
+    """FIELD_COLUMNS table of a kernel evaluation, in row-major label order."""
     columns = (fields.t, fields.q, fields.r, fields.s, *fields.position,
                *fields.velocity, fields.pressure(strat), *fields.vorticity)
-    return np.column_stack([c.ravel() for c in np.broadcast_arrays(*columns)]).tolist()
+    return np.column_stack([c.ravel() for c in np.broadcast_arrays(*columns)])
 
 
 def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
@@ -200,9 +206,7 @@ def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
         nd = dsp.nondimensionalize(site, strat, k)
         roots = dsp.solve_dispersion(nd, site, strat, k, tol=config.tol_identity)
         c = roots.c_minus if config.branch == "negative" else roots.c_plus
-        m = math.sqrt(k**4 * c**2 / (k**2 * c**2 - site.f**2))
-        b = m * config.amplitude / k
-        d = -site.f * m * config.amplitude / (k**2 * c)
+        m, b, d = dsp.orbit_parameters(site.f, k, config.amplitude, c)
         w = nd.epsilon * nd.F
         in_bracket = 0.0 < roots.x_plus - 1.0 < w
         report.update({
@@ -223,15 +227,13 @@ def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
         print(f"  X_plus - 1 in (0, eps F = {w:.6g}): {in_bracket}")
     if out:
         if fmt == "csv":
-            rows = [(key, value) for key, value in report.items()]
-            text = "name,value\n" + "\n".join(
-                f"{key},{value!r}" if isinstance(value, (str, bool))
-                else f"{key},{_fmt(value)}" for key, value in rows) + "\n"
-            with open(out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+            text = "name,value\n" + "".join(
+                f"{key},{value!r}\n" if isinstance(value, (str, bool))
+                else f"{key},{value:.17g}\n" for key, value in report.items())
         else:
-            with open(out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(json.dumps(report, indent=2) + "\n")
+            text = json.dumps(report, indent=2) + "\n"
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     return EXIT_OK
 
 
@@ -250,8 +252,7 @@ def cmd_profile(config: RunConfig, args) -> int:
     s = params.s0 if args.s is None else args.s
     q1 = args.q1 if args.q1 is not None else params.L
     qs = np.linspace(args.q0, q1, args.n)
-    rows = np.column_stack(
-        (qs, *flow.Flow(params, qs, args.r, s, args.t).position)).tolist()
+    rows = np.column_stack((qs, *flow.Flow(params, qs, args.r, s, args.t).position))
     write_table(args.out, PROFILE_COLUMNS, rows, config.output_format)
     return EXIT_OK
 

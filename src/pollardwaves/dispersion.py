@@ -260,6 +260,10 @@ def _interface_map(site, strat, a, k, c, m, b, d, s):
 
 def _invert_interface_map(site, strat, a, k, c, m, b, d, s0, beta0):
     """Label s_plus > s0 with interface_map(s_plus) = beta0, by bisection."""
+    threshold = (site.f**2 + site.f_hat**2) / strat.g_tilde  # the map's monotonicity
+    if not k > threshold:
+        raise WavenumberError(
+            f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
     lo = s0
     hi = s0 + 1.0
     for _ in range(80):
@@ -269,13 +273,14 @@ def _invert_interface_map(site, strat, a, k, c, m, b, d, s0, beta0):
     else:
         raise ConvergenceError(
             f"no upper bound found for the interface label with beta0={beta0!r}")
-    while hi - lo > INTERFACE_TOL:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > INTERFACE_TOL and lo < mid < hi:  # mid hits an end once ulp(s) > tol
         if _interface_map(site, strat, a, k, c, m, b, d, mid) < beta0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def solve_interface(params: WaveParameters, site: Site, strat: Stratification,
@@ -283,19 +288,25 @@ def solve_interface(params: WaveParameters, site: Site, strat: Stratification,
     """Interface label s_plus for a given beta0 > P0 - P0_tilde.
 
     Bisection on the strictly increasing thermocline-constant map, to an
-    absolute tolerance of 1e-9 m.
+    absolute tolerance of 1e-9 m or to adjacent doubles, whichever is wider.
     """
     p0_offset = params.P0 - params.P0_tilde
     if not beta0 > p0_offset:
         raise InterfaceOrderingError(
             f"beta0={beta0!r} must exceed P0 - P0_tilde={p0_offset!r}")
-    threshold = (site.f**2 + site.f_hat**2) / strat.g_tilde
-    if not params.k > threshold:
-        raise WavenumberError(
-            f"monotonicity of the interface map needs k > {threshold!r}")
     return _invert_interface_map(site, strat, params.a, params.k, params.c,
-                                 params.m, params.b, params.d, params.s0,
-                                 beta0)
+                                 params.m, params.b, params.d, params.s0, beta0)
+
+
+def orbit_parameters(f: float, k: float, a: float, c: float):
+    """(m, b, d) of a phase speed c, by the closed forms above."""
+    m2_denom = k**2 * c**2 - f**2
+    if not m2_denom > 0:
+        raise EvanescentRegimeError(
+            f"k^2 c^2 = {k**2 * c**2!r} must exceed f^2 = {f**2!r}; "
+            "the vertical decay rate m diverges as k^2 c^2 -> f^2")
+    m = math.sqrt(k**4 * c**2 / m2_denom)
+    return m, m * a / k, -f * m * a / (k**2 * c)
 
 
 def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
@@ -315,14 +326,7 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
         raise InputError(f"thermocline label must be positive, got {s0!r}")
     if a < 0:
         raise AmplitudeBoundError(f"amplitude must be non-negative, got {a!r}")
-    m2_denom = k**2 * c**2 - site.f**2
-    if not m2_denom > 0:
-        raise EvanescentRegimeError(
-            f"k^2 c^2 = {k**2 * c**2!r} must exceed f^2 = {site.f**2!r}; "
-            "the vertical decay rate m diverges as k^2 c^2 -> f^2")
-    m = math.sqrt(k**4 * c**2 / m2_denom)
-    b = m * a / k
-    d = -site.f * m * a / (k**2 * c)
+    m, b, d = orbit_parameters(site.f, k, a, c)
     gate = (m * a * math.exp(-m * s0)) ** 2
     if not gate < 1.0:
         raise AmplitudeBoundError(
@@ -338,10 +342,6 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
     elif not beta0 > p0_minus_ptilde:
         raise InterfaceOrderingError(
             f"beta0={beta0!r} must exceed P0 - P0_tilde={p0_minus_ptilde!r}")
-    threshold = (site.f**2 + site.f_hat**2) / strat.g_tilde
-    if not k > threshold:
-        raise WavenumberError(
-            f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
     s_plus = _invert_interface_map(site, strat, a, k, c, m, b, d, s0, beta0)
     return WaveParameters(a=a, k=k, L=2.0 * math.pi / k, c=c, m=m, b=b, d=d,
                           s_star=s0, s0=s0, s_plus=s_plus, P0=P0,

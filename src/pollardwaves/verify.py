@@ -161,7 +161,7 @@ def build_sheet_grid(params: WaveParameters, config: VerifyConfig):
     return _as_samples(_grid(params, config, sheet=True))
 
 
-def check_euler(params: WaveParameters, site: Site, strat: Stratification,
+def check_euler(params: WaveParameters, strat: Stratification,
                 grid=None, config: VerifyConfig | None = None) -> VerificationReport:
     """Residuals of the three momentum equations, normalized by g.
 
@@ -172,7 +172,7 @@ def check_euler(params: WaveParameters, site: Site, strat: Stratification,
     config = config or VerifyConfig()
     where = _grid(params, config) if grid is None else _arrays(grid)
     flow = Flow(params, *where)
-    f, fh, g = site.f, site.f_hat, strat.g
+    f, fh, g = params.f, params.f_hat, strat.g
     du, dv, dw = flow.acceleration
     u, v, w = flow.velocity
     px, py, pz = flow.eulerian_gradient(*flow.pressure_label_gradient(strat))
@@ -326,14 +326,13 @@ def check_incompressibility(params: WaveParameters, grid=None, t_grid=None,
     return _report("incompressibility", q.size + config.n_random, comps)
 
 
-def check_vorticity(params: WaveParameters, site: Site, grid=None,
+def check_vorticity(params: WaveParameters, grid=None,
                     config: VerifyConfig | None = None) -> VerificationReport:
     """Analytic vorticity against two independent constructions.
 
     (i) the inverse-Jacobian matrix product (antisymmetrized velocity
     gradient), an identity at tol_identity; (ii) a finite-difference curl
-    of the Eulerian velocity through map inversion, at tol_curl.  The
-    analytic vorticity takes f from ``params``, which carries ``site.f``.
+    of the Eulerian velocity through map inversion, at tol_curl.
     """
     config = config or VerifyConfig()
     where = _grid(params, config) if grid is None else _arrays(grid)
@@ -365,10 +364,10 @@ def run_all(params: WaveParameters, site: Site, strat: Stratification,
     """
     config = config or VerifyConfig()
     reports = [
-        check_euler(params, site, strat, config=config),
+        check_euler(params, strat, config=config),
         check_pressure_consistency(params, strat, config=config),
         check_boundary(params, strat, config=config),
         check_incompressibility(params, config=config),
-        check_vorticity(params, site, config=config),
+        check_vorticity(params, config=config),
     ]
     return sorted(reports, key=lambda r: r.check_name)

@@ -29,7 +29,7 @@ def test_criterion_1_exact_solution_residuals(ref_params, site45, strat):
     grid = verify.build_grid(ref_params, config)
     assert len(grid) == 16 * 16 * 5
     start = time.perf_counter()
-    report = verify.check_euler(ref_params, site45, strat, grid=grid, config=config)
+    report = verify.check_euler(ref_params, strat, grid=grid, config=config)
     elapsed = time.perf_counter() - start
     ok = report.passed and report.max_residual <= 1e-12 and elapsed < 1.0
     report_line(1, "exact-solution residuals", ok)
@@ -164,7 +164,7 @@ def test_criterion_7_incompressibility_and_vorticity(ref_params, site45, equator
     matches the FD curl to 1e-5 and the equatorial closed forms."""
     config = verify.VerifyConfig(n_random=100)
     inc = verify.check_incompressibility(ref_params, config=config)
-    vort = verify.check_vorticity(ref_params, site45, config=config)
+    vort = verify.check_vorticity(ref_params, config=config)
     inc_fams = {c.name: c for c in inc.components}
     vort_fams = {c.name: c for c in vort.components}
     jac_ok = inc_fams["jacobian_time_invariance"].max_residual <= 1e-14

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -45,6 +48,14 @@ def test_dispersion_wavelength_200m_epsilon_small(tmp_path):
     assert 1e-4 < report["epsilon"] < 5e-2
     assert report["wavelength"] == pytest.approx(200.0)
     assert report["bracket_ok"] is True
+
+
+def test_dispersion_report_orbit_parameters_equal_derived(tmp_path, ref_params):
+    out = tmp_path / "report.json"
+    assert main(["dispersion", "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["m"], report["b"], report["d"]) == (
+        ref_params.m, ref_params.b, ref_params.d)
 
 
 def test_dispersion_report_speed_in_bracket(tmp_path, site45, strat):
@@ -120,6 +131,16 @@ def test_profile_json_mirrors_columns(tmp_path):
     data = json.loads(out.read_text())
     assert set(data) == set(PROFILE_COLUMNS)
     assert all(len(v) == 16 for v in data.values())
+
+
+def test_profile_deep_thermocline_terminates():
+    """At s0 = 1e8 m the ulp of s exceeds the 1e-9 m interface tolerance;
+    the interface bisection must still stop."""
+    src = os.path.dirname(os.path.dirname(pw.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "pollardwaves.cli", "profile", "--s0", "1e8", "--n", "4"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=30)
+    assert result.returncode == 0, result.stderr
 
 
 def test_field_lattice(tmp_path):

@@ -1,0 +1,63 @@
+"""Byte identity of the column-wise table writer with the row-wise oracle in
+``table_reference``, through the CLI and on tables of edge-case floats."""
+
+import numpy as np
+import pytest
+
+from pollardwaves import cli
+
+import table_reference
+
+T = repr(float(np.random.default_rng(7).uniform(0.0, 200.0)))  # a seeded time [s]
+EXPORTS = [
+    ["field"], ["field", "--t", T], ["field", "--nq", "0"],
+    ["field", "--nq", "1", "--ns", "1"],
+    ["trajectory"], ["trajectory", "--t0", T, "--n", "77"],
+    ["profile"], ["profile", "--t", T],
+]
+
+
+def reference_writer(path, columns, rows, fmt):
+    table_reference.write_table(path, columns, np.asarray(rows).tolist(), fmt)
+
+
+def export(monkeypatch, capsys, argv, writer):
+    """Bytes that ``cli.main(argv)`` writes to stdout with ``writer`` in use."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "write_table", writer)
+        assert cli.main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", EXPORTS, ids=" ".join)
+def test_exports_match_row_wise_writer(argv, fmt, monkeypatch, capsys, tmp_path):
+    argv = argv + ["--format", fmt]
+    want = export(monkeypatch, capsys, argv + ["--out", "-"], reference_writer)
+    assert export(monkeypatch, capsys, argv + ["--out", "-"], cli.write_table) == want
+    path = tmp_path / f"table.{fmt}"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == want
+
+
+def edge_table(rng, n_rows):
+    """Random floats mixed with -0.0, 0.0, nan, +-inf, subnormals and repeats."""
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                        2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0])
+    shape = (n_rows, 5)
+    spread = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    values = np.where(rng.random(shape) < 0.5, rng.choice(special, shape), spread)
+    values[:, 0] = rng.choice(special[:3], n_rows)  # a column of few distinct values
+    return values
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 97])
+def test_edge_tables_match_row_wise_writer(n_rows, fmt, tmp_path):
+    columns = ("a", "b", "c", "d", "e")
+    table = edge_table(np.random.default_rng(n_rows), n_rows)
+    want, got = tmp_path / "want", tmp_path / "got"
+    table_reference.write_table(str(want), columns, table.tolist(), fmt)
+    cli.write_table(str(got), columns, table, fmt)
+    assert got.read_bytes() == want.read_bytes()
+

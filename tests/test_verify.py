@@ -41,12 +41,12 @@ def test_all_checks_pass_for_still_water(still, site45, strat):
 
 
 def test_euler_still_water_exactly_hydrostatic(still, site45, strat):
-    report = verify.check_euler(still, site45, strat, config=SMALL)
+    report = verify.check_euler(still, strat, config=SMALL)
     assert report.max_residual == 0.0
 
 
 def test_report_invariant_passed_iff_within_tolerance(ref_params, site45, strat):
-    report = verify.check_euler(ref_params, site45, strat, config=SMALL)
+    report = verify.check_euler(ref_params, strat, config=SMALL)
     assert report.passed == (report.max_residual <= report.tolerance)
     assert set(report.worst_sample) == {"q", "r", "s", "t"}
 
@@ -68,7 +68,7 @@ def test_incompressibility_families(ref_params):
 
 
 def test_vorticity_families(ref_params, site45):
-    report = verify.check_vorticity(ref_params, site45, config=SMALL)
+    report = verify.check_vorticity(ref_params, config=SMALL)
     families = {c.name: c for c in report.components}
     assert families["matrix_product"].max_residual <= 1e-12
     assert families["fd_curl"].max_residual <= 1e-5
@@ -79,7 +79,7 @@ def test_vorticity_families(ref_params, site45):
 
 def test_euler_fails_with_perturbed_phase_speed(ref_params, site45, strat):
     bad = dataclasses.replace(ref_params, c=1.01 * ref_params.c)
-    report = verify.check_euler(bad, site45, strat, config=SMALL)
+    report = verify.check_euler(bad, strat, config=SMALL)
     assert not report.passed
     assert report.max_residual > 1e-10  # far above the identity tolerance
 
@@ -102,7 +102,7 @@ def test_incompressibility_fails_with_broken_first_condition(ref_params):
 
 def test_vorticity_fails_with_broken_first_condition(ref_params, site45):
     bad = dataclasses.replace(ref_params, b=1.01 * ref_params.b)
-    report = verify.check_vorticity(bad, site45, config=SMALL)
+    report = verify.check_vorticity(bad, config=SMALL)
     assert not report.passed
 
 
@@ -114,8 +114,8 @@ def test_pressure_consistency_fails_with_broken_second_condition(ref_params, str
 
 def test_perturbed_m_breaks_vorticity_and_euler(ref_params, site45, strat):
     bad = dataclasses.replace(ref_params, m=1.01 * ref_params.m)
-    assert not verify.check_vorticity(bad, site45, config=SMALL).passed
-    assert not verify.check_euler(bad, site45, strat, config=SMALL).passed
+    assert not verify.check_vorticity(bad, config=SMALL).passed
+    assert not verify.check_euler(bad, strat, config=SMALL).passed
 
 
 def test_kinematic_residual_with_mismatched_velocity_sheet(ref_params):
@@ -242,8 +242,8 @@ def test_worst_sample_is_first_largest_residual():
 
 def test_given_grid_matches_default_grid(ref_params, site45, strat):
     grid = verify.build_grid(ref_params, SMALL)
-    assert (verify.check_vorticity(ref_params, site45, grid=grid, config=SMALL)
-            == verify.check_vorticity(ref_params, site45, config=SMALL))
+    assert (verify.check_vorticity(ref_params, grid=grid, config=SMALL)
+            == verify.check_vorticity(ref_params, config=SMALL))
     sheet = verify.build_sheet_grid(ref_params, SMALL)
     assert (verify.check_boundary(ref_params, strat, grid=sheet, config=SMALL)
             == verify.check_boundary(ref_params, strat, config=SMALL))
