@@ -121,7 +121,7 @@ def solve_configured(config: RunConfig):
     """Run the full parameter pipeline for a validated config.
 
     Returns (constants, site, strat, params).  The amplitude is capped at
-    the thermocline bound 1/m before any field evaluation; the perturb_c
+    the thermocline bound 1/m as soon as m is known; the perturb_c
     negative control replaces the phase speed after the set is solved,
     leaving m, b, d untouched.
     """
@@ -137,13 +137,13 @@ def solve_configured(config: RunConfig):
         nd = dsp.nondimensionalize(site, strat, k)
         roots = dsp.solve_dispersion(nd, site, strat, k, tol=config.tol_identity)
         c = roots.c_minus if config.branch == "negative" else roots.c_plus
+    m = dsp.orbit_parameters(site.f, k, config.amplitude, c)[0]
+    if config.amplitude > 1.0 / m:
+        raise AmplitudeBoundError(
+            f"amplitude {config.amplitude!r} exceeds the amplitude bound 1/m = {1.0 / m!r}")
     params = dsp.derive_parameters(site, strat, k, config.amplitude, c,
                                    config.s0, config.beta0_offset,
                                    beta0_is_offset=True)
-    if params.a > 1.0 / params.m:
-        raise AmplitudeBoundError(
-            f"amplitude {params.a!r} exceeds the amplitude bound "
-            f"1/m = {1.0 / params.m!r}")
     if config.perturb_c != 0.0:
         params = dataclasses.replace(params, c=(1.0 + config.perturb_c) * params.c)
     return constants, site, strat, params

@@ -6,9 +6,8 @@ F = f_hat / f, giving the degree-four polynomial
 
     P(X) = X^4 - eps^2 (1 + F^2) X^2 - 2 F eps X - 1.
 
-In the mid-latitude regime P has exactly two real roots, one in
-(1, 1 + eps F) and one in (-1, -1 + eps F).  Roots are isolated on verified
-brackets, refined by bisection and polished with Newton steps.
+In the mid-latitude regime P has exactly two real roots, one in (1, 1 + eps F)
+and one in (-1, -1 + eps F), refined by safeguarded Newton on those brackets.
 
 From a solved phase speed the dependent parameters follow in closed form:
 
@@ -40,11 +39,11 @@ P0_STANDARD = 101325.0
 # Relative tolerance for root residuals and closed-form identity checks
 IDENTITY_TOL = 1e-12
 
-# Absolute tolerance [m] for the interface bisection
+# Interface label tolerance [m]; the map's roundoff is about 1e-10 m in s
 INTERFACE_TOL = 1e-9
 
 _MAX_BRACKET_EXPANSIONS = 10
-_MAX_NEWTON_STEPS = 12
+_MAX_STEPS = 100  # iteration cap of the Newton loops
 
 
 @dataclass(frozen=True)
@@ -169,35 +168,30 @@ def _confirm_bracket(nd, lo, hi):
 
 
 def _bisect_newton(nd, lo, hi, tol):
-    """Bisection to convergence on a sign-change bracket, then Newton polish."""
-    p_lo = nd.evaluate(lo)
-    while True:
+    """Safeguarded Newton for the root of P in the sign-change bracket (lo, hi).
+
+    From hi, one P and one P' per iteration; a step out of the bracket goes to
+    its midpoint.  Stops at a step <= 2 ulp or an unhalvable bracket, within
+    _MAX_STEPS iterations, and then requires |P(X)| <= tol * max(1, X^4)."""
+    x, p = hi, nd.evaluate(hi)
+    lo_negative = p > 0.0
+    for _ in range(_MAX_STEPS):
+        slope = nd.derivative(x)
+        step = p / slope if slope else math.inf
+        if abs(step) <= 2.0 * math.ulp(x):  # before the safeguard bisects away
+            x -= step
+            p = nd.evaluate(x)
+            break
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        p_mid = nd.evaluate(mid)
-        if p_mid == 0.0:
-            return mid
-        if (p_lo < 0.0) == (p_mid < 0.0):
-            lo, p_lo = mid, p_mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    best, best_res = x, abs(nd.evaluate(x))
-    for _ in range(_MAX_NEWTON_STEPS):
-        slope = nd.derivative(x)
-        if slope == 0.0:
-            break
-        x = x - nd.evaluate(x) / slope
-        res = abs(nd.evaluate(x))
-        if res < best_res:
-            best, best_res = x, res
-        else:
-            break
-    if best_res > tol * max(1.0, best**4):
+        x = x - step if lo < x - step < hi else mid
+        p = nd.evaluate(x)
+        lo, hi = (x, hi) if (p < 0.0) == lo_negative else (lo, x)
+    if abs(p) > tol * max(1.0, x**4):
         raise ConvergenceError(
-            f"root refinement stalled at X={best!r} with |P(X)|={best_res!r}")
-    return best
+            f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
+    return x
 
 
 def solve_dispersion(nd: NondimDispersion, site: Site, strat: Stratification,
@@ -258,44 +252,53 @@ def _interface_map(site, strat, a, k, c, m, b, d, s):
     return -strat.rho0 * bracket + strat.rho_plus * strat.g * s
 
 
-def _invert_interface_map(site, strat, a, k, c, m, b, d, s0, beta0):
-    """Label s_plus > s0 with interface_map(s_plus) = beta0, by bisection."""
+def _invert_interface_map(site, strat, a, k, c, m, b, d, s0, map_s0, beta0):
+    """Label s_plus > s0 with _interface_map(s_plus) = beta0 > map_s0, the map at s0.
+
+    The map's slope lies between its value at s0 and rho0 g_tilde, which bound
+    s_plus - s0 = (beta0 - map_s0) / slope.  Newton runs from the upper bound; a
+    bound that the sign of map - beta0 does not confirm is dropped, and a step out
+    of a bracket open above doubles s - s0.  Stops at a step <= INTERFACE_TOL / 2
+    or an unhalvable bracket (ulp(s) > INTERFACE_TOL), within _MAX_STEPS."""
+    if not beta0 > map_s0:
+        raise InterfaceOrderingError(
+            f"beta0={beta0!r} must exceed P0 - P0_tilde={map_s0!r}")
     threshold = (site.f**2 + site.f_hat**2) / strat.g_tilde  # the map's monotonicity
     if not k > threshold:
         raise WavenumberError(
             f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
-    lo = s0
-    hi = s0 + 1.0
-    for _ in range(80):
-        if _interface_map(site, strat, a, k, c, m, b, d, hi) >= beta0:
-            break
-        hi = s0 + (hi - s0) * 2.0
-    else:
-        raise ConvergenceError(
-            f"no upper bound found for the interface label with beta0={beta0!r}")
-    mid = 0.5 * (lo + hi)
-    while hi - lo > INTERFACE_TOL and lo < mid < hi:  # mid hits an end once ulp(s) > tol
-        if _interface_map(site, strat, a, k, c, m, b, d, mid) < beta0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    # the exact slope of _interface_map, for any c: wave e^(-2ms) + flat
+    wave = strat.rho0 * m * k * c * b * (site.f_hat * a - site.f * d - k * c * b)
+    flat, offset = (strat.rho_plus - strat.rho0) * strat.g, beta0 - map_s0
+    slope = wave * math.exp(-2.0 * m * s0) + flat
+    s = s0 + (offset / slope if slope > 0.0 else 1.0)
+    lo, hi = s0 + offset / flat, math.inf
+    if not (lo < s and _interface_map(site, strat, a, k, c, m, b, d, lo) < beta0):
+        lo = s0
+    for _ in range(_MAX_STEPS):
+        value = _interface_map(site, strat, a, k, c, m, b, d, s) - beta0
+        lo, hi = (s, hi) if value < 0.0 else (lo, s)
+        slope = wave * math.exp(-2.0 * m * s) + flat
+        step = value / slope if slope else math.inf
+        if abs(step) <= 0.5 * INTERFACE_TOL:
+            return s - step
+        mid = 0.5 * (lo + hi) if hi < math.inf else 2.0 * s - s0
+        if mid == lo or mid == hi:
+            return s
+        s = s - step if lo < s - step < hi else mid
+    raise ConvergenceError(
+        f"interface label not converged within {_MAX_STEPS} steps at s={s!r}")
 
 
 def solve_interface(params: WaveParameters, site: Site, strat: Stratification,
                     beta0: float) -> float:
     """Interface label s_plus for a given beta0 > P0 - P0_tilde.
 
-    Bisection on the strictly increasing thermocline-constant map, to an
-    absolute tolerance of 1e-9 m or to adjacent doubles, whichever is wider.
-    """
-    p0_offset = params.P0 - params.P0_tilde
-    if not beta0 > p0_offset:
-        raise InterfaceOrderingError(
-            f"beta0={beta0!r} must exceed P0 - P0_tilde={p0_offset!r}")
-    return _invert_interface_map(site, strat, params.a, params.k, params.c,
-                                 params.m, params.b, params.d, params.s0, beta0)
+    Safeguarded Newton on the strictly increasing thermocline-constant map, to
+    a step of at most 5e-10 m or to adjacent doubles, whichever is wider."""
+    return _invert_interface_map(site, strat, params.a, params.k, params.c, params.m,
+                                 params.b, params.d, params.s0,
+                                 params.P0 - params.P0_tilde, beta0)
 
 
 def orbit_parameters(f: float, k: float, a: float, c: float):
@@ -339,10 +342,7 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
             raise InterfaceOrderingError(
                 f"beta0 offset must be positive, got {beta0!r}")
         beta0 = p0_minus_ptilde + beta0
-    elif not beta0 > p0_minus_ptilde:
-        raise InterfaceOrderingError(
-            f"beta0={beta0!r} must exceed P0 - P0_tilde={p0_minus_ptilde!r}")
-    s_plus = _invert_interface_map(site, strat, a, k, c, m, b, d, s0, beta0)
+    s_plus = _invert_interface_map(site, strat, a, k, c, m, b, d, s0, p0_minus_ptilde, beta0)
     return WaveParameters(a=a, k=k, L=2.0 * math.pi / k, c=c, m=m, b=b, d=d,
                           s_star=s0, s0=s0, s_plus=s_plus, P0=P0,
                           P0_tilde=p0_tilde, beta0=beta0,

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import pollardwaves as pw
-from pollardwaves.cli import FIELD_COLUMNS, PROFILE_COLUMNS, RunConfig, main
+from pollardwaves import dispersion as dsp
+from pollardwaves.cli import (FIELD_COLUMNS, PROFILE_COLUMNS, RunConfig, main,
+                              solve_configured)
+from pollardwaves.errors import AmplitudeBoundError
 
 from conftest import REF_K
 
@@ -210,6 +213,18 @@ def test_verify_rejects_amplitude_beyond_bound(capsys):
     err = capsys.readouterr().err
     assert "amplitude" in err
     assert "1/m" in err
+
+
+def test_amplitude_bound_checked_before_interface_solve(monkeypatch):
+    # 1/m is about 0.018 m; the rejected set must not pay for the interface solve
+    original, calls = dsp._interface_map, []
+    monkeypatch.setattr(dsp, "_interface_map",
+                        lambda *args: calls.append(args) or original(*args))
+    config = RunConfig(latitude_deg=1e-6, wavenumber=55.36,
+                       rho_plus=1000.0000001).validate()
+    with pytest.raises(AmplitudeBoundError, match="1/m"):
+        solve_configured(config)
+    assert calls == []
 
 
 def test_verify_byte_identical_reports(tmp_path):
