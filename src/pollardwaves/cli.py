@@ -16,6 +16,7 @@ radians everywhere else.  Exit codes: 0 success, 1 verification failure,
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -108,13 +109,16 @@ class RunConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        # a file that sets only one of the exclusive pair replaces the
-        # default of the other
-        if "wavelength" in raw and "wavenumber" not in raw:
-            raw = {**raw, "wavenumber": None}
-        if "wavenumber" in raw and "wavelength" not in raw:
-            raw = {**raw, "wavelength": None}
-        return cls(**raw)
+        return cls(**_clear_other_length(raw))
+
+
+def _clear_other_length(settings: dict) -> dict:
+    """``settings`` with the other of the exclusive pair wavenumber/wavelength
+    set to None when they set only one, so that it replaces the default."""
+    for key, other in (("wavenumber", "wavelength"), ("wavelength", "wavenumber")):
+        if key in settings and other not in settings:
+            return {**settings, other: None}
+    return settings
 
 
 def solve_configured(config: RunConfig):
@@ -318,7 +322,9 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--tol-fd", type=float, dest="tol_fd")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="pollardwaves",
         description="Exact rotating internal waves above the thermocline")
@@ -364,10 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     _add_common(p_ver)
-    p_ver.add_argument("--n-theta", type=int, dest="n_theta")
-    p_ver.add_argument("--n-s", type=int, dest="n_s")
-    p_ver.add_argument("--n-time", type=int, dest="n_time")
-    p_ver.add_argument("--n-random", type=int, dest="n_random")
+    for name in ("n_theta", "n_s", "n_time", "n_random"):
+        p_ver.add_argument("--" + name.replace("_", "-"), type=int, dest=name)
     p_ver.add_argument("--out", help="JSON report file")
     return parser
 
@@ -382,16 +386,9 @@ def load_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     else:
         config = RunConfig()
-    overrides = {}
-    for fld in dataclasses.fields(RunConfig):
-        value = getattr(args, fld.name, None)
-        if value is not None:
-            overrides[fld.name] = value
-    if "wavenumber" in overrides and "wavelength" not in overrides:
-        overrides["wavelength"] = None
-    if "wavelength" in overrides and "wavenumber" not in overrides:
-        overrides["wavenumber"] = None
-    return dataclasses.replace(config, **overrides).validate()
+    overrides = {fld.name: getattr(args, fld.name) for fld in dataclasses.fields(RunConfig)
+                 if getattr(args, fld.name, None) is not None}
+    return dataclasses.replace(config, **_clear_other_length(overrides)).validate()
 
 
 def main(argv=None) -> int:

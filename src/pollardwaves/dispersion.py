@@ -4,10 +4,12 @@ The dimensional relation c^2 (c^2 k^2 - f^2) = (c f_hat + g_tilde)^2 is
 non-dimensionalised with X = c sqrt(k/g_tilde), eps = f / sqrt(g_tilde k),
 F = f_hat / f, giving the degree-four polynomial
 
-    P(X) = X^4 - eps^2 (1 + F^2) X^2 - 2 F eps X - 1.
+    P(X) = X^4 - alpha X^2 - 2 beta X - 1,  alpha = eps^2 + (eps F)^2,  beta = eps F.
 
-In the mid-latitude regime P has exactly two real roots, one in (1, 1 + eps F)
-and one in (-1, -1 + eps F), refined by safeguarded Newton on those brackets.
+alpha and beta stay finite where F diverges, towards the Equator.  In the
+mid-latitude regime P has two real roots, refined by safeguarded Newton on
+sign-change brackets: one above 1, and one in (-1, 0) if P(-1) = 2 beta - alpha
+> 0, at or below -1 otherwise (high latitudes, long waves).
 
 From a solved phase speed the dependent parameters follow in closed form:
 
@@ -61,9 +63,9 @@ class NondimDispersion:
     coeffs: tuple = field(init=False)
 
     def __post_init__(self):
-        c2 = -self.epsilon**2 * (1.0 + self.F**2)
-        c1 = -2.0 * self.F * self.epsilon
-        object.__setattr__(self, "coeffs", (1.0, 0.0, c2, c1, -1.0))
+        beta = self.epsilon * self.F
+        alpha = self.epsilon**2 + beta**2
+        object.__setattr__(self, "coeffs", (1.0, 0.0, -alpha, -2.0 * beta, -1.0))
 
     def evaluate(self, x):
         """P(x); accepts scalars or numpy arrays."""
@@ -77,9 +79,9 @@ class NondimDispersion:
 
     @property
     def discriminant(self) -> float:
-        """Discriminant of P'(X); strictly negative in the mid-latitude regime."""
-        return (128.0 * self.epsilon**6 * (1.0 + self.F**2) ** 3
-                - 1728.0 * self.F**2 * self.epsilon**2)
+        """128 alpha^3 - 1728 beta^2, the discriminant of P'; < 0 in the mid-latitude regime."""
+        alpha, beta = -self.coeffs[2], -0.5 * self.coeffs[3]
+        return 128.0 * alpha**3 - 1728.0 * beta**2
 
 
 @dataclass(frozen=True)
@@ -132,16 +134,19 @@ def nondimensionalize(site: Site, strat: Stratification,
     if not k > threshold:
         raise WavenumberError(
             f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
-    root_gk = math.sqrt(strat.g_tilde * k)
-    return NondimDispersion(epsilon=site.f / root_gk, F=site.f_hat / site.f)
+    F = site.f_hat / site.f
+    if not math.isfinite(F):
+        raise EquatorialBranchError(f"F = f_hat/f overflows at f={site.f!r}; solve at "
+                                    "latitude 0 (solve_equatorial)")
+    return NondimDispersion(epsilon=site.f / math.sqrt(strat.g_tilde * k), F=F)
 
 
 def root_brackets(nd: NondimDispersion):
-    """Verified sign-change brackets for the two real roots of P.
+    """Verified sign-change brackets (positive, negative) for the two real roots of P.
 
-    Returns ((1, 1 + eps F), (-1, -1 + eps F)) after confirming that P
-    changes sign across each interval, expanding an endpoint geometrically
-    (up to 10 times) if higher-order terms at large eps spoil the estimate.
+    They start as (1, 1 + beta) and, by the sign of P(-1) = 2 beta - alpha, as
+    (-1, -1 + beta) or (-1 - beta, -1); the end away from +-1 moves outwards
+    (up to 10 doublings, never past 0, where P = -1) until P changes sign.
     Requires the mid-latitude regime discriminant gate.
     """
     if not nd.discriminant < 0.0:
@@ -149,21 +154,26 @@ def root_brackets(nd: NondimDispersion):
             "discriminant of P' is non-negative "
             f"({nd.discriminant!r}); the two-real-root analysis only applies "
             "in the mid-latitude regime")
-    w = nd.epsilon * nd.F  # positive on both hemispheres
-    positive = _confirm_bracket(nd, 1.0, 1.0 + w)
-    negative = _confirm_bracket(nd, -1.0, -1.0 + w)
-    return positive, negative
+    w = nd.epsilon * nd.F  # beta, positive on both hemispheres
+    p_minus_one = nd.evaluate(-1.0)
+    start = -1.0 + w if p_minus_one > 0.0 else -1.0 - w
+    return (_confirm_bracket(nd, 1.0, 1.0 + w),
+            _confirm_bracket(nd, -1.0, start, p_minus_one, limit=0.0))
 
 
-def _confirm_bracket(nd, lo, hi):
-    width = hi - lo
-    p_lo = nd.evaluate(lo)
+def _confirm_bracket(nd, end, start, p_end=None, limit=math.inf):
+    """Sorted bracket of a sign change of P (a zero at an end counts) between
+    the fixed ``end`` and a point that starts at ``start`` and doubles its
+    distance from ``end`` at each expansion, never above ``limit``."""
+    p_end = nd.evaluate(end) if p_end is None else p_end
+    other = start if start < limit else limit
     for _ in range(_MAX_BRACKET_EXPANSIONS):
-        if p_lo * nd.evaluate(hi) < 0.0:
-            return (lo, hi)
-        hi = lo + (hi - lo) * 2.0
+        if p_end * nd.evaluate(other) <= 0.0:
+            return (end, other) if end < other else (other, end)
+        other = end + (other - end) * 2.0
+        other = other if other < limit else limit
     raise BracketError(
-        f"no sign change of P found starting from ({lo}, {lo + width}) "
+        f"no sign change of P found starting from ({end}, {start}) "
         f"after {_MAX_BRACKET_EXPANSIONS} expansions")
 
 
@@ -213,6 +223,8 @@ def solve_dispersion(nd: NondimDispersion, site: Site, strat: Stratification,
     (lo_p, hi_p), (lo_m, hi_m) = root_brackets(nd)
     x_plus = _bisect_newton(nd, lo_p, hi_p, tol)
     x_minus = _bisect_newton(nd, lo_m, hi_m, tol)
+    if not x_minus < 0.0 < x_plus:
+        raise ConvergenceError(f"roots {x_minus!r}, {x_plus!r} are not on either side of 0")
     roots = DispersionRoots(x_plus=x_plus, x_minus=x_minus,
                             c_plus=x_plus * scale, c_minus=x_minus * scale)
     for c in (roots.c_plus, roots.c_minus):

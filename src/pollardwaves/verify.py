@@ -71,32 +71,18 @@ class VerificationReport:
     components: tuple = field(default_factory=tuple)
 
 
-def _arrays(samples):
-    """(q, r, s, t) arrays of a list of (label, t) samples."""
-    return tuple(np.array([(lab.q, lab.r, lab.s, t) for lab, t in samples],
-                          dtype=float).reshape(-1, 4).T)
-
-
 def _component(name, residual, tolerance, where):
     """CheckComponent of residuals at ``where`` = (q, r, s, t); worst = first largest."""
     i = int(np.argmax(residual))
-    return CheckComponent(name=name, max_residual=float(residual[i]),
-                          tolerance=tolerance,
-                          worst_sample={key: float(v[i])
-                                        for key, v in zip("qrst", where)})
+    return CheckComponent(name, float(residual[i]), tolerance,
+                          {key: float(v[i]) for key, v in zip("qrst", where)})
 
 
 def _report(check_name, n_samples, components):
     worst = max(components, key=lambda c: c.max_residual / c.tolerance)
-    return VerificationReport(
-        check_name=check_name,
-        max_residual=worst.max_residual,
-        tolerance=worst.tolerance,
-        n_samples=n_samples,
-        passed=all(c.max_residual <= c.tolerance for c in components),
-        worst_sample=worst.worst_sample,
-        components=tuple(components),
-    )
+    return VerificationReport(check_name, worst.max_residual, worst.tolerance, n_samples,
+                              all(c.max_residual <= c.tolerance for c in components),
+                              worst.worst_sample, tuple(components))
 
 
 def _max_abs(*values):
@@ -145,6 +131,19 @@ def _grid(params, config, sheet=False):
         _random_samples(params, rng, config.n_random, sheet)))
 
 
+def _inputs(params, config, grid, sheet=False):
+    """The config (VerifyConfig() for None) and the (q, r, s, t) arrays of
+    ``grid``: the arrays themselves, (label, t) samples, or None for the
+    config's default grid."""
+    config = config or VerifyConfig()
+    if grid is None:
+        return config, _grid(params, config, sheet)
+    if isinstance(grid[0], np.ndarray):
+        return config, grid
+    return config, tuple(np.array([(lab.q, lab.r, lab.s, t) for lab, t in grid],
+                                  dtype=float).reshape(-1, 4).T)
+
+
 def _as_samples(where):
     return [(LagrangianLabel(q=q, r=r, s=s), t)
             for q, r, s, t in zip(*(a.tolist() for a in where))]
@@ -169,8 +168,7 @@ def check_euler(params: WaveParameters, strat: Stratification,
     scalar pressure; for a consistent parameter set all three residuals are
     pure roundoff.
     """
-    config = config or VerifyConfig()
-    where = _grid(params, config) if grid is None else _arrays(grid)
+    config, where = _inputs(params, config, grid)
     flow = Flow(params, *where)
     f, fh, g = params.f, params.f_hat, strat.g
     du, dv, dw = flow.acceleration
@@ -211,37 +209,34 @@ def check_pressure_consistency(params: WaveParameters, strat: Stratification,
     and that the transported gradient has symmetric mixed partials, which is
     exactly the compatibility content of the construction.
     """
-    config = config or VerifyConfig()
-    where = q, r, s, t = _grid(params, config) if grid is None else _arrays(grid)
+    config, where = _inputs(params, config, grid)
+    q, r, s, t = where
     h = config.fd_space
     floor = config.tol_fd * strat.rho0 * strat.g  # [Pa/m] noise floor
 
-    def at(dq=0.0, dr=0.0, ds=0.0):
-        return Flow(params, q + dq, r + dr, s + ds, t)
+    # one stacked evaluation; rows: here, +-h in q, r and s, and r + 7.5
+    steps = np.array([(0, 0, 0), (h, 0, 0), (-h, 0, 0), (0, h, 0), (0, -h, 0),
+                      (0, 0, h), (0, 0, -h), (0, 7.5, 0)])[:, :, None]
+    stencil = Flow(params, q + steps[:, 0], r + steps[:, 1], s + steps[:, 2], t)
 
-    def central(value, axis):  # central difference of value(flow) along a label
-        return (value(at(**{axis: h})) - value(at(**{axis: -h}))) / (2 * h)
+    def central(value, axis):  # central difference along label q, r, s = 0, 1, 2
+        return (value[1 + 2 * axis] - value[2 + 2 * axis]) / (2 * h)
 
-    def transported(i):
-        return lambda flow: _transported_gradient(flow, strat)[i]
-
-    here = at()
-    t_q, t_r, t_s = _transported_gradient(here, strat)
+    transported = _transported_gradient(stencil, strat)
+    t_q, t_r, t_s = (v[0] for v in transported)
     # q and r differences act on the wave part only: the hydrostatic
     # column term is constant in both and would otherwise dominate the
     # cancellation error
-    fd = (central(lambda flow: flow.dynamic_pressure(strat), "dq"),
-          central(lambda flow: flow.dynamic_pressure(strat), "dr"),
-          central(lambda flow: flow.pressure(strat), "ds"))
+    wave, pressure = stencil.dynamic_pressure(strat), stencil.pressure(strat)
+    fd = (central(wave, 0), central(wave, 1), central(pressure, 2))
     grad_res = np.maximum.reduce([
         _relative_error((a,), (b,), floor)
         for a, b in zip(fd, (t_q, t_r, t_s - strat.rho0 * strat.g))])
     # symmetric mixed partials d2P/dqds = d2P/dsdq; P_s differences its wave part
-    mixed_res = _relative_error((central(transported(0), "ds"),),
-                                (central(transported(2), "dq"),), floor)
+    mixed_res = _relative_error((central(transported[0], 2),),
+                                (central(transported[2], 0),), floor)
     # r-independence of the scalar pressure
-    p0 = here.pressure(strat)
-    p1 = at(dr=7.5).pressure(strat)
+    p0, p1 = pressure[0], pressure[7]
     rfree_res = np.abs(p1 - p0) / np.maximum(np.abs(p0), np.abs(p1))
     comps = [
         _component("gradient_transport", grad_res, config.tol_fd, where),
@@ -259,8 +254,7 @@ def check_boundary(params: WaveParameters, strat: Stratification,
     Kinematic: w = eta_t + u eta_x + v eta_y with sheet derivatives by
     central differences (eta is independent of y), within tol_kinematic.
     """
-    config = config or VerifyConfig()
-    where = _grid(params, config, sheet=True) if grid is None else _arrays(grid)
+    config, where = _inputs(params, config, grid, sheet=True)
     t = where[3]
     ht = config.fd_time_factor / (params.k * abs(params.c))
     hx = config.fd_space
@@ -269,10 +263,11 @@ def check_boundary(params: WaveParameters, strat: Stratification,
     p = flow.pressure(strat)
     dyn_res = np.abs(p - (params.P0 - strat.rho_plus * strat.g * z)) / abs(params.P0)
     u, v, w = flow.velocity
-    eta_t = (sheet_elevation(params, params.s0, x, t + ht)
-             - sheet_elevation(params, params.s0, x, t - ht)) / (2 * ht)
-    eta_x = (sheet_elevation(params, params.s0, x + hx, t)
-             - sheet_elevation(params, params.s0, x - hx, t)) / (2 * hx)
+    # one batched solve at (x, t + ht), (x, t - ht), (x + hx, t), (x - hx, t)
+    eta = sheet_elevation(params, params.s0, np.stack((x, x, x + hx, x - hx)),
+                          np.stack((t + ht, t - ht, t, t)))
+    eta_t = (eta[0] - eta[1]) / (2 * ht)
+    eta_x = (eta[2] - eta[3]) / (2 * hx)
     eta_y = 0.0  # the sheet is y-invariant
     kin_res = np.abs(w - (eta_t + u * eta_x + v * eta_y))
     comps = [
@@ -301,26 +296,21 @@ def check_incompressibility(params: WaveParameters, grid=None, t_grid=None,
     The divergence of the velocity recovered through map inversion is
     compared against zero at the scale k |c| (tolerance tol_fd * k |c|).
     """
-    config = config or VerifyConfig()
-    where = _grid(params, config) if grid is None else _arrays(grid)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, wave_period(params), 100)
+    config, where = _inputs(params, config, grid)
+    t_grid = (np.linspace(0.0, wave_period(params), 100) if t_grid is None
+              else np.asarray(t_grid, dtype=float))
     # distinct labels in order of first appearance
     labels = dict.fromkeys(zip(*(a.tolist() for a in where[:3])))
     q, r, s = np.array(list(labels), dtype=float).reshape(-1, 3).T
-    t0 = np.full(q.size, float(t_grid[0]))
-    det0 = Flow(params, q, r, s, t0).det
-    jac_res = np.zeros_like(det0)
-    for t in t_grid[1:]:  # one time at a time keeps memory at one label row
-        det = Flow(params, q, r, s, float(t)).det
-        jac_res = np.maximum(jac_res, np.abs(det - det0))
+    det = Flow(params, q, r, s, t_grid[:, None]).det  # (times, labels)
+    jac_res = np.max(np.abs(det[1:] - det[0]), axis=0, initial=0.0)
     rng = np.random.default_rng(config.seed + 2)
     where = _random_samples(params, rng, config.n_random)
     grad = _fd_velocity_gradient(params, where, config.fd_space)
     div_res = np.abs(grad[0][0] + grad[1][1] + grad[2][2]) / (params.k * abs(params.c))
     comps = [
         _component("jacobian_time_invariance", jac_res, config.tol_jacobian_time,
-                   (q, r, s, t0)),
+                   (q, r, s, np.full(q.size, t_grid[0]))),
         _component("eulerian_divergence", div_res, config.tol_fd, where),
     ]
     return _report("incompressibility", q.size + config.n_random, comps)
@@ -334,8 +324,7 @@ def check_vorticity(params: WaveParameters, grid=None,
     gradient), an identity at tol_identity; (ii) a finite-difference curl
     of the Eulerian velocity through map inversion, at tol_curl.
     """
-    config = config or VerifyConfig()
-    where = _grid(params, config) if grid is None else _arrays(grid)
+    config, where = _inputs(params, config, grid)
     # deep in the layer the vorticity decays like e^(-2 m s) while matrix
     # roundoff does not; a tiny fraction of the advective scale k|c| keeps
     # the relative comparison meaningful there
@@ -363,11 +352,12 @@ def run_all(params: WaveParameters, site: Site, strat: Stratification,
     for a fixed config (including its seed).
     """
     config = config or VerifyConfig()
+    grid, sheet = _grid(params, config), _grid(params, config, sheet=True)
     reports = [
-        check_euler(params, strat, config=config),
-        check_pressure_consistency(params, strat, config=config),
-        check_boundary(params, strat, config=config),
-        check_incompressibility(params, config=config),
-        check_vorticity(params, config=config),
+        check_euler(params, strat, grid, config),
+        check_pressure_consistency(params, strat, grid, config),
+        check_boundary(params, strat, sheet, config),
+        check_incompressibility(params, grid, config=config),
+        check_vorticity(params, grid, config),
     ]
     return sorted(reports, key=lambda r: r.check_name)

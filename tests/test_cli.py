@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pollardwaves as pw
-from pollardwaves import dispersion as dsp
+from pollardwaves import cli, dispersion as dsp
 from pollardwaves.cli import (FIELD_COLUMNS, PROFILE_COLUMNS, RunConfig, main,
                               solve_configured)
 from pollardwaves.errors import AmplitudeBoundError
@@ -68,6 +68,37 @@ def test_dispersion_report_speed_in_bracket(tmp_path, site45, strat):
     scale = math.sqrt(strat.g_tilde / REF_K)
     w = report["epsilon"] * report["F"]
     assert scale < report["c_plus"] < (1.0 + w) * scale
+
+
+@pytest.mark.parametrize("lat", ["1e-60", "-1e-60", "1e-300"])
+def test_dispersion_near_the_equator_meets_the_equatorial_speeds(tmp_path, strat, lat):
+    """F = cot(phi) is huge there; the quartic's coefficients stay finite."""
+    out = tmp_path / "report.json"
+    assert main(["dispersion", f"--lat={lat}", "--format", "json",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["mode"] == "midlatitude"
+    for speed, exact in zip((report["c_plus"], report["c_minus"]),
+                            dsp.solve_equatorial(pw.PhysicalConstants(), strat, REF_K)):
+        assert abs(speed - exact) <= 4 * math.ulp(exact)
+
+
+def test_dispersion_rejects_a_latitude_where_F_overflows(capsys):
+    assert main(["dispersion", "--lat", "1e-310"]) == 2
+    assert "F = f_hat/f overflows" in capsys.readouterr().err
+
+
+def test_dispersion_negative_root_below_minus_one(tmp_path):
+    """At 82.6 deg and k = 4.6e-6 1/m, P(-1) < 0: X_minus lies below -1."""
+    out = tmp_path / "report.json"
+    assert main(["dispersion", "--lat", "82.6", "--k", "4.6e-6", "--branch", "negative",
+                 "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["x_minus"] == pytest.approx(-1.0075356855168, abs=1e-12)
+    assert report["c_minus"] < 0.0 < report["c_plus"]
+    site = pw.coriolis(pw.PhysicalConstants(), math.radians(82.6))
+    # --branch negative solves with c_minus
+    assert report["m"] == dsp.orbit_parameters(site.f, 4.6e-6, 10.0, report["c_minus"])[0]
 
 
 # --- data export -----------------------------------------------------------------
@@ -233,6 +264,40 @@ def test_verify_byte_identical_reports(tmp_path):
     assert main(["verify", *VERIFY_FAST, "--seed", "42", "--out", str(out1)]) == 0
     assert main(["verify", *VERIFY_FAST, "--seed", "42", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_verify_runs_in_one_process_leave_no_state(tmp_path, capsys):
+    """Criterion 9 across runs that share the parser: the defaults, a perturbed
+    run at another seed, then the defaults again; the perturbed run also
+    matches a fresh interpreter's."""
+    runs = (["verify"], ["verify", "--seed", "7", "--perturb-c", "0.01"], ["verify"])
+    reports, outputs = [], []
+    for i, (argv, code) in enumerate(zip(runs, (0, 1, 0))):
+        out = tmp_path / f"report{i}.json"
+        assert main([*argv, "--out", str(out)]) == code
+        reports.append(out.read_bytes())
+        outputs.append(capsys.readouterr().out)
+    assert reports[0] == reports[2] != reports[1]
+    assert outputs[0] == outputs[2] != outputs[1]
+    fresh = tmp_path / "fresh.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "pollardwaves.cli", *runs[1], "--out", str(fresh)],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pw.__file__))},
+        capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (1, outputs[1])
+    assert fresh.read_bytes() == reports[1]
+
+
+def test_parser_is_built_once(monkeypatch, tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    builds = []
+    original = cli._add_common
+    monkeypatch.setattr(cli, "_add_common",
+                        lambda parser: builds.append(parser) or original(parser))
+    for _ in range(3):
+        assert main(["dispersion"]) == 0
+    assert main(["verify", *VERIFY_FAST, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(builds) == 5  # one parser: its five subcommands, each once
 
 
 # --- configuration ----------------------------------------------------------------

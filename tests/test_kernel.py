@@ -180,10 +180,10 @@ def test_verify_and_cli_make_no_per_label_calls(per_label_calls, ref_params, sit
     assert cli.main(["field", "--nq", "16", "--ns", "4", "--out", out]) == 0
     assert cli.main(["trajectory", "--n", "16", "--out", out]) == 0
     assert cli.main(["profile", "--n", "16", "--out", out]) == 0
-    # check_boundary's four sheet elevations are each one call on all samples
-    assert per_label_calls == {"sheet_elevation": 4}
+    # check_boundary's four sheet elevations are one batched call on all samples
+    assert per_label_calls == {"sheet_elevation": 1}
     pw.position(ref_params, pw.LagrangianLabel(0.0, 0.0, 60.0), 0.0)  # counter works
-    assert per_label_calls == {"sheet_elevation": 4, "position": 1}
+    assert per_label_calls == {"sheet_elevation": 1, "position": 1}
 
 
 def test_verify_report_layout_at_defaults(tmp_path):

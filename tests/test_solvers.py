@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import pollardwaves as pw
 from pollardwaves import dispersion as dsp
 from pollardwaves.dispersion import _bisect_newton
-from pollardwaves.errors import InputError
+from pollardwaves.errors import ConvergenceError, InputError
 
 from conftest import REF_A, REF_BETA0_OFFSET, REF_K, REF_S0
 
@@ -45,16 +45,22 @@ def ulps_from(x, exact):
         return float(abs(mpmath.mpf(x) - exact) / math.ulp(x))
 
 
+def exact_real_roots(nd):
+    """The real roots of P, ascending, in 50-digit arithmetic with the
+    double-precision coefficients taken as exact."""
+    with mpmath.workdps(MP_DIGITS):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in nd.coeffs],
+                                 maxsteps=200, extraprec=200)
+        return sorted(mpmath.re(r) for r in roots
+                      if abs(mpmath.im(r)) < mpmath.mpf(10) ** -30)
+
+
 def test_roots_match_mpmath_polyroots():
     worst = 0.0
     for eps, F in ROOT_CASES:
         nd = pw.NondimDispersion(epsilon=eps, F=F)
         assert nd.discriminant < 0.0
-        with mpmath.workdps(MP_DIGITS):
-            roots = mpmath.polyroots([mpmath.mpf(c) for c in nd.coeffs],
-                                     maxsteps=200, extraprec=200)
-            real = sorted(mpmath.re(r) for r in roots
-                          if abs(mpmath.im(r)) < mpmath.mpf(10) ** -30)
+        real = exact_real_roots(nd)
         assert len(real) == 2, (eps, F)
         (lo_p, hi_p), (lo_m, hi_m) = pw.root_brackets(nd)
         x_plus = _bisect_newton(nd, lo_p, hi_p, 1e-12)
@@ -64,6 +70,58 @@ def test_roots_match_mpmath_polyroots():
             assert distance <= 4.0, (eps, F, x, distance)
             worst = max(worst, distance)
     assert worst > 0.0  # the oracle is not comparing a root with itself
+
+
+def strat_of(jump):
+    return pw.reduced_gravity(pw.PhysicalConstants(), 1000.0, 1000.0 + jump)
+
+
+# `dispersion --lat 82.6 --k 4.6e-6`, then lat 60-85 deg, density jumps of
+# 0.5-20 and k from just above the 4 Omega^2 / g_tilde threshold to 10 times it
+HIGH_LATITUDE_CASES = [(82.6, 4.0, 4.6e-6)] + [
+    (lat, jump, factor * pw.min_wavenumber(pw.PhysicalConstants(), strat_of(jump)))
+    for lat in (60.0, 65.0, 70.0, 75.0, 80.0, 85.0) for jump in (0.5, 20.0)
+    for factor in (1.001, 1.01, 1.1, 1.5, 2.0, 4.0, 10.0)]
+
+
+def test_high_latitude_roots_match_mpmath_polyroots():
+    """Where P(-1) <= 0 the negative root lies below -1 (long waves at high
+    latitudes); both roots still meet the 50-digit roots to 4 ulp."""
+    below = 0
+    for lat_deg, jump, k in HIGH_LATITUDE_CASES:
+        site = pw.coriolis(pw.PhysicalConstants(), math.radians(lat_deg))
+        strat = strat_of(jump)
+        nd = pw.nondimensionalize(site, strat, k)
+        if not nd.discriminant < 0.0:  # outside the mid-latitude regime
+            continue
+        roots = pw.solve_dispersion(nd, site, strat, k)
+        x_minus, x_plus = exact_real_roots(nd)
+        assert ulps_from(roots.x_plus, x_plus) <= 4.0, (lat_deg, jump, k)
+        assert ulps_from(roots.x_minus, x_minus) <= 4.0, (lat_deg, jump, k)
+        below += roots.x_minus < -1.0
+    assert below >= 10  # the P(-1) <= 0 side is reached, the CLI's point first
+
+
+def test_negative_bracket_stays_below_zero():
+    # P(-1) <= 0: the bracket lies at or below -1; P(-1) > 0 with beta = 1.5:
+    # (-1, -1 + beta) would reach past 0, where P = -1
+    for nd in (pw.nondimensionalize(pw.coriolis(pw.PhysicalConstants(), math.radians(82.6)),
+                                    strat_of(4.0), 4.6e-6),
+               pw.NondimDispersion(epsilon=math.sqrt(0.05), F=1.5 / math.sqrt(0.05))):
+        assert nd.discriminant < 0.0
+        _, (lo, hi) = pw.root_brackets(nd)
+        x_minus = exact_real_roots(nd)[0]
+        assert lo < x_minus < hi <= 0.0
+        assert (hi <= -1.0) == (nd.evaluate(-1.0) <= 0.0)
+        assert ulps_from(_bisect_newton(nd, lo, hi, 1e-12), x_minus) <= 4.0
+
+
+def test_roots_on_one_side_of_zero_are_rejected(monkeypatch, site45, strat):
+    nd = pw.nondimensionalize(site45, strat, REF_K)
+    positive, _ = pw.root_brackets(nd)
+    monkeypatch.setattr(dsp, "root_brackets", lambda nd: (positive, positive))
+    with pytest.raises(ConvergenceError, match="either side of 0"):
+        pw.solve_dispersion(nd, site45, strat, REF_K)
 
 
 def interface_root(site, strat, params):
@@ -123,7 +181,7 @@ def solved_site(lat_deg, jump, k_over_threshold, branch):
 
 
 @settings(max_examples=80, deadline=None)
-@given(lat_deg=st.one_of(st.just(0.0), st.floats(1.0, 85.0), st.floats(-85.0, -1.0)),
+@given(lat_deg=st.one_of(st.just(0.0), st.floats(0.0, 85.0), st.floats(-85.0, 0.0)),
        jump=st.floats(0.5, 20.0),
        k_exp=st.floats(0.05, 7.0),
        steepness=st.floats(0.0, 0.99),
@@ -132,8 +190,9 @@ def solved_site(lat_deg, jump, k_over_threshold, branch):
        branch=st.sampled_from(("positive", "negative")))
 def test_interface_label_property(lat_deg, jump, k_exp, steepness, s0_exp,
                                   offset_exp, branch):
-    """Over admitted sets, s0 up to 1e8 m: s_plus > s0 solves the map to 1e-9 m
-    (or a few ulp(s) and the map's roundoff) within the iteration cap."""
+    """Over admitted sets, latitudes down to the smallest doubles and s0 up to
+    1e8 m: s_plus > s0 solves the map to 1e-9 m (or a few ulp(s) and the map's
+    roundoff) within the iteration cap."""
     try:
         site, strat, k, c = solved_site(lat_deg, jump, 10.0**k_exp, branch)
         m = dsp.orbit_parameters(site.f, k, 1.0, c)[0]

@@ -8,6 +8,7 @@ import pytest
 import pollardwaves as pw
 from pollardwaves import verify
 from pollardwaves.flowfield import (
+    Flow,
     LagrangianLabel,
     pressure_label_gradient,
     sheet_elevation,
@@ -175,6 +176,21 @@ def test_run_all_is_deterministic(ref_params, site45, strat):
     as_json = [json.dumps(dataclasses.asdict(r), sort_keys=True) for r in first]
     again = [json.dumps(dataclasses.asdict(r), sort_keys=True) for r in second]
     assert as_json == again
+
+
+def test_run_all_does_each_piece_of_work_once(monkeypatch, ref_params, site45, strat):
+    """One run at the defaults builds the volume and sheet grids once each and
+    evaluates the kernel in at most 32 Flow objects (148 with a Flow per time,
+    per stencil point and per sheet elevation)."""
+    grids, flows = [], []
+    original_grid, original_init = verify._grid, Flow.__init__
+    monkeypatch.setattr(verify, "_grid",
+                        lambda *args, **kw: grids.append(kw) or original_grid(*args, **kw))
+    monkeypatch.setattr(Flow, "__init__",
+                        lambda self, *args: flows.append(None) or original_init(self, *args))
+    assert all(r.passed for r in pw.run_all(ref_params, site45, strat))
+    assert grids == [{}, {"sheet": True}]
+    assert len(flows) <= 32
 
 
 def test_different_seeds_change_random_samples(ref_params, site45, strat):
