@@ -17,22 +17,7 @@ from .dispersion import (
     solve_interface,
 )
 from .errors import PollardWaveError
-from .flowfield import (
-    FlowSample,
-    LagrangianLabel,
-    SurfaceSample,
-    acceleration,
-    eulerian_velocity,
-    invert_map,
-    jacobian,
-    position,
-    pressure,
-    profile,
-    sample_flow,
-    trajectory,
-    velocity,
-    vorticity,
-)
+from .flowfield import Flow, invert_labels, sheet_elevation
 from .geo import (
     PhysicalConstants,
     Site,
@@ -43,40 +28,29 @@ from .geo import (
 )
 from .verify import VerificationReport, VerifyConfig, run_all
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "DispersionRoots",
-    "FlowSample",
-    "LagrangianLabel",
+    "Flow",
     "NondimDispersion",
     "PhysicalConstants",
     "PollardWaveError",
     "Site",
     "Stratification",
-    "SurfaceSample",
     "VerificationReport",
     "VerifyConfig",
     "WaveParameters",
-    "acceleration",
     "coriolis",
     "derive_parameters",
-    "eulerian_velocity",
-    "invert_map",
-    "jacobian",
+    "invert_labels",
     "min_wavenumber",
     "nondimensionalize",
-    "position",
-    "pressure",
-    "profile",
     "reduced_gravity",
     "root_brackets",
     "run_all",
-    "sample_flow",
+    "sheet_elevation",
     "solve_dispersion",
     "solve_equatorial",
     "solve_interface",
-    "trajectory",
-    "velocity",
-    "vorticity",
 ]

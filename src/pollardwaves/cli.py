@@ -196,7 +196,7 @@ def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
         "wavenumber": k,
         "wavelength": 2.0 * math.pi / k,
         "g_tilde": strat.g_tilde,
-        "min_wavenumber": min_wavenumber(constants, strat),
+        "min_wavenumber": min_wavenumber(site, strat),
     }
     if site.f == 0.0:
         c_plus, c_minus = dsp.solve_equatorial(constants, strat, k)
@@ -211,8 +211,12 @@ def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
         roots = dsp.solve_dispersion(nd, site, strat, k, tol=config.tol_identity)
         c = roots.c_minus if config.branch == "negative" else roots.c_plus
         m, b, d = dsp.orbit_parameters(site.f, k, config.amplitude, c)
+        # the sign-change bracket the root was refined in: (1, 1 + eps F) unless
+        # root_brackets had to widen it (high latitudes, long waves)
+        lo, hi = dsp.root_brackets(nd)[0]
+        in_bracket = lo < roots.x_plus < hi
         w = nd.epsilon * nd.F
-        in_bracket = 0.0 < roots.x_plus - 1.0 < w
+        shown = f"eps F = {w:.6g}" if hi == 1.0 + w else f"{hi - 1.0:.6g}"
         report.update({
             "mode": "midlatitude",
             "epsilon": nd.epsilon, "F": nd.F,
@@ -228,7 +232,7 @@ def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
         print(f"  X_plus  = {roots.x_plus:.12g}   c_plus  = {roots.c_plus:.10g} m/s")
         print(f"  X_minus = {roots.x_minus:.12g}   c_minus = {roots.c_minus:.10g} m/s")
         print(f"  m = {m:.10g} 1/m   b = {b:.10g} m   d = {d:.10g} m")
-        print(f"  X_plus - 1 in (0, eps F = {w:.6g}): {in_bracket}")
+        print(f"  X_plus - 1 in (0, {shown}): {in_bracket}")
     if out:
         if fmt == "csv":
             text = "name,value\n" + "".join(
@@ -273,12 +277,12 @@ def cmd_field(config: RunConfig, args) -> int:
 
 
 def cmd_verify(config: RunConfig, out: str | None) -> int:
-    _, site, strat, params = solve_configured(config)
+    _, _, strat, params = solve_configured(config)
     vconfig = ver.VerifyConfig(
         n_theta=config.n_theta, n_s=config.n_s, n_time=config.n_time,
         n_random=config.n_random, seed=config.seed,
         tol_identity=config.tol_identity, tol_fd=config.tol_fd)
-    reports = ver.run_all(params, site, strat, vconfig)
+    reports = ver.run_all(params, strat, vconfig)
     passed = all(r.passed for r in reports)
     for r in reports:
         state = "PASS" if r.passed else "FAIL"

@@ -33,7 +33,7 @@ from .errors import (
     RegimeError,
     WavenumberError,
 )
-from .geo import PhysicalConstants, Site, Stratification
+from .geo import PhysicalConstants, Site, Stratification, min_wavenumber
 
 # Default gauge: thermocline reference pressure [Pa]
 P0_STANDARD = 101325.0
@@ -110,8 +110,7 @@ class WaveParameters:
     m: float        # vertical decay rate
     b: float        # longitudinal orbit parameter, b = m a / k
     d: float        # latitudinal orbit parameter, d = -f m a / (k^2 c)
-    s_star: float   # validity floor of the label domain (= s0)
-    s0: float       # thermocline label
+    s0: float       # thermocline label, the floor of the label domain
     s_plus: float   # upper interface label
     P0: float       # thermocline pressure constant
     P0_tilde: float  # pressure gauge constant
@@ -130,10 +129,7 @@ def nondimensionalize(site: Site, strat: Stratification,
     if site.f == 0.0:
         raise EquatorialBranchError(
             "F = f_hat/f is undefined at f = 0; use solve_equatorial")
-    threshold = (site.f**2 + site.f_hat**2) / strat.g_tilde  # 4 Omega^2 / g_tilde
-    if not k > threshold:
-        raise WavenumberError(
-            f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
+    _require_above_threshold(site, strat, k)
     F = site.f_hat / site.f
     if not math.isfinite(F):
         raise EquatorialBranchError(f"F = f_hat/f overflows at f={site.f!r}; solve at "
@@ -250,21 +246,32 @@ def solve_equatorial(constants: PhysicalConstants, strat: Stratification,
     return ((constants.Omega + disc) / k, (constants.Omega - disc) / k)
 
 
-def _interface_map(site, strat, a, k, c, m, b, d, s):
-    """RHS of the thermocline-constant equation as a function of the label s.
+def _require_above_threshold(site, strat, k):
+    """Raise WavenumberError unless k exceeds min_wavenumber(site, strat)."""
+    threshold = min_wavenumber(site, strat)
+    if not k > threshold:
+        raise WavenumberError(
+            f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
+
+
+def pressure_coefficient_a(f, f_hat, k, c, a, b, d):
+    """A, the coefficient of e^(-2 m s) in the wave pressure
+    -rho0 (A e^(-2 m s) + B e^(-m s) cos(theta))."""
+    return -0.5 * k**2 * c**2 * b**2 + 0.5 * f_hat * k * c * a * b - 0.5 * f * k * c * b * d
+
+
+def _interface_map(strat, A, m, s):
+    """RHS of the thermocline-constant equation as a function of the label s,
+    with A = pressure_coefficient_a(...).
 
     Strictly increasing in s whenever the amplitude gate holds, since its
     derivative reduces to rho0 * g_tilde * (1 - m^2 a^2 e^(-2 m s)).
     """
-    e2 = math.exp(-2.0 * m * s)
-    bracket = (-0.5 * k**2 * c**2 * b**2 * e2
-               + 0.5 * site.f_hat * k * c * a * b * e2
-               - 0.5 * site.f * k * c * b * d * e2
-               + strat.g * s)
-    return -strat.rho0 * bracket + strat.rho_plus * strat.g * s
+    return (-strat.rho0 * (A * math.exp(-2.0 * m * s) + strat.g * s)
+            + strat.rho_plus * strat.g * s)
 
 
-def _invert_interface_map(site, strat, a, k, c, m, b, d, s0, map_s0, beta0):
+def _invert_interface_map(site, strat, k, A, m, s0, map_s0, beta0):
     """Label s_plus > s0 with _interface_map(s_plus) = beta0 > map_s0, the map at s0.
 
     The map's slope lies between its value at s0 and rho0 g_tilde, which bound
@@ -275,20 +282,17 @@ def _invert_interface_map(site, strat, a, k, c, m, b, d, s0, map_s0, beta0):
     if not beta0 > map_s0:
         raise InterfaceOrderingError(
             f"beta0={beta0!r} must exceed P0 - P0_tilde={map_s0!r}")
-    threshold = (site.f**2 + site.f_hat**2) / strat.g_tilde  # the map's monotonicity
-    if not k > threshold:
-        raise WavenumberError(
-            f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
+    _require_above_threshold(site, strat, k)  # the map's monotonicity
     # the exact slope of _interface_map, for any c: wave e^(-2ms) + flat
-    wave = strat.rho0 * m * k * c * b * (site.f_hat * a - site.f * d - k * c * b)
+    wave = 2.0 * m * strat.rho0 * A
     flat, offset = (strat.rho_plus - strat.rho0) * strat.g, beta0 - map_s0
     slope = wave * math.exp(-2.0 * m * s0) + flat
     s = s0 + (offset / slope if slope > 0.0 else 1.0)
     lo, hi = s0 + offset / flat, math.inf
-    if not (lo < s and _interface_map(site, strat, a, k, c, m, b, d, lo) < beta0):
+    if not (lo < s and _interface_map(strat, A, m, lo) < beta0):
         lo = s0
     for _ in range(_MAX_STEPS):
-        value = _interface_map(site, strat, a, k, c, m, b, d, s) - beta0
+        value = _interface_map(strat, A, m, s) - beta0
         lo, hi = (s, hi) if value < 0.0 else (lo, s)
         slope = wave * math.exp(-2.0 * m * s) + flat
         step = value / slope if slope else math.inf
@@ -308,9 +312,9 @@ def solve_interface(params: WaveParameters, site: Site, strat: Stratification,
 
     Safeguarded Newton on the strictly increasing thermocline-constant map, to
     a step of at most 5e-10 m or to adjacent doubles, whichever is wider."""
-    return _invert_interface_map(site, strat, params.a, params.k, params.c, params.m,
-                                 params.b, params.d, params.s0,
-                                 params.P0 - params.P0_tilde, beta0)
+    p = params
+    A = pressure_coefficient_a(p.f, p.f_hat, p.k, p.c, p.a, p.b, p.d)
+    return _invert_interface_map(site, strat, p.k, A, p.m, p.s0, p.P0 - p.P0_tilde, beta0)
 
 
 def orbit_parameters(f: float, k: float, a: float, c: float):
@@ -331,7 +335,7 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
     """Complete the parameter set for a solved phase speed c.
 
     m, b, d follow from the closed forms; the amplitude gate
-    m^2 a^2 e^(-2 m s0) < 1 is enforced with s* = s0; the pressure
+    m^2 a^2 e^(-2 m s0) < 1 is enforced at s0; the pressure
     constants are fixed by the dynamic boundary condition at s0 (gauge P0)
     and the interface label s_plus solves the monotone thermocline map for
     beta0.  With ``beta0_is_offset=True`` the given beta0 is interpreted as
@@ -347,15 +351,16 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
         raise AmplitudeBoundError(
             f"amplitude a={a!r} violates m^2 a^2 e^(-2 m s0) < 1 "
             f"(got {gate!r}); the thermocline amplitude bound is 1/m = {1.0 / m!r}")
-    p0_minus_ptilde = _interface_map(site, strat, a, k, c, m, b, d, s0)
+    A = pressure_coefficient_a(site.f, site.f_hat, k, c, a, b, d)
+    p0_minus_ptilde = _interface_map(strat, A, m, s0)
     p0_tilde = P0 - p0_minus_ptilde
     if beta0_is_offset:
         if not beta0 > 0:
             raise InterfaceOrderingError(
                 f"beta0 offset must be positive, got {beta0!r}")
         beta0 = p0_minus_ptilde + beta0
-    s_plus = _invert_interface_map(site, strat, a, k, c, m, b, d, s0, p0_minus_ptilde, beta0)
+    s_plus = _invert_interface_map(site, strat, k, A, m, s0, p0_minus_ptilde, beta0)
     return WaveParameters(a=a, k=k, L=2.0 * math.pi / k, c=c, m=m, b=b, d=d,
-                          s_star=s0, s0=s0, s_plus=s_plus, P0=P0,
+                          s0=s0, s_plus=s_plus, P0=P0,
                           P0_tilde=p0_tilde, beta0=beta0,
                           f=site.f, f_hat=site.f_hat)

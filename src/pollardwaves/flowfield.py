@@ -8,56 +8,23 @@ A particle with label (q, r, s) sits at
 
 so every quantity below is a closed form in the label, the time and the
 solved :class:`~pollardwaves.dispersion.WaveParameters`.  One array kernel,
-:class:`Flow`, evaluates them over broadcast (q, r, s, t) arrays; the
-per-label functions are thin wrappers that evaluate it at one label.
+:class:`Flow`, evaluates them over broadcast (q, r, s, t) arrays.
 Labels are not range-checked here: the latitudinal half-width r0 of the
 strip and the vertical extent [s0, s_plus] are modelling choices enforced
 upstream, and every formula is well defined wherever the flow map stays a
 local diffeomorphism.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .dispersion import WaveParameters
+from .dispersion import WaveParameters, pressure_coefficient_a
 from .errors import DiffeomorphismError, InversionError
-from .geo import Site, Stratification
+from .geo import Stratification
 
 _INVERT_TOL = 1e-12   # [m] Newton residual target for map inversion
 _INVERT_MAX_ITER = 50
-
-
-@dataclass(frozen=True)
-class LagrangianLabel:
-    """Particle label: longitudinal q, latitudinal r, vertical s (all m)."""
-
-    q: float
-    r: float
-    s: float
-
-
-@dataclass(frozen=True)
-class FlowSample:
-    """All field quantities at one label and time."""
-
-    t: float
-    label: LagrangianLabel
-    position: tuple      # (x, y, z) [m]
-    velocity: tuple      # (u, v, w) [m/s]
-    acceleration: tuple  # (Du/Dt, Dv/Dt, Dw/Dt) [m/s^2]
-    pressure: float      # [Pa]
-    vorticity: tuple     # (w1, w2, w3) [1/s]
-    jacobian_det: float
-
-
-@dataclass(frozen=True)
-class SurfaceSample:
-    """Point of a parametrized material sheet (fixed s, r, t)."""
-
-    q: float
-    position: tuple
 
 
 def phase(params: WaveParameters, q, t):
@@ -162,10 +129,8 @@ class Flow:
     def _pressure_coefficients(self, strat: Stratification):
         """(A, B) of the wave pressure -rho0 (A e^(-2 m s) + B e^(-m s) cos(theta))."""
         p = self.params
-        k, c, a, b, d, f, fh = p.k, p.c, p.a, p.b, p.d, p.f, p.f_hat
-        return (-0.5 * k**2 * c**2 * b**2 + 0.5 * fh * k * c * a * b
-                - 0.5 * f * k * c * b * d,
-                c * a * fh - c * d * f - k * c**2 * b - a * strat.g)
+        return (pressure_coefficient_a(p.f, p.f_hat, p.k, p.c, p.a, p.b, p.d),
+                p.c * p.a * p.f_hat - p.c * p.d * p.f - p.k * p.c**2 * p.b - p.a * strat.g)
 
     def dynamic_pressure(self, strat: Stratification):
         """Wave part of the pressure: P + rho0 g s - P0_tilde [Pa].
@@ -216,121 +181,6 @@ class Flow:
         return (w1 / denom, w2 / denom, w3 / denom)
 
 
-def _at(params, label: LagrangianLabel, t) -> Flow:
-    return Flow(params, label.q, label.r, label.s, t)
-
-
-def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
-
-
-def position(params: WaveParameters, label: LagrangianLabel, t: float):
-    """Particle position (x, y, z)."""
-    return _floats(_at(params, label, t).position)
-
-
-def velocity(params: WaveParameters, label: LagrangianLabel, t: float):
-    """Particle velocity (u, v, w)."""
-    return _floats(_at(params, label, t).velocity)
-
-
-def acceleration(params: WaveParameters, label: LagrangianLabel, t: float):
-    """Particle acceleration (Du/Dt, Dv/Dt, Dw/Dt)."""
-    return _floats(_at(params, label, t).acceleration)
-
-
-def label_jacobian(params: WaveParameters, label: LagrangianLabel,
-                   t: float) -> np.ndarray:
-    """3x3 matrix with rows d(x,y,z)/dq, d(x,y,z)/dr, d(x,y,z)/ds."""
-    row_q, row_s = _at(params, label, t).jacobian
-    return np.array([row_q, (0.0, 1.0, 0.0), row_s])
-
-
-def jacobian(params: WaveParameters, label: LagrangianLabel, t: float):
-    """Label Jacobian and its determinant (see :attr:`Flow.det`)."""
-    return label_jacobian(params, label, t), float(_at(params, label, t).det)
-
-
-def velocity_label_gradient(params: WaveParameters, label: LagrangianLabel,
-                            t: float) -> np.ndarray:
-    """3x3 matrix with rows d(u,v,w)/dq, d(u,v,w)/dr, d(u,v,w)/ds."""
-    row_q, row_s = _at(params, label, t).velocity_gradient
-    return np.array([row_q, (0.0, 0.0, 0.0), row_s])
-
-
-def dynamic_pressure(params: WaveParameters, strat: Stratification,
-                     label: LagrangianLabel, t: float) -> float:
-    """Wave part of the pressure: P + rho0 g s - P0_tilde [Pa]."""
-    return float(_at(params, label, t).dynamic_pressure(strat))
-
-
-def pressure(params: WaveParameters, strat: Stratification,
-             label: LagrangianLabel, t: float) -> float:
-    """Pressure at a label [Pa]."""
-    return float(_at(params, label, t).pressure(strat))
-
-
-def pressure_label_gradient(params: WaveParameters, strat: Stratification,
-                            label: LagrangianLabel, t: float):
-    """Analytic gradient (P_q, P_r, P_s) of the scalar pressure."""
-    return _floats(_at(params, label, t).pressure_label_gradient(strat))
-
-
-def pressure_gradient(params: WaveParameters, strat: Stratification,
-                      label: LagrangianLabel, t: float):
-    """Eulerian pressure gradient (P_x, P_y, P_z): (P_q, P_r, P_s) = J . (P_x, P_y, P_z)."""
-    flow = _at(params, label, t)
-    return _floats(flow.eulerian_gradient(*flow.pressure_label_gradient(strat)))
-
-
-def vorticity(params: WaveParameters, site: Site, label: LagrangianLabel,
-              t: float):
-    """Vorticity (w_y - v_z, u_z - w_x, v_x - u_y), with f = params.f (= site.f)."""
-    return _floats(_at(params, label, t).vorticity)
-
-
-def _flow_samples(params, strat, label: LagrangianLabel, t):
-    flow = _at(params, label, t)
-    columns = np.broadcast_arrays(
-        flow.t, *flow.position, *flow.velocity, *flow.acceleration,
-        flow.pressure(strat), *flow.vorticity, flow.det)
-    return [FlowSample(r[0], label, tuple(r[1:4]), tuple(r[4:7]), tuple(r[7:10]),
-                       r[10], tuple(r[11:14]), r[14])
-            for r in np.column_stack([c.ravel() for c in columns]).tolist()]
-
-
-def sample_flow(params: WaveParameters, site: Site, strat: Stratification,
-                label: LagrangianLabel, t: float) -> FlowSample:
-    """Evaluate every field quantity at one label and time."""
-    return _flow_samples(params, strat, label, t)[0]
-
-
-def trajectory(params: WaveParameters, site: Site, strat: Stratification,
-               label: LagrangianLabel, t_span, n_samples: int):
-    """Particle path sampled uniformly in time over t_span = (t0, t1).
-
-    The positions trace a circle of radius b e^(-m s) centred at
-    (q, r, s), lying in the plane spanned by the longitudinal direction
-    and (0, -d, -a)/b.
-    """
-    if n_samples < 2:
-        raise ValueError("trajectory needs at least 2 samples")
-    return _flow_samples(params, strat, label, np.linspace(*t_span, n_samples))
-
-
-def profile(params: WaveParameters, s: float, r: float, t: float,
-            q_span, n_samples: int):
-    """Wave profile: the material sheet of labels (q, r, s) at fixed (s, r, t).
-
-    For s = s0 this is the thermocline; sampling is uniform in q.
-    """
-    if n_samples < 2:
-        raise ValueError("profile needs at least 2 samples")
-    qs = np.linspace(*q_span, n_samples)
-    xyz = np.column_stack(Flow(params, qs, r, s, t).position).tolist()
-    return [SurfaceSample(q=q, position=tuple(p)) for q, p in zip(qs.tolist(), xyz)]
-
-
 def _flat(values, shape):
     return [np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in values]
 
@@ -377,23 +227,6 @@ def invert_labels(params: WaveParameters, x, y, z, t, guess=None,
             f"map inversion did not reach |residual| <= max({tol!r}, 4 eps |target|) "
             f"in {max_iter} iterations (target {first!r})")
     return tuple(v.reshape(shape) for v in label)
-
-
-def invert_map(params: WaveParameters, x_target, t: float,
-               guess: LagrangianLabel | None = None,
-               tol: float = _INVERT_TOL,
-               max_iter: int = _INVERT_MAX_ITER) -> LagrangianLabel:
-    """Label whose position at time t equals x_target (see invert_labels)."""
-    start = None if guess is None else (guess.q, guess.r, guess.s)
-    q, r, s = invert_labels(params, *x_target, t, guess=start, tol=tol,
-                            max_iter=max_iter)
-    return LagrangianLabel(q=float(q), r=float(r), s=float(s))
-
-
-def eulerian_velocity(params: WaveParameters, x_target, t: float,
-                      guess: LagrangianLabel | None = None):
-    """Velocity at a fixed spatial point, through numeric map inversion."""
-    return velocity(params, invert_map(params, x_target, t, guess=guess), t)
 
 
 def sheet_label_q(params: WaveParameters, s, x, t,

@@ -90,12 +90,12 @@ def reduced_gravity(constants: PhysicalConstants, rho0: float,
                           g=constants.g)
 
 
-def min_wavenumber(constants: PhysicalConstants,
-                   strat: Stratification) -> float:
-    """Lower admissibility threshold 4 Omega^2 / g_tilde [m^-1].
+def min_wavenumber(site: Site, strat: Stratification) -> float:
+    """Lower admissibility threshold 4 Omega^2 / g_tilde [m^-1], computed as
+    (f^2 + f_hat^2) / g_tilde from the site's Coriolis pair.
 
     Wave constructions require a wavenumber strictly greater than this
     value; it guarantees positivity of m^2 and monotonicity of the
     interface pressure map.
     """
-    return 4.0 * constants.Omega**2 / strat.g_tilde
+    return (site.f**2 + site.f_hat**2) / strat.g_tilde

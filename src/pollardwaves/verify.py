@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import WaveParameters
-from .flowfield import Flow, LagrangianLabel, invert_labels, sheet_elevation
-from .geo import Site, Stratification
+from .flowfield import Flow, invert_labels, sheet_elevation
+from .geo import Stratification
 
 
 @dataclass(frozen=True)
@@ -133,31 +133,9 @@ def _grid(params, config, sheet=False):
 
 def _inputs(params, config, grid, sheet=False):
     """The config (VerifyConfig() for None) and the (q, r, s, t) arrays of
-    ``grid``: the arrays themselves, (label, t) samples, or None for the
-    config's default grid."""
+    ``grid``, the config's default grid for None."""
     config = config or VerifyConfig()
-    if grid is None:
-        return config, _grid(params, config, sheet)
-    if isinstance(grid[0], np.ndarray):
-        return config, grid
-    return config, tuple(np.array([(lab.q, lab.r, lab.s, t) for lab, t in grid],
-                                  dtype=float).reshape(-1, 4).T)
-
-
-def _as_samples(where):
-    return [(LagrangianLabel(q=q, r=r, s=s), t)
-            for q, r, s, t in zip(*(a.tolist() for a in where))]
-
-
-def build_grid(params: WaveParameters, config: VerifyConfig):
-    """Deterministic (label, t) samples: a phase/height/time lattice plus
-    seeded random interior points."""
-    return _as_samples(_grid(params, config))
-
-
-def build_sheet_grid(params: WaveParameters, config: VerifyConfig):
-    """Deterministic (label, t) samples on the thermocline sheet s = s0."""
-    return _as_samples(_grid(params, config, sheet=True))
+    return config, _grid(params, config, sheet) if grid is None else grid
 
 
 def check_euler(params: WaveParameters, strat: Stratification,
@@ -277,11 +255,11 @@ def check_boundary(params: WaveParameters, strat: Stratification,
     return _report("boundary", t.size, comps)
 
 
-def _fd_velocity_gradient(params, where, h):
+def _fd_velocity_gradient(flow: Flow, h):
     """Central-difference velocity gradient grad[i][j] = d u_i / d x_j at the
-    particles ``where``, by one batched inversion of the points x +- h e_j."""
-    q, r, s, t = where
-    base = np.array(Flow(params, q, r, s, t).position)       # (xyz, n)
+    particles of ``flow``, by one batched inversion of the points x +- h e_j."""
+    params, t = flow.params, flow.t
+    base = np.array(flow.position)                             # (xyz, n)
     steps = h * np.eye(3)[:, None, :, None] * np.array([1.0, -1.0])[:, None, None]
     points = base + steps                                      # (j, +-, xyz, n)
     labels = invert_labels(params, *np.moveaxis(points, 2, 0), t)
@@ -306,7 +284,7 @@ def check_incompressibility(params: WaveParameters, grid=None, t_grid=None,
     jac_res = np.max(np.abs(det[1:] - det[0]), axis=0, initial=0.0)
     rng = np.random.default_rng(config.seed + 2)
     where = _random_samples(params, rng, config.n_random)
-    grad = _fd_velocity_gradient(params, where, config.fd_space)
+    grad = _fd_velocity_gradient(Flow(params, *where), config.fd_space)
     div_res = np.abs(grad[0][0] + grad[1][1] + grad[2][2]) / (params.k * abs(params.c))
     comps = [
         _component("jacobian_time_invariance", jac_res, config.tol_jacobian_time,
@@ -335,8 +313,9 @@ def check_vorticity(params: WaveParameters, grid=None,
     mp_res = _relative_error(flow.vorticity, _curl(grad), scale_floor)
     rng = np.random.default_rng(config.seed + 3)
     fd_where = _random_samples(params, rng, config.n_random)
-    curl = _curl(_fd_velocity_gradient(params, fd_where, config.fd_space))
-    curl_res = _relative_error(Flow(params, *fd_where).vorticity, curl, scale_floor)
+    fd_flow = Flow(params, *fd_where)
+    curl = _curl(_fd_velocity_gradient(fd_flow, config.fd_space))
+    curl_res = _relative_error(fd_flow.vorticity, curl, scale_floor)
     comps = [
         _component("matrix_product", mp_res, config.tol_identity, where),
         _component("fd_curl", curl_res, config.tol_curl, fd_where),
@@ -344,7 +323,7 @@ def check_vorticity(params: WaveParameters, grid=None,
     return _report("vorticity", where[0].size + config.n_random, comps)
 
 
-def run_all(params: WaveParameters, site: Site, strat: Stratification,
+def run_all(params: WaveParameters, strat: Stratification,
             config: VerifyConfig | None = None):
     """Execute every check; reports are returned sorted by check name.
 

@@ -15,6 +15,7 @@ import pytest
 import pollardwaves as pw
 from pollardwaves import verify
 from pollardwaves.dispersion import _bisect_newton
+from pollardwaves.flowfield import Flow
 
 from conftest import REF_A, REF_K, REF_S0
 
@@ -26,8 +27,8 @@ def report_line(number, name, passed):
 def test_criterion_1_exact_solution_residuals(ref_params, site45, strat):
     """Euler residuals <= 1e-12 over a 16x16x5 (theta, s, t) grid in < 1 s."""
     config = verify.VerifyConfig(n_theta=16, n_s=16, n_time=5, n_random=0)
-    grid = verify.build_grid(ref_params, config)
-    assert len(grid) == 16 * 16 * 5
+    grid = verify._grid(ref_params, config)
+    assert grid[0].size == 16 * 16 * 5
     start = time.perf_counter()
     report = verify.check_euler(ref_params, strat, grid=grid, config=config)
     elapsed = time.perf_counter() - start
@@ -112,16 +113,15 @@ def test_criterion_4_compatibility_chain(ref_params, site45, strat):
 def test_criterion_5_orbit_geometry(ref_params, constants, strat):
     """Circular orbits of radius b e^(-m s), tilt arctan(|d|/a), hemisphere
     sign flip of d."""
-    lab = pw.LagrangianLabel(q=0.0, r=0.0, s=REF_S0)
     radius = ref_params.b * math.exp(-ref_params.m * REF_S0)
     period = 2.0 * math.pi / (ref_params.k * ref_params.c)
-    center = np.array([lab.q, lab.r, lab.s])
-    worst = 0.0
-    for t in np.linspace(0.0, period, 10_000):
-        dist = np.linalg.norm(np.array(pw.position(ref_params, lab, float(t))) - center)
-        worst = max(worst, abs(dist - radius) / radius)
-    v1 = np.array(pw.position(ref_params, lab, 0.0)) - center
-    v2 = np.array(pw.position(ref_params, lab, period / 4.0)) - center
+    center = np.array([0.0, 0.0, REF_S0])
+    orbit = np.array(Flow(ref_params, 0.0, 0.0, REF_S0, np.linspace(0.0, period, 10_000))
+                     .position)
+    dist = np.linalg.norm(orbit - center[:, None], axis=0)
+    worst = float(np.max(np.abs(dist - radius) / radius))
+    v1 = np.array(Flow(ref_params, 0.0, 0.0, REF_S0, 0.0).position) - center
+    v2 = np.array(Flow(ref_params, 0.0, 0.0, REF_S0, period / 4.0).position) - center
     normal = np.cross(v1, v2)
     normal /= np.linalg.norm(normal)
     tilt = math.acos(min(1.0, abs(normal[1])))
@@ -143,12 +143,10 @@ def test_criterion_5_orbit_geometry(ref_params, constants, strat):
 def test_criterion_6_decay_law(ref_params):
     """Profile amplitude at s0 + L/2 is e^(-m L / 2) of the thermocline
     amplitude (about e^(-pi), i.e. under 4%)."""
-    n = 1024
-    base = pw.profile(ref_params, REF_S0, 0.0, 0.0, (0.0, ref_params.L), n)
-    upper = pw.profile(ref_params, REF_S0 + ref_params.L / 2.0, 0.0, 0.0,
-                       (0.0, ref_params.L), n)
-    p2p = lambda sheet: (max(p.position[2] for p in sheet)
-                         - min(p.position[2] for p in sheet))
+    qs = np.linspace(0.0, ref_params.L, 1024)
+    base = Flow(ref_params, qs, 0.0, REF_S0, 0.0).position[2]
+    upper = Flow(ref_params, qs, 0.0, REF_S0 + ref_params.L / 2.0, 0.0).position[2]
+    p2p = lambda z: z.max() - z.min()
     ratio = p2p(upper) / p2p(base)
     expected = math.exp(-ref_params.m * ref_params.L / 2.0)
     ok = (abs(ratio - expected) <= 1e-6 * expected
@@ -158,8 +156,7 @@ def test_criterion_6_decay_law(ref_params):
     assert ratio == pytest.approx(math.exp(-math.pi), abs=1e-4)
 
 
-def test_criterion_7_incompressibility_and_vorticity(ref_params, site45, equatorial,
-                                                     equator_site):
+def test_criterion_7_incompressibility_and_vorticity(ref_params, equatorial):
     """J time-invariant to 1e-14, FD divergence <= 1e-6 k c, vorticity
     matches the FD curl to 1e-5 and the equatorial closed forms."""
     config = verify.VerifyConfig(n_random=100)
@@ -174,8 +171,7 @@ def test_criterion_7_incompressibility_and_vorticity(ref_params, site45, equator
     eq_ok = True
     k, c = equatorial.k, equatorial.c
     for s in (55.0, 75.0):
-        w1, w2, w3 = pw.vorticity(equatorial, equator_site,
-                                  pw.LagrangianLabel(1.0, 0.0, s), 3.0)
+        w1, w2, w3 = Flow(equatorial, 1.0, 0.0, s, 3.0).vorticity
         e2 = math.exp(-2.0 * k * s)
         expected = 2.0 * k * c * e2 / (1.0 - e2)
         eq_ok = eq_ok and w1 == 0.0 and w3 == 0.0

@@ -53,6 +53,20 @@ def test_dispersion_wavelength_200m_epsilon_small(tmp_path):
     assert report["bracket_ok"] is True
 
 
+def test_dispersion_bracket_ok_reads_the_verified_bracket(tmp_path, capsys):
+    """At 82.6 deg and k = 4.6e-6 root_brackets widens the positive bracket to
+    (1, 1 + 2 eps F): the correct X+ = 1.05166 lies in it, above 1 + eps F."""
+    out = tmp_path / "report.json"
+    assert main(["dispersion", "--lat", "82.6", "--k", "4.6e-6", "--format", "json",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    w = report["epsilon"] * report["F"]
+    assert 1.0 + w < report["x_plus"] < 1.0 + 2.0 * w
+    assert report["bracket_ok"] is True
+    lines = [line for line in capsys.readouterr().out.splitlines() if "X_plus - 1" in line]
+    assert lines == ["  X_plus - 1 in (0, 0.0883985): True"]
+
+
 def test_dispersion_report_orbit_parameters_equal_derived(tmp_path, ref_params):
     out = tmp_path / "report.json"
     assert main(["dispersion", "--format", "json", "--out", str(out)]) == 0
@@ -127,21 +141,20 @@ def test_trajectory_orbit_radii_decay_with_height(tmp_path, ref_params):
         math.exp(-10.0 * ref_params.m), rel=1e-9)
 
 
-def test_trajectory_csv_floats_roundtrip(tmp_path, ref_params, site45, strat):
+def test_trajectory_csv_floats_roundtrip(tmp_path, ref_params, strat):
     out = tmp_path / "traj.csv"
     assert main(["trajectory", "--q", "3", "--r", "1", "--s", "55",
                  "--t0", "0", "--t1", "10", "--n", "3",
                  "--out", str(out)]) == 0
     _, rows = read_csv(out)
-    label = pw.LagrangianLabel(q=3.0, r=1.0, s=55.0)
-    expected = pw.trajectory(ref_params, site45, strat, label, (0.0, 10.0), 3)
-    for row, sample in zip(rows, expected):
+    ts = np.linspace(0.0, 10.0, 3)
+    flow = pw.Flow(ref_params, 3.0, 1.0, 55.0, ts)
+    columns = (*flow.position, *flow.velocity, flow.pressure(strat), *flow.vorticity)
+    assert len(rows) == 3
+    for i, row in enumerate(rows):
         # 17 significant digits give exact double round-trips
-        assert row[0] == sample.t
-        assert tuple(row[4:7]) == sample.position
-        assert tuple(row[7:10]) == sample.velocity
-        assert row[10] == sample.pressure
-        assert tuple(row[11:14]) == sample.vorticity
+        assert row[0] == ts[i]
+        assert tuple(row[4:14]) == tuple(float(c[i]) for c in columns)
 
 
 def test_profile_trochoid_shape_from_file(tmp_path, ref_params):

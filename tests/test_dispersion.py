@@ -9,6 +9,7 @@ from pollardwaves.dispersion import (
     _bisect_newton,
     _confirm_bracket,
     _interface_map,
+    pressure_coefficient_a,
 )
 from pollardwaves.errors import (
     AmplitudeBoundError,
@@ -239,7 +240,7 @@ def test_reference_parameter_values(ref_params):
     assert ref_params.b == pytest.approx(10.000021521, rel=1e-9)
     assert ref_params.d == pytest.approx(-0.020746636, rel=1e-7)
     assert ref_params.L == pytest.approx(2.0 * math.pi / REF_K, rel=1e-15)
-    assert ref_params.s_star == ref_params.s0 == REF_S0
+    assert ref_params.s0 == REF_S0
     assert ref_params.s_plus > ref_params.s0
 
 
@@ -322,12 +323,40 @@ def test_derive_rejects_wavenumber_below_threshold(constants, equator_site, stra
                              2000.0, beta0_is_offset=True)
 
 
+@pytest.mark.parametrize("lat_deg", [45.0, 30.0, -60.0, 82.6])
+def test_nondim_gate_is_min_wavenumber(constants, strat, lat_deg):
+    """nondimensionalize admits exactly the k above min_wavenumber, also where
+    (f^2 + f_hat^2) / g_tilde and 4 Omega^2 / g_tilde round apart (30, 82.6 deg)."""
+    site = pw.coriolis(constants, math.radians(lat_deg))
+    threshold = pw.min_wavenumber(site, strat)
+    with pytest.raises(WavenumberError):
+        pw.nondimensionalize(site, strat, threshold)
+    nd = pw.nondimensionalize(site, strat, math.nextafter(threshold, math.inf))
+    assert nd.epsilon * nd.F > 0.0
+
+
+def test_interface_gate_is_min_wavenumber(constants, equator_site, strat):
+    threshold = pw.min_wavenumber(equator_site, strat)
+    above = math.nextafter(threshold, math.inf)
+    with pytest.raises(WavenumberError):
+        pw.derive_parameters(equator_site, strat, threshold, 0.1,
+                             pw.solve_equatorial(constants, strat, threshold)[0],
+                             50.0, 2000.0, beta0_is_offset=True)
+    params = pw.derive_parameters(equator_site, strat, above, 0.1,
+                                  pw.solve_equatorial(constants, strat, above)[0],
+                                  50.0, 2000.0, beta0_is_offset=True)
+    assert params.s_plus > params.s0
+
+
 # --- solve_interface --------------------------------------------------------
+
+def interface_coefficient(p):
+    return pressure_coefficient_a(p.f, p.f_hat, p.k, p.c, p.a, p.b, p.d)
+
 
 def test_interface_round_trip(ref_params, site45, strat):
     target = ref_params.s0 + 1.0
-    beta0 = _interface_map(site45, strat, ref_params.a, ref_params.k, ref_params.c, ref_params.m,
-                           ref_params.b, ref_params.d, target)
+    beta0 = _interface_map(strat, interface_coefficient(ref_params), ref_params.m, target)
     s_plus = pw.solve_interface(ref_params, site45, strat, beta0)
     assert s_plus == pytest.approx(target, abs=1e-9)
 
@@ -339,8 +368,7 @@ def test_interface_monotonicity(ref_params, site45, strat):
 
 
 def test_interface_reference_inversion(ref_params, site45, strat):
-    beta0 = _interface_map(site45, strat, ref_params.a, ref_params.k, ref_params.c, ref_params.m,
-                           ref_params.b, ref_params.d, 60.0)
+    beta0 = _interface_map(strat, interface_coefficient(ref_params), ref_params.m, 60.0)
     assert pw.solve_interface(ref_params, site45, strat, beta0) == pytest.approx(
         60.0, abs=1e-9)
 

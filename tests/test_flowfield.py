@@ -5,12 +5,7 @@ import pytest
 
 import pollardwaves as pw
 from pollardwaves.errors import DiffeomorphismError
-from pollardwaves.flowfield import (
-    dynamic_pressure,
-    label_jacobian,
-    sheet_elevation,
-    velocity_label_gradient,
-)
+from pollardwaves.flowfield import Flow, invert_labels, sheet_elevation
 
 from conftest import REF_K, REF_S0
 
@@ -26,27 +21,40 @@ def wave_period(params):
     return 2.0 * math.pi / (params.k * abs(params.c))
 
 
+def floats(values):
+    return tuple(float(v) for v in values)
+
+
+def label_jacobian(flow):
+    """3x3 matrix with rows d(x,y,z)/dq, d(x,y,z)/dr, d(x,y,z)/ds."""
+    row_q, row_s = flow.jacobian
+    return np.array([row_q, (0.0, 1.0, 0.0), row_s], dtype=float)
+
+
+def velocity_label_gradient(flow):
+    """3x3 matrix with rows d(u,v,w)/dq, d(u,v,w)/dr, d(u,v,w)/ds."""
+    row_q, row_s = flow.velocity_gradient
+    return np.array([row_q, (0.0, 0.0, 0.0), row_s], dtype=float)
+
+
 # --- position ---------------------------------------------------------------
 
 def test_zero_amplitude_is_identity_map(still):
-    lab = pw.LagrangianLabel(q=12.0, r=-3.0, s=70.0)
-    assert pw.position(still, lab, 17.3) == (12.0, -3.0, 70.0)
+    assert floats(Flow(still, 12.0, -3.0, 70.0, 17.3).position) == (12.0, -3.0, 70.0)
 
 
 def test_position_at_zero_phase(ref_params):
     t = 4.2
     q = ref_params.c * t  # theta = 0
-    lab = pw.LagrangianLabel(q=q, r=1.5, s=60.0)
     e = math.exp(-ref_params.m * 60.0)
-    x, y, z = pw.position(ref_params, lab, t)
+    x, y, z = Flow(ref_params, q, 1.5, 60.0, t).position
     assert x == pytest.approx(q, rel=1e-14)
     assert y == pytest.approx(1.5 - ref_params.d * e, rel=1e-12)
     assert z == pytest.approx(60.0 - ref_params.a * e, rel=1e-12)
 
 
 def test_reference_thermocline_depth(ref_params):
-    lab = pw.LagrangianLabel(q=0.0, r=0.0, s=ref_params.s0)
-    _, _, z = pw.position(ref_params, lab, 0.0)
+    _, _, z = Flow(ref_params, 0.0, 0.0, ref_params.s0, 0.0).position
     assert z == pytest.approx(ref_params.s0 - 10.0 * math.exp(-ref_params.m * ref_params.s0),
                               rel=1e-12)
 
@@ -55,49 +63,46 @@ def test_reference_thermocline_depth(ref_params):
 
 def test_velocity_at_quarter_phase(ref_params):
     q = (math.pi / 2.0) / ref_params.k
-    lab = pw.LagrangianLabel(q=q, r=0.0, s=55.0)
     e = math.exp(-ref_params.m * 55.0)
     kc = ref_params.k * ref_params.c
-    u, v, w = pw.velocity(ref_params, lab, 0.0)
+    u, v, w = Flow(ref_params, q, 0.0, 55.0, 0.0).velocity
     assert u == pytest.approx(0.0, abs=1e-15 * kc * ref_params.b * e)
     assert v == pytest.approx(-kc * ref_params.d * e, rel=1e-12)
     assert w == pytest.approx(-kc * ref_params.a * e, rel=1e-12)
 
 
 def test_acceleration_is_time_derivative_of_velocity(ref_params):
-    lab = pw.LagrangianLabel(q=7.0, r=0.0, s=52.0)
     t = 11.0
     h = 1e-3 / (ref_params.k * ref_params.c)
-    vel_p = np.array(pw.velocity(ref_params, lab, t + h))
-    vel_m = np.array(pw.velocity(ref_params, lab, t - h))
+    vel_p = np.array(Flow(ref_params, 7.0, 0.0, 52.0, t + h).velocity)
+    vel_m = np.array(Flow(ref_params, 7.0, 0.0, 52.0, t - h).velocity)
     fd = (vel_p - vel_m) / (2.0 * h)
-    acc = np.array(pw.acceleration(ref_params, lab, t))
+    acc = np.array(Flow(ref_params, 7.0, 0.0, 52.0, t).acceleration)
     assert np.allclose(fd, acc, rtol=1e-5, atol=1e-12)
 
 
 def test_particle_speed_is_constant(ref_params):
-    lab = pw.LagrangianLabel(q=0.0, r=0.0, s=ref_params.s0)
     e = math.exp(-ref_params.m * ref_params.s0)
     expected = ref_params.k * abs(ref_params.c) * ref_params.b * e
-    for t in np.linspace(0.0, wave_period(ref_params), 50):
-        speed = np.linalg.norm(pw.velocity(ref_params, lab, float(t)))
-        assert speed == pytest.approx(expected, rel=1e-12)
+    ts = np.linspace(0.0, wave_period(ref_params), 50)
+    speed = np.linalg.norm(Flow(ref_params, 0.0, 0.0, ref_params.s0, ts).velocity, axis=0)
+    assert speed == pytest.approx(np.full(50, expected), rel=1e-12)
 
 
 # --- jacobian ----------------------------------------------------------------
 
 def test_jacobian_identity_for_still_water(still):
-    mat, det = pw.jacobian(still, pw.LagrangianLabel(1.0, 2.0, 60.0), 5.0)
-    assert np.array_equal(mat, np.eye(3))
-    assert det == 1.0
+    flow = Flow(still, 1.0, 2.0, 60.0, 5.0)
+    assert np.array_equal(label_jacobian(flow), np.eye(3))
+    assert flow.det == 1.0
 
 
 def test_jacobian_matches_printed_entries(ref_params):
-    lab = pw.LagrangianLabel(q=3.0, r=0.5, s=58.0)
-    t = 2.5
-    th = ref_params.k * (lab.q - ref_params.c * t)
-    e = math.exp(-ref_params.m * lab.s)
-    mat, det = pw.jacobian(ref_params, lab, t)
+    q, s, t = 3.0, 58.0, 2.5
+    th = ref_params.k * (q - ref_params.c * t)
+    e = math.exp(-ref_params.m * s)
+    flow = Flow(ref_params, q, 0.5, s, t)
+    mat, det = label_jacobian(flow), flow.det
     expected = np.array([
         [1 - ref_params.k * ref_params.b * e * math.cos(th),
          ref_params.k * ref_params.d * e * math.sin(th),
@@ -112,16 +117,14 @@ def test_jacobian_matches_printed_entries(ref_params):
 
 
 def test_jacobian_time_independent(ref_params):
-    lab = pw.LagrangianLabel(q=0.0, r=0.0, s=ref_params.s0)
-    _, det0 = pw.jacobian(ref_params, lab, 0.0)
-    for t in np.linspace(0.0, wave_period(ref_params), 37):
-        _, det = pw.jacobian(ref_params, lab, float(t))
-        assert abs(det - det0) <= 1e-14
+    det0 = Flow(ref_params, 0.0, 0.0, ref_params.s0, 0.0).det
+    ts = np.linspace(0.0, wave_period(ref_params), 37)
+    det = Flow(ref_params, 0.0, 0.0, ref_params.s0, ts).det
+    assert np.all(np.abs(det - det0) <= 1e-14)
 
 
 def test_jacobian_reference_value_at_thermocline(ref_params):
-    lab = pw.LagrangianLabel(q=5.0, r=0.0, s=ref_params.s0)
-    _, det = pw.jacobian(ref_params, lab, 1.0)
+    det = Flow(ref_params, 5.0, 0.0, ref_params.s0, 1.0).det
     expected = 1.0 - (ref_params.m * ref_params.a * math.exp(-ref_params.m * ref_params.s0))**2
     assert det == pytest.approx(expected, rel=1e-12)
     assert 0.0 < det < 1.0
@@ -129,58 +132,53 @@ def test_jacobian_reference_value_at_thermocline(ref_params):
 
 def test_jacobian_raises_below_validity_floor(ref_params):
     with pytest.raises(DiffeomorphismError):
-        pw.jacobian(ref_params, pw.LagrangianLabel(0.0, 0.0, -10.0), 0.0)
+        Flow(ref_params, 0.0, 0.0, -10.0, 0.0).det
 
 
 # --- pressure ----------------------------------------------------------------
 
 def test_still_water_pressure_is_hydrostatic(still, strat):
-    p1 = pw.pressure(still, strat, pw.LagrangianLabel(0.0, 0.0, 55.0), 0.0)
-    p2 = pw.pressure(still, strat, pw.LagrangianLabel(40.0, 2.0, 75.0), 9.0)
+    p1 = Flow(still, 0.0, 0.0, 55.0, 0.0).pressure(strat)
+    p2 = Flow(still, 40.0, 2.0, 75.0, 9.0).pressure(strat)
     assert p1 - p2 == pytest.approx(strat.rho0 * strat.g * 20.0, rel=1e-12)
 
 
 def test_dynamic_boundary_condition(ref_params, strat):
-    worst = 0.0
-    for q in np.linspace(0.0, ref_params.L, 64, endpoint=False):
-        lab = pw.LagrangianLabel(q=float(q), r=0.0, s=ref_params.s0)
-        p = pw.pressure(ref_params, strat, lab, 3.0)
-        _, _, z = pw.position(ref_params, lab, 3.0)
-        worst = max(worst, abs(p - (ref_params.P0 - strat.rho_plus * strat.g * z)))
+    qs = np.linspace(0.0, ref_params.L, 64, endpoint=False)
+    flow = Flow(ref_params, qs, 0.0, ref_params.s0, 3.0)
+    p, (_, _, z) = flow.pressure(strat), flow.position
+    worst = np.max(np.abs(p - (ref_params.P0 - strat.rho_plus * strat.g * z)))
     assert worst <= 1e-9 * abs(ref_params.P0)
 
 
 def test_pressure_periodic_in_time(ref_params, strat):
-    lab = pw.LagrangianLabel(q=2.0, r=0.0, s=ref_params.s0)
     period = wave_period(ref_params)
-    for t in np.linspace(0.0, period, 7):
-        p0 = pw.pressure(ref_params, strat, lab, float(t))
-        p1 = pw.pressure(ref_params, strat, lab, float(t) + period)
-        assert abs(p1 - p0) <= 1e-14 * abs(p0)
+    ts = np.linspace(0.0, period, 7)
+    p0 = Flow(ref_params, 2.0, 0.0, ref_params.s0, ts).pressure(strat)
+    p1 = Flow(ref_params, 2.0, 0.0, ref_params.s0, ts + period).pressure(strat)
+    assert np.all(np.abs(p1 - p0) <= 1e-14 * np.abs(p0))
 
 
 def test_pressure_independent_of_r(ref_params, strat):
-    lab0 = pw.LagrangianLabel(q=9.0, r=0.0, s=61.0)
-    lab1 = pw.LagrangianLabel(q=9.0, r=123.0, s=61.0)
-    assert pw.pressure(ref_params, strat, lab0, 1.0) == pw.pressure(ref_params, strat, lab1, 1.0)
+    assert (Flow(ref_params, 9.0, 0.0, 61.0, 1.0).pressure(strat)
+            == Flow(ref_params, 9.0, 123.0, 61.0, 1.0).pressure(strat))
 
 
 def test_pressure_splits_into_wave_and_column_parts(ref_params, strat):
-    lab = pw.LagrangianLabel(q=4.0, r=0.0, s=66.0)
-    total = pw.pressure(ref_params, strat, lab, 2.0)
-    wave = dynamic_pressure(ref_params, strat, lab, 2.0)
+    flow = Flow(ref_params, 4.0, 0.0, 66.0, 2.0)
+    total = flow.pressure(strat)
+    wave = flow.dynamic_pressure(strat)
     assert total == pytest.approx(
-        wave - strat.rho0 * strat.g * lab.s + ref_params.P0_tilde, rel=1e-15)
+        wave - strat.rho0 * strat.g * 66.0 + ref_params.P0_tilde, rel=1e-15)
 
 
 # --- vorticity ---------------------------------------------------------------
 
-def test_equatorial_critical_amplitude_vorticity(equatorial, equator_site):
+def test_equatorial_critical_amplitude_vorticity(equatorial):
     """At f=0, a=1/m, m=k the curl reduces to (0, 2kc e^(-2ks)/(1-e^(-2ks)), 0)."""
     k, c = equatorial.k, equatorial.c
     for s in (55.0, 70.0, 90.0):
-        w1, w2, w3 = pw.vorticity(equatorial, equator_site,
-                                  pw.LagrangianLabel(3.0, 1.0, s), 2.0)
+        w1, w2, w3 = Flow(equatorial, 3.0, 1.0, s, 2.0).vorticity
         e2 = math.exp(-2.0 * k * s)
         assert w1 == 0.0 and w3 == 0.0
         assert w2 == pytest.approx(2.0 * k * c * e2 / (1.0 - e2), rel=1e-13)
@@ -193,77 +191,68 @@ def test_equatorial_general_amplitude_vorticity(constants, equator_site, strat):
     k, c, m, a = params.k, params.c, params.m, params.a
     s = 62.0
     e2 = math.exp(-2.0 * m * s)
-    _, w2, _ = pw.vorticity(params, equator_site,
-                            pw.LagrangianLabel(0.0, 0.0, s), 0.0)
+    _, w2, _ = Flow(params, 0.0, 0.0, s, 0.0).vorticity
     assert w2 == pytest.approx(
         2.0 * k * c * m**2 * a**2 * e2 / (1.0 - m**2 * a**2 * e2), rel=1e-13)
 
 
-def test_still_water_is_irrotational(still, site45):
-    assert pw.vorticity(still, site45, pw.LagrangianLabel(0.0, 0.0, 60.0),
-                        1.0) == (0.0, 0.0, 0.0)
+def test_still_water_is_irrotational(still):
+    assert floats(Flow(still, 0.0, 0.0, 60.0, 1.0).vorticity) == (0.0, 0.0, 0.0)
 
 
-def test_vorticity_matches_matrix_product(ref_params, site45):
+def test_vorticity_matches_matrix_product(ref_params):
     """Independent construction: inverse label Jacobian times velocity gradient."""
     for (q, s, t) in [(0.0, 50.0, 0.0), (13.0, 55.0, 7.0), (40.0, 95.0, 60.0)]:
-        lab = pw.LagrangianLabel(q=q, r=0.0, s=s)
-        grad_t = np.linalg.solve(label_jacobian(ref_params, lab, t),
-                                 velocity_label_gradient(ref_params, lab, t))
+        flow = Flow(ref_params, q, 0.0, s, t)
+        grad_t = np.linalg.solve(label_jacobian(flow), velocity_label_gradient(flow))
         gv = grad_t.T
         expected = (gv[2][1] - gv[1][2], gv[0][2] - gv[2][0],
                     gv[1][0] - gv[0][1])
-        omega = pw.vorticity(ref_params, site45, lab, t)
+        omega = floats(flow.vorticity)
         assert np.allclose(omega, expected, rtol=0.0,
                            atol=1e-12 * max(map(abs, expected)))
 
 
-def test_vorticity_raises_below_validity_floor(ref_params, site45):
+def test_vorticity_raises_below_validity_floor(ref_params):
     with pytest.raises(DiffeomorphismError):
-        pw.vorticity(ref_params, site45, pw.LagrangianLabel(0.0, 0.0, -10.0), 0.0)
+        Flow(ref_params, 0.0, 0.0, -10.0, 0.0).vorticity
 
 
 # --- trajectory --------------------------------------------------------------
 
-def test_trajectory_is_circle(ref_params, site45, strat):
-    lab = pw.LagrangianLabel(q=0.0, r=0.0, s=ref_params.s0)
+def test_trajectory_is_circle(ref_params):
     radius = ref_params.b * math.exp(-ref_params.m * ref_params.s0)
-    center = np.array([lab.q, lab.r, lab.s])
-    samples = pw.trajectory(ref_params, site45, strat, lab,
-                            (0.0, wave_period(ref_params)), 500)
-    for sample in samples:
-        dist = np.linalg.norm(np.array(sample.position) - center)
-        assert abs(dist - radius) <= 1e-12 * radius
+    center = np.array([0.0, 0.0, ref_params.s0])[:, None]
+    ts = np.linspace(0.0, wave_period(ref_params), 500)
+    position = np.array(Flow(ref_params, 0.0, 0.0, ref_params.s0, ts).position)
+    dist = np.linalg.norm(position - center, axis=0)
+    assert np.all(np.abs(dist - radius) <= 1e-12 * radius)
 
 
 def test_trajectory_periodicity(ref_params):
-    lab = pw.LagrangianLabel(q=3.0, r=1.0, s=60.0)
     period = wave_period(ref_params)
-    p0 = np.array(pw.position(ref_params, lab, 0.25 * period))
-    p1 = np.array(pw.position(ref_params, lab, 1.25 * period))
+    p0 = np.array(Flow(ref_params, 3.0, 1.0, 60.0, 0.25 * period).position)
+    p1 = np.array(Flow(ref_params, 3.0, 1.0, 60.0, 1.25 * period).position)
     assert np.allclose(p0, p1, rtol=1e-12)
 
 
-def test_equatorial_orbit_is_vertical(equatorial, equator_site, strat):
-    lab = pw.LagrangianLabel(q=0.0, r=2.0, s=60.0)
-    samples = pw.trajectory(equatorial, equator_site, strat, lab,
-                            (0.0, wave_period(equatorial)), 64)
-    ys = {sample.position[1] for sample in samples}
-    assert ys == {2.0}
+def test_equatorial_orbit_is_vertical(equatorial):
+    ts = np.linspace(0.0, wave_period(equatorial), 64)
+    _, y, _ = Flow(equatorial, 0.0, 2.0, 60.0, ts).position
+    assert set(y.tolist()) == {2.0}
 
 
-def orbit_normal(params, lab):
-    center = np.array([lab.q, lab.r, lab.s])
+def orbit_normal(params, q, r, s):
+    center = np.array([q, r, s])
     period = wave_period(params)
-    v1 = np.array(pw.position(params, lab, 0.0)) - center
-    v2 = np.array(pw.position(params, lab, period / 4.0)) - center
+    v1 = np.array(Flow(params, q, r, s, 0.0).position) - center
+    v2 = np.array(Flow(params, q, r, s, period / 4.0).position) - center
     n = np.cross(v1, v2)
     return n / np.linalg.norm(n)
 
 
 def test_orbit_plane_normal_and_tilt(ref_params):
-    lab = pw.LagrangianLabel(q=0.0, r=0.0, s=ref_params.s0)
-    n = orbit_normal(ref_params, lab)
+    n = orbit_normal(ref_params, 0.0, 0.0, ref_params.s0)
     assert abs(n[0]) <= 1e-12  # no longitudinal component
     # tilt of the orbit plane from the vertical (x,z) plane
     tilt = math.acos(min(1.0, abs(n[1])))
@@ -284,15 +273,14 @@ def test_orbit_tilt_direction_flips_with_hemisphere(constants, strat):
 # --- profile -----------------------------------------------------------------
 
 def test_profile_flat_for_still_water(still):
-    sheet = pw.profile(still, 60.0, 0.0, 3.0, (0.0, 100.0), 11)
-    assert all(p.position[2] == 60.0 for p in sheet)
+    _, _, z = Flow(still, np.linspace(0.0, 100.0, 11), 0.0, 60.0, 3.0).position
+    assert np.all(z == 60.0)
 
 
 def test_trochoid_troughs_narrower_than_crests(ref_params):
     n = 20001
-    sheet = pw.profile(ref_params, ref_params.s0, 0.0, 0.0, (0.0, ref_params.L), n)
-    xs = np.array([p.position[0] for p in sheet])
-    zs = np.array([p.position[2] for p in sheet])
+    xs, _, zs = Flow(ref_params, np.linspace(0.0, ref_params.L, n), 0.0,
+                     ref_params.s0, 0.0).position
     mean = 0.5 * (zs.max() + zs.min())
     dx = np.diff(xs)
     below = (zs[:-1] < mean) & (zs[1:] < mean)
@@ -306,11 +294,10 @@ def test_trochoid_troughs_narrower_than_crests(ref_params):
 
 
 def test_amplitude_decay_over_half_wavelength(ref_params):
-    n = 512
-    top = pw.profile(ref_params, ref_params.s0 + ref_params.L / 2.0, 0.0, 0.0, (0.0, ref_params.L), n)
-    bottom = pw.profile(ref_params, ref_params.s0, 0.0, 0.0, (0.0, ref_params.L), n)
-    p2p = lambda sheet: (max(p.position[2] for p in sheet)
-                         - min(p.position[2] for p in sheet))
+    qs = np.linspace(0.0, ref_params.L, 512)
+    top = Flow(ref_params, qs, 0.0, ref_params.s0 + ref_params.L / 2.0, 0.0).position[2]
+    bottom = Flow(ref_params, qs, 0.0, ref_params.s0, 0.0).position[2]
+    p2p = lambda z: z.max() - z.min()
     ratio = p2p(top) / p2p(bottom)
     assert ratio == pytest.approx(math.exp(-ref_params.m * ref_params.L / 2.0), rel=1e-6)
     # with m close to k the ratio is within a whisker of e^(-pi) ~ 4%
@@ -321,42 +308,38 @@ def test_amplitude_decay_over_half_wavelength(ref_params):
 # --- inversion ----------------------------------------------------------------
 
 def test_invert_still_water_in_one_step(still):
-    lab = pw.invert_map(still, (5.0, -2.0, 70.0), 3.0)
-    assert (lab.q, lab.r, lab.s) == (5.0, -2.0, 70.0)
+    assert floats(invert_labels(still, 5.0, -2.0, 70.0, 3.0)) == (5.0, -2.0, 70.0)
 
 
 def test_invert_round_trip_random_labels(ref_params):
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
-        lab = pw.LagrangianLabel(q=float(rng.uniform(0.0, ref_params.L)),
-                                 r=float(rng.uniform(-5.0, 5.0)),
-                                 s=float(rng.uniform(ref_params.s0, ref_params.s_plus)))
+        lab = (float(rng.uniform(0.0, ref_params.L)), float(rng.uniform(-5.0, 5.0)),
+               float(rng.uniform(ref_params.s0, ref_params.s_plus)))
         t = float(rng.uniform(0.0, wave_period(ref_params)))
-        back = pw.invert_map(ref_params, pw.position(ref_params, lab, t), t)
-        worst = max(worst, abs(back.q - lab.q), abs(back.r - lab.r),
-                    abs(back.s - lab.s))
+        back = invert_labels(ref_params, *Flow(ref_params, *lab, t).position, t)
+        worst = max(worst, *(abs(float(b) - v) for b, v in zip(back, lab)))
     assert worst <= 1e-9
 
 
 def test_invert_converges_quickly(ref_params):
-    target = pw.position(ref_params, pw.LagrangianLabel(10.0, 0.0, 55.0), 2.0)
-    lab = pw.invert_map(ref_params, target, 2.0, max_iter=8)
-    assert np.allclose(pw.position(ref_params, lab, 2.0), target, atol=1e-12)
+    target = Flow(ref_params, 10.0, 0.0, 55.0, 2.0).position
+    lab = invert_labels(ref_params, *target, 2.0, max_iter=8)
+    assert np.allclose(Flow(ref_params, *lab, 2.0).position, target, atol=1e-12)
 
 
 def test_invert_newton_is_quadratic(ref_params):
     """Error ratios e_{n+1} / e_n^2 stay bounded along the iteration."""
-    true_label = pw.LagrangianLabel(10.0, 0.0, 55.0)
-    target = np.array(pw.position(ref_params, true_label, 2.0))
-    truth = np.array([true_label.q, true_label.r, true_label.s])
+    truth = np.array([10.0, 0.0, 55.0])
+    target = np.array(Flow(ref_params, *truth, 2.0).position)
     current = target.copy()  # default initial guess
     errors = []
     for _ in range(5):
         errors.append(np.linalg.norm(current - truth))
-        here = pw.LagrangianLabel(*[float(v) for v in current])
-        residual = np.array(pw.position(ref_params, here, 2.0)) - target
-        mat = label_jacobian(ref_params, here, 2.0).T
+        here = Flow(ref_params, *current, 2.0)
+        residual = np.array(here.position) - target
+        mat = label_jacobian(here).T
         current = current - np.linalg.solve(mat, residual)
     for before, after in zip(errors, errors[1:]):
         if before < 1e-12:
@@ -367,8 +350,8 @@ def test_invert_newton_is_quadratic(ref_params):
 
 def test_eulerian_velocity_independent_of_y(ref_params):
     x, z, t = 20.0, 60.0, 5.0
-    v1 = np.array(pw.eulerian_velocity(ref_params, (x, 0.0, z), t))
-    v2 = np.array(pw.eulerian_velocity(ref_params, (x, 8.0, z), t))
+    labels = invert_labels(ref_params, x, np.array([0.0, 8.0]), z, t)
+    v1, v2 = np.array(Flow(ref_params, *labels, t).velocity).T
     assert np.allclose(v1, v2, atol=1e-12)
 
 
@@ -376,8 +359,7 @@ def test_eulerian_velocity_independent_of_y(ref_params):
 
 def test_sheet_elevation_consistent_with_particles(ref_params):
     for q in (0.0, 17.0, 44.0):
-        lab = pw.LagrangianLabel(q=q, r=0.0, s=ref_params.s0)
-        x, _, z = pw.position(ref_params, lab, 6.0)
+        x, _, z = Flow(ref_params, q, 0.0, ref_params.s0, 6.0).position
         assert sheet_elevation(ref_params, ref_params.s0, x, 6.0) == pytest.approx(
             z, abs=1e-11)
 
@@ -394,7 +376,7 @@ def test_invert_stops_at_rounding_floor_for_long_waves():
             ((347272.14586508356, -15.681170255824869, 1030.9973199172139), 9445.195280537442),
             ((685070.7977167111, -16.906562321385415, 998.0641879324634), 3743.4263603122095),
             ((9430.386986887572, -9.398589817408752, 703.8336220276968), 6546.814002625967)]:
-        back = pw.invert_map(params, target, t)
-        residual = np.subtract(pw.position(params, back, t), target)
+        back = invert_labels(params, *target, t)
+        residual = np.subtract(Flow(params, *back, t).position, target)
         assert np.linalg.norm(residual) <= max(
             1e-12, 4 * np.finfo(float).eps * np.linalg.norm(target))

@@ -86,21 +86,21 @@ def test_reduced_gravity_rejects_nonpositive_density(constants):
         pw.reduced_gravity(constants, -5.0, 1000.0)
 
 
-def test_min_wavenumber_reference_value(constants, strat):
+def test_min_wavenumber_reference_value(site45, strat):
     # 4 Omega^2 / g_tilde with the typical density jump
-    threshold = pw.min_wavenumber(constants, strat)
+    threshold = pw.min_wavenumber(site45, strat)
     assert threshold == pytest.approx(5.4173e-7, rel=1e-4)
     # the reference wavenumber passes the gate with a wide margin
     assert 6.28e-2 > threshold
 
 
-def test_min_wavenumber_scales_inversely_with_density_jump(constants):
-    one = pw.min_wavenumber(constants, pw.reduced_gravity(constants, 1000.0, 1002.0))
-    two = pw.min_wavenumber(constants, pw.reduced_gravity(constants, 1000.0, 1004.0))
+def test_min_wavenumber_scales_inversely_with_density_jump(constants, site45):
+    one = pw.min_wavenumber(site45, pw.reduced_gravity(constants, 1000.0, 1002.0))
+    two = pw.min_wavenumber(site45, pw.reduced_gravity(constants, 1000.0, 1004.0))
     assert one == pytest.approx(2.0 * two, rel=1e-12)
 
 
-def test_min_wavenumber_vanishes_for_large_reduced_gravity(constants):
+def test_min_wavenumber_vanishes_for_large_reduced_gravity(constants, site45):
     strat = pw.Stratification(rho0=1000.0, rho_plus=2000.0, g_tilde=1e9,
                               g=constants.g)
-    assert pw.min_wavenumber(constants, strat) < 1e-16
+    assert pw.min_wavenumber(site45, strat) < 1e-16

@@ -1,6 +1,6 @@
 """The array kernel against the per-label ``math`` oracle, its closed-form
 2x2 solves against numpy.linalg, the batched inversions, and guards that the
-verifier and the CLI evaluate fields on arrays only."""
+verifier and the CLI batch their inversions."""
 
 import contextlib
 import io
@@ -71,17 +71,6 @@ def test_kernel_matches_scalar_oracle(scenario, strat, name, kernel, oracle):
     assert np.all(np.abs(got - want) <= bound), (name, np.abs(got - want).max())
 
 
-def test_scalar_wrappers_agree_with_kernel(ref_params, site45, strat):
-    lab = pw.LagrangianLabel(q=13.0, r=-2.0, s=61.0)
-    flow = Flow(ref_params, lab.q, lab.r, lab.s, 7.0)
-    assert pw.position(ref_params, lab, 7.0) == tuple(map(float, flow.position))
-    assert pw.vorticity(ref_params, site45, lab, 7.0) == tuple(map(float, flow.vorticity))
-    assert pw.pressure(ref_params, strat, lab, 7.0) == float(flow.pressure(strat))
-    sample = pw.sample_flow(ref_params, site45, strat, lab, 7.0)
-    assert sample.jacobian_det == float(flow.det)
-    assert sample.velocity == tuple(map(float, flow.velocity))
-
-
 def test_block_solves_match_linalg_solve(ref_params):
     """J X = g and J^T X = g in closed form against LU solves of the 3x3."""
     flow = Flow(ref_params, *random_labels(ref_params, seed=5))
@@ -115,8 +104,8 @@ def test_batched_inversion_equals_per_target_inversion(ref_params):
     x, y, z = Flow(ref_params, q, r, s, t).position
     batch = invert_labels(ref_params, x, y, z, t)
     for i in range(q.size):
-        one = pw.invert_map(ref_params, (x[i], y[i], z[i]), float(t[i]))
-        assert (one.q, one.r, one.s) == tuple(float(v[i]) for v in batch)
+        one = invert_labels(ref_params, float(x[i]), float(y[i]), float(z[i]), float(t[i]))
+        assert tuple(map(float, one)) == tuple(float(v[i]) for v in batch)
     assert np.allclose(batch[0], q, atol=1e-9) and np.allclose(batch[2], s, atol=1e-9)
 
 
@@ -138,27 +127,23 @@ def test_batched_sheet_inversion_equals_scalar(ref_params):
     batch = sheet_label_q(ref_params, ref_params.s0, xs, 4.0)
     assert [float(sheet_label_q(ref_params, ref_params.s0, float(x), 4.0))
             for x in xs] == batch.tolist()
-    z = pw.position(ref_params, pw.LagrangianLabel(float(batch[3]), 0.0, ref_params.s0),
-                    4.0)[2]
+    z = Flow(ref_params, float(batch[3]), 0.0, ref_params.s0, 4.0).position[2]
     assert flowfield.sheet_elevation(ref_params, ref_params.s0, xs, 4.0)[3] == z
 
 
-# --- no per-label path ----------------------------------------------------
+# --- batched inversions only ----------------------------------------------
 
-PER_LABEL = ("position", "velocity", "acceleration", "label_jacobian", "jacobian",
-             "velocity_label_gradient", "dynamic_pressure", "pressure",
-             "pressure_label_gradient", "pressure_gradient", "vorticity",
-             "sample_flow", "invert_map", "eulerian_velocity", "sheet_elevation")
+INVERSIONS = ("invert_labels", "sheet_label_q", "sheet_elevation")
 
 
 @pytest.fixture
 def per_label_calls(monkeypatch):
-    """Counts calls to the per-label flowfield functions, wherever the
-    package holds them."""
+    """Counts calls to the flowfield inversions, wherever the package holds
+    them; a solve per label would show as one call per sample."""
     calls = Counter()
     modules = [m for name, m in sorted(sys.modules.items())
                if name == "pollardwaves" or name.startswith("pollardwaves.")]
-    for name in PER_LABEL:
+    for name in INVERSIONS:
         original = getattr(flowfield, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
@@ -172,18 +157,21 @@ def per_label_calls(monkeypatch):
     return calls
 
 
-def test_verify_and_cli_make_no_per_label_calls(per_label_calls, ref_params, site45,
-                                                strat, tmp_path):
+def test_verify_and_cli_make_no_per_label_calls(per_label_calls, ref_params, strat,
+                                                tmp_path):
     config = verify.VerifyConfig(n_theta=8, n_s=6, n_time=3, n_random=12, seed=3)
-    assert all(r.passed for r in verify.run_all(ref_params, site45, strat, config))
+    assert all(r.passed for r in verify.run_all(ref_params, strat, config))
     out = str(tmp_path / "out.csv")
     assert cli.main(["field", "--nq", "16", "--ns", "4", "--out", out]) == 0
     assert cli.main(["trajectory", "--n", "16", "--out", out]) == 0
     assert cli.main(["profile", "--n", "16", "--out", out]) == 0
-    # check_boundary's four sheet elevations are one batched call on all samples
-    assert per_label_calls == {"sheet_elevation": 1}
-    pw.position(ref_params, pw.LagrangianLabel(0.0, 0.0, 60.0), 0.0)  # counter works
-    assert per_label_calls == {"sheet_elevation": 1, "position": 1}
+    # check_boundary's four sheet elevations are one batched call on all
+    # samples; the divergence and the curl each invert all their points at once
+    assert per_label_calls == {"sheet_elevation": 1, "sheet_label_q": 1,
+                               "invert_labels": 2}
+    pw.sheet_elevation(ref_params, ref_params.s0, 0.0, 0.0)  # counter works
+    assert per_label_calls == {"sheet_elevation": 2, "sheet_label_q": 2,
+                               "invert_labels": 2}
 
 
 def test_verify_report_layout_at_defaults(tmp_path):

@@ -79,7 +79,7 @@ def strat_of(jump):
 # `dispersion --lat 82.6 --k 4.6e-6`, then lat 60-85 deg, density jumps of
 # 0.5-20 and k from just above the 4 Omega^2 / g_tilde threshold to 10 times it
 HIGH_LATITUDE_CASES = [(82.6, 4.0, 4.6e-6)] + [
-    (lat, jump, factor * pw.min_wavenumber(pw.PhysicalConstants(), strat_of(jump)))
+    (lat, jump, factor * 4.0 * pw.PhysicalConstants().Omega**2 / strat_of(jump).g_tilde)
     for lat in (60.0, 65.0, 70.0, 75.0, 80.0, 85.0) for jump in (0.5, 20.0)
     for factor in (1.001, 1.01, 1.1, 1.5, 2.0, 4.0, 10.0)]
 
@@ -171,7 +171,7 @@ def solved_site(lat_deg, jump, k_over_threshold, branch):
     constants = pw.PhysicalConstants()
     site = pw.coriolis(constants, math.radians(lat_deg))
     strat = pw.reduced_gravity(constants, 1000.0, 1000.0 + jump)
-    k = k_over_threshold * pw.min_wavenumber(constants, strat)
+    k = k_over_threshold * pw.min_wavenumber(site, strat)
     if site.f == 0.0:
         c_plus, c_minus = pw.solve_equatorial(constants, strat, k)
     else:
