@@ -12,6 +12,7 @@ from .dispersion import (
     derive_parameters,
     nondimensionalize,
     root_brackets,
+    solve_branch,
     solve_dispersion,
     solve_equatorial,
     solve_interface,
@@ -50,6 +51,7 @@ __all__ = [
     "root_brackets",
     "run_all",
     "sheet_elevation",
+    "solve_branch",
     "solve_dispersion",
     "solve_equatorial",
     "solve_interface",

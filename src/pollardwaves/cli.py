@@ -83,8 +83,13 @@ class RunConfig:
                 f"latitude must satisfy |lat| < 90 deg, got {self.latitude_deg!r}")
         if self.branch == "equatorial" and self.latitude_deg != 0.0:
             raise ConfigError("the equatorial branch requires latitude 0")
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise ConfigError(f"amplitude must be non-negative, got {self.amplitude!r}")
+        if not (math.isfinite(self.perturb_c) and self.perturb_c > -1.0):
+            raise ConfigError(f"perturb_c must be finite and above -1, got {self.perturb_c!r}")
+        for name in ("n_theta", "n_s", "n_time", "n_random"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         return self
 
     @property
@@ -124,10 +129,11 @@ def _clear_other_length(settings: dict) -> dict:
 def solve_configured(config: RunConfig):
     """Run the full parameter pipeline for a validated config.
 
-    Returns (constants, site, strat, params).  The amplitude is capped at
-    the thermocline bound 1/m as soon as m is known; the perturb_c
-    negative control replaces the phase speed after the set is solved,
-    leaving m, b, d untouched.
+    Returns (constants, site, strat, params).  Off the Equator only the
+    configured branch's root is solved and checked (solve_branch).  The
+    amplitude is capped at the thermocline bound 1/m as soon as m is known;
+    the perturb_c negative control replaces the phase speed after the set is
+    solved, leaving m, b, d untouched.
     """
     constants = PhysicalConstants()
     site = coriolis(constants, math.radians(config.latitude_deg))
@@ -139,8 +145,7 @@ def solve_configured(config: RunConfig):
         c = c_minus if config.branch == "negative" else c_plus
     else:
         nd = dsp.nondimensionalize(site, strat, k)
-        roots = dsp.solve_dispersion(nd, site, strat, k, tol=config.tol_identity)
-        c = roots.c_minus if config.branch == "negative" else roots.c_plus
+        _, c = dsp.solve_branch(nd, site, strat, k, config.branch, tol=config.tol_identity)
     m = dsp.orbit_parameters(site.f, k, config.amplitude, c)[0]
     if config.amplitude > 1.0 / m:
         raise AmplitudeBoundError(

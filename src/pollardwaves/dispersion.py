@@ -9,7 +9,8 @@ F = f_hat / f, giving the degree-four polynomial
 alpha and beta stay finite where F diverges, towards the Equator.  In the
 mid-latitude regime P has two real roots, refined by safeguarded Newton on
 sign-change brackets: one above 1, and one in (-1, 0) if P(-1) = 2 beta - alpha
-> 0, at or below -1 otherwise (high latitudes, long waves).
+> 0, at or below -1 otherwise (high latitudes, long waves).  solve_branch solves
+and checks one root; solve_dispersion calls it twice, cli.solve_configured once.
 
 From a solved phase speed the dependent parameters follow in closed form:
 
@@ -138,48 +139,52 @@ def nondimensionalize(site: Site, strat: Stratification,
 
 
 def root_brackets(nd: NondimDispersion):
-    """Verified sign-change brackets (positive, negative) for the two real roots of P.
+    """Verified sign-change brackets (positive, negative) of the real roots of P."""
+    return tuple(_branch_bracket(nd, branch)[:2] for branch in ("positive", "negative"))
 
-    They start as (1, 1 + beta) and, by the sign of P(-1) = 2 beta - alpha, as
-    (-1, -1 + beta) or (-1 - beta, -1); the end away from +-1 moves outwards
-    (up to 10 doublings, never past 0, where P = -1) until P changes sign.
-    Requires the mid-latitude regime discriminant gate.
-    """
+
+def _branch_bracket(nd, branch):
+    """(lo, hi, P(hi)) of one branch's root, after the regime gate: from (1, 1 + beta)
+    or, by the sign of P(-1) = 2 beta - alpha, (-1, -1 + beta) or (-1 - beta, -1),
+    the end away from +-1 moves outwards (up to 10 doublings, never past 0, where
+    P = -1) until P changes sign."""
     if not nd.discriminant < 0.0:
         raise RegimeError(
             "discriminant of P' is non-negative "
             f"({nd.discriminant!r}); the two-real-root analysis only applies "
             "in the mid-latitude regime")
     w = nd.epsilon * nd.F  # beta, positive on both hemispheres
+    if branch == "positive":
+        return _confirm_bracket(nd, 1.0, 1.0 + w)
     p_minus_one = nd.evaluate(-1.0)
     start = -1.0 + w if p_minus_one > 0.0 else -1.0 - w
-    return (_confirm_bracket(nd, 1.0, 1.0 + w),
-            _confirm_bracket(nd, -1.0, start, p_minus_one, limit=0.0))
+    return _confirm_bracket(nd, -1.0, start, p_minus_one, limit=0.0)
 
 
 def _confirm_bracket(nd, end, start, p_end=None, limit=math.inf):
-    """Sorted bracket of a sign change of P (a zero at an end counts) between
-    the fixed ``end`` and a point that starts at ``start`` and doubles its
-    distance from ``end`` at each expansion, never above ``limit``."""
+    """(lo, hi, P(hi)), a sorted bracket of a sign change of P (a zero at an end
+    counts) between the fixed ``end`` and a point that starts at ``start`` and
+    doubles its distance from ``end`` at each expansion, never above ``limit``."""
     p_end = nd.evaluate(end) if p_end is None else p_end
     other = start if start < limit else limit
     for _ in range(_MAX_BRACKET_EXPANSIONS):
-        if p_end * nd.evaluate(other) <= 0.0:
-            return (end, other) if end < other else (other, end)
+        p_other = nd.evaluate(other)
+        if p_end * p_other <= 0.0:
+            return (end, other, p_other) if end < other else (other, end, p_end)
         other = end + (other - end) * 2.0
         other = other if other < limit else limit
-    raise BracketError(
-        f"no sign change of P found starting from ({end}, {start}) "
-        f"after {_MAX_BRACKET_EXPANSIONS} expansions")
+    raise BracketError(f"no sign change of P found starting from ({end}, {start}) "
+                       f"after {_MAX_BRACKET_EXPANSIONS} expansions")
 
 
-def _bisect_newton(nd, lo, hi, tol):
+def _bisect_newton(nd, lo, hi, tol, p_hi=None):
     """Safeguarded Newton for the root of P in the sign-change bracket (lo, hi).
 
-    From hi, one P and one P' per iteration; a step out of the bracket goes to
-    its midpoint.  Stops at a step <= 2 ulp or an unhalvable bracket, within
-    _MAX_STEPS iterations, and then requires |P(X)| <= tol * max(1, X^4)."""
-    x, p = hi, nd.evaluate(hi)
+    From hi (P(hi) = ``p_hi`` when given), one P and one P' per iteration; a
+    step out of the bracket goes to its midpoint.  Stops at a step <= 2 ulp or
+    an unhalvable bracket, within _MAX_STEPS iterations, and then requires
+    |P(X)| <= tol * max(1, X^4)."""
+    x, p = hi, nd.evaluate(hi) if p_hi is None else p_hi
     lo_negative = p > 0.0
     for _ in range(_MAX_STEPS):
         slope = nd.derivative(x)
@@ -200,38 +205,38 @@ def _bisect_newton(nd, lo, hi, tol):
     return x
 
 
-def solve_dispersion(nd: NondimDispersion, site: Site, strat: Stratification,
-                     k: float, tol: float = IDENTITY_TOL) -> DispersionRoots:
-    """Both real roots of P with their dimensional phase speeds.
-
-    Each root satisfies |P(X)| <= tol * max(1, |X|^4) and the returned
-    speeds satisfy the dimensional pressure-continuity identity
-    rho0^2 c^2 (c^2 k^2 - f^2) = (rho0 c f_hat + g (rho_plus - rho0))^2
-    to the same relative tolerance.
-    """
+def solve_branch(nd: NondimDispersion, site: Site, strat: Stratification,
+                 k: float, branch: str, tol: float = IDENTITY_TOL):
+    """(X, c) of one branch, "positive" (X > 0) or "negative" (X < 0), with
+    c = X sqrt(g_tilde / k), |P(X)| <= tol * max(1, X^4) and the dimensional
+    identity rho0^2 c^2 (c^2 k^2 - f^2) = (rho0 c f_hat + g (rho_plus - rho0))^2
+    met to the same relative tolerance."""
+    if branch not in ("positive", "negative"):
+        raise InputError(f"unknown branch {branch!r}")
+    sign = 1.0 if branch == "positive" else -1.0
     scale = math.sqrt(strat.g_tilde / k)
     if nd.epsilon == 0.0:
-        # rotationless degenerate limit: P(X) = X^4 - 1, exact roots +-1;
-        # the polynomial did not come from the (rotating) site, so the
-        # dimensional identity check below does not apply
-        return DispersionRoots(x_plus=1.0, x_minus=-1.0,
-                               c_plus=scale, c_minus=-scale)
-    (lo_p, hi_p), (lo_m, hi_m) = root_brackets(nd)
-    x_plus = _bisect_newton(nd, lo_p, hi_p, tol)
-    x_minus = _bisect_newton(nd, lo_m, hi_m, tol)
-    if not x_minus < 0.0 < x_plus:
-        raise ConvergenceError(f"roots {x_minus!r}, {x_plus!r} are not on either side of 0")
-    roots = DispersionRoots(x_plus=x_plus, x_minus=x_minus,
-                            c_plus=x_plus * scale, c_minus=x_minus * scale)
-    for c in (roots.c_plus, roots.c_minus):
-        lhs = strat.rho0**2 * c**2 * (c**2 * k**2 - site.f**2)
-        rhs = (strat.rho0 * c * site.f_hat
-               + strat.g * (strat.rho_plus - strat.rho0)) ** 2
-        if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs)):
-            raise ConvergenceError(
-                f"dimensional dispersion identity violated at c={c!r}: "
-                f"|{lhs!r} - {rhs!r}|")
-    return roots
+        # rotationless limit P = X^4 - 1: not from the rotating site, so no identity check
+        return sign, sign * scale
+    lo, hi, p_hi = _branch_bracket(nd, branch)
+    x = _bisect_newton(nd, lo, hi, tol, p_hi)
+    if not sign * x > 0.0:
+        raise ConvergenceError(f"the {branch} root X={x!r} is on the wrong side of 0")
+    c = x * scale
+    lhs = strat.rho0**2 * c**2 * (c**2 * k**2 - site.f**2)
+    rhs = (strat.rho0 * c * site.f_hat + strat.g * (strat.rho_plus - strat.rho0)) ** 2
+    if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs)):
+        raise ConvergenceError(
+            f"dimensional dispersion identity violated at c={c!r}: |{lhs!r} - {rhs!r}|")
+    return x, c
+
+
+def solve_dispersion(nd: NondimDispersion, site: Site, strat: Stratification,
+                     k: float, tol: float = IDENTITY_TOL) -> DispersionRoots:
+    """Both real roots of P with their dimensional phase speeds, by solve_branch."""
+    x_plus, c_plus = solve_branch(nd, site, strat, k, "positive", tol)
+    x_minus, c_minus = solve_branch(nd, site, strat, k, "negative", tol)
+    return DispersionRoots(x_plus=x_plus, x_minus=x_minus, c_plus=c_plus, c_minus=c_minus)
 
 
 def solve_equatorial(constants: PhysicalConstants, strat: Stratification,
@@ -272,7 +277,8 @@ def _interface_map(strat, A, m, s):
 
 
 def _invert_interface_map(site, strat, k, A, m, s0, map_s0, beta0):
-    """Label s_plus > s0 with _interface_map(s_plus) = beta0 > map_s0, the map at s0.
+    """Label s_plus > s0 with _interface_map(s_plus) = beta0 > map_s0, the map at s0;
+    the wavenumber gate reads (f, f_hat) from ``site``, a Site or WaveParameters.
 
     The map's slope lies between its value at s0 and rho0 g_tilde, which bound
     s_plus - s0 = (beta0 - map_s0) / slope.  Newton runs from the upper bound; a
@@ -306,15 +312,15 @@ def _invert_interface_map(site, strat, k, A, m, s0, map_s0, beta0):
         f"interface label not converged within {_MAX_STEPS} steps at s={s!r}")
 
 
-def solve_interface(params: WaveParameters, site: Site, strat: Stratification,
+def solve_interface(params: WaveParameters, strat: Stratification,
                     beta0: float) -> float:
     """Interface label s_plus for a given beta0 > P0 - P0_tilde.
 
-    Safeguarded Newton on the strictly increasing thermocline-constant map, to
-    a step of at most 5e-10 m or to adjacent doubles, whichever is wider."""
+    Safeguarded Newton on the strictly increasing thermocline-constant map, to a step
+    of at most 5e-10 m or to adjacent doubles; A and the gate read params' (f, f_hat)."""
     p = params
     A = pressure_coefficient_a(p.f, p.f_hat, p.k, p.c, p.a, p.b, p.d)
-    return _invert_interface_map(site, strat, p.k, A, p.m, p.s0, p.P0 - p.P0_tilde, beta0)
+    return _invert_interface_map(p, strat, p.k, A, p.m, p.s0, p.P0 - p.P0_tilde, beta0)
 
 
 def orbit_parameters(f: float, k: float, a: float, c: float):

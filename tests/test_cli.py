@@ -402,3 +402,34 @@ def test_verify_long_wave_reaches_a_verdict(capsys):
 def test_sampled_commands_need_two_samples(command, capsys):
     assert main([command, "--n", "1"]) == 2
     assert "--n must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--perturb-c=-1"],          # c = 0: an infinite wave period
+    ["trajectory", "--perturb-c=-1"],
+    ["verify", "--perturb-c=-2"],
+    ["verify", "--perturb-c=nan"],
+    ["verify", "--perturb-c=inf"],
+    ["verify", "--n-random", "0"],         # an empty random sample set
+    ["verify", "--n-theta", "-1"],
+    ["verify", "--n-theta", "0"],
+    ["verify", "--n-s", "0"],
+    ["verify", "--n-time", "0"],
+    ["dispersion", "--amplitude", "nan"],
+])
+def test_config_gate_rejects_degenerate_inputs(argv, capsys):
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_configured_solve_leaves_the_other_branch_alone(monkeypatch, ref_params):
+    """solve_configured brackets and checks its own branch only: a failing
+    negative-branch bracket does not fail a positive-branch run."""
+    bracket = dsp._branch_bracket
+
+    def positive_only(nd, branch):
+        assert branch == "positive"
+        return bracket(nd, branch)
+
+    monkeypatch.setattr(dsp, "_branch_bracket", positive_only)
+    assert solve_configured(RunConfig().validate())[3] == ref_params

@@ -354,28 +354,28 @@ def interface_coefficient(p):
     return pressure_coefficient_a(p.f, p.f_hat, p.k, p.c, p.a, p.b, p.d)
 
 
-def test_interface_round_trip(ref_params, site45, strat):
+def test_interface_round_trip(ref_params, strat):
     target = ref_params.s0 + 1.0
     beta0 = _interface_map(strat, interface_coefficient(ref_params), ref_params.m, target)
-    s_plus = pw.solve_interface(ref_params, site45, strat, beta0)
+    s_plus = pw.solve_interface(ref_params, strat, beta0)
     assert s_plus == pytest.approx(target, abs=1e-9)
 
 
-def test_interface_monotonicity(ref_params, site45, strat):
-    lower = pw.solve_interface(ref_params, site45, strat, ref_params.beta0)
-    higher = pw.solve_interface(ref_params, site45, strat, ref_params.beta0 + 500.0)
+def test_interface_monotonicity(ref_params, strat):
+    lower = pw.solve_interface(ref_params, strat, ref_params.beta0)
+    higher = pw.solve_interface(ref_params, strat, ref_params.beta0 + 500.0)
     assert higher > lower
 
 
-def test_interface_reference_inversion(ref_params, site45, strat):
+def test_interface_reference_inversion(ref_params, strat):
     beta0 = _interface_map(strat, interface_coefficient(ref_params), ref_params.m, 60.0)
-    assert pw.solve_interface(ref_params, site45, strat, beta0) == pytest.approx(
+    assert pw.solve_interface(ref_params, strat, beta0) == pytest.approx(
         60.0, abs=1e-9)
 
 
-def test_interface_ordering_error(ref_params, site45, strat):
+def test_interface_ordering_error(ref_params, strat):
     with pytest.raises(InterfaceOrderingError):
-        pw.solve_interface(ref_params, site45, strat,
+        pw.solve_interface(ref_params, strat,
                            ref_params.P0 - ref_params.P0_tilde - 1.0)
 
 

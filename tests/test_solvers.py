@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pollardwaves as pw
 from pollardwaves import dispersion as dsp
+from pollardwaves.cli import RunConfig, solve_configured
 from pollardwaves.dispersion import _bisect_newton
 from pollardwaves.errors import ConvergenceError, InputError
 
@@ -117,11 +118,47 @@ def test_negative_bracket_stays_below_zero():
 
 
 def test_roots_on_one_side_of_zero_are_rejected(monkeypatch, site45, strat):
+    """Given the other branch's bracket, each branch's root fails its sign check."""
     nd = pw.nondimensionalize(site45, strat, REF_K)
-    positive, _ = pw.root_brackets(nd)
-    monkeypatch.setattr(dsp, "root_brackets", lambda nd: (positive, positive))
-    with pytest.raises(ConvergenceError, match="either side of 0"):
-        pw.solve_dispersion(nd, site45, strat, REF_K)
+    brackets = {branch: dsp._branch_bracket(nd, branch) for branch in ("positive", "negative")}
+    for branch, other in (("positive", "negative"), ("negative", "positive")):
+        monkeypatch.setattr(dsp, "_branch_bracket", lambda nd, _, wrong=brackets[other]: wrong)
+        with pytest.raises(ConvergenceError, match=f"the {branch} root .* wrong side of 0"):
+            pw.solve_branch(nd, site45, strat, REF_K, branch)
+        with pytest.raises(ConvergenceError, match="wrong side of 0"):
+            pw.solve_dispersion(nd, site45, strat, REF_K)
+
+
+def grid_site(eps, F, strat):
+    """(site, k) whose polynomial has this (eps, F), to rounding: F = cot(phi)
+    and eps = f / sqrt(g_tilde k)."""
+    site = pw.coriolis(pw.PhysicalConstants(), math.atan2(1.0, F))
+    return site, site.f**2 / (eps**2 * strat.g_tilde)
+
+
+def test_branch_solve_equals_both_root_solve(strat):
+    """On criterion 2's (eps, F) grid, mapped to sites, and on the lat 60-85 deg
+    grid, solve_branch's X and c equal solve_dispersion's fields and Newton on
+    root_brackets (which evaluates P(hi) itself) bit for bit."""
+    cases = [(*grid_site(float(eps), float(F), strat), strat)
+             for eps in np.linspace(1e-3, 5e-2, 20) for F in np.linspace(0.42, 2.4, 20)]
+    cases += [(pw.coriolis(pw.PhysicalConstants(), math.radians(lat_deg)), k, strat_of(jump))
+              for lat_deg, jump, k in HIGH_LATITUDE_CASES]
+    solved = 0
+    for site, k, case_strat in cases:
+        nd = pw.nondimensionalize(site, case_strat, k)
+        if not nd.discriminant < 0.0:  # outside the mid-latitude regime
+            continue
+        roots = pw.solve_dispersion(nd, site, case_strat, k)
+        fields = {"positive": (roots.x_plus, roots.c_plus),
+                  "negative": (roots.x_minus, roots.c_minus)}
+        for branch, (lo, hi) in zip(fields, pw.root_brackets(nd)):
+            x, c = pw.solve_branch(nd, site, case_strat, k, branch)
+            assert (x.hex(), c.hex()) == tuple(v.hex() for v in fields[branch])
+            assert x.hex() == _bisect_newton(nd, lo, hi, 1e-12).hex()
+            assert c.hex() == (x * math.sqrt(case_strat.g_tilde / k)).hex()
+        solved += 1
+    assert solved == 400 + 63  # the whole (eps, F) grid; 22 high-latitude sets are outside
 
 
 def interface_root(site, strat, params):
@@ -226,15 +263,20 @@ def test_still_water_interface_in_one_step(monkeypatch, lat_deg, s0, offset):
 
 def test_reference_solve_work_counts(monkeypatch, site45, strat):
     """Newton's work on the reference set, counted exactly: bisection took
-    about 47 P evaluations per root and 44 map calls."""
+    about 47 P evaluations per root and 44 map calls, and Newton 7 per root
+    before it reused the bracket's P(hi)."""
     evaluations = count_calls(monkeypatch, pw.NondimDispersion, "evaluate")
     map_calls = count_calls(monkeypatch, dsp, "_interface_map")
     nd = pw.nondimensionalize(site45, strat, REF_K)
     roots = pw.solve_dispersion(nd, site45, strat, REF_K)
-    assert len(evaluations) <= 2 * 8  # both roots, bracket checks included
+    assert len(evaluations) <= 2 * 6  # both roots, bracket checks included
     pw.derive_parameters(site45, strat, REF_K, REF_A, roots.c_plus, REF_S0,
                          REF_BETA0_OFFSET, beta0_is_offset=True)
     assert len(map_calls) <= 8
+    for branch in ("positive", "negative"):  # a configured solve: its own branch only
+        evaluations.clear()
+        solve_configured(RunConfig(branch=branch).validate())
+        assert len(evaluations) <= 6, branch
     evaluations.clear()
     for eps in np.linspace(1e-3, 5e-2, 20):
         for F in np.linspace(0.42, 2.4, 20):
