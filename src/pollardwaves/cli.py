@@ -217,8 +217,8 @@ def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
         c = roots.c_minus if config.branch == "negative" else roots.c_plus
         m, b, d = dsp.orbit_parameters(site.f, k, config.amplitude, c)
         # the sign-change bracket the root was refined in: (1, 1 + eps F) unless
-        # root_brackets had to widen it (high latitudes, long waves)
-        lo, hi = dsp.root_brackets(nd)[0]
+        # it had to be widened (high latitudes, long waves)
+        lo, hi = roots.bracket_plus
         in_bracket = lo < roots.x_plus < hi
         w = nd.epsilon * nd.F
         shown = f"eps F = {w:.6g}" if hi == 1.0 + w else f"{hi - 1.0:.6g}"
@@ -294,10 +294,12 @@ def cmd_verify(config: RunConfig, out: str | None) -> int:
         print(f"{r.check_name:22s} {state}  max_residual={r.max_residual:.6g}  "
               f"tolerance={r.tolerance:.6g}  samples={r.n_samples}")
     print("verification " + ("PASSED" if passed else "FAILED"))
+    # the dicts of dataclasses.asdict, without its deep copies
     payload = {
         "passed": passed,
-        "config": dataclasses.asdict(config),
-        "checks": [dataclasses.asdict(r) for r in reports],
+        "config": vars(config),
+        "checks": [{**vars(r), "components": [vars(c) for c in r.components]}
+                   for r in reports],
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:

@@ -87,12 +87,14 @@ class NondimDispersion:
 
 @dataclass(frozen=True)
 class DispersionRoots:
-    """Both real roots of P and the corresponding dimensional phase speeds."""
+    """Both real roots of P, the corresponding dimensional phase speeds and
+    the sign-change bracket (lo, hi) that X+ was refined in."""
 
     x_plus: float
     x_minus: float
     c_plus: float
     c_minus: float
+    bracket_plus: tuple = None
 
 
 @dataclass(frozen=True)
@@ -211,13 +213,19 @@ def solve_branch(nd: NondimDispersion, site: Site, strat: Stratification,
     c = X sqrt(g_tilde / k), |P(X)| <= tol * max(1, X^4) and the dimensional
     identity rho0^2 c^2 (c^2 k^2 - f^2) = (rho0 c f_hat + g (rho_plus - rho0))^2
     met to the same relative tolerance."""
+    return _solve_branch(nd, site, strat, k, branch, tol)[:2]
+
+
+def _solve_branch(nd, site, strat, k, branch, tol):
+    """(X, c, (lo, hi)) of solve_branch, with the bracket X was refined in
+    ((X, X) in the rotationless limit)."""
     if branch not in ("positive", "negative"):
         raise InputError(f"unknown branch {branch!r}")
     sign = 1.0 if branch == "positive" else -1.0
     scale = math.sqrt(strat.g_tilde / k)
     if nd.epsilon == 0.0:
         # rotationless limit P = X^4 - 1: not from the rotating site, so no identity check
-        return sign, sign * scale
+        return sign, sign * scale, (sign, sign)
     lo, hi, p_hi = _branch_bracket(nd, branch)
     x = _bisect_newton(nd, lo, hi, tol, p_hi)
     if not sign * x > 0.0:
@@ -228,15 +236,16 @@ def solve_branch(nd: NondimDispersion, site: Site, strat: Stratification,
     if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs)):
         raise ConvergenceError(
             f"dimensional dispersion identity violated at c={c!r}: |{lhs!r} - {rhs!r}|")
-    return x, c
+    return x, c, (lo, hi)
 
 
 def solve_dispersion(nd: NondimDispersion, site: Site, strat: Stratification,
                      k: float, tol: float = IDENTITY_TOL) -> DispersionRoots:
     """Both real roots of P with their dimensional phase speeds, by solve_branch."""
-    x_plus, c_plus = solve_branch(nd, site, strat, k, "positive", tol)
-    x_minus, c_minus = solve_branch(nd, site, strat, k, "negative", tol)
-    return DispersionRoots(x_plus=x_plus, x_minus=x_minus, c_plus=c_plus, c_minus=c_minus)
+    x_plus, c_plus, bracket = _solve_branch(nd, site, strat, k, "positive", tol)
+    x_minus, c_minus, _ = _solve_branch(nd, site, strat, k, "negative", tol)
+    return DispersionRoots(x_plus=x_plus, x_minus=x_minus, c_plus=c_plus, c_minus=c_minus,
+                           bracket_plus=bracket)
 
 
 def solve_equatorial(constants: PhysicalConstants, strat: Stratification,

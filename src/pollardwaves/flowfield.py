@@ -44,18 +44,31 @@ def _require_positive(values, s, message):
 class Flow:
     """Every field of the wave at label and time arrays that broadcast.
 
-    theta, e^(-m s), sin and cos are computed once, each field on first use.
-    The label Jacobian's middle row d(x,y,z)/dr is (0, 1, 0), so its linear
-    systems reduce to a closed-form 2x2 block."""
+    e^(-m s) is computed at construction; theta, sin(theta), cos(theta) and
+    every field are computed on first use, once.  The label Jacobian's middle
+    row d(x,y,z)/dr is (0, 1, 0), so its linear systems reduce to a
+    closed-form 2x2 block."""
 
     def __init__(self, params: WaveParameters, q, r, s, t):
         self.params = params
         self.q, self.r, self.s, self.t = (np.asarray(v, dtype=float)
                                           for v in (q, r, s, t))
-        theta = phase(params, self.q, self.t)
         self.e = np.exp(-params.m * self.s)
-        self.sin = np.sin(theta)
-        self.cos = np.cos(theta)
+
+    @cached_property
+    def theta(self):
+        """Phase theta = k (q - c t)."""
+        return phase(self.params, self.q, self.t)
+
+    @cached_property
+    def sin(self):
+        """sin(theta)."""
+        return np.sin(self.theta)
+
+    @cached_property
+    def cos(self):
+        """cos(theta)."""
+        return np.cos(self.theta)
 
     @cached_property
     def position(self):
@@ -141,16 +154,17 @@ class Flow:
         A, B = self._pressure_coefficients(strat)
         return -strat.rho0 * (A * self.e * self.e + B * self.e * self.cos)
 
-    def pressure(self, strat: Stratification):
-        """Pressure [Pa].
+    def pressure(self, strat: Stratification, dynamic=None):
+        """Pressure [Pa]; ``dynamic`` is this flow's dynamic_pressure(strat)
+        when the caller already has it.
 
         The quadratic cos^2 term of the raw expression carries the
         coefficient a^2 + d^2 - b^2, identically zero for a solved set, and
         is dropped; the gauge constant P0_tilde pins P = P0 - rho_plus g z
         on the thermocline.
         """
-        return (self.dynamic_pressure(strat)
-                - strat.rho0 * strat.g * self.s + self.params.P0_tilde)
+        dynamic = self.dynamic_pressure(strat) if dynamic is None else dynamic
+        return dynamic - strat.rho0 * strat.g * self.s + self.params.P0_tilde
 
     def pressure_label_gradient(self, strat: Stratification):
         """Analytic gradient (P_q, P_r, P_s); P_r vanishes identically."""

@@ -192,29 +192,32 @@ def check_pressure_consistency(params: WaveParameters, strat: Stratification,
     h = config.fd_space
     floor = config.tol_fd * strat.rho0 * strat.g  # [Pa/m] noise floor
 
-    # one stacked evaluation; rows: here, +-h in q, r and s, and r + 7.5
-    steps = np.array([(0, 0, 0), (h, 0, 0), (-h, 0, 0), (0, h, 0), (0, -h, 0),
-                      (0, 0, h), (0, 0, -h), (0, 7.5, 0)])[:, :, None]
-    stencil = Flow(params, q + steps[:, 0], r + steps[:, 1], s + steps[:, 2], t)
+    def stencil(*steps):  # one stacked evaluation, a row per (dq, dr, ds) step
+        steps = np.array(steps)[:, :, None]
+        return Flow(params, q + steps[:, 0], r + steps[:, 1], s + steps[:, 2], t)
 
-    def central(value, axis):  # central difference along label q, r, s = 0, 1, 2
-        return (value[1 + 2 * axis] - value[2 + 2 * axis]) / (2 * h)
+    def central(value, plus):  # central difference of rows plus and plus + 1
+        return (value[plus] - value[plus + 1]) / (2 * h)
 
-    transported = _transported_gradient(stencil, strat)
+    # rows of near: here, +-h in q and +-h in s; of across: +-h in r and r + 7.5
+    near = stencil((0, 0, 0), (h, 0, 0), (-h, 0, 0), (0, 0, h), (0, 0, -h))
+    across = stencil((0, h, 0), (0, -h, 0), (0, 7.5, 0))
+    transported = _transported_gradient(near, strat)
     t_q, t_r, t_s = (v[0] for v in transported)
     # q and r differences act on the wave part only: the hydrostatic
     # column term is constant in both and would otherwise dominate the
     # cancellation error
-    wave, pressure = stencil.dynamic_pressure(strat), stencil.pressure(strat)
-    fd = (central(wave, 0), central(wave, 1), central(pressure, 2))
+    wave, wave_across = near.dynamic_pressure(strat), across.dynamic_pressure(strat)
+    pressure = near.pressure(strat, wave)
+    fd = (central(wave, 1), central(wave_across, 0), central(pressure, 3))
     grad_res = np.maximum.reduce([
         _relative_error((a,), (b,), floor)
         for a, b in zip(fd, (t_q, t_r, t_s - strat.rho0 * strat.g))])
     # symmetric mixed partials d2P/dqds = d2P/dsdq; P_s differences its wave part
-    mixed_res = _relative_error((central(transported[0], 2),),
-                                (central(transported[2], 0),), floor)
+    mixed_res = _relative_error((central(transported[0], 3),),
+                                (central(transported[2], 1),), floor)
     # r-independence of the scalar pressure
-    p0, p1 = pressure[0], pressure[7]
+    p0, p1 = pressure[0], across.pressure(strat, wave_across)[2]
     rfree_res = np.abs(p1 - p0) / np.maximum(np.abs(p0), np.abs(p1))
     comps = [
         _component("gradient_transport", grad_res, config.tol_fd, where),
@@ -255,52 +258,71 @@ def check_boundary(params: WaveParameters, strat: Stratification,
     return _report("boundary", t.size, comps)
 
 
-def _fd_velocity_gradient(flow: Flow, h):
-    """Central-difference velocity gradient grad[i][j] = d u_i / d x_j at the
-    particles of ``flow``, by one batched inversion of the points x +- h e_j."""
-    params, t = flow.params, flow.t
-    base = np.array(flow.position)                             # (xyz, n)
+def _probes(params, config, *offsets):
+    """(flow, grad) per seed offset: the flow at the config's n_random
+    particles drawn with seed + offset, and the central-difference velocity
+    gradient grad[i][j] = d u_i / d x_j there.  The points x +- h e_j around
+    the particles of every offset are inverted in one batched Newton solve."""
+    h = config.fd_space
     steps = h * np.eye(3)[:, None, :, None] * np.array([1.0, -1.0])[:, None, None]
-    points = base + steps                                      # (j, +-, xyz, n)
+    flows = [Flow(params, *_random_samples(params, np.random.default_rng(config.seed + i),
+                                           config.n_random)) for i in offsets]
+    points = np.concatenate([np.array(f.position) + steps for f in flows],
+                            axis=-1)                               # (j, +-, xyz, n)
+    t = np.concatenate([f.t for f in flows])
     labels = invert_labels(params, *np.moveaxis(points, 2, 0), t)
-    vel = np.array(Flow(params, *labels, t).velocity)          # (i, j, +-, n)
-    return (vel[:, :, 0] - vel[:, :, 1]) / (2 * h)
+    vel = np.array(Flow(params, *labels, t).velocity)              # (i, j, +-, n)
+    return list(zip(flows, np.split((vel[:, :, 0] - vel[:, :, 1]) / (2 * h),
+                                    len(flows), axis=-1)))
+
+
+def _distinct_labels(q, r, s):
+    """(q, r, s) of the distinct labels in order of first appearance.  Labels
+    are equal when every coordinate compares equal, as for float keys of a
+    dict: -0.0 equals 0.0 and a NaN equals nothing."""
+    order = np.lexsort((s, r, q))
+    sorted_ = np.stack((q, r, s))[:, order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(sorted_[:, 1:] != sorted_[:, :-1], axis=0)
+    keep = np.sort(order[first])
+    return q[keep], r[keep], s[keep]
 
 
 def check_incompressibility(params: WaveParameters, grid=None, t_grid=None,
-                            config: VerifyConfig | None = None) -> VerificationReport:
+                            config: VerifyConfig | None = None,
+                            probe=None) -> VerificationReport:
     """Volume preservation: J constant in time and FD Eulerian divergence.
 
     The divergence of the velocity recovered through map inversion is
     compared against zero at the scale k |c| (tolerance tol_fd * k |c|).
+    ``probe`` is this check's entry of _probes(params, config, 2), made here
+    when None.
     """
     config, where = _inputs(params, config, grid)
     t_grid = (np.linspace(0.0, wave_period(params), 100) if t_grid is None
               else np.asarray(t_grid, dtype=float))
-    # distinct labels in order of first appearance
-    labels = dict.fromkeys(zip(*(a.tolist() for a in where[:3])))
-    q, r, s = np.array(list(labels), dtype=float).reshape(-1, 3).T
+    q, r, s = _distinct_labels(*where[:3])
     det = Flow(params, q, r, s, t_grid[:, None]).det  # (times, labels)
     jac_res = np.max(np.abs(det[1:] - det[0]), axis=0, initial=0.0)
-    rng = np.random.default_rng(config.seed + 2)
-    where = _random_samples(params, rng, config.n_random)
-    grad = _fd_velocity_gradient(Flow(params, *where), config.fd_space)
+    flow, grad = probe or _probes(params, config, 2)[0]
     div_res = np.abs(grad[0][0] + grad[1][1] + grad[2][2]) / (params.k * abs(params.c))
     comps = [
         _component("jacobian_time_invariance", jac_res, config.tol_jacobian_time,
                    (q, r, s, np.full(q.size, t_grid[0]))),
-        _component("eulerian_divergence", div_res, config.tol_fd, where),
+        _component("eulerian_divergence", div_res, config.tol_fd,
+                   (flow.q, flow.r, flow.s, flow.t)),
     ]
     return _report("incompressibility", q.size + config.n_random, comps)
 
 
 def check_vorticity(params: WaveParameters, grid=None,
-                    config: VerifyConfig | None = None) -> VerificationReport:
+                    config: VerifyConfig | None = None, probe=None) -> VerificationReport:
     """Analytic vorticity against two independent constructions.
 
     (i) the inverse-Jacobian matrix product (antisymmetrized velocity
     gradient), an identity at tol_identity; (ii) a finite-difference curl
-    of the Eulerian velocity through map inversion, at tol_curl.
+    of the Eulerian velocity through map inversion, at tol_curl.  ``probe``
+    is this check's entry of _probes(params, config, 3), made here when None.
     """
     config, where = _inputs(params, config, grid)
     # deep in the layer the vorticity decays like e^(-2 m s) while matrix
@@ -311,14 +333,12 @@ def check_vorticity(params: WaveParameters, grid=None,
     row_q, row_s = flow.velocity_gradient
     grad = [flow.eulerian_gradient(row_q[i], 0.0, row_s[i]) for i in range(3)]
     mp_res = _relative_error(flow.vorticity, _curl(grad), scale_floor)
-    rng = np.random.default_rng(config.seed + 3)
-    fd_where = _random_samples(params, rng, config.n_random)
-    fd_flow = Flow(params, *fd_where)
-    curl = _curl(_fd_velocity_gradient(fd_flow, config.fd_space))
-    curl_res = _relative_error(fd_flow.vorticity, curl, scale_floor)
+    fd_flow, fd_grad = probe or _probes(params, config, 3)[0]
+    curl_res = _relative_error(fd_flow.vorticity, _curl(fd_grad), scale_floor)
     comps = [
         _component("matrix_product", mp_res, config.tol_identity, where),
-        _component("fd_curl", curl_res, config.tol_curl, fd_where),
+        _component("fd_curl", curl_res, config.tol_curl,
+                   (fd_flow.q, fd_flow.r, fd_flow.s, fd_flow.t)),
     ]
     return _report("vorticity", where[0].size + config.n_random, comps)
 
@@ -328,15 +348,17 @@ def run_all(params: WaveParameters, strat: Stratification,
     """Execute every check; reports are returned sorted by check name.
 
     Failures are collected, never short-circuited; output is deterministic
-    for a fixed config (including its seed).
+    for a fixed config (including its seed).  The divergence and curl probes
+    are inverted together before any check runs.
     """
     config = config or VerifyConfig()
     grid, sheet = _grid(params, config), _grid(params, config, sheet=True)
+    divergence, curl = _probes(params, config, 2, 3)
     reports = [
         check_euler(params, strat, grid, config),
         check_pressure_consistency(params, strat, grid, config),
         check_boundary(params, strat, sheet, config),
-        check_incompressibility(params, grid, config=config),
-        check_vorticity(params, grid, config),
+        check_incompressibility(params, grid, config=config, probe=divergence),
+        check_vorticity(params, grid, config, probe=curl),
     ]
     return sorted(reports, key=lambda r: r.check_name)

@@ -67,6 +67,22 @@ def test_dispersion_bracket_ok_reads_the_verified_bracket(tmp_path, capsys):
     assert lines == ["  X_plus - 1 in (0, 0.0883985): True"]
 
 
+@pytest.mark.parametrize("lat, k", [(45.0, REF_K), (82.6, 4.6e-6)])
+def test_dispersion_evaluates_P_only_in_its_root_solves(monkeypatch, capsys, strat,
+                                                        lat, k):
+    """bracket_ok reads the positive bracket that solve_dispersion confirmed,
+    so the command makes the P evaluations of its two root solves only."""
+    evaluate, calls = dsp.NondimDispersion.evaluate, []
+    monkeypatch.setattr(dsp.NondimDispersion, "evaluate",
+                        lambda self, x: calls.append(x) or evaluate(self, x))
+    site = pw.coriolis(pw.PhysicalConstants(), math.radians(lat))
+    dsp.solve_dispersion(dsp.nondimensionalize(site, strat, k), site, strat, k)
+    solve = len(calls)
+    assert main(["dispersion", "--lat", str(lat), "--k", str(k)]) == 0
+    assert len(calls) == 2 * solve
+    assert solve == 12 or lat != 45.0
+
+
 def test_dispersion_report_orbit_parameters_equal_derived(tmp_path, ref_params):
     out = tmp_path / "report.json"
     assert main(["dispersion", "--format", "json", "--out", str(out)]) == 0

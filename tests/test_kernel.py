@@ -97,6 +97,16 @@ def test_kernel_raises_on_any_singular_entry(ref_params):
     assert np.all(np.isfinite(flow.position))
 
 
+def test_flow_read_for_det_leaves_sin_uncomputed(ref_params):
+    """The determinant reads cos(theta) only; sin(theta) waits for a field
+    that reads it."""
+    flow = Flow(ref_params, *random_labels(ref_params, 5))
+    flow.det
+    assert "cos" in vars(flow) and "sin" not in vars(flow)
+    flow.velocity
+    assert "sin" in vars(flow)
+
+
 # --- batched inversions ---------------------------------------------------
 
 def test_batched_inversion_equals_per_target_inversion(ref_params):
@@ -166,12 +176,12 @@ def test_verify_and_cli_make_no_per_label_calls(per_label_calls, ref_params, str
     assert cli.main(["trajectory", "--n", "16", "--out", out]) == 0
     assert cli.main(["profile", "--n", "16", "--out", out]) == 0
     # check_boundary's four sheet elevations are one batched call on all
-    # samples; the divergence and the curl each invert all their points at once
+    # samples; the divergence and curl probes are inverted in one call together
     assert per_label_calls == {"sheet_elevation": 1, "sheet_label_q": 1,
-                               "invert_labels": 2}
+                               "invert_labels": 1}
     pw.sheet_elevation(ref_params, ref_params.s0, 0.0, 0.0)  # counter works
     assert per_label_calls == {"sheet_elevation": 2, "sheet_label_q": 2,
-                               "invert_labels": 2}
+                               "invert_labels": 1}
 
 
 def test_verify_report_layout_at_defaults(tmp_path):

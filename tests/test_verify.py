@@ -175,7 +175,7 @@ def test_run_all_is_deterministic(ref_params, strat):
 
 def test_run_all_does_each_piece_of_work_once(monkeypatch, ref_params, strat):
     """One run at the defaults builds the volume and sheet grids once each and
-    evaluates the kernel in at most 22 Flow objects (148 with a Flow per time,
+    evaluates the kernel in at most 18 Flow objects (148 with a Flow per time,
     per stencil point and per sheet elevation)."""
     grids, flows = [], []
     original_grid, original_init = verify._grid, Flow.__init__
@@ -185,7 +185,7 @@ def test_run_all_does_each_piece_of_work_once(monkeypatch, ref_params, strat):
                         lambda self, *args: flows.append(None) or original_init(self, *args))
     assert all(r.passed for r in pw.run_all(ref_params, strat))
     assert grids == [{}, {"sheet": True}]
-    assert len(flows) <= 22
+    assert len(flows) <= 18
 
 
 def test_different_seeds_change_random_samples(ref_params):
@@ -264,3 +264,32 @@ def test_given_grid_matches_default_grid(ref_params, strat):
     sheet = verify._grid(ref_params, SMALL, sheet=True)
     assert (verify.check_boundary(ref_params, strat, grid=sheet, config=SMALL)
             == verify.check_boundary(ref_params, strat, config=SMALL))
+
+
+@pytest.mark.parametrize("config", [verify.VerifyConfig(), SMALL], ids=["defaults", "small"])
+def test_each_check_alone_matches_run_all(ref_params, strat, config):
+    """A check called on its own draws and inverts its own probe; its report
+    equals the one run_all gives it from the stacked probe inversion."""
+    in_run = {r.check_name: r for r in pw.run_all(ref_params, strat, config)}
+    grid = verify._grid(ref_params, config)
+    sheet = verify._grid(ref_params, config, sheet=True)
+    alone = [verify.check_euler(ref_params, strat, grid, config),
+             verify.check_pressure_consistency(ref_params, strat, grid, config),
+             verify.check_boundary(ref_params, strat, sheet, config),
+             verify.check_incompressibility(ref_params, grid, config=config),
+             verify.check_vorticity(ref_params, grid, config)]
+    assert {r.check_name: r for r in alone} == in_run
+
+
+def test_distinct_labels_match_dict_keys():
+    """Sorting finds the labels that dict.fromkeys keeps, in the same order:
+    -0.0 is the same key as 0.0 (the first one seen is kept), every NaN is new."""
+    nan = float("nan")
+    rows = [(1.0, 2.0, 3.0), (0.0, 5.0, 1.0), (-0.0, 5.0, 1.0), (1.0, 2.0, 3.0),
+            (nan, 0.0, 0.0), (-0.0, -0.0, 2.0), (nan, 0.0, 0.0), (0.0, 0.0, 2.0),
+            (1.0, nan, 3.0), (1.0, 2.0, 3.0), (-1.0, 2.0, 3.0), (0.0, 5.0, 1.0)]
+    q, r, s = (np.array(v) for v in zip(*rows))
+    expected = np.array(list(dict.fromkeys(zip(q.tolist(), r.tolist(), s.tolist()))))
+    got = verify._distinct_labels(q, r, s)
+    assert len(got[0]) == 7
+    assert np.column_stack(got).tobytes() == expected.tobytes()
