@@ -14,7 +14,6 @@ from .dispersion import (
     root_brackets,
     solve_branch,
     solve_dispersion,
-    solve_equatorial,
     solve_interface,
 )
 from .errors import PollardWaveError
@@ -29,7 +28,7 @@ from .geo import (
 )
 from .verify import VerificationReport, VerifyConfig, run_all
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "DispersionRoots",
@@ -53,6 +52,5 @@ __all__ = [
     "sheet_elevation",
     "solve_branch",
     "solve_dispersion",
-    "solve_equatorial",
     "solve_interface",
 ]

@@ -74,15 +74,13 @@ class RunConfig:
             raise ConfigError(f"wavelength must be positive, got {self.wavelength!r}")
         if has_k and not self.wavenumber > 0:
             raise ConfigError(f"wavenumber must be positive, got {self.wavenumber!r}")
-        if self.branch not in ("positive", "negative", "equatorial"):
+        if self.branch not in ("positive", "negative"):
             raise ConfigError(f"unknown branch {self.branch!r}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if not abs(self.latitude_deg) < 90.0:
             raise ConfigError(
                 f"latitude must satisfy |lat| < 90 deg, got {self.latitude_deg!r}")
-        if self.branch == "equatorial" and self.latitude_deg != 0.0:
-            raise ConfigError("the equatorial branch requires latitude 0")
         if not self.amplitude >= 0:
             raise ConfigError(f"amplitude must be non-negative, got {self.amplitude!r}")
         if not (math.isfinite(self.perturb_c) and self.perturb_c > -1.0):
@@ -129,8 +127,8 @@ def _clear_other_length(settings: dict) -> dict:
 def solve_configured(config: RunConfig):
     """Run the full parameter pipeline for a validated config.
 
-    Returns (constants, site, strat, params).  Off the Equator only the
-    configured branch's root is solved and checked (solve_branch).  The
+    Returns (constants, site, strat, params).  Only the configured branch's
+    root is solved and checked (solve_branch), at every latitude.  The
     amplitude is capped at the thermocline bound 1/m as soon as m is known;
     the perturb_c negative control replaces the phase speed after the set is
     solved, leaving m, b, d untouched.
@@ -139,13 +137,8 @@ def solve_configured(config: RunConfig):
     site = coriolis(constants, math.radians(config.latitude_deg))
     strat = reduced_gravity(constants, config.rho0, config.rho_plus)
     k = config.k
-    # k at or below 4 Omega^2 / g_tilde: nondimensionalize or derive_parameters raise
-    if site.f == 0.0:
-        c_plus, c_minus = dsp.solve_equatorial(constants, strat, k)
-        c = c_minus if config.branch == "negative" else c_plus
-    else:
-        nd = dsp.nondimensionalize(site, strat, k)
-        _, c = dsp.solve_branch(nd, site, strat, k, config.branch, tol=config.tol_identity)
+    nd = dsp.nondimensionalize(site, strat, k)  # raises at k <= 4 Omega^2 / g_tilde
+    _, c = dsp.solve_branch(nd, site, strat, k, config.branch, tol=config.tol_identity)
     m = dsp.orbit_parameters(site.f, k, config.amplitude, c)[0]
     if config.amplitude > 1.0 / m:
         raise AmplitudeBoundError(
@@ -196,53 +189,31 @@ def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
     site = coriolis(constants, math.radians(config.latitude_deg))
     strat = reduced_gravity(constants, config.rho0, config.rho_plus)
     k = config.k
+    nd = dsp.nondimensionalize(site, strat, k)
+    roots = dsp.solve_dispersion(nd, site, strat, k, tol=config.tol_identity)
+    c = roots.c_minus if config.branch == "negative" else roots.c_plus
+    m, b, d = dsp.orbit_parameters(site.f, k, config.amplitude, c)
     report = {
         "latitude_deg": config.latitude_deg,
         "wavenumber": k,
         "wavelength": 2.0 * math.pi / k,
         "g_tilde": strat.g_tilde,
         "min_wavenumber": min_wavenumber(site, strat),
+        "alpha": nd.alpha, "beta": nd.beta,
+        "discriminant": nd.discriminant,
+        "x_plus": roots.x_plus, "x_minus": roots.x_minus,
+        "c_plus": roots.c_plus, "c_minus": roots.c_minus,
+        "m": m, "b": b, "d": d,
     }
-    if site.f == 0.0:
-        c_plus, c_minus = dsp.solve_equatorial(constants, strat, k)
-        report.update({"mode": "equatorial", "c_plus": c_plus,
-                       "c_minus": c_minus, "m": k})
-        print("equatorial dispersion  k c^2 - 2 Omega c - g_tilde = 0")
-        print(f"  c_plus  = {c_plus:.10g} m/s")
-        print(f"  c_minus = {c_minus:.10g} m/s")
-        print(f"  m = k   = {k:.10g} 1/m")
-    else:
-        nd = dsp.nondimensionalize(site, strat, k)
-        roots = dsp.solve_dispersion(nd, site, strat, k, tol=config.tol_identity)
-        c = roots.c_minus if config.branch == "negative" else roots.c_plus
-        m, b, d = dsp.orbit_parameters(site.f, k, config.amplitude, c)
-        # the sign-change bracket the root was refined in: (1, 1 + eps F) unless
-        # it had to be widened (high latitudes, long waves)
-        lo, hi = roots.bracket_plus
-        in_bracket = lo < roots.x_plus < hi
-        w = nd.epsilon * nd.F
-        shown = f"eps F = {w:.6g}" if hi == 1.0 + w else f"{hi - 1.0:.6g}"
-        report.update({
-            "mode": "midlatitude",
-            "epsilon": nd.epsilon, "F": nd.F,
-            "discriminant": nd.discriminant,
-            "x_plus": roots.x_plus, "x_minus": roots.x_minus,
-            "c_plus": roots.c_plus, "c_minus": roots.c_minus,
-            "m": m, "b": b, "d": d,
-            "bracket_ok": bool(in_bracket),
-        })
-        print(f"epsilon = {nd.epsilon:.10g}   F = {nd.F:.10g}")
-        print(f"discriminant of P' = {nd.discriminant:.10g} "
-              f"({'< 0: mid-latitude regime' if nd.discriminant < 0 else '>= 0'})")
-        print(f"  X_plus  = {roots.x_plus:.12g}   c_plus  = {roots.c_plus:.10g} m/s")
-        print(f"  X_minus = {roots.x_minus:.12g}   c_minus = {roots.c_minus:.10g} m/s")
-        print(f"  m = {m:.10g} 1/m   b = {b:.10g} m   d = {d:.10g} m")
-        print(f"  X_plus - 1 in (0, {shown}): {in_bracket}")
+    print(f"alpha = {nd.alpha:.10g}   beta = {nd.beta:.10g}")
+    print(f"discriminant of P' = {nd.discriminant:.10g} (< 0: two real roots)")
+    print(f"  X_plus  = {roots.x_plus:.12g}   c_plus  = {roots.c_plus:.10g} m/s")
+    print(f"  X_minus = {roots.x_minus:.12g}   c_minus = {roots.c_minus:.10g} m/s")
+    print(f"  m = {m:.10g} 1/m   b = {b:.10g} m   d = {d:.10g} m")
     if out:
         if fmt == "csv":
             text = "name,value\n" + "".join(
-                f"{key},{value!r}\n" if isinstance(value, (str, bool))
-                else f"{key},{value:.17g}\n" for key, value in report.items())
+                f"{key},{value:.17g}\n" for key, value in report.items())
         else:
             text = json.dumps(report, indent=2) + "\n"
         with open(out, "w", encoding="utf-8", newline="") as handle:
@@ -323,7 +294,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--s0", type=float, help="thermocline label [m]")
     parser.add_argument("--beta0-offset", type=float, dest="beta0_offset",
                         help="interface constant offset above P0 - P0_tilde [Pa]")
-    parser.add_argument("--branch", choices=("positive", "negative", "equatorial"))
+    parser.add_argument("--branch", choices=("positive", "negative"))
     parser.add_argument("--format", choices=("csv", "json"),
                         dest="output_format", help="output file format")
     parser.add_argument("--seed", type=int, help="seed for random sampling")

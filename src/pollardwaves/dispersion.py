@@ -1,16 +1,17 @@
 """Dispersion relation of the rotating internal wave and the solved parameter set.
 
 The dimensional relation c^2 (c^2 k^2 - f^2) = (c f_hat + g_tilde)^2 is
-non-dimensionalised with X = c sqrt(k/g_tilde), eps = f / sqrt(g_tilde k),
-F = f_hat / f, giving the degree-four polynomial
+non-dimensionalised with X = c sqrt(k/g_tilde), giving the degree-four polynomial
 
-    P(X) = X^4 - alpha X^2 - 2 beta X - 1,  alpha = eps^2 + (eps F)^2,  beta = eps F.
+    P(X) = X^4 - alpha X^2 - 2 beta X - 1,
+    alpha = (f^2 + f_hat^2) / (g_tilde k),  beta = f_hat / sqrt(g_tilde k),
 
-alpha and beta stay finite where F diverges, towards the Equator.  In the
-mid-latitude regime P has two real roots, refined by safeguarded Newton on
-sign-change brackets: one above 1, and one in (-1, 0) if P(-1) = 2 beta - alpha
-> 0, at or below -1 otherwise (high latitudes, long waves).  solve_branch solves
-and checks one root; solve_dispersion calls it twice, cli.solve_configured once.
+whose coefficients are finite at every latitude.  At f = 0 it factors as
+(X^2 - beta X - 1)(X^2 + beta X + 1), so the Equator needs no separate path.
+In the regime where P' has one real zero, P has two real roots, each refined
+by safeguarded Newton on a closed-form bracket: X+ in (1, sqrt(1 + alpha +
+2 beta)] and X- in [-sqrt(1 + alpha), 0).  solve_branch solves and checks one
+root; solve_dispersion calls it twice, cli.solve_configured once.
 
 From a solved phase speed the dependent parameters follow in closed form:
 
@@ -21,20 +22,18 @@ thermocline/interface pressure constants completing the set.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     AmplitudeBoundError,
-    BracketError,
     ConvergenceError,
-    EquatorialBranchError,
     EvanescentRegimeError,
     InputError,
     InterfaceOrderingError,
     RegimeError,
     WavenumberError,
 )
-from .geo import PhysicalConstants, Site, Stratification, min_wavenumber
+from .geo import Site, Stratification, min_wavenumber
 
 # Default gauge: thermocline reference pressure [Pa]
 P0_STANDARD = 101325.0
@@ -45,56 +44,43 @@ IDENTITY_TOL = 1e-12
 # Interface label tolerance [m]; the map's roundoff is about 1e-10 m in s
 INTERFACE_TOL = 1e-9
 
-_MAX_BRACKET_EXPANSIONS = 10
 _MAX_STEPS = 100  # iteration cap of the Newton loops
 
 
 @dataclass(frozen=True)
 class NondimDispersion:
-    """Non-dimensional dispersion polynomial P(X) for one (site, strat, k).
+    """Non-dimensional dispersion polynomial P(X) = X^4 - alpha X^2 - 2 beta X - 1
+    for one (site, strat, k).
 
-    epsilon = f / sqrt(g_tilde k) and F = f_hat / f; both flip sign in the
-    Southern Hemisphere but the product epsilon*F = f_hat / sqrt(g_tilde k)
-    stays positive, so the polynomial (and its roots) are hemisphere
-    symmetric.  ``coeffs`` holds (X^4, X^3, X^2, X, 1) coefficients.
+    alpha = 4 Omega^2 / (g_tilde k) and beta = f_hat / sqrt(g_tilde k) are
+    positive and the same in both hemispheres, so the roots are too.
     """
 
-    epsilon: float
-    F: float
-    coeffs: tuple = field(init=False)
-
-    def __post_init__(self):
-        beta = self.epsilon * self.F
-        alpha = self.epsilon**2 + beta**2
-        object.__setattr__(self, "coeffs", (1.0, 0.0, -alpha, -2.0 * beta, -1.0))
+    alpha: float
+    beta: float
 
     def evaluate(self, x):
         """P(x); accepts scalars or numpy arrays."""
-        c4, c3, c2, c1, c0 = self.coeffs
-        return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+        return ((x * x - self.alpha) * x - 2.0 * self.beta) * x - 1.0
 
     def derivative(self, x):
         """P'(x)."""
-        c4, c3, c2, c1, _ = self.coeffs
-        return ((4.0 * c4 * x + 3.0 * c3) * x + 2.0 * c2) * x + c1
+        return (4.0 * x * x - 2.0 * self.alpha) * x - 2.0 * self.beta
 
     @property
     def discriminant(self) -> float:
-        """128 alpha^3 - 1728 beta^2, the discriminant of P'; < 0 in the mid-latitude regime."""
-        alpha, beta = -self.coeffs[2], -0.5 * self.coeffs[3]
-        return 128.0 * alpha**3 - 1728.0 * beta**2
+        """128 alpha^3 - 1728 beta^2, the discriminant of P'; < 0 where P has two real roots."""
+        return 128.0 * self.alpha**3 - 1728.0 * self.beta**2
 
 
 @dataclass(frozen=True)
 class DispersionRoots:
-    """Both real roots of P, the corresponding dimensional phase speeds and
-    the sign-change bracket (lo, hi) that X+ was refined in."""
+    """Both real roots of P and the corresponding dimensional phase speeds."""
 
     x_plus: float
     x_minus: float
     c_plus: float
     c_minus: float
-    bracket_plus: tuple = None
 
 
 @dataclass(frozen=True)
@@ -124,70 +110,35 @@ class WaveParameters:
 
 def nondimensionalize(site: Site, strat: Stratification,
                       k: float) -> NondimDispersion:
-    """Map (site, strat, k) to the non-dimensional polynomial coefficients.
-
-    Requires k above the 4 Omega^2 / g_tilde threshold and f != 0; on the
-    Equator F is undefined and callers are directed to solve_equatorial.
-    """
-    if site.f == 0.0:
-        raise EquatorialBranchError(
-            "F = f_hat/f is undefined at f = 0; use solve_equatorial")
-    _require_above_threshold(site, strat, k)
-    F = site.f_hat / site.f
-    if not math.isfinite(F):
-        raise EquatorialBranchError(f"F = f_hat/f overflows at f={site.f!r}; solve at "
-                                    "latitude 0 (solve_equatorial)")
-    return NondimDispersion(epsilon=site.f / math.sqrt(strat.g_tilde * k), F=F)
+    """Map (site, strat, k), k above the 4 Omega^2 / g_tilde threshold, to P's
+    coefficients: alpha = threshold / k and beta = f_hat / sqrt(g_tilde k)."""
+    threshold = _require_above_threshold(site, strat, k)
+    return NondimDispersion(alpha=threshold / k, beta=site.f_hat / math.sqrt(strat.g_tilde * k))
 
 
 def root_brackets(nd: NondimDispersion):
-    """Verified sign-change brackets (positive, negative) of the real roots of P."""
-    return tuple(_branch_bracket(nd, branch)[:2] for branch in ("positive", "negative"))
+    """Brackets (inner, outer) of X+ and of X-, with P(inner) < 0 < P(outer), after
+    the regime gate: (1, sqrt(1 + alpha + 2 beta)) and (0, -sqrt(1 + alpha)).
 
-
-def _branch_bracket(nd, branch):
-    """(lo, hi, P(hi)) of one branch's root, after the regime gate: from (1, 1 + beta)
-    or, by the sign of P(-1) = 2 beta - alpha, (-1, -1 + beta) or (-1 - beta, -1),
-    the end away from +-1 moves outwards (up to 10 doublings, never past 0, where
-    P = -1) until P changes sign."""
+    P(1) = -alpha - 2 beta and P(0) = -1.  A root X >= 1 has X^4 = alpha X^2 +
+    2 beta X + 1 <= (1 + alpha + 2 beta) X^2, and a root X = -Y, Y >= 1, has
+    Y^4 <= (1 + alpha) Y^2, which bounds each root by its outer end."""
     if not nd.discriminant < 0.0:
         raise RegimeError(
             "discriminant of P' is non-negative "
-            f"({nd.discriminant!r}); the two-real-root analysis only applies "
-            "in the mid-latitude regime")
-    w = nd.epsilon * nd.F  # beta, positive on both hemispheres
-    if branch == "positive":
-        return _confirm_bracket(nd, 1.0, 1.0 + w)
-    p_minus_one = nd.evaluate(-1.0)
-    start = -1.0 + w if p_minus_one > 0.0 else -1.0 - w
-    return _confirm_bracket(nd, -1.0, start, p_minus_one, limit=0.0)
+            f"({nd.discriminant!r}); the two-real-root analysis does not apply")
+    return ((1.0, math.sqrt(1.0 + nd.alpha + 2.0 * nd.beta)),
+            (0.0, -math.sqrt(1.0 + nd.alpha)))
 
 
-def _confirm_bracket(nd, end, start, p_end=None, limit=math.inf):
-    """(lo, hi, P(hi)), a sorted bracket of a sign change of P (a zero at an end
-    counts) between the fixed ``end`` and a point that starts at ``start`` and
-    doubles its distance from ``end`` at each expansion, never above ``limit``."""
-    p_end = nd.evaluate(end) if p_end is None else p_end
-    other = start if start < limit else limit
-    for _ in range(_MAX_BRACKET_EXPANSIONS):
-        p_other = nd.evaluate(other)
-        if p_end * p_other <= 0.0:
-            return (end, other, p_other) if end < other else (other, end, p_end)
-        other = end + (other - end) * 2.0
-        other = other if other < limit else limit
-    raise BracketError(f"no sign change of P found starting from ({end}, {start}) "
-                       f"after {_MAX_BRACKET_EXPANSIONS} expansions")
+def _bisect_newton(nd, inner, outer, tol):
+    """Safeguarded Newton for the root of P between ``inner``, where P < 0, and
+    ``outer``, where P > 0.
 
-
-def _bisect_newton(nd, lo, hi, tol, p_hi=None):
-    """Safeguarded Newton for the root of P in the sign-change bracket (lo, hi).
-
-    From hi (P(hi) = ``p_hi`` when given), one P and one P' per iteration; a
-    step out of the bracket goes to its midpoint.  Stops at a step <= 2 ulp or
-    an unhalvable bracket, within _MAX_STEPS iterations, and then requires
-    |P(X)| <= tol * max(1, X^4)."""
-    x, p = hi, nd.evaluate(hi) if p_hi is None else p_hi
-    lo_negative = p > 0.0
+    From outer, one P and one P' per iteration; a step out of the bracket goes
+    to its midpoint.  Stops at a step <= 2 ulp or an unhalvable bracket, within
+    _MAX_STEPS iterations, and then requires |P(X)| <= tol * max(1, X^4)."""
+    x, p = outer, nd.evaluate(outer)
     for _ in range(_MAX_STEPS):
         slope = nd.derivative(x)
         step = p / slope if slope else math.inf
@@ -195,12 +146,12 @@ def _bisect_newton(nd, lo, hi, tol, p_hi=None):
             x -= step
             p = nd.evaluate(x)
             break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        mid = 0.5 * (inner + outer)
+        if mid == inner or mid == outer:
             break
-        x = x - step if lo < x - step < hi else mid
+        x = x - step if (x - step - inner) * (x - step - outer) < 0.0 else mid
         p = nd.evaluate(x)
-        lo, hi = (x, hi) if (p < 0.0) == lo_negative else (lo, x)
+        inner, outer = (x, outer) if p < 0.0 else (inner, x)
     if abs(p) > tol * max(1.0, x**4):
         raise ConvergenceError(
             f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
@@ -213,59 +164,36 @@ def solve_branch(nd: NondimDispersion, site: Site, strat: Stratification,
     c = X sqrt(g_tilde / k), |P(X)| <= tol * max(1, X^4) and the dimensional
     identity rho0^2 c^2 (c^2 k^2 - f^2) = (rho0 c f_hat + g (rho_plus - rho0))^2
     met to the same relative tolerance."""
-    return _solve_branch(nd, site, strat, k, branch, tol)[:2]
-
-
-def _solve_branch(nd, site, strat, k, branch, tol):
-    """(X, c, (lo, hi)) of solve_branch, with the bracket X was refined in
-    ((X, X) in the rotationless limit)."""
     if branch not in ("positive", "negative"):
         raise InputError(f"unknown branch {branch!r}")
     sign = 1.0 if branch == "positive" else -1.0
-    scale = math.sqrt(strat.g_tilde / k)
-    if nd.epsilon == 0.0:
-        # rotationless limit P = X^4 - 1: not from the rotating site, so no identity check
-        return sign, sign * scale, (sign, sign)
-    lo, hi, p_hi = _branch_bracket(nd, branch)
-    x = _bisect_newton(nd, lo, hi, tol, p_hi)
+    x = _bisect_newton(nd, *root_brackets(nd)[0 if branch == "positive" else 1], tol)
     if not sign * x > 0.0:
         raise ConvergenceError(f"the {branch} root X={x!r} is on the wrong side of 0")
-    c = x * scale
+    c = x * math.sqrt(strat.g_tilde / k)
     lhs = strat.rho0**2 * c**2 * (c**2 * k**2 - site.f**2)
     rhs = (strat.rho0 * c * site.f_hat + strat.g * (strat.rho_plus - strat.rho0)) ** 2
     if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs)):
         raise ConvergenceError(
             f"dimensional dispersion identity violated at c={c!r}: |{lhs!r} - {rhs!r}|")
-    return x, c, (lo, hi)
+    return x, c
 
 
 def solve_dispersion(nd: NondimDispersion, site: Site, strat: Stratification,
                      k: float, tol: float = IDENTITY_TOL) -> DispersionRoots:
     """Both real roots of P with their dimensional phase speeds, by solve_branch."""
-    x_plus, c_plus, bracket = _solve_branch(nd, site, strat, k, "positive", tol)
-    x_minus, c_minus, _ = _solve_branch(nd, site, strat, k, "negative", tol)
-    return DispersionRoots(x_plus=x_plus, x_minus=x_minus, c_plus=c_plus, c_minus=c_minus,
-                           bracket_plus=bracket)
-
-
-def solve_equatorial(constants: PhysicalConstants, strat: Stratification,
-                     k: float):
-    """Exact phase speeds on the Equator: k c^2 - 2 Omega c - g_tilde = 0.
-
-    Returns (c_plus, c_minus) = (Omega +- sqrt(Omega^2 + k g_tilde)) / k.
-    """
-    if not k > 0:
-        raise WavenumberError(f"wavenumber must be positive, got {k!r}")
-    disc = math.sqrt(constants.Omega**2 + k * strat.g_tilde)
-    return ((constants.Omega + disc) / k, (constants.Omega - disc) / k)
+    x_plus, c_plus = solve_branch(nd, site, strat, k, "positive", tol)
+    x_minus, c_minus = solve_branch(nd, site, strat, k, "negative", tol)
+    return DispersionRoots(x_plus=x_plus, x_minus=x_minus, c_plus=c_plus, c_minus=c_minus)
 
 
 def _require_above_threshold(site, strat, k):
-    """Raise WavenumberError unless k exceeds min_wavenumber(site, strat)."""
+    """min_wavenumber(site, strat); raises WavenumberError unless k exceeds it."""
     threshold = min_wavenumber(site, strat)
     if not k > threshold:
         raise WavenumberError(
             f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
+    return threshold
 
 
 def pressure_coefficient_a(f, f_hat, k, c, a, b, d):

@@ -34,19 +34,11 @@ class WavenumberError(InputError):
     """Wavenumber at or below the 4*Omega^2/g_tilde admissibility threshold."""
 
 
-class EquatorialBranchError(InputError):
-    """Mid-latitude dispersion machinery invoked with f = 0.
-
-    The ratio of Coriolis parameters is undefined on the Equator; use
-    :func:`pollardwaves.dispersion.solve_equatorial` instead.
-    """
-
-
 class RegimeError(InputError):
-    """Root isolation attempted outside the mid-latitude regime.
+    """Root isolation attempted where P may have more than two real roots.
 
     The cubic discriminant of P' is non-negative, so the two-real-root
-    analysis does not apply (tropical band or within ~15 degrees of a pole).
+    analysis does not apply (near a pole, for k near the threshold).
     """
 
 
@@ -60,10 +52,6 @@ class EvanescentRegimeError(InputError):
 
 class InterfaceOrderingError(InputError):
     """Interface pressure constant beta0 does not exceed P0 - P0_tilde."""
-
-
-class BracketError(NumericError):
-    """No sign change found for a dispersion root after bracket expansion."""
 
 
 class ConvergenceError(NumericError):

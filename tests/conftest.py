@@ -17,6 +17,12 @@ REF_S0 = 50.0
 REF_BETA0_OFFSET = 2000.0
 
 
+def nondim_of(eps, F):
+    """The polynomial of eps = f / sqrt(g_tilde k) and F = f_hat / f:
+    (alpha, beta) = (eps^2 (1 + F^2), eps F)."""
+    return pw.NondimDispersion(alpha=float(eps**2 * (1.0 + F**2)), beta=float(eps * F))
+
+
 @pytest.fixture(scope="session")
 def constants():
     return pw.PhysicalConstants()
@@ -51,9 +57,10 @@ def equator_site(constants):
 
 
 @pytest.fixture(scope="session")
-def equatorial(constants, equator_site, strat):
+def equatorial(equator_site, strat):
     """Equatorial wave at the critical amplitude a = 1/m (= 1/k there)."""
-    c_plus, _ = pw.solve_equatorial(constants, strat, REF_K)
+    nd = pw.nondimensionalize(equator_site, strat, REF_K)
+    _, c_plus = pw.solve_branch(nd, equator_site, strat, REF_K, "positive")
     return pw.derive_parameters(equator_site, strat, REF_K, 1.0 / REF_K,
                                 c_plus, REF_S0, REF_BETA0_OFFSET,
                                 beta0_is_offset=True)

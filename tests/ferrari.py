@@ -1,6 +1,6 @@
 """Ferrari's closed form for the real roots of the dispersion quartic.
 
-A test oracle independent of the bracketed bisection + Newton solver.
+A test oracle independent of the safeguarded Newton solver.
 """
 
 import math
@@ -14,7 +14,7 @@ def ferrari_roots(nd):
     inferior to the bracketed refinement, which is why it is only an oracle.
     Returns the sorted tuple of real roots.
     """
-    _, _, p, q, r = nd.coeffs  # X^4 + p X^2 + q X + r
+    p, q, r = -nd.alpha, -2.0 * nd.beta, -1.0  # X^4 + p X^2 + q X + r
     if q == 0.0:
         # biquadratic: X^2 = (-p +- sqrt(p^2 - 4r)) / 2
         roots = []

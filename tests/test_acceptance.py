@@ -17,7 +17,8 @@ from pollardwaves import verify
 from pollardwaves.dispersion import _bisect_newton
 from pollardwaves.flowfield import Flow
 
-from conftest import REF_A, REF_K, REF_S0
+from conftest import REF_A, REF_K, REF_S0, nondim_of
+from equatorial import solve_equatorial
 
 
 def report_line(number, name, passed):
@@ -39,18 +40,18 @@ def test_criterion_1_exact_solution_residuals(ref_params, site45, strat):
 
 
 def test_criterion_2_dispersion_bracket_theorem():
-    """20x20 sweep of (eps, F): two real roots inside the bracket estimates,
+    """20x20 sweep of (eps, F), as (alpha, beta): two real roots inside the bracket estimates,
     confirmed by a brute-force sign scan, in < 5 s."""
     start = time.perf_counter()
     xs = np.linspace(-3.0, 3.0, 60001)  # step 1e-4
     ok = True
     for eps in np.linspace(1e-3, 5e-2, 20):
         for F in np.linspace(0.42, 2.4, 20):
-            nd = pw.NondimDispersion(epsilon=float(eps), F=float(F))
+            nd = nondim_of(eps, F)
             assert nd.discriminant < 0.0
-            (lo_p, hi_p), (lo_m, hi_m) = pw.root_brackets(nd)
-            x_plus = _bisect_newton(nd, lo_p, hi_p, 1e-12)
-            x_minus = _bisect_newton(nd, lo_m, hi_m, 1e-12)
+            bracket_plus, bracket_minus = pw.root_brackets(nd)
+            x_plus = _bisect_newton(nd, *bracket_plus, 1e-12)
+            x_minus = _bisect_newton(nd, *bracket_minus, 1e-12)
             w = float(eps) * float(F)
             assert 0.0 < x_plus - 1.0 < w
             assert 0.0 < x_minus + 1.0 < w
@@ -67,14 +68,19 @@ def test_criterion_2_dispersion_bracket_theorem():
 
 
 def test_criterion_3_equatorial_consistency(constants, strat):
-    """Closed-form equatorial roots to 1e-12; mid-latitude solver at
-    phi = 1e-3 rad within 1e-4 relative."""
-    c_plus, c_minus = pw.solve_equatorial(constants, strat, REF_K)
+    """Closed-form equatorial roots to 1e-12; the quartic's roots at phi = 0
+    within 4 ulp of them, and at phi = 1e-3 rad within 1e-4 relative."""
+    c_plus, c_minus = solve_equatorial(constants, strat, REF_K)
     disc = math.sqrt(constants.Omega**2 + REF_K * strat.g_tilde)
     closed = ((constants.Omega + disc) / REF_K,
               (constants.Omega - disc) / REF_K)
     ok = (abs(c_plus - closed[0]) <= 1e-12 * abs(closed[0])
           and abs(c_minus - closed[1]) <= 1e-12 * abs(closed[1]))
+    equator = pw.coriolis(constants, 0.0)
+    roots = pw.solve_dispersion(pw.nondimensionalize(equator, strat, REF_K), equator,
+                                strat, REF_K)
+    ok = ok and all(abs(c - exact) <= 4 * math.ulp(exact) for c, exact in
+                    ((roots.c_plus, c_plus), (roots.c_minus, c_minus)))
     site = pw.coriolis(constants, 1e-3)
     nd = pw.nondimensionalize(site, strat, REF_K)
     roots = pw.solve_dispersion(nd, site, strat, REF_K)

@@ -14,6 +14,7 @@ from pollardwaves.cli import (FIELD_COLUMNS, PROFILE_COLUMNS, RunConfig, main,
 from pollardwaves.errors import AmplitudeBoundError
 
 from conftest import REF_K
+from equatorial import solve_equatorial
 
 
 def read_csv(path):
@@ -29,17 +30,9 @@ def read_csv(path):
 def test_dispersion_prints_midlatitude_report(capsys):
     assert main(["dispersion"]) == 0
     out = capsys.readouterr().out
-    assert "epsilon" in out
-    assert "mid-latitude regime" in out
-    assert "X_plus - 1 in (0, eps F" in out
-    assert "True" in out
-
-
-def test_dispersion_equatorial_closed_form(capsys):
-    assert main(["dispersion", "--lat", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "equatorial dispersion" in out
-    assert "c_plus" in out
+    assert "alpha" in out and "beta" in out
+    assert "< 0: two real roots" in out
+    assert "X_plus" in out and "c_minus" in out
 
 
 def test_dispersion_wavelength_200m_epsilon_small(tmp_path):
@@ -47,31 +40,24 @@ def test_dispersion_wavelength_200m_epsilon_small(tmp_path):
     assert main(["dispersion", "--wavelength", "200", "--format", "json",
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["mode"] == "midlatitude"
-    assert 1e-4 < report["epsilon"] < 5e-2
+    assert 1e-4 < math.sqrt(report["alpha"] - report["beta"]**2) < 5e-2  # eps
     assert report["wavelength"] == pytest.approx(200.0)
-    assert report["bracket_ok"] is True
 
 
-def test_dispersion_bracket_ok_reads_the_verified_bracket(tmp_path, capsys):
-    """At 82.6 deg and k = 4.6e-6 root_brackets widens the positive bracket to
-    (1, 1 + 2 eps F): the correct X+ = 1.05166 lies in it, above 1 + eps F."""
+def test_dispersion_high_latitude_positive_root(tmp_path):
+    """At 82.6 deg and k = 4.6e-6 the correct X+ = 1.05166 lies above 1 + beta."""
     out = tmp_path / "report.json"
     assert main(["dispersion", "--lat", "82.6", "--k", "4.6e-6", "--format", "json",
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    w = report["epsilon"] * report["F"]
+    w = report["beta"]
     assert 1.0 + w < report["x_plus"] < 1.0 + 2.0 * w
-    assert report["bracket_ok"] is True
-    lines = [line for line in capsys.readouterr().out.splitlines() if "X_plus - 1" in line]
-    assert lines == ["  X_plus - 1 in (0, 0.0883985): True"]
 
 
 @pytest.mark.parametrize("lat, k", [(45.0, REF_K), (82.6, 4.6e-6)])
 def test_dispersion_evaluates_P_only_in_its_root_solves(monkeypatch, capsys, strat,
                                                         lat, k):
-    """bracket_ok reads the positive bracket that solve_dispersion confirmed,
-    so the command makes the P evaluations of its two root solves only."""
+    """The command makes the P evaluations of its two root solves only."""
     evaluate, calls = dsp.NondimDispersion.evaluate, []
     monkeypatch.setattr(dsp.NondimDispersion, "evaluate",
                         lambda self, x: calls.append(x) or evaluate(self, x))
@@ -80,7 +66,7 @@ def test_dispersion_evaluates_P_only_in_its_root_solves(monkeypatch, capsys, str
     solve = len(calls)
     assert main(["dispersion", "--lat", str(lat), "--k", str(k)]) == 0
     assert len(calls) == 2 * solve
-    assert solve == 12 or lat != 45.0
+    assert solve == 10 or lat != 45.0
 
 
 def test_dispersion_report_orbit_parameters_equal_derived(tmp_path, ref_params):
@@ -96,26 +82,21 @@ def test_dispersion_report_speed_in_bracket(tmp_path, site45, strat):
     assert main(["dispersion", "--format", "json", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     scale = math.sqrt(strat.g_tilde / REF_K)
-    w = report["epsilon"] * report["F"]
+    w = report["beta"]
     assert scale < report["c_plus"] < (1.0 + w) * scale
 
 
-@pytest.mark.parametrize("lat", ["1e-60", "-1e-60", "1e-300"])
+@pytest.mark.parametrize("lat", ["0", "1e-310", "1e-60", "-1e-60", "1e-300"])
 def test_dispersion_near_the_equator_meets_the_equatorial_speeds(tmp_path, strat, lat):
-    """F = cot(phi) is huge there; the quartic's coefficients stay finite."""
+    """On and next to the Equator (f = 0, or f below the smallest normal double
+    at 1e-310 deg) the quartic's roots give the equatorial closed form's speeds."""
     out = tmp_path / "report.json"
     assert main(["dispersion", f"--lat={lat}", "--format", "json",
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["mode"] == "midlatitude"
     for speed, exact in zip((report["c_plus"], report["c_minus"]),
-                            dsp.solve_equatorial(pw.PhysicalConstants(), strat, REF_K)):
+                            solve_equatorial(pw.PhysicalConstants(), strat, REF_K)):
         assert abs(speed - exact) <= 4 * math.ulp(exact)
-
-
-def test_dispersion_rejects_a_latitude_where_F_overflows(capsys):
-    assert main(["dispersion", "--lat", "1e-310"]) == 2
-    assert "F = f_hat/f overflows" in capsys.readouterr().err
 
 
 def test_dispersion_negative_root_below_minus_one(tmp_path):
@@ -341,8 +322,8 @@ def test_config_file_with_cli_override(tmp_path):
     const = pw.PhysicalConstants()
     site = pw.coriolis(const, math.radians(45.0))
     strat = pw.reduced_gravity(const, 1000.0, 1004.0)
-    expected = site.f / math.sqrt(strat.g_tilde * REF_K)
-    assert report["epsilon"] == pytest.approx(expected, rel=1e-12)
+    expected = site.f_hat / math.sqrt(strat.g_tilde * REF_K)
+    assert report["beta"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_config_round_trip_is_idempotent():
@@ -386,9 +367,16 @@ def test_config_rejects_out_of_range_latitude(capsys):
     assert "latitude" in capsys.readouterr().err
 
 
-def test_equatorial_branch_requires_equator(capsys):
-    assert main(["dispersion", "--branch", "equatorial", "--lat", "45"]) == 2
-    assert "equatorial" in capsys.readouterr().err
+def test_equatorial_branch_requires_equator(tmp_path, capsys):
+    """The former branch "equatorial" is an unknown branch at every latitude."""
+    with pytest.raises(SystemExit) as err:
+        main(["dispersion", "--branch", "equatorial", "--lat", "0"])
+    assert err.value.code == 2
+    assert "invalid choice: 'equatorial'" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"branch": "equatorial", "latitude_deg": 0.0}))
+    assert main(["dispersion", "--config", str(cfg)]) == 2
+    assert "unknown branch 'equatorial'" in capsys.readouterr().err
 
 
 def test_missing_config_file(capsys):
@@ -439,13 +427,13 @@ def test_config_gate_rejects_degenerate_inputs(argv, capsys):
 
 
 def test_configured_solve_leaves_the_other_branch_alone(monkeypatch, ref_params):
-    """solve_configured brackets and checks its own branch only: a failing
-    negative-branch bracket does not fail a positive-branch run."""
-    bracket = dsp._branch_bracket
+    """solve_configured refines and checks its own branch only: a failing
+    negative-branch solve does not fail a positive-branch run."""
+    refine = dsp._bisect_newton
 
-    def positive_only(nd, branch):
-        assert branch == "positive"
-        return bracket(nd, branch)
+    def positive_only(nd, inner, outer, tol):
+        assert outer > inner
+        return refine(nd, inner, outer, tol)
 
-    monkeypatch.setattr(dsp, "_branch_bracket", positive_only)
+    monkeypatch.setattr(dsp, "_bisect_newton", positive_only)
     assert solve_configured(RunConfig().validate())[3] == ref_params

@@ -5,23 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pollardwaves as pw
-from pollardwaves.dispersion import (
-    _bisect_newton,
-    _confirm_bracket,
-    _interface_map,
-    pressure_coefficient_a,
-)
+from pollardwaves.dispersion import _bisect_newton, _interface_map, pressure_coefficient_a
 from pollardwaves.errors import (
     AmplitudeBoundError,
-    BracketError,
-    EquatorialBranchError,
     EvanescentRegimeError,
     InterfaceOrderingError,
     RegimeError,
     WavenumberError,
 )
 
-from conftest import REF_A, REF_K, REF_S0
+from conftest import REF_A, REF_K, REF_S0, nondim_of
+from equatorial import solve_equatorial
 from ferrari import ferrari_roots
 
 
@@ -38,34 +32,45 @@ def scan_sign_changes(nd, lo=-3.0, hi=3.0, step=1e-4):
 # --- nondimensionalize -----------------------------------------------------
 
 def test_nondim_f_ratio_is_one_at_45(site45, strat):
+    """f = f_hat at 45 deg, so alpha = eps^2 + beta^2 = 2 beta^2."""
     nd = pw.nondimensionalize(site45, strat, REF_K)
-    assert nd.F == pytest.approx(1.0, rel=1e-12)
+    assert nd.alpha == pytest.approx(2.0 * nd.beta**2, rel=1e-12)
 
 
 def test_nondim_epsilon_reference_value(site45, strat):
     nd = pw.nondimensionalize(site45, strat, REF_K)
-    assert nd.epsilon == pytest.approx(2.077e-3, rel=1e-3)
-    # defining identity: eps * sqrt(g_tilde k) = f
-    assert nd.epsilon * math.sqrt(strat.g_tilde * REF_K) == pytest.approx(
-        site45.f, rel=1e-14)
+    eps = math.sqrt(nd.alpha - nd.beta**2)
+    assert eps == pytest.approx(2.077e-3, rel=1e-3)
+    # defining identities: eps * sqrt(g_tilde k) = f, beta * sqrt(g_tilde k) = f_hat
+    assert eps * math.sqrt(strat.g_tilde * REF_K) == pytest.approx(site45.f, rel=1e-14)
+    assert nd.beta * math.sqrt(strat.g_tilde * REF_K) == pytest.approx(
+        site45.f_hat, rel=1e-14)
 
 
 def test_nondim_coefficients_explicit():
-    nd = pw.NondimDispersion(epsilon=0.05, F=1.0)
-    assert nd.coeffs[0] == 1.0 and nd.coeffs[1] == 0.0 and nd.coeffs[4] == -1.0
-    assert nd.coeffs[2] == pytest.approx(-0.005, rel=1e-15)
-    assert nd.coeffs[3] == pytest.approx(-0.1, rel=1e-15)
+    """P(X) = X^4 - alpha X^2 - 2 beta X - 1 and its derivative, at eps = 0.05, F = 1."""
+    nd = nondim_of(0.05, 1.0)
+    assert nd.alpha == pytest.approx(0.005, rel=1e-15)
+    assert nd.beta == pytest.approx(0.05, rel=1e-15)
+    for x in (-2.0, -0.5, 0.0, 0.5, 3.0):
+        assert nd.evaluate(x) == pytest.approx(x**4 - 0.005 * x**2 - 0.1 * x - 1.0, rel=1e-15)
+        assert nd.derivative(x) == pytest.approx(4.0 * x**3 - 0.01 * x - 0.1, rel=1e-15)
 
 
 def test_nondim_structural_coefficients(site45, strat):
+    """No X^3 term and P(0) = -1: the roots multiply to -1 over the complex plane."""
     nd = pw.nondimensionalize(site45, strat, REF_K)
-    assert nd.coeffs[1] == 0.0
-    assert nd.coeffs[4] == -1.0
+    assert nd.evaluate(0.0) == -1.0
+    assert nd.derivative(0.0) == -2.0 * nd.beta
 
 
-def test_nondim_rejects_equator(equator_site, strat):
-    with pytest.raises(EquatorialBranchError):
-        pw.nondimensionalize(equator_site, strat, REF_K)
+def test_nondim_is_finite_at_the_equator(equator_site, strat):
+    """At f = 0, alpha = beta^2 and P = (X^2 - beta X - 1)(X^2 + beta X + 1)."""
+    nd = pw.nondimensionalize(equator_site, strat, REF_K)
+    assert nd.alpha == pytest.approx(nd.beta**2, rel=1e-15)
+    for x in (-1.5, -1.0, 0.5, 1.0, 2.0):
+        factored = (x * x - nd.beta * x - 1.0) * (x * x + nd.beta * x + 1.0)
+        assert nd.evaluate(x) == pytest.approx(factored, rel=1e-14, abs=1e-15)
 
 
 def test_nondim_rejects_small_wavenumber(site45, strat):
@@ -76,68 +81,48 @@ def test_nondim_rejects_small_wavenumber(site45, strat):
 def test_nondim_southern_hemisphere_product_positive(constants, strat):
     south = pw.coriolis(constants, math.radians(-45.0))
     nd = pw.nondimensionalize(south, strat, REF_K)
-    assert nd.epsilon < 0 and nd.F < 0
-    assert nd.epsilon * nd.F > 0
+    assert south.f < 0.0 < nd.beta
+    assert nd == pw.nondimensionalize(pw.coriolis(constants, math.radians(45.0)), strat, REF_K)
 
 
 # --- root brackets ----------------------------------------------------------
 
 def test_brackets_reference_case(site45, strat):
+    """(inner, outer) of each root: P(inner) < 0 < P(outer)."""
     nd = pw.nondimensionalize(site45, strat, REF_K)
-    (lo_p, hi_p), (lo_m, hi_m) = pw.root_brackets(nd)
-    assert lo_p == 1.0 and hi_p == pytest.approx(1.0020768, rel=1e-6)
-    assert lo_m == -1.0 and hi_m == pytest.approx(-0.9979232, rel=1e-6)
-    assert nd.evaluate(lo_p) < 0 < nd.evaluate(hi_p)
-    assert nd.evaluate(lo_m) > 0 > nd.evaluate(hi_m)
+    (in_p, out_p), (in_m, out_m) = pw.root_brackets(nd)
+    assert in_p == 1.0 and out_p == pytest.approx(1.0020790, rel=1e-6)
+    assert in_m == 0.0 and out_m == pytest.approx(-1.0000043, rel=1e-6)
+    assert nd.evaluate(in_p) < 0 < nd.evaluate(out_p)
+    assert nd.evaluate(in_m) < 0 < nd.evaluate(out_m)
 
 
 def test_brackets_discriminant_gate_passes_at_large_eps():
-    nd = pw.NondimDispersion(epsilon=0.05, F=2.4)
+    nd = nondim_of(0.05, 2.4)
     assert nd.discriminant < 0.0
     pw.root_brackets(nd)
 
 
 def test_brackets_regime_error_outside_analysis():
     # eps = 1, F = 2 - sqrt(3) puts the derivative discriminant above zero
-    nd = pw.NondimDispersion(epsilon=1.0, F=2.0 - math.sqrt(3.0))
+    nd = nondim_of(1.0, 2.0 - math.sqrt(3.0))
     assert nd.discriminant > 0.0
     with pytest.raises(RegimeError):
         pw.root_brackets(nd)
 
 
 def test_bracket_width_shrinks_with_rotation():
-    """Switching rotation off shrinks the bracket width eps*F to zero."""
+    """Switching rotation off shrinks the positive bracket's width,
+    sqrt(1 + alpha + 2 beta) - 1 = beta + O(beta^2) at F = 1, to zero."""
     widths = []
     for eps in (1e-2, 1e-4, 1e-6):
-        (lo, hi), _ = pw.root_brackets(pw.NondimDispersion(epsilon=eps, F=1.0))
-        widths.append(hi - lo)
+        (inner, outer), _ = pw.root_brackets(nondim_of(eps, 1.0))
+        widths.append(outer - inner)
     assert widths[0] > widths[1] > widths[2]
     assert widths[2] == pytest.approx(1e-6, rel=1e-12)
 
 
-def test_bracket_failure_without_sign_change():
-    class Flat:
-        discriminant = -1.0
-        epsilon = 1e-3
-        F = 1.0
-
-        def evaluate(self, x):
-            return -1.0
-
-    with pytest.raises(BracketError):
-        _confirm_bracket(Flat(), 1.0, 1.001)
-
-
 # --- solve_dispersion -------------------------------------------------------
-
-def test_rotationless_limit_roots(site45, strat):
-    nd = pw.NondimDispersion(epsilon=0.0, F=1.0)
-    roots = pw.solve_dispersion(nd, site45, strat, REF_K)
-    # identity check against the dimensional relation is skipped for a
-    # synthetic polynomial only through the exact +-1 roots
-    assert roots.x_plus == 1.0
-    assert roots.x_minus == -1.0
-
 
 def test_reference_roots_against_scan_oracle(site45, strat, ref_roots):
     nd = pw.nondimensionalize(site45, strat, REF_K)
@@ -153,7 +138,7 @@ def test_reference_roots_against_scan_oracle(site45, strat, ref_roots):
     # agreement is limited by the scan resolution
     assert ref_roots.c_plus == pytest.approx(oracle * scale, abs=1e-7 * scale)
     delta = ref_roots.x_plus - 1.0
-    assert 0.0 < delta < nd.epsilon * nd.F
+    assert 0.0 < delta < nd.beta
     assert scale == pytest.approx(0.7905, rel=1e-3)
 
 
@@ -182,14 +167,14 @@ def test_cauchy_bound(site45, strat, ref_roots):
 @given(st.floats(min_value=1e-3, max_value=5e-2),
        st.floats(min_value=0.42, max_value=2.4))
 def test_bracket_theorem_property(eps, F):
-    nd = pw.NondimDispersion(epsilon=eps, F=F)
+    nd = nondim_of(eps, F)
     if not nd.discriminant < 0.0:
         return
-    (lo_p, hi_p), (lo_m, hi_m) = pw.root_brackets(nd)
+    bracket_plus, bracket_minus = pw.root_brackets(nd)
     # refine directly on the brackets; the dimensional identity does not
     # apply to a synthetic (eps, F) pair
-    x_plus = _bisect_newton(nd, lo_p, hi_p, 1e-12)
-    x_minus = _bisect_newton(nd, lo_m, hi_m, 1e-12)
+    x_plus = _bisect_newton(nd, *bracket_plus, 1e-12)
+    x_minus = _bisect_newton(nd, *bracket_minus, 1e-12)
     w = eps * F
     assert 0.0 < x_plus - 1.0 < w
     assert 0.0 < x_minus + 1.0 < w
@@ -199,7 +184,7 @@ def test_bracket_theorem_property(eps, F):
 # --- solve_equatorial -------------------------------------------------------
 
 def test_equatorial_closed_form(constants, strat):
-    c_plus, c_minus = pw.solve_equatorial(constants, strat, REF_K)
+    c_plus, c_minus = solve_equatorial(constants, strat, REF_K)
     disc = math.sqrt(constants.Omega**2 + REF_K * strat.g_tilde)
     assert c_plus == pytest.approx((constants.Omega + disc) / REF_K, rel=1e-14)
     assert c_minus == pytest.approx((constants.Omega - disc) / REF_K, rel=1e-14)
@@ -211,15 +196,15 @@ def test_equatorial_closed_form(constants, strat):
 
 def test_equatorial_nonrotating_limit(strat):
     slow = pw.PhysicalConstants(Omega=1e-30)
-    c_plus, c_minus = pw.solve_equatorial(slow, strat, REF_K)
+    c_plus, c_minus = solve_equatorial(slow, strat, REF_K)
     expected = math.sqrt(strat.g_tilde / REF_K)
     assert c_plus == pytest.approx(expected, rel=1e-12)
     assert c_minus == pytest.approx(-expected, rel=1e-12)
 
 
 def test_equatorial_continuity_of_midlatitude_solver(constants, strat):
-    """The mid-latitude solver near the Equator approaches the equatorial root."""
-    c_eq, _ = pw.solve_equatorial(constants, strat, REF_K)
+    """The solver near the Equator approaches the equatorial root."""
+    c_eq, _ = solve_equatorial(constants, strat, REF_K)
     site = pw.coriolis(constants, 1e-3)
     nd = pw.nondimensionalize(site, strat, REF_K)
     roots = pw.solve_dispersion(nd, site, strat, REF_K)
@@ -317,7 +302,7 @@ def test_evanescent_regime_rejected(site45, strat):
 def test_derive_rejects_wavenumber_below_threshold(constants, equator_site, strat):
     # 4 Omega^2 / g_tilde is about 5.4e-7 1/m for the reference densities
     k = 1e-7
-    c_plus, _ = pw.solve_equatorial(constants, strat, k)
+    c_plus, _ = solve_equatorial(constants, strat, k)
     with pytest.raises(WavenumberError):
         pw.derive_parameters(equator_site, strat, k, 0.1, c_plus, 50.0,
                              2000.0, beta0_is_offset=True)
@@ -332,7 +317,7 @@ def test_nondim_gate_is_min_wavenumber(constants, strat, lat_deg):
     with pytest.raises(WavenumberError):
         pw.nondimensionalize(site, strat, threshold)
     nd = pw.nondimensionalize(site, strat, math.nextafter(threshold, math.inf))
-    assert nd.epsilon * nd.F > 0.0
+    assert nd.alpha < 1.0 and nd.beta > 0.0
 
 
 def test_interface_gate_is_min_wavenumber(constants, equator_site, strat):
@@ -340,10 +325,10 @@ def test_interface_gate_is_min_wavenumber(constants, equator_site, strat):
     above = math.nextafter(threshold, math.inf)
     with pytest.raises(WavenumberError):
         pw.derive_parameters(equator_site, strat, threshold, 0.1,
-                             pw.solve_equatorial(constants, strat, threshold)[0],
+                             solve_equatorial(constants, strat, threshold)[0],
                              50.0, 2000.0, beta0_is_offset=True)
     params = pw.derive_parameters(equator_site, strat, above, 0.1,
-                                  pw.solve_equatorial(constants, strat, above)[0],
+                                  solve_equatorial(constants, strat, above)[0],
                                   50.0, 2000.0, beta0_is_offset=True)
     assert params.s_plus > params.s0
 
@@ -389,10 +374,10 @@ def test_derive_rejects_nonpositive_offset(site45, strat, ref_roots):
 
 @pytest.mark.parametrize("eps, F", [(0.05, 2.4), (0.03, 1.0), (0.01, 0.5)])
 def test_ferrari_agrees_with_refinement(eps, F):
-    nd = pw.NondimDispersion(epsilon=eps, F=F)
-    (lo_p, hi_p), (lo_m, hi_m) = pw.root_brackets(nd)
-    x_plus = _bisect_newton(nd, lo_p, hi_p, 1e-12)
-    x_minus = _bisect_newton(nd, lo_m, hi_m, 1e-12)
+    nd = nondim_of(eps, F)
+    bracket_plus, bracket_minus = pw.root_brackets(nd)
+    x_plus = _bisect_newton(nd, *bracket_plus, 1e-12)
+    x_minus = _bisect_newton(nd, *bracket_minus, 1e-12)
     fer = ferrari_roots(nd)
     assert len(fer) == 2
     assert fer[1] == pytest.approx(x_plus, rel=1e-9)
@@ -400,7 +385,7 @@ def test_ferrari_agrees_with_refinement(eps, F):
 
 
 def test_ferrari_agrees_with_numpy_roots():
-    nd = pw.NondimDispersion(epsilon=0.04, F=1.7)
-    numpy_real = sorted(r.real for r in np.roots(nd.coeffs)
+    nd = nondim_of(0.04, 1.7)
+    numpy_real = sorted(r.real for r in np.roots([1.0, 0.0, -nd.alpha, -2.0 * nd.beta, -1.0])
                         if abs(r.imag) < 1e-12)
     assert np.allclose(ferrari_roots(nd), numpy_real, rtol=1e-9)

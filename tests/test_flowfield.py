@@ -184,9 +184,8 @@ def test_equatorial_critical_amplitude_vorticity(equatorial):
         assert w2 == pytest.approx(2.0 * k * c * e2 / (1.0 - e2), rel=1e-13)
 
 
-def test_equatorial_general_amplitude_vorticity(constants, equator_site, strat):
-    c_plus, _ = pw.solve_equatorial(constants, strat, REF_K)
-    params = pw.derive_parameters(equator_site, strat, REF_K, 4.0, c_plus,
+def test_equatorial_general_amplitude_vorticity(equatorial, equator_site, strat):
+    params = pw.derive_parameters(equator_site, strat, REF_K, 4.0, equatorial.c,
                                   REF_S0, 2000.0, beta0_is_offset=True)
     k, c, m, a = params.k, params.c, params.m, params.a
     s = 62.0

@@ -5,6 +5,7 @@ label with a 50-digit root of the thermocline-constant map.  The work counts
 repeat exactly, so a return to bisection fails them loudly.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -18,7 +19,7 @@ from pollardwaves.cli import RunConfig, solve_configured
 from pollardwaves.dispersion import _bisect_newton
 from pollardwaves.errors import ConvergenceError, InputError
 
-from conftest import REF_A, REF_BETA0_OFFSET, REF_K, REF_S0
+from conftest import REF_A, REF_BETA0_OFFSET, REF_K, REF_S0, nondim_of
 
 MP_DIGITS = 50
 
@@ -31,7 +32,8 @@ def critical_epsilon(F):
 # criterion 2's (eps, F) grid, rotation near zero, and the discriminant
 # boundary at F where the negative root keeps |P'| near 1; for F of about 2-3
 # P' vanishes at that root as eps reaches the boundary, and no double-precision
-# evaluation of P holds it to a few ulp there
+# evaluation of P holds it to a few ulp there.  Each (eps, F) is solved as
+# (alpha, beta) = (eps^2 (1 + F^2), eps F).
 ROOT_CASES = (
     [(float(eps), float(F)) for eps in np.linspace(1e-3, 5e-2, 20)
      for F in np.linspace(0.42, 2.4, 20)]
@@ -50,7 +52,8 @@ def exact_real_roots(nd):
     """The real roots of P, ascending, in 50-digit arithmetic with the
     double-precision coefficients taken as exact."""
     with mpmath.workdps(MP_DIGITS):
-        roots = mpmath.polyroots([mpmath.mpf(c) for c in nd.coeffs],
+        coeffs = (1.0, 0.0, -nd.alpha, -2.0 * nd.beta, -1.0)
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in coeffs],
                                  maxsteps=200, extraprec=200)
         return sorted(mpmath.re(r) for r in roots
                       if abs(mpmath.im(r)) < mpmath.mpf(10) ** -30)
@@ -59,13 +62,13 @@ def exact_real_roots(nd):
 def test_roots_match_mpmath_polyroots():
     worst = 0.0
     for eps, F in ROOT_CASES:
-        nd = pw.NondimDispersion(epsilon=eps, F=F)
+        nd = nondim_of(eps, F)
         assert nd.discriminant < 0.0
         real = exact_real_roots(nd)
         assert len(real) == 2, (eps, F)
-        (lo_p, hi_p), (lo_m, hi_m) = pw.root_brackets(nd)
-        x_plus = _bisect_newton(nd, lo_p, hi_p, 1e-12)
-        x_minus = _bisect_newton(nd, lo_m, hi_m, 1e-12)
+        bracket_plus, bracket_minus = pw.root_brackets(nd)
+        x_plus = _bisect_newton(nd, *bracket_plus, 1e-12)
+        x_minus = _bisect_newton(nd, *bracket_minus, 1e-12)
         for x, exact in ((x_plus, real[1]), (x_minus, real[0])):
             distance = ulps_from(x, exact)
             assert distance <= 4.0, (eps, F, x, distance)
@@ -75,6 +78,36 @@ def test_roots_match_mpmath_polyroots():
 
 def strat_of(jump):
     return pw.reduced_gravity(pw.PhysicalConstants(), 1000.0, 1000.0 + jump)
+
+
+def site_roots_checked(lat_deg, jump, k):
+    """solve_dispersion's roots at one site, each checked against the 50-digit
+    root to 4 ulp; None outside the two-real-root regime."""
+    site = pw.coriolis(pw.PhysicalConstants(), math.radians(lat_deg))
+    strat = strat_of(jump)
+    nd = pw.nondimensionalize(site, strat, k)
+    if not nd.discriminant < 0.0:
+        return None
+    roots = pw.solve_dispersion(nd, site, strat, k)
+    x_minus, x_plus = exact_real_roots(nd)
+    assert ulps_from(roots.x_plus, x_plus) <= 4.0, (lat_deg, jump, k)
+    assert ulps_from(roots.x_minus, x_minus) <= 4.0, (lat_deg, jump, k)
+    return roots
+
+
+# the Equator, 1e-8 deg and 15-85 deg in alternate hemispheres, density jumps
+# 0.5, 4 and 20, and k from just above the 4 Omega^2 / g_tilde threshold to 1e7 times it
+SITE_CASES = [
+    (lat, jump, factor * 4.0 * pw.PhysicalConstants().Omega**2 / strat_of(jump).g_tilde)
+    for lat in (0.0, 1e-8, 15.0, -25.0, 35.0, -45.0, 55.0, -65.0, 75.0, -85.0)
+    for jump in (0.5, 4.0, 20.0)
+    for factor in (1.0 + 1e-12, *(10.0**e for e in range(1, 8)))]
+
+
+def test_roots_match_mpmath_polyroots_at_every_latitude():
+    solved = [site_roots_checked(*case) for case in SITE_CASES]
+    # outside: 75 and 85 deg just above the threshold, where alpha / sqrt(13.5) > cos(lat)
+    assert sum(roots is not None for roots in solved) == len(SITE_CASES) - 6
 
 
 # `dispersion --lat 82.6 --k 4.6e-6`, then lat 60-85 deg, density jumps of
@@ -88,45 +121,34 @@ HIGH_LATITUDE_CASES = [(82.6, 4.0, 4.6e-6)] + [
 def test_high_latitude_roots_match_mpmath_polyroots():
     """Where P(-1) <= 0 the negative root lies below -1 (long waves at high
     latitudes); both roots still meet the 50-digit roots to 4 ulp."""
-    below = 0
-    for lat_deg, jump, k in HIGH_LATITUDE_CASES:
-        site = pw.coriolis(pw.PhysicalConstants(), math.radians(lat_deg))
-        strat = strat_of(jump)
-        nd = pw.nondimensionalize(site, strat, k)
-        if not nd.discriminant < 0.0:  # outside the mid-latitude regime
-            continue
-        roots = pw.solve_dispersion(nd, site, strat, k)
-        x_minus, x_plus = exact_real_roots(nd)
-        assert ulps_from(roots.x_plus, x_plus) <= 4.0, (lat_deg, jump, k)
-        assert ulps_from(roots.x_minus, x_minus) <= 4.0, (lat_deg, jump, k)
-        below += roots.x_minus < -1.0
+    solved = [site_roots_checked(*case) for case in HIGH_LATITUDE_CASES]
+    below = sum(roots.x_minus < -1.0 for roots in solved if roots is not None)
     assert below >= 10  # the P(-1) <= 0 side is reached, the CLI's point first
 
 
 def test_negative_bracket_stays_below_zero():
-    # P(-1) <= 0: the bracket lies at or below -1; P(-1) > 0 with beta = 1.5:
-    # (-1, -1 + beta) would reach past 0, where P = -1
+    # P(-1) <= 0, so X- < -1; and P(-1) > 0 with beta = 1.5, so -1 < X- < 0
     for nd in (pw.nondimensionalize(pw.coriolis(pw.PhysicalConstants(), math.radians(82.6)),
                                     strat_of(4.0), 4.6e-6),
-               pw.NondimDispersion(epsilon=math.sqrt(0.05), F=1.5 / math.sqrt(0.05))):
+               nondim_of(math.sqrt(0.05), 1.5 / math.sqrt(0.05))):
         assert nd.discriminant < 0.0
-        _, (lo, hi) = pw.root_brackets(nd)
+        _, (inner, outer) = pw.root_brackets(nd)
         x_minus = exact_real_roots(nd)[0]
-        assert lo < x_minus < hi <= 0.0
-        assert (hi <= -1.0) == (nd.evaluate(-1.0) <= 0.0)
-        assert ulps_from(_bisect_newton(nd, lo, hi, 1e-12), x_minus) <= 4.0
+        assert outer < x_minus < inner == 0.0
+        assert (x_minus < -1.0) == (nd.evaluate(-1.0) <= 0.0)
+        assert ulps_from(_bisect_newton(nd, inner, outer, 1e-12), x_minus) <= 4.0
 
 
 def test_roots_on_one_side_of_zero_are_rejected(monkeypatch, site45, strat):
     """Given the other branch's bracket, each branch's root fails its sign check."""
     nd = pw.nondimensionalize(site45, strat, REF_K)
-    brackets = {branch: dsp._branch_bracket(nd, branch) for branch in ("positive", "negative")}
-    for branch, other in (("positive", "negative"), ("negative", "positive")):
-        monkeypatch.setattr(dsp, "_branch_bracket", lambda nd, _, wrong=brackets[other]: wrong)
+    plus, minus = pw.root_brackets(nd)
+    monkeypatch.setattr(dsp, "root_brackets", lambda nd: (minus, plus))
+    for branch in ("positive", "negative"):
         with pytest.raises(ConvergenceError, match=f"the {branch} root .* wrong side of 0"):
             pw.solve_branch(nd, site45, strat, REF_K, branch)
-        with pytest.raises(ConvergenceError, match="wrong side of 0"):
-            pw.solve_dispersion(nd, site45, strat, REF_K)
+    with pytest.raises(ConvergenceError, match="wrong side of 0"):
+        pw.solve_dispersion(nd, site45, strat, REF_K)
 
 
 def grid_site(eps, F, strat):
@@ -139,7 +161,7 @@ def grid_site(eps, F, strat):
 def test_branch_solve_equals_both_root_solve(strat):
     """On criterion 2's (eps, F) grid, mapped to sites, and on the lat 60-85 deg
     grid, solve_branch's X and c equal solve_dispersion's fields and Newton on
-    root_brackets (which evaluates P(hi) itself) bit for bit."""
+    root_brackets bit for bit."""
     cases = [(*grid_site(float(eps), float(F), strat), strat)
              for eps in np.linspace(1e-3, 5e-2, 20) for F in np.linspace(0.42, 2.4, 20)]
     cases += [(pw.coriolis(pw.PhysicalConstants(), math.radians(lat_deg)), k, strat_of(jump))
@@ -152,10 +174,10 @@ def test_branch_solve_equals_both_root_solve(strat):
         roots = pw.solve_dispersion(nd, site, case_strat, k)
         fields = {"positive": (roots.x_plus, roots.c_plus),
                   "negative": (roots.x_minus, roots.c_minus)}
-        for branch, (lo, hi) in zip(fields, pw.root_brackets(nd)):
+        for branch, bracket in zip(fields, pw.root_brackets(nd)):
             x, c = pw.solve_branch(nd, site, case_strat, k, branch)
             assert (x.hex(), c.hex()) == tuple(v.hex() for v in fields[branch])
-            assert x.hex() == _bisect_newton(nd, lo, hi, 1e-12).hex()
+            assert x.hex() == _bisect_newton(nd, *bracket, 1e-12).hex()
             assert c.hex() == (x * math.sqrt(case_strat.g_tilde / k)).hex()
         solved += 1
     assert solved == 400 + 63  # the whole (eps, F) grid; 22 high-latitude sets are outside
@@ -209,12 +231,8 @@ def solved_site(lat_deg, jump, k_over_threshold, branch):
     site = pw.coriolis(constants, math.radians(lat_deg))
     strat = pw.reduced_gravity(constants, 1000.0, 1000.0 + jump)
     k = k_over_threshold * pw.min_wavenumber(site, strat)
-    if site.f == 0.0:
-        c_plus, c_minus = pw.solve_equatorial(constants, strat, k)
-    else:
-        roots = pw.solve_dispersion(pw.nondimensionalize(site, strat, k), site, strat, k)
-        c_plus, c_minus = roots.c_plus, roots.c_minus
-    return site, strat, k, c_plus if branch == "positive" else c_minus
+    roots = pw.solve_dispersion(pw.nondimensionalize(site, strat, k), site, strat, k)
+    return site, strat, k, roots.c_plus if branch == "positive" else roots.c_minus
 
 
 @settings(max_examples=80, deadline=None)
@@ -261,27 +279,29 @@ def test_still_water_interface_in_one_step(monkeypatch, lat_deg, s0, offset):
     assert abs(params.s_plus - (s0 + offset / (strat.rho0 * strat.g_tilde))) <= 1e-9
 
 
-def test_reference_solve_work_counts(monkeypatch, site45, strat):
-    """Newton's work on the reference set, counted exactly: bisection took
-    about 47 P evaluations per root and 44 map calls, and Newton 7 per root
-    before it reused the bracket's P(hi)."""
+def test_reference_solve_work_counts(monkeypatch, site45, strat, equator_site):
+    """Newton's work, counted exactly: bisection took about 47 P evaluations per
+    root and 44 map calls; Newton from the outer end of the closed-form brackets
+    takes at most 5 per root at the reference, 6 at 82.6 deg and k = 4.6e-6."""
     evaluations = count_calls(monkeypatch, pw.NondimDispersion, "evaluate")
     map_calls = count_calls(monkeypatch, dsp, "_interface_map")
     nd = pw.nondimensionalize(site45, strat, REF_K)
     roots = pw.solve_dispersion(nd, site45, strat, REF_K)
-    assert len(evaluations) <= 2 * 6  # both roots, bracket checks included
+    assert len(evaluations) <= 10  # both roots
     pw.derive_parameters(site45, strat, REF_K, REF_A, roots.c_plus, REF_S0,
                          REF_BETA0_OFFSET, beta0_is_offset=True)
     assert len(map_calls) <= 8
-    for branch in ("positive", "negative"):  # a configured solve: its own branch only
-        evaluations.clear()
-        solve_configured(RunConfig(branch=branch).validate())
-        assert len(evaluations) <= 6, branch
-    evaluations.clear()
+    configured = ((RunConfig(), 5), (RunConfig(latitude_deg=82.6, wavenumber=4.6e-6), 6),
+                  (RunConfig(latitude_deg=0.0), 5))
+    for config, bound in configured:
+        for branch in ("positive", "negative"):  # a configured solve: its own branch only
+            evaluations.clear()
+            solve_configured(dataclasses.replace(config, branch=branch).validate())
+            assert len(evaluations) <= bound, (config.latitude_deg, branch)
     for eps in np.linspace(1e-3, 5e-2, 20):
         for F in np.linspace(0.42, 2.4, 20):
-            nd = pw.NondimDispersion(epsilon=float(eps), F=float(F))
-            for lo, hi in pw.root_brackets(nd):
+            nd = nondim_of(eps, F)
+            for bracket in pw.root_brackets(nd):
                 evaluations.clear()
-                _bisect_newton(nd, lo, hi, 1e-12)
-                assert len(evaluations) <= 8, (eps, F)
+                _bisect_newton(nd, *bracket, 1e-12)
+                assert len(evaluations) <= 6, (eps, F)
