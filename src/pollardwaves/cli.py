@@ -153,23 +153,9 @@ def solve_configured(config: RunConfig):
 
 def write_table(path: str, columns, rows, fmt: str):
     """Write a (n_rows, n_cols) float array as CSV (the bytes of f"{v:.17g}") or
-    JSON column arrays (C-encoder floats in the layout of json.dumps(indent=2)),
-    formatting each distinct bit pattern of a column (-0.0 apart from 0.0) once."""
-    cells = []
-    for column in rows.T:
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        values = bits.view(np.float64).tolist()
-        if fmt == "csv":
-            strings = ("%.17g," * len(values) % tuple(values)).split(",")[:-1]
-        else:
-            strings = json.dumps(values)[1:-1].split(", ")
-        cells.append(np.array(strings, dtype=object)[inverse].tolist())
-    if fmt == "csv":
-        text = "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
-    else:
-        arrays = ("[\n    " + ",\n    ".join(c) + "\n  ]" if c else "[]" for c in cells)
-        members = (f"  {json.dumps(n)}: {a}" for n, a in zip(columns, arrays))
-        text = "{\n" + ",\n".join(members) + "\n}\n"
+    JSON column arrays (the bytes of json.dumps(indent=2) of the column lists)."""
+    from . import _floatfmt  # imported by the exports only, not at the CLI's startup
+    text = _floatfmt.table_text(columns, rows, fmt)
     if path == "-":
         sys.stdout.write(text)
     else:

@@ -100,7 +100,8 @@ def test_dispersion_near_the_equator_meets_the_equatorial_speeds(tmp_path, strat
 
 
 def test_dispersion_negative_root_below_minus_one(tmp_path):
-    """At 82.6 deg and k = 4.6e-6 1/m, P(-1) < 0: X_minus lies below -1."""
+    """At 82.6 deg and k = 4.6e-6 1/m, P(-1) < 0: X_minus lies below -1, and
+    --branch negative reports the m, b, d of c_minus."""
     out = tmp_path / "report.json"
     assert main(["dispersion", "--lat", "82.6", "--k", "4.6e-6", "--branch", "negative",
                  "--format", "json", "--out", str(out)]) == 0
@@ -108,8 +109,11 @@ def test_dispersion_negative_root_below_minus_one(tmp_path):
     assert report["x_minus"] == pytest.approx(-1.0075356855168, abs=1e-12)
     assert report["c_minus"] < 0.0 < report["c_plus"]
     site = pw.coriolis(pw.PhysicalConstants(), math.radians(82.6))
-    # --branch negative solves with c_minus
-    assert report["m"] == dsp.orbit_parameters(site.f, 4.6e-6, 10.0, report["c_minus"])[0]
+    mbd = (report["m"], report["b"], report["d"])
+    assert mbd == dsp.orbit_parameters(site.f, 4.6e-6, 10.0, report["c_minus"])
+    # d = -f m a / (k^2 c) takes its sign from c: c_plus would give the other sign
+    d_plus = dsp.orbit_parameters(site.f, 4.6e-6, 10.0, report["c_plus"])[2]
+    assert mbd[2] * d_plus < 0.0
 
 
 # --- data export -----------------------------------------------------------------

@@ -1,0 +1,81 @@
+"""The export kernel of ``_floatfmt`` against Python's float spelling, value by
+value, and the work that it hands back to Python."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pollardwaves import _floatfmt, cli
+
+from test_serialise import T, edge_table
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("check_float_format",
+                                               ROOT / "scripts" / "check_float_format.py")
+check_float_format = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_float_format)
+
+
+@pytest.fixture(scope="module")
+def values():
+    """500k seeded doubles from every class of the check script, and its edge cases."""
+    return check_float_format.sample(500_000, np.random.default_rng(20261018))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_spells_every_value_as_python_does(values, fmt):
+    assert len(values) >= 500_000
+    assert check_float_format.mismatches(values, fmt) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exact_17_digit_ties_round_half_to_even(fmt):
+    ties = np.array([2251799813685247.75, 2251799813685246.25, -2251799813685247.75])
+    assert check_float_format.kernel_spellings(ties, fmt) == [
+        "2251799813685247.8", "2251799813685246.2", "-2251799813685247.8"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_specials_zeros_and_range_ends(fmt):
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                         1.7976931348623157e308, 1e16, 1e-5])
+    want = {"csv": ["0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
+                    "1.7976931348623157e+308", "10000000000000000", "1.0000000000000001e-05"],
+            "json": ["0.0", "-0.0", "NaN", "Infinity", "-Infinity", "5e-324",
+                     "1.7976931348623157e+308", "1e+16", "1e-05"]}
+    assert check_float_format.kernel_spellings(specials, fmt) == want[fmt]
+
+
+@pytest.fixture
+def python_spelled(monkeypatch):
+    """The number of values that the kernel hands to Python while in use."""
+    spelled = []
+    original = _floatfmt._python_spelling
+
+    def counting(values, json_):
+        spelled.append(len(values))
+        return original(values, json_)
+
+    monkeypatch.setattr(_floatfmt, "_python_spelling", counting)
+    return spelled
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("t", ["0", T])
+def test_reference_field_export_spells_no_value_in_python(t, fmt, python_spelled, tmp_path):
+    assert cli.main(["field", "--t", t, "--format", fmt, "--out", str(tmp_path / "field")]) == 0
+    assert len(python_spelled) == len(cli.FIELD_COLUMNS)
+    assert sum(python_spelled) == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_edge_table_spells_only_its_special_values_in_python(fmt, python_spelled, tmp_path):
+    table = edge_table(np.random.default_rng(97), 97)
+    cli.write_table(str(tmp_path / "edges"), ("a", "b", "c", "d", "e"), table, fmt)
+    size = np.abs(table)
+    special = ~np.isfinite(size) | ((size != 0) & ((size < 1e-280) | (size > 1e280)))
+    if fmt == "json":  # a power of two has an uneven rounding interval
+        special |= np.frexp(size)[0] == 0.5
+    assert 0 < sum(python_spelled) <= special.sum()
