@@ -4,7 +4,10 @@
         --claim sweep_solve:op_p50_ref --out BENCH_8.json
 
 The arguments are the ``.perfbench-runs/`` directories of two checkouts; a pair
-is one workload at one seed, run with ``--trace 0`` in both.  Standard library only.
+is one workload at one seed, run with ``--trace 0`` in both.  Each workload lists
+the relative change of every end-to-end median, and ``over_bound`` names the
+metrics whose change median is worse than the parent's by more than the metric's
+``bound`` in BENCHMARK.json.  Standard library only.
 """
 
 import argparse
@@ -34,36 +37,52 @@ def side(records, metrics):
     return summary
 
 
+def relative_change(parent, change):
+    """(change - parent) / parent, or None where the parent median is 0."""
+    return (change - parent) / parent if parent else None
+
+
 def summarise(parent_runs, change_runs, claim, benchmark):
     """The document; per workload, the pairs in which the change is better on ``claim``."""
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     claimed, metric = claim.split(":")
     sign = 1.0 if better[metric] == "lower" else -1.0
     won = f"{metric}_change_{better[metric]}_in"
-    workloads = {}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    workloads, over_bound = {}, []
     for workload in (w["name"] for w in benchmark["workloads"]):
         pairs = [(parent_runs[key], change_runs[key])
                  for key in sorted(parent_runs.keys() & change_runs.keys()) if key[0] == workload]
         wins = sum(sign * (p["metrics"][metric]["value"] - c["metrics"][metric]["value"]) > 0
                    for p, c in pairs)
         if pairs:
-            workloads[workload] = {
+            entry = workloads[workload] = {
                 "seeds": [p["seed"] for p, _ in pairs], "seconds": pairs[0][0]["seconds"],
                 "pairs": len(pairs), "parent": side([p for p, _ in pairs], better),
                 "change": side([c for _, c in pairs], better),
                 won: f"{wins} of {len(pairs)} pairs"}
+            entry["relative_change"] = {
+                name: relative_change(entry["parent"][name]["median"],
+                                      entry["change"][name]["median"]) for name in better}
+            over_bound += [f"{workload}:{name}" for name, change in entry["relative_change"].items()
+                           if change is not None
+                           and change * (1.0 if better[name] == "lower" else -1.0) > bounds[name]]
     if claimed not in workloads:
         raise SystemExit(f"no pairs of the claimed workload {claimed!r}")
     medians = [workloads[claimed][s][metric]["median"] for s in ("parent", "change")]
     return {
         "description": "perfbench end-to-end metrics (--trace 0) of parent/change pairs on "
-                       "one host: medians and quartiles (inclusive) over the listed seeds",
+                       "one host: medians and quartiles (inclusive) over the listed seeds; "
+                       "relative_change is (change - parent) / parent of the medians, and "
+                       "over_bound lists the workload:metric medians worse than the parent's "
+                       "by more than the metric's bound",
         "parent_commit": next(iter(parent_runs.values()))["git_commit"],
         "machine": {k: next(iter(change_runs.values()))[k]
                     for k in ("nproc", "cpu_model", "python", "numpy")},
         "claim": f"{claimed} {metric}: {better[metric]} in {workloads[claimed][won]}, median "
                  f"{medians[0]:.4g} -> {medians[1]:.4g}; no other workload or metric "
                  "is claimed",
+        "over_bound": over_bound,
         "workloads": workloads}
 
 

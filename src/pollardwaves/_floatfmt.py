@@ -7,11 +7,12 @@ powers of ten; entries it cannot decide exactly go to ``_python_spelling``, as
 in Grisu3 (Loitsch, PLDI 2010).  A value fills a cell of six uint64 words, NUL
 where a character is absent: byte 0 the sign, 1-5 the "0.000" of a fixed number
 below 1, 6 the first digit, digit j = 1..16 at 6 + 2j after a point slot, 40-44
-"e+ddd", 47 the separator.  ``bytes.translate`` deletes the NULs.
+"e+ddd", 47 the separator.  ``bytearray.translate`` deletes the NULs.
 """
 
 import functools
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ _EXP_OFFSET = 300                       # exponent-table row of X = 0
 _SCALE_MIN = -270                       # the power table holds 10**e, e in [-270, 300]
 _EXACT_MIN, _EXACT_MAX = 1e-280, 1e280  # no scaled product over- or underflows
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
+_BLOCK_ROWS = 512  # CSV rows per translate: their cells stay in cache
 
 
 def _word(text):
@@ -34,9 +36,10 @@ def _tables():
     from fractions import Fraction  # imports decimal: keep it out of the package import
     ten = (Fraction(10) ** e for e in range(_SCALE_MIN, 301))  # float(): int / int, rounded
     hi, lo = np.array([(h := float(v), float(v - Fraction(h))) for v in ten]).T.copy()
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     spread = np.zeros((10_000, 4, 2), np.uint8)  # a 4-digit block at even bytes
-    spread[..., 0] = np.array([list(f"{g:04d}".encode()) for g in range(10_000)])
-    last = np.array([len(f"{g:04d}".rstrip("0")) for g in range(10_000)], np.uint8)
+    spread[..., 0] = digits + ord("0")
+    last = np.max((digits > 0) * np.arange(1, 5), axis=1).astype(np.uint8)  # 0 for 0000
     byte, j = np.arange(40), np.arange(18)[:, None]
     keep = ((byte % 2 == 0) & (byte >= 8) & (byte < 2 * j + 6)) * np.uint8(255)
     point = ((byte == 2 * j + 5) & (j > 0)) * np.uint8(ord("."))
@@ -153,19 +156,45 @@ def _spell(x, json_, tail):
     return words
 
 
-def table_text(columns, rows, fmt):
-    """The export text of a (n_rows, n_cols) float array: CSV rows of
-    f"{v:.17g}" cells, or JSON column arrays in the layout of json.dumps(indent=2)."""
+def _cells(a, json_, sep):
+    """The cells (*a.shape, 6) of the floats of array a, each ending in byte ``sep``."""
+    return _spell(a.ravel(), json_, _word(b"\0" * 7 + sep)).reshape(*a.shape, 6)
+
+
+def table_text(columns, values, fmt):
+    """The export bytes of float arrays that broadcast to one table shape, one
+    array per column and one row per entry in C order: CSV rows of f"{v:.17g}"
+    cells, or JSON column arrays in the layout of json.dumps(indent=2).
+
+    Each array's own entries are spelled once and their cells broadcast onto
+    the table.  ``translate`` deletes the NULs a block of rows (CSV) or a
+    column (JSON) at a time, while its cells are still in cache."""
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays)) or (1,)
+    size = math.prod(shape)
     if fmt == "csv":
-        buffer = bytearray(rows.size * 48)
-        block = np.frombuffer(buffer, np.uint64).reshape(*rows.shape, 6)
-        for c, column in enumerate(np.ascontiguousarray(rows.T)):
-            sep = b"," if c < len(columns) - 1 else b"\n"
-            block[:, c] = _spell(column, False, _word(b"\0" * 7 + sep))
-        return ",".join(columns) + "\n" + buffer.translate(None, b"\0").decode("ascii")
-    members = []
-    for name, column in zip(columns, np.ascontiguousarray(rows.T)):
-        cells = _spell(column, True, _word(b"\0" * 7 + b"\n")).tobytes()
-        values = cells.translate(None, b"\0").decode("ascii")[:-1].replace("\n", ",\n    ")
-        members.append(f"  {json.dumps(name)}: " + (f"[\n    {values}\n  ]" if values else "[]"))
-    return "{\n" + ",\n".join(members) + "\n}\n"
+        seps = [b","] * (len(arrays) - 1) + [b"\n"]
+        cells = [np.broadcast_to(_cells(a, False, sep), (*shape, 6)) for a, sep in zip(arrays, seps)]
+        per_index = math.prod(shape[1:])  # rows per index of the first axis
+        step = max(1, _BLOCK_ROWS // max(per_index, 1))
+        parts = [(",".join(columns) + "\n").encode("ascii")]
+        for i in range(0, shape[0], step):
+            n = min(step, shape[0] - i)
+            buffer = bytearray(n * per_index * len(arrays) * 48)
+            block = np.frombuffer(buffer, np.uint64).reshape(n, *shape[1:], len(arrays), 6)
+            for c, x in enumerate(cells):
+                block[..., c, :] = x[i:i + n]
+            parts.append(buffer.translate(None, b"\0"))
+        return b"".join(parts)
+    parts = [b"{\n"]
+    for c, (name, a) in enumerate(zip(columns, arrays)):
+        parts.append(b"%s  %s: [" % (b",\n" * (c > 0), json.dumps(name).encode("ascii")))
+        if size:  # a cell and the word ",\n    " after it, none after the last
+            buffer = bytearray(size * 56)
+            column = np.frombuffer(buffer, np.uint64).reshape(*shape, 7)
+            column[..., :6] = _cells(a, True, b"\0")
+            column[..., 6] = _word(b",\n    ")
+            column.reshape(-1, 7)[-1, 6] = 0
+            parts += [b"\n    ", buffer.translate(None, b"\0"), b"\n  "]
+        parts.append(b"]")
+    return b"".join(parts + [b"\n}\n"])

@@ -151,23 +151,23 @@ def solve_configured(config: RunConfig):
     return constants, site, strat, params
 
 
-def write_table(path: str, columns, rows, fmt: str):
-    """Write a (n_rows, n_cols) float array as CSV (the bytes of f"{v:.17g}") or
-    JSON column arrays (the bytes of json.dumps(indent=2) of the column lists)."""
+def write_table(path: str, columns, values, fmt: str):
+    """Write one float array per column, the arrays broadcasting to one table
+    with rows in C order, as CSV (the bytes of f"{v:.17g}") or JSON column
+    arrays (the bytes of json.dumps(indent=2) of the column lists)."""
     from . import _floatfmt  # imported by the exports only, not at the CLI's startup
-    text = _floatfmt.table_text(columns, rows, fmt)
+    data = _floatfmt.table_text(columns, values, fmt)
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("ascii"))
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(data)
 
 
-def _flow_rows(fields: flow.Flow, strat):
-    """FIELD_COLUMNS table of a kernel evaluation, in row-major label order."""
-    columns = (fields.t, fields.q, fields.r, fields.s, *fields.position,
-               *fields.velocity, fields.pressure(strat), *fields.vorticity)
-    return np.column_stack([c.ravel() for c in np.broadcast_arrays(*columns)])
+def _flow_columns(fields: flow.Flow, strat):
+    """FIELD_COLUMNS arrays of a kernel evaluation, each at its own broadcast shape."""
+    return (fields.t, fields.q, fields.r, fields.s, *fields.position,
+            *fields.velocity, fields.pressure(strat), *fields.vorticity)
 
 
 def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
@@ -212,8 +212,8 @@ def cmd_trajectory(config: RunConfig, args) -> int:
     s = params.s0 if args.s is None else args.s
     t1 = args.t1 if args.t1 is not None else ver.wave_period(params)
     ts = np.linspace(args.t0, t1, args.n)
-    rows = _flow_rows(flow.Flow(params, args.q, args.r, s, ts), strat)
-    write_table(args.out, FIELD_COLUMNS, rows, config.output_format)
+    values = _flow_columns(flow.Flow(params, args.q, args.r, s, ts), strat)
+    write_table(args.out, FIELD_COLUMNS, values, config.output_format)
     return EXIT_OK
 
 
@@ -222,8 +222,8 @@ def cmd_profile(config: RunConfig, args) -> int:
     s = params.s0 if args.s is None else args.s
     q1 = args.q1 if args.q1 is not None else params.L
     qs = np.linspace(args.q0, q1, args.n)
-    rows = np.column_stack((qs, *flow.Flow(params, qs, args.r, s, args.t).position))
-    write_table(args.out, PROFILE_COLUMNS, rows, config.output_format)
+    values = (qs, *flow.Flow(params, qs, args.r, s, args.t).position)
+    write_table(args.out, PROFILE_COLUMNS, values, config.output_format)
     return EXIT_OK
 
 
@@ -233,8 +233,8 @@ def cmd_field(config: RunConfig, args) -> int:
     qs = np.linspace(args.q0, q1, args.nq)
     ss = np.linspace(params.s0, params.s_plus, args.ns)
     # rows run over q within each s
-    rows = _flow_rows(flow.Flow(params, qs[None, :], args.r, ss[:, None], args.t), strat)
-    write_table(args.out, FIELD_COLUMNS, rows, config.output_format)
+    values = _flow_columns(flow.Flow(params, qs[None, :], args.r, ss[:, None], args.t), strat)
+    write_table(args.out, FIELD_COLUMNS, values, config.output_format)
     return EXIT_OK
 
 

@@ -13,10 +13,10 @@ bench_summary = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_summary)
 
 
-def write_record(directory, seed, op_p50_ref, commit, trace=0):
+def write_record(directory, seed, op_p50_ref, commit, trace=0, peak_rss_mb=34.0, ok_frac=1.0):
     metrics = {"op_p50_ref": (op_p50_ref, "ref"), "ops_per_ref": (1.0 / op_p50_ref, "1/ref"),
                "setup_s": (0.3, "s"), "op_tail_ref": (1.5 * op_p50_ref, "ref"),
-               "ok_frac": (1.0, "1"), "peak_rss_mb": (34.0, "MB")}
+               "ok_frac": (ok_frac, "1"), "peak_rss_mb": (peak_rss_mb, "MB")}
     record = {"workload": "sweep_solve", "seconds": 30.0, "trace": trace, "seed": seed,
               "python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "cpu_model": "test cpu",
               "git_commit": commit, "attempted": 100, "failed": 0, "incorrect": 0,
@@ -62,3 +62,36 @@ def test_a_higher_is_better_claim_counts_higher_values(tmp_path):
                                        bench_summary.load_runs(change),
                                        "sweep_solve:ops_per_ref", benchmark)
     assert document["workloads"]["sweep_solve"]["ops_per_ref_change_higher_in"] == "2 of 3 pairs"
+
+
+def test_relative_changes_and_metrics_over_their_bounds(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # Over: op_p50_ref +30 % (bound 20 %), op_tail_ref +30 % (25 %), ok_frac -15 % (10 %).
+    # Inside: ops_per_ref -23 % (25 %), peak_rss_mb +5 % (10 %), setup_s unchanged.
+    for seed in range(3):
+        write_record(parent, seed, 2.0, "abc")
+        write_record(change, seed, 2.6, "def", peak_rss_mb=35.7, ok_frac=0.85)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    document = bench_summary.summarise(bench_summary.load_runs(parent),
+                                       bench_summary.load_runs(change),
+                                       "sweep_solve:op_p50_ref", benchmark)
+    changes = document["workloads"]["sweep_solve"]["relative_change"]
+    assert changes == pytest.approx({"setup_s": 0.0, "op_p50_ref": 0.3, "op_tail_ref": 0.3,
+                                     "ops_per_ref": 2.0 / 2.6 - 1.0, "ok_frac": -0.15,
+                                     "peak_rss_mb": 0.05})
+    assert document["over_bound"] == ["sweep_solve:op_p50_ref", "sweep_solve:op_tail_ref",
+                                      "sweep_solve:ok_frac"]
+
+
+def test_a_better_change_is_over_no_bound(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_record(parent, 1, 2.0, "abc", ok_frac=0.0)
+    write_record(change, 1, 1.0, "def", peak_rss_mb=30.0, ok_frac=0.5)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    document = bench_summary.summarise(bench_summary.load_runs(parent),
+                                       bench_summary.load_runs(change),
+                                       "sweep_solve:op_p50_ref", benchmark)
+    changes = document["workloads"]["sweep_solve"]["relative_change"]
+    assert changes["op_p50_ref"] == pytest.approx(-0.5)
+    assert changes["ok_frac"] is None  # a parent median of 0 has no relative change
+    assert document["over_bound"] == []

@@ -48,6 +48,41 @@ def test_specials_zeros_and_range_ends(fmt):
     assert check_float_format.kernel_spellings(specials, fmt) == want[fmt]
 
 
+def test_digit_tables_match_their_string_construction():
+    t = _floatfmt._tables()
+    spread = np.zeros((10_000, 4, 2), np.uint8)
+    spread[..., 0] = np.array([list(f"{g:04d}".encode()) for g in range(10_000)])
+    last = np.array([len(f"{g:04d}".rstrip("0")) for g in range(10_000)], np.uint8)
+    np.testing.assert_array_equal(t.spread, spread.reshape(-1, 8).view(np.uint64)[:, 0])
+    np.testing.assert_array_equal(
+        t.n_sig, (np.arange(1, 17, 4, dtype=np.uint8)[:, None] + last) * (last > 0))
+
+
+@pytest.fixture
+def spelled_sizes(monkeypatch):
+    """The number of values in each array that the kernel spells while in use."""
+    sizes = []
+    original = _floatfmt._spell
+
+    def recording(x, json_, tail):
+        sizes.append(len(x))
+        return original(x, json_, tail)
+
+    monkeypatch.setattr(_floatfmt, "_spell", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exports_spell_each_stored_value_once(fmt, spelled_sizes, tmp_path):
+    out = str(tmp_path / "table")
+    assert cli.main(["field", "--nq", "128", "--ns", "64", "--format", fmt, "--out", out]) == 0
+    # t, q, r, s, then the ten fields on the whole lattice
+    assert spelled_sizes == [1, 128, 1, 64] + [128 * 64] * 10
+    spelled_sizes.clear()
+    assert cli.main(["trajectory", "--n", "50", "--format", fmt, "--out", out]) == 0
+    assert spelled_sizes == [50, 1, 1, 1] + [50] * 10
+
+
 @pytest.fixture
 def python_spelled(monkeypatch):
     """The number of values that the kernel hands to Python while in use."""
@@ -73,7 +108,7 @@ def test_reference_field_export_spells_no_value_in_python(t, fmt, python_spelled
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_edge_table_spells_only_its_special_values_in_python(fmt, python_spelled, tmp_path):
     table = edge_table(np.random.default_rng(97), 97)
-    cli.write_table(str(tmp_path / "edges"), ("a", "b", "c", "d", "e"), table, fmt)
+    cli.write_table(str(tmp_path / "edges"), ("a", "b", "c", "d", "e"), tuple(table.T), fmt)
     size = np.abs(table)
     special = ~np.isfinite(size) | ((size != 0) & ((size < 1e-280) | (size > 1e280)))
     if fmt == "json":  # a power of two has an uneven rounding interval

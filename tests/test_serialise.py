@@ -1,5 +1,9 @@
 """Byte identity of the column-wise table writer with the row-wise oracle in
-``table_reference``, through the CLI and on tables of edge-case floats."""
+``table_reference``, through the CLI and on tables of edge-case floats, whole
+or broadcast from smaller arrays."""
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
@@ -17,8 +21,13 @@ EXPORTS = [
 ]
 
 
-def reference_writer(path, columns, rows, fmt):
-    table_reference.write_table(path, columns, np.asarray(rows).tolist(), fmt)
+def materialised(values):
+    """The (n_rows, n_cols) table of column arrays that broadcast, rows in C order."""
+    return np.column_stack([v.ravel() for v in np.broadcast_arrays(*map(np.asarray, values))])
+
+
+def reference_writer(path, columns, values, fmt):
+    table_reference.write_table(path, columns, materialised(values).tolist(), fmt)
 
 
 def export(monkeypatch, capsys, argv, writer):
@@ -52,12 +61,52 @@ def edge_table(rng, n_rows):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("n_rows", [0, 1, 2, 97])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 97, 1100])  # 1100: three CSV blocks
 def test_edge_tables_match_row_wise_writer(n_rows, fmt, tmp_path):
     columns = ("a", "b", "c", "d", "e")
     table = edge_table(np.random.default_rng(n_rows), n_rows)
     want, got = tmp_path / "want", tmp_path / "got"
     table_reference.write_table(str(want), columns, table.tolist(), fmt)
-    cli.write_table(str(got), columns, table, fmt)
+    cli.write_table(str(got), columns, tuple(table.T), fmt)
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (5, 1), (7, 13), (50, 13)])
+def test_broadcast_columns_match_row_wise_writer(n, m, fmt, tmp_path):
+    """0-d specials against (n, 1) and (1, m) edge arrays: the bytes of the
+    materialised table, to a file and to stdout."""
+    rng = np.random.default_rng(100 * n + m)
+    values = (np.array(-0.0), edge_table(rng, n)[:, 1:2], np.array(np.nan),
+              edge_table(rng, m)[:, 2][None, :], np.array(np.inf),
+              edge_table(rng, n * m)[:, 3].reshape(n, m))
+    columns = ("zero", "a", "nan", "b", "inf", "ab")
+    table = materialised(values)
+    assert table.shape == (n * m, len(columns))
+    want, got = tmp_path / "want", tmp_path / "got"
+    table_reference.write_table(str(want), columns, table.tolist(), fmt)
+    cli.write_table(str(got), columns, values, fmt)
+    assert got.read_bytes() == want.read_bytes()
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        cli.write_table("-", columns, values, fmt)
+    assert stdout.getvalue().encode() == want.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zero_dimensional_columns_make_one_row(fmt, tmp_path):
+    values = tuple(np.array(v) for v in (-0.0, np.nan, np.inf, 0.1, 5e-324))
+    columns = ("a", "b", "c", "d", "e")
+    want, got = tmp_path / "want", tmp_path / "got"
+    table_reference.write_table(str(want), columns, [[float(v) for v in values]], fmt)
+    cli.write_table(str(got), columns, values, fmt)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_to_redirected_stdout(fmt, monkeypatch, capsys):
+    argv = ["field", "--nq", "9", "--ns", "4", "--t", T, "--format", fmt, "--out", "-"]
+    want = export(monkeypatch, capsys, argv, reference_writer)
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert cli.main(argv) == 0
+    assert stdout.getvalue().encode() == want
 
