@@ -14,7 +14,6 @@ from .dispersion import (
     root_brackets,
     solve_branch,
     solve_dispersion,
-    solve_interface,
 )
 from .errors import PollardWaveError
 from .flowfield import Flow, invert_labels, sheet_elevation
@@ -28,7 +27,7 @@ from .geo import (
 )
 from .verify import VerificationReport, VerifyConfig, run_all
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "DispersionRoots",
@@ -52,5 +51,4 @@ __all__ = [
     "sheet_elevation",
     "solve_branch",
     "solve_dispersion",
-    "solve_interface",
 ]

@@ -124,6 +124,14 @@ def _clear_other_length(settings: dict) -> dict:
     return settings
 
 
+def _setting(config: RunConfig):
+    """(constants, site, strat) of a config: Earth's constants, its latitude's
+    Coriolis pair and its two densities."""
+    constants = PhysicalConstants()
+    return (constants, coriolis(constants, math.radians(config.latitude_deg)),
+            reduced_gravity(constants, config.rho0, config.rho_plus))
+
+
 def solve_configured(config: RunConfig):
     """Run the full parameter pipeline for a validated config.
 
@@ -133,12 +141,9 @@ def solve_configured(config: RunConfig):
     the perturb_c negative control replaces the phase speed after the set is
     solved, leaving m, b, d untouched.
     """
-    constants = PhysicalConstants()
-    site = coriolis(constants, math.radians(config.latitude_deg))
-    strat = reduced_gravity(constants, config.rho0, config.rho_plus)
+    constants, site, strat = _setting(config)
     k = config.k
-    nd = dsp.nondimensionalize(site, strat, k)  # raises at k <= 4 Omega^2 / g_tilde
-    _, c = dsp.solve_branch(nd, site, strat, k, config.branch, tol=config.tol_identity)
+    _, c = dsp.solve_branch(site, strat, k, config.branch, tol=config.tol_identity)
     m = dsp.orbit_parameters(site.f, k, config.amplitude, c)[0]
     if config.amplitude > 1.0 / m:
         raise AmplitudeBoundError(
@@ -171,12 +176,10 @@ def _flow_columns(fields: flow.Flow, strat):
 
 
 def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
-    constants = PhysicalConstants()
-    site = coriolis(constants, math.radians(config.latitude_deg))
-    strat = reduced_gravity(constants, config.rho0, config.rho_plus)
+    _, site, strat = _setting(config)
     k = config.k
+    roots = dsp.solve_dispersion(site, strat, k, tol=config.tol_identity)
     nd = dsp.nondimensionalize(site, strat, k)
-    roots = dsp.solve_dispersion(nd, site, strat, k, tol=config.tol_identity)
     c = roots.c_minus if config.branch == "negative" else roots.c_plus
     m, b, d = dsp.orbit_parameters(site.f, k, config.amplitude, c)
     report = {
@@ -186,13 +189,11 @@ def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
         "g_tilde": strat.g_tilde,
         "min_wavenumber": min_wavenumber(site, strat),
         "alpha": nd.alpha, "beta": nd.beta,
-        "discriminant": nd.discriminant,
         "x_plus": roots.x_plus, "x_minus": roots.x_minus,
         "c_plus": roots.c_plus, "c_minus": roots.c_minus,
         "m": m, "b": b, "d": d,
     }
     print(f"alpha = {nd.alpha:.10g}   beta = {nd.beta:.10g}")
-    print(f"discriminant of P' = {nd.discriminant:.10g} (< 0: two real roots)")
     print(f"  X_plus  = {roots.x_plus:.12g}   c_plus  = {roots.c_plus:.10g} m/s")
     print(f"  X_minus = {roots.x_minus:.12g}   c_minus = {roots.c_minus:.10g} m/s")
     print(f"  m = {m:.10g} 1/m   b = {b:.10g} m   d = {d:.10g} m")

@@ -8,10 +8,11 @@ non-dimensionalised with X = c sqrt(k/g_tilde), giving the degree-four polynomia
 
 whose coefficients are finite at every latitude.  At f = 0 it factors as
 (X^2 - beta X - 1)(X^2 + beta X + 1), so the Equator needs no separate path.
-In the regime where P' has one real zero, P has two real roots, each refined
-by safeguarded Newton on a closed-form bracket: X+ in (1, sqrt(1 + alpha +
-2 beta)] and X- in [-sqrt(1 + alpha), 0).  solve_branch solves and checks one
-root; solve_dispersion calls it twice, cli.solve_configured once.
+Above the wavenumber threshold (alpha < 1) P has exactly one positive and one
+negative root at every latitude, each refined by safeguarded Newton on a
+closed-form bracket: X+ in (1, sqrt(1 + alpha + 2 beta)] and X- in
+[-sqrt(1 + alpha), 0).  solve_branch solves and checks one root of a
+(site, strat, k); solve_dispersion calls it twice, cli.solve_configured once.
 
 From a solved phase speed the dependent parameters follow in closed form:
 
@@ -30,7 +31,6 @@ from .errors import (
     EvanescentRegimeError,
     InputError,
     InterfaceOrderingError,
-    RegimeError,
     WavenumberError,
 )
 from .geo import Site, Stratification, min_wavenumber
@@ -66,11 +66,6 @@ class NondimDispersion:
     def derivative(self, x):
         """P'(x)."""
         return (4.0 * x * x - 2.0 * self.alpha) * x - 2.0 * self.beta
-
-    @property
-    def discriminant(self) -> float:
-        """128 alpha^3 - 1728 beta^2, the discriminant of P'; < 0 where P has two real roots."""
-        return 128.0 * self.alpha**3 - 1728.0 * self.beta**2
 
 
 @dataclass(frozen=True)
@@ -117,16 +112,12 @@ def nondimensionalize(site: Site, strat: Stratification,
 
 
 def root_brackets(nd: NondimDispersion):
-    """Brackets (inner, outer) of X+ and of X-, with P(inner) < 0 < P(outer), after
-    the regime gate: (1, sqrt(1 + alpha + 2 beta)) and (0, -sqrt(1 + alpha)).
+    """Brackets (inner, outer) of X+ and of X-, with P(inner) < 0 < P(outer):
+    (1, sqrt(1 + alpha + 2 beta)) and (0, -sqrt(1 + alpha)).
 
     P(1) = -alpha - 2 beta and P(0) = -1.  A root X >= 1 has X^4 = alpha X^2 +
     2 beta X + 1 <= (1 + alpha + 2 beta) X^2, and a root X = -Y, Y >= 1, has
     Y^4 <= (1 + alpha) Y^2, which bounds each root by its outer end."""
-    if not nd.discriminant < 0.0:
-        raise RegimeError(
-            "discriminant of P' is non-negative "
-            f"({nd.discriminant!r}); the two-real-root analysis does not apply")
     return ((1.0, math.sqrt(1.0 + nd.alpha + 2.0 * nd.beta)),
             (0.0, -math.sqrt(1.0 + nd.alpha)))
 
@@ -158,14 +149,15 @@ def _bisect_newton(nd, inner, outer, tol):
     return x
 
 
-def solve_branch(nd: NondimDispersion, site: Site, strat: Stratification,
-                 k: float, branch: str, tol: float = IDENTITY_TOL):
+def solve_branch(site: Site, strat: Stratification, k: float, branch: str,
+                 tol: float = IDENTITY_TOL):
     """(X, c) of one branch, "positive" (X > 0) or "negative" (X < 0), with
     c = X sqrt(g_tilde / k), |P(X)| <= tol * max(1, X^4) and the dimensional
     identity rho0^2 c^2 (c^2 k^2 - f^2) = (rho0 c f_hat + g (rho_plus - rho0))^2
     met to the same relative tolerance."""
     if branch not in ("positive", "negative"):
         raise InputError(f"unknown branch {branch!r}")
+    nd = nondimensionalize(site, strat, k)  # raises at k <= 4 Omega^2 / g_tilde
     sign = 1.0 if branch == "positive" else -1.0
     x = _bisect_newton(nd, *root_brackets(nd)[0 if branch == "positive" else 1], tol)
     if not sign * x > 0.0:
@@ -179,11 +171,11 @@ def solve_branch(nd: NondimDispersion, site: Site, strat: Stratification,
     return x, c
 
 
-def solve_dispersion(nd: NondimDispersion, site: Site, strat: Stratification,
-                     k: float, tol: float = IDENTITY_TOL) -> DispersionRoots:
+def solve_dispersion(site: Site, strat: Stratification, k: float,
+                     tol: float = IDENTITY_TOL) -> DispersionRoots:
     """Both real roots of P with their dimensional phase speeds, by solve_branch."""
-    x_plus, c_plus = solve_branch(nd, site, strat, k, "positive", tol)
-    x_minus, c_minus = solve_branch(nd, site, strat, k, "negative", tol)
+    x_plus, c_plus = solve_branch(site, strat, k, "positive", tol)
+    x_minus, c_minus = solve_branch(site, strat, k, "negative", tol)
     return DispersionRoots(x_plus=x_plus, x_minus=x_minus, c_plus=c_plus, c_minus=c_minus)
 
 
@@ -213,9 +205,8 @@ def _interface_map(strat, A, m, s):
             + strat.rho_plus * strat.g * s)
 
 
-def _invert_interface_map(site, strat, k, A, m, s0, map_s0, beta0):
-    """Label s_plus > s0 with _interface_map(s_plus) = beta0 > map_s0, the map at s0;
-    the wavenumber gate reads (f, f_hat) from ``site``, a Site or WaveParameters.
+def _invert_interface_map(strat, A, m, s0, map_s0, beta0):
+    """Label s_plus > s0 with _interface_map(s_plus) = beta0 > map_s0, the map at s0.
 
     The map's slope lies between its value at s0 and rho0 g_tilde, which bound
     s_plus - s0 = (beta0 - map_s0) / slope.  Newton runs from the upper bound; a
@@ -225,7 +216,6 @@ def _invert_interface_map(site, strat, k, A, m, s0, map_s0, beta0):
     if not beta0 > map_s0:
         raise InterfaceOrderingError(
             f"beta0={beta0!r} must exceed P0 - P0_tilde={map_s0!r}")
-    _require_above_threshold(site, strat, k)  # the map's monotonicity
     # the exact slope of _interface_map, for any c: wave e^(-2ms) + flat
     wave = 2.0 * m * strat.rho0 * A
     flat, offset = (strat.rho_plus - strat.rho0) * strat.g, beta0 - map_s0
@@ -247,17 +237,6 @@ def _invert_interface_map(site, strat, k, A, m, s0, map_s0, beta0):
         s = s - step if lo < s - step < hi else mid
     raise ConvergenceError(
         f"interface label not converged within {_MAX_STEPS} steps at s={s!r}")
-
-
-def solve_interface(params: WaveParameters, strat: Stratification,
-                    beta0: float) -> float:
-    """Interface label s_plus for a given beta0 > P0 - P0_tilde.
-
-    Safeguarded Newton on the strictly increasing thermocline-constant map, to a step
-    of at most 5e-10 m or to adjacent doubles; A and the gate read params' (f, f_hat)."""
-    p = params
-    A = pressure_coefficient_a(p.f, p.f_hat, p.k, p.c, p.a, p.b, p.d)
-    return _invert_interface_map(p, strat, p.k, A, p.m, p.s0, p.P0 - p.P0_tilde, beta0)
 
 
 def orbit_parameters(f: float, k: float, a: float, c: float):
@@ -284,6 +263,7 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
     beta0.  With ``beta0_is_offset=True`` the given beta0 is interpreted as
     the (positive) offset above P0 - P0_tilde, which is always admissible.
     """
+    _require_above_threshold(site, strat, k)  # the interface map's monotonicity
     if not s0 > 0:
         raise InputError(f"thermocline label must be positive, got {s0!r}")
     if a < 0:
@@ -302,7 +282,7 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
             raise InterfaceOrderingError(
                 f"beta0 offset must be positive, got {beta0!r}")
         beta0 = p0_minus_ptilde + beta0
-    s_plus = _invert_interface_map(site, strat, k, A, m, s0, p0_minus_ptilde, beta0)
+    s_plus = _invert_interface_map(strat, A, m, s0, p0_minus_ptilde, beta0)
     return WaveParameters(a=a, k=k, L=2.0 * math.pi / k, c=c, m=m, b=b, d=d,
                           s0=s0, s_plus=s_plus, P0=P0,
                           P0_tilde=p0_tilde, beta0=beta0,

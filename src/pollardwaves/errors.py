@@ -34,14 +34,6 @@ class WavenumberError(InputError):
     """Wavenumber at or below the 4*Omega^2/g_tilde admissibility threshold."""
 
 
-class RegimeError(InputError):
-    """Root isolation attempted where P may have more than two real roots.
-
-    The cubic discriminant of P' is non-negative, so the two-real-root
-    analysis does not apply (near a pole, for k near the threshold).
-    """
-
-
 class AmplitudeBoundError(InputError):
     """Amplitude violates the local-diffeomorphism gate m^2 a^2 e^(-2 m s*) < 1."""
 

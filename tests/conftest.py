@@ -23,6 +23,11 @@ def nondim_of(eps, F):
     return pw.NondimDispersion(alpha=float(eps**2 * (1.0 + F**2)), beta=float(eps * F))
 
 
+def derivative_discriminant(nd):
+    """128 alpha^3 - 1728 beta^2, the discriminant of P'; < 0 where P' has one real zero."""
+    return 128.0 * nd.alpha**3 - 1728.0 * nd.beta**2
+
+
 @pytest.fixture(scope="session")
 def constants():
     return pw.PhysicalConstants()
@@ -40,8 +45,7 @@ def strat(constants):
 
 @pytest.fixture(scope="session")
 def ref_roots(site45, strat):
-    nd = pw.nondimensionalize(site45, strat, REF_K)
-    return pw.solve_dispersion(nd, site45, strat, REF_K)
+    return pw.solve_dispersion(site45, strat, REF_K)
 
 
 @pytest.fixture(scope="session")
@@ -59,8 +63,7 @@ def equator_site(constants):
 @pytest.fixture(scope="session")
 def equatorial(equator_site, strat):
     """Equatorial wave at the critical amplitude a = 1/m (= 1/k there)."""
-    nd = pw.nondimensionalize(equator_site, strat, REF_K)
-    _, c_plus = pw.solve_branch(nd, equator_site, strat, REF_K, "positive")
+    _, c_plus = pw.solve_branch(equator_site, strat, REF_K, "positive")
     return pw.derive_parameters(equator_site, strat, REF_K, 1.0 / REF_K,
                                 c_plus, REF_S0, REF_BETA0_OFFSET,
                                 beta0_is_offset=True)

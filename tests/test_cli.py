@@ -31,7 +31,7 @@ def test_dispersion_prints_midlatitude_report(capsys):
     assert main(["dispersion"]) == 0
     out = capsys.readouterr().out
     assert "alpha" in out and "beta" in out
-    assert "< 0: two real roots" in out
+    assert "discriminant" not in out
     assert "X_plus" in out and "c_minus" in out
 
 
@@ -62,7 +62,7 @@ def test_dispersion_evaluates_P_only_in_its_root_solves(monkeypatch, capsys, str
     monkeypatch.setattr(dsp.NondimDispersion, "evaluate",
                         lambda self, x: calls.append(x) or evaluate(self, x))
     site = pw.coriolis(pw.PhysicalConstants(), math.radians(lat))
-    dsp.solve_dispersion(dsp.nondimensionalize(site, strat, k), site, strat, k)
+    dsp.solve_dispersion(site, strat, k)
     solve = len(calls)
     assert main(["dispersion", "--lat", str(lat), "--k", str(k)]) == 0
     assert len(calls) == 2 * solve
@@ -114,6 +114,19 @@ def test_dispersion_negative_root_below_minus_one(tmp_path):
     # d = -f m a / (k^2 c) takes its sign from c: c_plus would give the other sign
     d_plus = dsp.orbit_parameters(site.f, 4.6e-6, 10.0, report["c_plus"])[2]
     assert mbd[2] * d_plus < 0.0
+
+
+def test_dispersion_where_P_prime_has_three_real_zeros(tmp_path):
+    """At 85 deg and k = 1e-6 1/m (1.85 times the threshold) P' has three real zeros;
+    P still has one root on each side of 0, and the report names no discriminant."""
+    out = tmp_path / "report.json"
+    assert main(["dispersion", "--lat", "85", "--k", "1e-6", "--branch", "negative",
+                 "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert "discriminant" not in report
+    assert report["x_plus"] == pytest.approx(1.17353353319, abs=1e-11)
+    assert report["x_minus"] == pytest.approx(-1.11158597851, abs=1e-11)
+    assert report["c_minus"] < 0.0 < report["c_plus"]
 
 
 # --- data export -----------------------------------------------------------------

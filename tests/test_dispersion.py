@@ -10,11 +10,10 @@ from pollardwaves.errors import (
     AmplitudeBoundError,
     EvanescentRegimeError,
     InterfaceOrderingError,
-    RegimeError,
     WavenumberError,
 )
 
-from conftest import REF_A, REF_K, REF_S0, nondim_of
+from conftest import REF_A, REF_K, REF_S0, derivative_discriminant, nondim_of
 from equatorial import solve_equatorial
 from ferrari import ferrari_roots
 
@@ -98,17 +97,12 @@ def test_brackets_reference_case(site45, strat):
 
 
 def test_brackets_discriminant_gate_passes_at_large_eps():
+    """Criterion 2's largest eps and F: P' has one real zero, and each bracket
+    holds a sign change of P."""
     nd = nondim_of(0.05, 2.4)
-    assert nd.discriminant < 0.0
-    pw.root_brackets(nd)
-
-
-def test_brackets_regime_error_outside_analysis():
-    # eps = 1, F = 2 - sqrt(3) puts the derivative discriminant above zero
-    nd = nondim_of(1.0, 2.0 - math.sqrt(3.0))
-    assert nd.discriminant > 0.0
-    with pytest.raises(RegimeError):
-        pw.root_brackets(nd)
+    assert derivative_discriminant(nd) < 0.0
+    for inner, outer in pw.root_brackets(nd):
+        assert nd.evaluate(inner) < 0.0 < nd.evaluate(outer)
 
 
 def test_bracket_width_shrinks_with_rotation():
@@ -168,8 +162,6 @@ def test_cauchy_bound(site45, strat, ref_roots):
        st.floats(min_value=0.42, max_value=2.4))
 def test_bracket_theorem_property(eps, F):
     nd = nondim_of(eps, F)
-    if not nd.discriminant < 0.0:
-        return
     bracket_plus, bracket_minus = pw.root_brackets(nd)
     # refine directly on the brackets; the dimensional identity does not
     # apply to a synthetic (eps, F) pair
@@ -206,8 +198,7 @@ def test_equatorial_continuity_of_midlatitude_solver(constants, strat):
     """The solver near the Equator approaches the equatorial root."""
     c_eq, _ = solve_equatorial(constants, strat, REF_K)
     site = pw.coriolis(constants, 1e-3)
-    nd = pw.nondimensionalize(site, strat, REF_K)
-    roots = pw.solve_dispersion(nd, site, strat, REF_K)
+    roots = pw.solve_dispersion(site, strat, REF_K)
     assert roots.c_plus == pytest.approx(c_eq, rel=1e-4)
 
 
@@ -256,8 +247,7 @@ def test_hemisphere_mirror(constants, strat):
 
 
 def _solve_params(site, strat):
-    nd = pw.nondimensionalize(site, strat, REF_K)
-    roots = pw.solve_dispersion(nd, site, strat, REF_K)
+    roots = pw.solve_dispersion(site, strat, REF_K)
     return pw.derive_parameters(site, strat, REF_K, REF_A, roots.c_plus,
                                 REF_S0, 2000.0, beta0_is_offset=True)
 
@@ -270,8 +260,7 @@ def test_consistency_chain_property(lat_deg, southern, k):
     const = pw.PhysicalConstants()
     site = pw.coriolis(const, math.radians(-lat_deg if southern else lat_deg))
     strat = pw.reduced_gravity(const, 1000.0, 1004.0)
-    nd = pw.nondimensionalize(site, strat, k)
-    roots = pw.solve_dispersion(nd, site, strat, k)
+    roots = pw.solve_dispersion(site, strat, k)
     params = pw.derive_parameters(site, strat, k, 0.5 / k, roots.c_plus,
                                   50.0, 100.0, beta0_is_offset=True)
     a, b, c, d, m, f = (params.a, params.b, params.c, params.d, params.m,
@@ -333,35 +322,41 @@ def test_interface_gate_is_min_wavenumber(constants, equator_site, strat):
     assert params.s_plus > params.s0
 
 
-# --- solve_interface --------------------------------------------------------
+# --- interface label --------------------------------------------------------
 
 def interface_coefficient(p):
     return pressure_coefficient_a(p.f, p.f_hat, p.k, p.c, p.a, p.b, p.d)
 
 
-def test_interface_round_trip(ref_params, strat):
+def interface_label(p, site, strat, beta0):
+    """s_plus of p's set re-derived for an absolute beta0."""
+    return pw.derive_parameters(site, strat, p.k, p.a, p.c, p.s0, beta0, P0=p.P0).s_plus
+
+
+def test_interface_round_trip(ref_params, site45, strat):
     target = ref_params.s0 + 1.0
     beta0 = _interface_map(strat, interface_coefficient(ref_params), ref_params.m, target)
-    s_plus = pw.solve_interface(ref_params, strat, beta0)
+    s_plus = interface_label(ref_params, site45, strat, beta0)
     assert s_plus == pytest.approx(target, abs=1e-9)
 
 
-def test_interface_monotonicity(ref_params, strat):
-    lower = pw.solve_interface(ref_params, strat, ref_params.beta0)
-    higher = pw.solve_interface(ref_params, strat, ref_params.beta0 + 500.0)
+def test_interface_monotonicity(ref_params, site45, strat):
+    lower = interface_label(ref_params, site45, strat, ref_params.beta0)
+    higher = interface_label(ref_params, site45, strat, ref_params.beta0 + 500.0)
+    assert lower == ref_params.s_plus
     assert higher > lower
 
 
-def test_interface_reference_inversion(ref_params, strat):
+def test_interface_reference_inversion(ref_params, site45, strat):
     beta0 = _interface_map(strat, interface_coefficient(ref_params), ref_params.m, 60.0)
-    assert pw.solve_interface(ref_params, strat, beta0) == pytest.approx(
+    assert interface_label(ref_params, site45, strat, beta0) == pytest.approx(
         60.0, abs=1e-9)
 
 
-def test_interface_ordering_error(ref_params, strat):
+def test_interface_ordering_error(ref_params, site45, strat):
     with pytest.raises(InterfaceOrderingError):
-        pw.solve_interface(ref_params, strat,
-                           ref_params.P0 - ref_params.P0_tilde - 1.0)
+        interface_label(ref_params, site45, strat,
+                        ref_params.P0 - ref_params.P0_tilde - 1.0)
 
 
 def test_derive_rejects_nonpositive_offset(site45, strat, ref_roots):

@@ -262,8 +262,7 @@ def test_orbit_tilt_direction_flips_with_hemisphere(constants, strat):
     """Top of the circle is closer to the Equator on both hemispheres."""
     for lat, sign in ((45.0, -1.0), (-45.0, 1.0)):
         site = pw.coriolis(constants, math.radians(lat))
-        nd = pw.nondimensionalize(site, strat, REF_K)
-        roots = pw.solve_dispersion(nd, site, strat, REF_K)
+        roots = pw.solve_dispersion(site, strat, REF_K)
         params = pw.derive_parameters(site, strat, REF_K, 10.0, roots.c_plus,
                                       REF_S0, 2000.0, beta0_is_offset=True)
         assert math.copysign(1.0, params.d) == sign

@@ -19,7 +19,8 @@ from pollardwaves.cli import RunConfig, solve_configured
 from pollardwaves.dispersion import _bisect_newton
 from pollardwaves.errors import ConvergenceError, InputError
 
-from conftest import REF_A, REF_BETA0_OFFSET, REF_K, REF_S0, nondim_of
+from conftest import (REF_A, REF_BETA0_OFFSET, REF_K, REF_S0, derivative_discriminant,
+                      nondim_of)
 
 MP_DIGITS = 50
 
@@ -63,7 +64,7 @@ def test_roots_match_mpmath_polyroots():
     worst = 0.0
     for eps, F in ROOT_CASES:
         nd = nondim_of(eps, F)
-        assert nd.discriminant < 0.0
+        assert derivative_discriminant(nd) < 0.0
         real = exact_real_roots(nd)
         assert len(real) == 2, (eps, F)
         bracket_plus, bracket_minus = pw.root_brackets(nd)
@@ -80,25 +81,50 @@ def strat_of(jump):
     return pw.reduced_gravity(pw.PhysicalConstants(), 1000.0, 1000.0 + jump)
 
 
+def site_of(lat_deg):
+    return pw.coriolis(pw.PhysicalConstants(), math.radians(lat_deg))
+
+
+def nondim_at(lat_deg, jump, k):
+    return pw.nondimensionalize(site_of(lat_deg), strat_of(jump), k)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def site_roots_checked(lat_deg, jump, k):
-    """solve_dispersion's roots at one site, each checked against the 50-digit
-    root to 4 ulp; None outside the two-real-root regime."""
-    site = pw.coriolis(pw.PhysicalConstants(), math.radians(lat_deg))
-    strat = strat_of(jump)
-    nd = pw.nondimensionalize(site, strat, k)
-    if not nd.discriminant < 0.0:
-        return None
-    roots = pw.solve_dispersion(nd, site, strat, k)
-    x_minus, x_plus = exact_real_roots(nd)
-    assert ulps_from(roots.x_plus, x_plus) <= 4.0, (lat_deg, jump, k)
-    assert ulps_from(roots.x_minus, x_minus) <= 4.0, (lat_deg, jump, k)
-    return roots
+    """(X+, X-) of solve_branch at one site, each solved in at most 9 P
+    evaluations and checked against the 50-digit root to 4 ulp."""
+    site, strat = site_of(lat_deg), strat_of(jump)
+    x_minus, x_plus = exact_real_roots(nondim_at(lat_deg, jump, k))
+    solved = []
+    for branch, exact in (("positive", x_plus), ("negative", x_minus)):
+        with pytest.MonkeyPatch.context() as patch:
+            evaluations = count_calls(patch, pw.NondimDispersion, "evaluate")
+            x, _ = pw.solve_branch(site, strat, k, branch)
+        assert len(evaluations) <= 9, (lat_deg, jump, k, branch)
+        assert ulps_from(x, exact) <= 4.0, (lat_deg, jump, k, branch)
+        solved.append(x)
+    return tuple(solved)
+
+
+def threshold_of(jump):
+    return 4.0 * pw.PhysicalConstants().Omega**2 / strat_of(jump).g_tilde
 
 
 # the Equator, 1e-8 deg and 15-85 deg in alternate hemispheres, density jumps
 # 0.5, 4 and 20, and k from just above the 4 Omega^2 / g_tilde threshold to 1e7 times it
 SITE_CASES = [
-    (lat, jump, factor * 4.0 * pw.PhysicalConstants().Omega**2 / strat_of(jump).g_tilde)
+    (lat, jump, factor * threshold_of(jump))
     for lat in (0.0, 1e-8, 15.0, -25.0, 35.0, -45.0, 55.0, -65.0, 75.0, -85.0)
     for jump in (0.5, 4.0, 20.0)
     for factor in (1.0 + 1e-12, *(10.0**e for e in range(1, 8)))]
@@ -106,32 +132,39 @@ SITE_CASES = [
 
 def test_roots_match_mpmath_polyroots_at_every_latitude():
     solved = [site_roots_checked(*case) for case in SITE_CASES]
-    # outside: 75 and 85 deg just above the threshold, where alpha / sqrt(13.5) > cos(lat)
-    assert sum(roots is not None for roots in solved) == len(SITE_CASES) - 6
+    assert all(x_minus < 0.0 < x_plus for x_plus, x_minus in solved)
+    # 75 and 85 deg just above the threshold, where alpha / sqrt(13.5) > cos(lat):
+    # P' has three real zeros there, and P still one root on each side of 0
+    assert sum(derivative_discriminant(nondim_at(*case)) >= 0.0 for case in SITE_CASES) == 6
 
 
-# `dispersion --lat 82.6 --k 4.6e-6`, then lat 60-85 deg, density jumps of
-# 0.5-20 and k from just above the 4 Omega^2 / g_tilde threshold to 10 times it
+# `dispersion --lat 82.6 --k 4.6e-6`, then lat 60-89.99 deg (89 deg and above in
+# both hemispheres), density jumps of 0.5-20 and k from (1 + 1e-12) to 10 times
+# the 4 Omega^2 / g_tilde threshold
 HIGH_LATITUDE_CASES = [(82.6, 4.0, 4.6e-6)] + [
-    (lat, jump, factor * 4.0 * pw.PhysicalConstants().Omega**2 / strat_of(jump).g_tilde)
-    for lat in (60.0, 65.0, 70.0, 75.0, 80.0, 85.0) for jump in (0.5, 20.0)
-    for factor in (1.001, 1.01, 1.1, 1.5, 2.0, 4.0, 10.0)]
+    (lat, jump, factor * threshold_of(jump))
+    for lat in (60.0, 65.0, 70.0, 75.0, 80.0, 85.0, 89.0, -89.0, 89.9, -89.9, 89.99, -89.99)
+    for jump in (0.5, 20.0)
+    for factor in (1.0 + 1e-12, 1.0 + 1e-9, 1.001, 1.01, 1.1, 1.5, 2.0, 4.0, 10.0)]
 
 
 def test_high_latitude_roots_match_mpmath_polyroots():
     """Where P(-1) <= 0 the negative root lies below -1 (long waves at high
-    latitudes); both roots still meet the 50-digit roots to 4 ulp."""
+    latitudes), and near the poles P' has three real zeros; both roots still
+    meet the 50-digit roots to 4 ulp in at most 9 P evaluations each."""
     solved = [site_roots_checked(*case) for case in HIGH_LATITUDE_CASES]
-    below = sum(roots.x_minus < -1.0 for roots in solved if roots is not None)
+    below = sum(x_minus < -1.0 for _, x_minus in solved)
     assert below >= 10  # the P(-1) <= 0 side is reached, the CLI's point first
+    three_zeros = sum(derivative_discriminant(nondim_at(*case)) >= 0.0
+                      for case in HIGH_LATITUDE_CASES)
+    assert three_zeros == 142  # the region the two-real-root analysis left out
 
 
 def test_negative_bracket_stays_below_zero():
     # P(-1) <= 0, so X- < -1; and P(-1) > 0 with beta = 1.5, so -1 < X- < 0
-    for nd in (pw.nondimensionalize(pw.coriolis(pw.PhysicalConstants(), math.radians(82.6)),
-                                    strat_of(4.0), 4.6e-6),
+    for nd in (nondim_at(82.6, 4.0, 4.6e-6),
                nondim_of(math.sqrt(0.05), 1.5 / math.sqrt(0.05))):
-        assert nd.discriminant < 0.0
+        assert derivative_discriminant(nd) < 0.0
         _, (inner, outer) = pw.root_brackets(nd)
         x_minus = exact_real_roots(nd)[0]
         assert outer < x_minus < inner == 0.0
@@ -146,9 +179,9 @@ def test_roots_on_one_side_of_zero_are_rejected(monkeypatch, site45, strat):
     monkeypatch.setattr(dsp, "root_brackets", lambda nd: (minus, plus))
     for branch in ("positive", "negative"):
         with pytest.raises(ConvergenceError, match=f"the {branch} root .* wrong side of 0"):
-            pw.solve_branch(nd, site45, strat, REF_K, branch)
+            pw.solve_branch(site45, strat, REF_K, branch)
     with pytest.raises(ConvergenceError, match="wrong side of 0"):
-        pw.solve_dispersion(nd, site45, strat, REF_K)
+        pw.solve_dispersion(site45, strat, REF_K)
 
 
 def grid_site(eps, F, strat):
@@ -164,23 +197,20 @@ def test_branch_solve_equals_both_root_solve(strat):
     root_brackets bit for bit."""
     cases = [(*grid_site(float(eps), float(F), strat), strat)
              for eps in np.linspace(1e-3, 5e-2, 20) for F in np.linspace(0.42, 2.4, 20)]
-    cases += [(pw.coriolis(pw.PhysicalConstants(), math.radians(lat_deg)), k, strat_of(jump))
-              for lat_deg, jump, k in HIGH_LATITUDE_CASES]
+    cases += [(site_of(lat_deg), k, strat_of(jump)) for lat_deg, jump, k in HIGH_LATITUDE_CASES]
     solved = 0
     for site, k, case_strat in cases:
         nd = pw.nondimensionalize(site, case_strat, k)
-        if not nd.discriminant < 0.0:  # outside the mid-latitude regime
-            continue
-        roots = pw.solve_dispersion(nd, site, case_strat, k)
+        roots = pw.solve_dispersion(site, case_strat, k)
         fields = {"positive": (roots.x_plus, roots.c_plus),
                   "negative": (roots.x_minus, roots.c_minus)}
         for branch, bracket in zip(fields, pw.root_brackets(nd)):
-            x, c = pw.solve_branch(nd, site, case_strat, k, branch)
+            x, c = pw.solve_branch(site, case_strat, k, branch)
             assert (x.hex(), c.hex()) == tuple(v.hex() for v in fields[branch])
             assert x.hex() == _bisect_newton(nd, *bracket, 1e-12).hex()
             assert c.hex() == (x * math.sqrt(case_strat.g_tilde / k)).hex()
         solved += 1
-    assert solved == 400 + 63  # the whole (eps, F) grid; 22 high-latitude sets are outside
+    assert solved == 400 + len(HIGH_LATITUDE_CASES)  # every case, at every latitude
 
 
 def interface_root(site, strat, params):
@@ -214,29 +244,17 @@ def interface_tolerance(site, strat, params):
     return max(dsp.INTERFACE_TOL, 4.0 * math.ulp(s)) + roundoff
 
 
-def count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args):
-        calls.append(None)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def solved_site(lat_deg, jump, k_over_threshold, branch):
     constants = pw.PhysicalConstants()
     site = pw.coriolis(constants, math.radians(lat_deg))
     strat = pw.reduced_gravity(constants, 1000.0, 1000.0 + jump)
     k = k_over_threshold * pw.min_wavenumber(site, strat)
-    roots = pw.solve_dispersion(pw.nondimensionalize(site, strat, k), site, strat, k)
+    roots = pw.solve_dispersion(site, strat, k)
     return site, strat, k, roots.c_plus if branch == "positive" else roots.c_minus
 
 
 @settings(max_examples=80, deadline=None)
-@given(lat_deg=st.one_of(st.just(0.0), st.floats(0.0, 85.0), st.floats(-85.0, 0.0)),
+@given(lat_deg=st.one_of(st.just(0.0), st.floats(0.0, 89.99), st.floats(-89.99, 0.0)),
        jump=st.floats(0.5, 20.0),
        k_exp=st.floats(0.05, 7.0),
        steepness=st.floats(0.0, 0.99),
@@ -251,7 +269,7 @@ def test_interface_label_property(lat_deg, jump, k_exp, steepness, s0_exp,
     try:
         site, strat, k, c = solved_site(lat_deg, jump, 10.0**k_exp, branch)
         m = dsp.orbit_parameters(site.f, k, 1.0, c)[0]
-    except InputError:  # the set is not admitted, e.g. outside the mid-latitude regime
+    except InputError:  # the set is not admitted: a typed input error ends the run
         assume(False)
     s0 = 10.0**s0_exp
     with pytest.MonkeyPatch.context() as patch:
@@ -285,8 +303,7 @@ def test_reference_solve_work_counts(monkeypatch, site45, strat, equator_site):
     takes at most 5 per root at the reference, 6 at 82.6 deg and k = 4.6e-6."""
     evaluations = count_calls(monkeypatch, pw.NondimDispersion, "evaluate")
     map_calls = count_calls(monkeypatch, dsp, "_interface_map")
-    nd = pw.nondimensionalize(site45, strat, REF_K)
-    roots = pw.solve_dispersion(nd, site45, strat, REF_K)
+    roots = pw.solve_dispersion(site45, strat, REF_K)
     assert len(evaluations) <= 10  # both roots
     pw.derive_parameters(site45, strat, REF_K, REF_A, roots.c_plus, REF_S0,
                          REF_BETA0_OFFSET, beta0_is_offset=True)
