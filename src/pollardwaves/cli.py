@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -38,6 +39,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+EARTH = PhysicalConstants()  # frozen, so every configured solve shares it
 
 
 @dataclass
@@ -81,10 +84,13 @@ class RunConfig:
         if not abs(self.latitude_deg) < 90.0:
             raise ConfigError(
                 f"latitude must satisfy |lat| < 90 deg, got {self.latitude_deg!r}")
-        if not self.amplitude >= 0:
-            raise ConfigError(f"amplitude must be non-negative, got {self.amplitude!r}")
+        if not 0 <= self.amplitude < math.inf:
+            raise ConfigError(f"amplitude must be finite and non-negative, got {self.amplitude!r}")
         if not (math.isfinite(self.perturb_c) and self.perturb_c > -1.0):
             raise ConfigError(f"perturb_c must be finite and above -1, got {self.perturb_c!r}")
+        for name in ("tol_identity", "tol_fd"):
+            if not 0.0 < vars(self)[name] < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {vars(self)[name]!r}")
         for name in ("n_theta", "n_s", "n_time", "n_random"):
             if not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
@@ -126,20 +132,31 @@ def _clear_other_length(settings: dict) -> dict:
 
 def _setting(config: RunConfig):
     """(constants, site, strat) of a config: Earth's constants, its latitude's
-    Coriolis pair and its two densities."""
-    constants = PhysicalConstants()
-    return (constants, coriolis(constants, math.radians(config.latitude_deg)),
-            reduced_gravity(constants, config.rho0, config.rho_plus))
+    Coriolis pair and its two densities.  Consecutive configs at one site share
+    its Site and Stratification, built again only when the latitude or either
+    density changes its bit pattern (-0.0 and 0.0 are two sites).  Unstable or
+    non-finite densities raise a StratificationError (exit 2) on every call."""
+    values = (config.latitude_deg, config.rho0, config.rho_plus)
+    return _site_setting(*values, struct.pack("3d", *values))
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _site_setting(latitude_deg, rho0, rho_plus, _bits):
+    """_setting's one-entry memo; an error is raised, not stored."""
+    return (EARTH, coriolis(EARTH, math.radians(latitude_deg)),
+            reduced_gravity(EARTH, rho0, rho_plus))
 
 
 def solve_configured(config: RunConfig):
     """Run the full parameter pipeline for a validated config.
 
-    Returns (constants, site, strat, params).  Only the configured branch's
-    root is solved and checked (solve_branch), at every latitude.  The
-    amplitude is capped at the thermocline bound 1/m as soon as m is known;
-    the perturb_c negative control replaces the phase speed after the set is
-    solved, leaving m, b, d untouched.
+    Returns (constants, site, strat, params), with the site and stratification
+    of the config before when it was at the same site (_setting).  Only the
+    configured branch's root is solved and checked (solve_branch), at every
+    latitude; an overflowing k^4 and a non-finite density, s0 or beta0 offset
+    are InputErrors (exit 2).  The amplitude is capped at the thermocline
+    bound 1/m as soon as m is known; the perturb_c negative control replaces
+    the phase speed after the set is solved, leaving m, b, d untouched.
     """
     constants, site, strat = _setting(config)
     k = config.k

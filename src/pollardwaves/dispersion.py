@@ -107,7 +107,7 @@ def nondimensionalize(site: Site, strat: Stratification,
                       k: float) -> NondimDispersion:
     """Map (site, strat, k), k above the 4 Omega^2 / g_tilde threshold, to P's
     coefficients: alpha = threshold / k and beta = f_hat / sqrt(g_tilde k)."""
-    threshold = _require_above_threshold(site, strat, k)
+    threshold = _require_admissible_wavenumber(site, strat, k)
     return NondimDispersion(alpha=threshold / k, beta=site.f_hat / math.sqrt(strat.g_tilde * k))
 
 
@@ -179,12 +179,15 @@ def solve_dispersion(site: Site, strat: Stratification, k: float,
     return DispersionRoots(x_plus=x_plus, x_minus=x_minus, c_plus=c_plus, c_minus=c_minus)
 
 
-def _require_above_threshold(site, strat, k):
-    """min_wavenumber(site, strat); raises WavenumberError unless k exceeds it."""
+def _require_admissible_wavenumber(site, strat, k):
+    """min_wavenumber(site, strat); raises WavenumberError unless it < k < 1e77
+    (orbit_parameters' k^4 overflows a double above 1.16e77)."""
     threshold = min_wavenumber(site, strat)
     if not k > threshold:
         raise WavenumberError(
             f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
+    if not k < 1e77:
+        raise WavenumberError(f"wavenumber k={k!r} must be below 1e77, where k^4 overflows")
     return threshold
 
 
@@ -263,7 +266,9 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
     beta0.  With ``beta0_is_offset=True`` the given beta0 is interpreted as
     the (positive) offset above P0 - P0_tilde, which is always admissible.
     """
-    _require_above_threshold(site, strat, k)  # the interface map's monotonicity
+    _require_admissible_wavenumber(site, strat, k)  # the interface map's monotonicity
+    if not (math.isfinite(s0) and math.isfinite(beta0)):
+        raise InputError(f"s0={s0!r} and beta0={beta0!r} must both be finite")
     if not s0 > 0:
         raise InputError(f"thermocline label must be positive, got {s0!r}")
     if a < 0:

@@ -77,7 +77,7 @@ def reduced_gravity(constants: PhysicalConstants, rho0: float,
                     rho_plus: float) -> Stratification:
     """Build a Stratification with g_tilde = g (rho_plus - rho0) / rho0.
 
-    Raises StratificationError unless rho_plus > rho0 > 0.
+    Raises StratificationError unless rho_plus > rho0 > 0 and g_tilde is finite.
     """
     if not rho0 > 0:
         raise StratificationError(f"rho0 must be positive, got {rho0!r}")
@@ -86,6 +86,9 @@ def reduced_gravity(constants: PhysicalConstants, rho0: float,
             f"unstable stratification: need rho_plus > rho0, "
             f"got rho_plus={rho_plus!r}, rho0={rho0!r}")
     g_tilde = constants.g * (rho_plus - rho0) / rho0
+    if not math.isfinite(g_tilde):
+        raise StratificationError(
+            f"g_tilde must be finite, got {g_tilde!r} from rho_plus={rho_plus!r}, rho0={rho0!r}")
     return Stratification(rho0=rho0, rho_plus=rho_plus, g_tilde=g_tilde,
                           g=constants.g)
 

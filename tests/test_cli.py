@@ -437,10 +437,74 @@ def test_sampled_commands_need_two_samples(command, capsys):
     ["verify", "--n-s", "0"],
     ["verify", "--n-time", "0"],
     ["dispersion", "--amplitude", "nan"],
+    ["dispersion", "--amplitude", "inf"],  # b = inf, d = -inf
+    ["dispersion", "--rho-plus", "inf"],   # c = +-inf, m = b = d = nan
+    ["field", "--beta0-offset", "inf"],    # s_plus = nan
+    ["verify", "--beta0-offset", "inf"],
+    ["verify", "--s0", "inf"],
+    ["verify", "--tol-identity", "nan"],   # abs(p) > nan * ... never holds
+    ["dispersion", "--tol-identity", "nan"],
+    ["verify", "--tol-identity", "-1"],
+    ["verify", "--tol-fd", "nan"],
+    ["verify", "--tol-fd", "0"],
 ])
 def test_config_gate_rejects_degenerate_inputs(argv, capsys):
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dispersion", "verify", "field"])
+@pytest.mark.parametrize("length", [["--k", "1e80"], ["--wavelength", "1e-300"]])
+def test_overflowing_wavenumber_is_a_typed_error(command, length, tmp_path, capsys):
+    """k^4 would overflow a double: a one-line typed error, no traceback."""
+    assert main([command, *length, "--out", str(tmp_path / "out")]) in (2, 3)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be below 1e77" in err
+    assert not (tmp_path / "out").exists()
+
+
+# configs of the memo tests: the reference, the Equator's two zeros (f = 0.0
+# and f = -0.0), a density change at a fixed latitude, and a southern site
+MEMO_CONFIGS = (
+    RunConfig(),
+    RunConfig(latitude_deg=0.0),
+    RunConfig(latitude_deg=-0.0),
+    RunConfig(latitude_deg=0.0, rho_plus=1010.0),
+    RunConfig(latitude_deg=45.0, rho0=999.0),
+    RunConfig(latitude_deg=-60.0, branch="negative"),
+)
+
+
+def test_configured_solve_is_independent_of_the_solve_before():
+    """The site memo of _setting is invisible: each config's (site, strat,
+    params) is the same solved fresh and solved right after any other config,
+    including 0.0 after -0.0 and the reverse."""
+    def solved(config):
+        return repr(solve_configured(config.validate())[1:])
+
+    fresh = []
+    for config in MEMO_CONFIGS:
+        cli._site_setting.cache_clear()
+        fresh.append(solved(config))
+    assert len(set(fresh)) == len(fresh)  # the zeros' f and d differ in sign
+    assert "f=-0.0" in fresh[2] and "f=-0.0" not in fresh[1]
+    for i, first in enumerate(MEMO_CONFIGS):
+        for j, second in enumerate(MEMO_CONFIGS):
+            cli._site_setting.cache_clear()
+            solved(first)
+            assert solved(second) == fresh[j], (i, j)
+
+
+def test_bad_stratification_raises_on_every_call(capsys):
+    """An error is not memoised, and does not evict or reuse the site before."""
+    unstable = ["dispersion", "--rho0", "1004", "--rho-plus", "1000"]
+    assert main(["dispersion"]) == 0
+    good = capsys.readouterr().out
+    for _ in range(2):
+        assert main(unstable) == 2
+        assert "unstable stratification" in capsys.readouterr().err
+    assert main(["dispersion"]) == 0
+    assert capsys.readouterr().out == good
 
 
 def test_configured_solve_leaves_the_other_branch_alone(monkeypatch, ref_params):

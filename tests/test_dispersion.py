@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pollardwaves as pw
-from pollardwaves.dispersion import _bisect_newton, _interface_map, pressure_coefficient_a
+from pollardwaves.dispersion import (_bisect_newton, _interface_map, orbit_parameters,
+                                     pressure_coefficient_a)
 from pollardwaves.errors import (
     AmplitudeBoundError,
     EvanescentRegimeError,
+    InputError,
     InterfaceOrderingError,
     WavenumberError,
 )
@@ -363,6 +365,31 @@ def test_derive_rejects_nonpositive_offset(site45, strat, ref_roots):
     with pytest.raises(InterfaceOrderingError):
         pw.derive_parameters(site45, strat, REF_K, REF_A, ref_roots.c_plus,
                              REF_S0, -1.0, beta0_is_offset=True)
+
+
+@pytest.mark.parametrize("s0, beta0, is_offset", [
+    (math.inf, 2000.0, True), (math.nan, 2000.0, True),
+    (REF_S0, math.inf, True), (REF_S0, math.inf, False), (REF_S0, math.nan, False),
+])
+def test_derive_rejects_non_finite_s0_and_beta0(site45, strat, ref_roots, s0, beta0,
+                                                is_offset):
+    with pytest.raises(InputError, match="must both be finite"):
+        pw.derive_parameters(site45, strat, REF_K, REF_A, ref_roots.c_plus,
+                             s0, beta0, beta0_is_offset=is_offset)
+
+
+@pytest.mark.parametrize("k", [1e77, 1e80, 2.0 * math.pi / 1e-300, math.inf])
+def test_wavenumbers_whose_fourth_power_overflows_are_rejected(site45, strat, ref_roots, k):
+    """k^4, taken by orbit_parameters, overflows above 1.16e77: the gate stops
+    such k with a typed error before any power is taken."""
+    for branch in ("positive", "negative"):
+        with pytest.raises(WavenumberError, match="must be below 1e77"):
+            pw.solve_branch(site45, strat, k, branch)
+    with pytest.raises(WavenumberError, match="must be below 1e77"):
+        pw.derive_parameters(site45, strat, k, REF_A, ref_roots.c_plus, REF_S0, 2000.0)
+    below = math.nextafter(1e77, 0.0)
+    _, c = pw.solve_branch(site45, strat, below, "positive")
+    assert all(math.isfinite(v) for v in orbit_parameters(site45.f, below, 0.0, c))
 
 
 # --- Ferrari cross-check ----------------------------------------------------

@@ -86,6 +86,15 @@ def test_reduced_gravity_rejects_nonpositive_density(constants):
         pw.reduced_gravity(constants, -5.0, 1000.0)
 
 
+@pytest.mark.parametrize("rho0, rho_plus", [
+    (1000.0, math.inf), (math.inf, math.inf), (math.nan, 1004.0), (1000.0, math.nan),
+    (-math.inf, 1004.0), (1e-10, 1e308),   # the last: finite densities, g_tilde overflows
+])
+def test_reduced_gravity_rejects_non_finite_inputs(constants, rho0, rho_plus):
+    with pytest.raises(StratificationError):
+        pw.reduced_gravity(constants, rho0, rho_plus)
+
+
 def test_min_wavenumber_reference_value(site45, strat):
     # 4 Omega^2 / g_tilde with the typical density jump
     threshold = pw.min_wavenumber(site45, strat)

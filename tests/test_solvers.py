@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pollardwaves as pw
-from pollardwaves import dispersion as dsp
+from pollardwaves import cli, dispersion as dsp
 from pollardwaves.cli import RunConfig, solve_configured
 from pollardwaves.dispersion import _bisect_newton
 from pollardwaves.errors import ConvergenceError, InputError
@@ -322,3 +322,20 @@ def test_reference_solve_work_counts(monkeypatch, site45, strat, equator_site):
                 evaluations.clear()
                 _bisect_newton(nd, *bracket, 1e-12)
                 assert len(evaluations) <= 6, (eps, F)
+
+
+def test_one_curve_builds_its_site_once(monkeypatch):
+    """A 64-config dispersion curve at one site (32 wavenumbers x both branches)
+    builds its Site and its Stratification once; the next site builds its own."""
+    cli._site_setting.cache_clear()
+    sites = count_calls(monkeypatch, cli, "coriolis")
+    strats = count_calls(monkeypatch, cli, "reduced_gravity")
+    curve = [RunConfig(latitude_deg=-37.5, rho_plus=1003.0, wavenumber=3e-3 * 100.0 ** (j / 31),
+                       amplitude=0.2 / (3e-3 * 100.0 ** (j / 31)), branch=branch).validate()
+             for j in range(32) for branch in ("positive", "negative")]
+    solved = [solve_configured(config)[1:3] for config in curve]
+    assert (len(sites), len(strats)) == (1, 1)
+    assert all(pair[0] is solved[0][0] and pair[1] is solved[0][1] for pair in solved)
+    solve_configured(RunConfig(latitude_deg=37.5, rho_plus=1003.0).validate())
+    assert (len(sites), len(strats)) == (2, 2)
+    cli._site_setting.cache_clear()
