@@ -42,6 +42,9 @@ EXIT_NUMERIC = 3
 
 EARTH = PhysicalConstants()  # frozen, so every configured solve shares it
 
+# a float field of a config file takes a JSON integer too, kept as it is
+_JSON_TYPES = {float: (int, float), float | None: (int, float, type(None))}
+
 
 @dataclass
 class RunConfig:
@@ -58,14 +61,14 @@ class RunConfig:
     beta0_offset: float = 2000.0
     branch: str = "positive"
     output_format: str = "csv"
-    seed: int = 0
+    seed: int = ver.VerifyConfig.seed
     perturb_c: float = 0.0
-    tol_identity: float = 1e-12
-    tol_fd: float = 1e-6
-    n_theta: int = 16
-    n_s: int = 16
-    n_time: int = 5
-    n_random: int = 50
+    tol_identity: float = dsp.IDENTITY_TOL
+    tol_fd: float = ver.VerifyConfig.tol_fd
+    n_theta: int = ver.VerifyConfig.n_theta
+    n_s: int = ver.VerifyConfig.n_s
+    n_time: int = ver.VerifyConfig.n_time
+    n_random: int = ver.VerifyConfig.n_random
 
     def validate(self):
         has_k = self.wavenumber is not None
@@ -114,10 +117,15 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - known)
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(raw) - set(fields))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for name, value in raw.items():
+            kind = fields[name]
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES.get(kind, kind)):
+                raise ConfigError(f"config key {name} must be of type "
+                                  f"{getattr(kind, '__name__', kind)}, got {value!r}")
         return cls(**_clear_other_length(raw))
 
 
@@ -166,8 +174,7 @@ def solve_configured(config: RunConfig):
         raise AmplitudeBoundError(
             f"amplitude {config.amplitude!r} exceeds the amplitude bound 1/m = {1.0 / m!r}")
     params = dsp.derive_parameters(site, strat, k, config.amplitude, c,
-                                   config.s0, config.beta0_offset,
-                                   beta0_is_offset=True)
+                                   config.s0, config.beta0_offset)
     if config.perturb_c != 0.0:
         params = dataclasses.replace(params, c=(1.0 + config.perturb_c) * params.c)
     return constants, site, strat, params
@@ -192,7 +199,7 @@ def _flow_columns(fields: flow.Flow, strat):
             *fields.velocity, fields.pressure(strat), *fields.vorticity)
 
 
-def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
+def cmd_dispersion(config: RunConfig, args) -> int:
     _, site, strat = _setting(config)
     k = config.k
     roots = dsp.solve_dispersion(site, strat, k, tol=config.tol_identity)
@@ -214,13 +221,13 @@ def cmd_dispersion(config: RunConfig, out: str | None, fmt: str) -> int:
     print(f"  X_plus  = {roots.x_plus:.12g}   c_plus  = {roots.c_plus:.10g} m/s")
     print(f"  X_minus = {roots.x_minus:.12g}   c_minus = {roots.c_minus:.10g} m/s")
     print(f"  m = {m:.10g} 1/m   b = {b:.10g} m   d = {d:.10g} m")
-    if out:
-        if fmt == "csv":
+    if args.out:
+        if config.output_format == "csv":
             text = "name,value\n" + "".join(
                 f"{key},{value:.17g}\n" for key, value in report.items())
         else:
             text = json.dumps(report, indent=2) + "\n"
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     return EXIT_OK
 
@@ -256,12 +263,10 @@ def cmd_field(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, out: str | None) -> int:
+def cmd_verify(config: RunConfig, args) -> int:
     _, _, strat, params = solve_configured(config)
-    vconfig = ver.VerifyConfig(
-        n_theta=config.n_theta, n_s=config.n_s, n_time=config.n_time,
-        n_random=config.n_random, seed=config.seed,
-        tol_identity=config.tol_identity, tol_fd=config.tol_fd)
+    vconfig = ver.VerifyConfig(**{fld.name: getattr(config, fld.name)
+                                  for fld in dataclasses.fields(ver.VerifyConfig)})
     reports = ver.run_all(params, strat, vconfig)
     passed = all(r.passed for r in reports)
     for r in reports:
@@ -277,10 +282,14 @@ def cmd_verify(config: RunConfig, out: str | None) -> int:
                    for r in reports],
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
+
+
+COMMANDS = {"dispersion": cmd_dispersion, "trajectory": cmd_trajectory,
+            "profile": cmd_profile, "field": cmd_field, "verify": cmd_verify}
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -383,17 +392,7 @@ def main(argv=None) -> int:
         config = load_config(args)
         if getattr(args, "n", 2) < 2:  # trajectory and profile
             raise ConfigError(f"--n must be at least 2, got {args.n!r}")
-        if args.command == "dispersion":
-            return cmd_dispersion(config, args.out, config.output_format)
-        if args.command == "trajectory":
-            return cmd_trajectory(config, args)
-        if args.command == "profile":
-            return cmd_profile(config, args)
-        if args.command == "field":
-            return cmd_field(config, args)
-        if args.command == "verify":
-            return cmd_verify(config, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](config, args)
     except InputError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

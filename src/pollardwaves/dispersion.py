@@ -31,6 +31,7 @@ from .errors import (
     EvanescentRegimeError,
     InputError,
     InterfaceOrderingError,
+    StratificationError,
     WavenumberError,
 )
 from .geo import Site, Stratification, min_wavenumber
@@ -154,7 +155,8 @@ def solve_branch(site: Site, strat: Stratification, k: float, branch: str,
     """(X, c) of one branch, "positive" (X > 0) or "negative" (X < 0), with
     c = X sqrt(g_tilde / k), |P(X)| <= tol * max(1, X^4) and the dimensional
     identity rho0^2 c^2 (c^2 k^2 - f^2) = (rho0 c f_hat + g (rho_plus - rho0))^2
-    met to the same relative tolerance."""
+    met to the same relative tolerance.  Densities and k for which a side of
+    the identity overflows a double are a StratificationError."""
     if branch not in ("positive", "negative"):
         raise InputError(f"unknown branch {branch!r}")
     nd = nondimensionalize(site, strat, k)  # raises at k <= 4 Omega^2 / g_tilde
@@ -163,8 +165,12 @@ def solve_branch(site: Site, strat: Stratification, k: float, branch: str,
     if not sign * x > 0.0:
         raise ConvergenceError(f"the {branch} root X={x!r} is on the wrong side of 0")
     c = x * math.sqrt(strat.g_tilde / k)
-    lhs = strat.rho0**2 * c**2 * (c**2 * k**2 - site.f**2)
-    rhs = (strat.rho0 * c * site.f_hat + strat.g * (strat.rho_plus - strat.rho0)) ** 2
+    rho_c = strat.rho0 * c  # products, not powers: a float power that overflows raises
+    root = rho_c * site.f_hat + strat.g * (strat.rho_plus - strat.rho0)
+    lhs, rhs = rho_c * rho_c * (c * k * (c * k) - site.f * site.f), root * root
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise StratificationError(f"the dispersion relation overflows a double at rho0="
+                                  f"{strat.rho0!r}, rho_plus={strat.rho_plus!r}, k={k!r}")
     if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs)):
         raise ConvergenceError(
             f"dimensional dispersion identity violated at c={c!r}: |{lhs!r} - {rhs!r}|")
@@ -254,21 +260,19 @@ def orbit_parameters(f: float, k: float, a: float, c: float):
 
 
 def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
-                      c: float, s0: float, beta0: float, *,
-                      beta0_is_offset: bool = False,
-                      P0: float = P0_STANDARD) -> WaveParameters:
+                      c: float, s0: float, beta0_offset: float) -> WaveParameters:
     """Complete the parameter set for a solved phase speed c.
 
     m, b, d follow from the closed forms; the amplitude gate
     m^2 a^2 e^(-2 m s0) < 1 is enforced at s0; the pressure
-    constants are fixed by the dynamic boundary condition at s0 (gauge P0)
-    and the interface label s_plus solves the monotone thermocline map for
-    beta0.  With ``beta0_is_offset=True`` the given beta0 is interpreted as
-    the (positive) offset above P0 - P0_tilde, which is always admissible.
+    constants are fixed by the dynamic boundary condition at s0 (gauge
+    P0_STANDARD) and the interface label s_plus solves the monotone
+    thermocline map for beta0 = (P0 - P0_tilde) + beta0_offset, which must
+    exceed P0 - P0_tilde (an InterfaceOrderingError otherwise).
     """
     _require_admissible_wavenumber(site, strat, k)  # the interface map's monotonicity
-    if not (math.isfinite(s0) and math.isfinite(beta0)):
-        raise InputError(f"s0={s0!r} and beta0={beta0!r} must both be finite")
+    if not (math.isfinite(s0) and math.isfinite(beta0_offset)):
+        raise InputError(f"s0={s0!r} and beta0_offset={beta0_offset!r} must both be finite")
     if not s0 > 0:
         raise InputError(f"thermocline label must be positive, got {s0!r}")
     if a < 0:
@@ -281,14 +285,10 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
             f"(got {gate!r}); the thermocline amplitude bound is 1/m = {1.0 / m!r}")
     A = pressure_coefficient_a(site.f, site.f_hat, k, c, a, b, d)
     p0_minus_ptilde = _interface_map(strat, A, m, s0)
-    p0_tilde = P0 - p0_minus_ptilde
-    if beta0_is_offset:
-        if not beta0 > 0:
-            raise InterfaceOrderingError(
-                f"beta0 offset must be positive, got {beta0!r}")
-        beta0 = p0_minus_ptilde + beta0
+    p0_tilde = P0_STANDARD - p0_minus_ptilde
+    beta0 = p0_minus_ptilde + beta0_offset
     s_plus = _invert_interface_map(strat, A, m, s0, p0_minus_ptilde, beta0)
     return WaveParameters(a=a, k=k, L=2.0 * math.pi / k, c=c, m=m, b=b, d=d,
-                          s0=s0, s_plus=s_plus, P0=P0,
+                          s0=s0, s_plus=s_plus, P0=P0_STANDARD,
                           P0_tilde=p0_tilde, beta0=beta0,
                           f=site.f, f_hat=site.f_hat)

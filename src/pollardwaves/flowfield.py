@@ -25,6 +25,8 @@ from .geo import Stratification
 
 _INVERT_TOL = 1e-12   # [m] Newton residual target for map inversion
 _INVERT_MAX_ITER = 50
+_SHEET_TOL = 1e-13    # sheet_label_q's residual target, relative to max(1, |x|)
+_SHEET_MAX_ITER = 60
 
 
 def phase(params: WaveParameters, q, t):
@@ -215,36 +217,34 @@ def _newton(unknowns, step, bound, max_iter):
     return open_
 
 
-def invert_labels(params: WaveParameters, x, y, z, t, guess=None,
-                  tol: float = _INVERT_TOL, max_iter: int = _INVERT_MAX_ITER):
+def invert_labels(params: WaveParameters, x, y, z, t):
     """Labels (q, r, s) whose positions at times t are (x, y, z), by Newton
     iteration over broadcast arrays.
 
-    A target stops once its residual is within max(tol, 4 eps |target|), the
-    rounding floor of the position; one still open after max_iter iterations
-    fails the inversion.  The default guess (q, r, s) = (x, y, z) lies in the
-    convergence basin of the gated domain."""
+    A target stops once its residual is within max(_INVERT_TOL, 4 eps |target|),
+    the rounding floor of the position; one still open after _INVERT_MAX_ITER
+    iterations fails the inversion.  The start (q, r, s) = (x, y, z) lies in
+    the convergence basin of the gated domain."""
     shape = np.broadcast_shapes(*(np.shape(v) for v in (x, y, z, t)))
     *target, t = _flat((x, y, z, t), shape)
-    label = [v.copy() for v in (target if guess is None else _flat(guess, shape))]
+    label = [v.copy() for v in target]
 
     def step(i):
         flow = Flow(params, *(v[i] for v in label), t[i])
         residual = [p - v[i] for p, v in zip(flow.position, target)]
         return np.sqrt(sum(v * v for v in residual)), flow.newton_step(*residual)
 
-    bound = np.maximum(tol, 4 * np.finfo(float).eps * np.sqrt(sum(v * v for v in target)))
-    open_ = _newton(label, step, bound, max_iter)
+    bound = np.maximum(_INVERT_TOL, 4 * np.finfo(float).eps * np.sqrt(sum(v * v for v in target)))
+    open_ = _newton(label, step, bound, _INVERT_MAX_ITER)
     if open_.size:
         first = tuple(float(v[open_[0]]) for v in target)
         raise InversionError(
-            f"map inversion did not reach |residual| <= max({tol!r}, 4 eps |target|) "
-            f"in {max_iter} iterations (target {first!r})")
+            f"map inversion did not reach |residual| <= max({_INVERT_TOL!r}, 4 eps |target|) "
+            f"in {_INVERT_MAX_ITER} iterations (target {first!r})")
     return tuple(v.reshape(shape) for v in label)
 
 
-def sheet_label_q(params: WaveParameters, s, x, t,
-                  tol: float = 1e-13, max_iter: int = 60):
+def sheet_label_q(params: WaveParameters, s, x, t):
     """Label q on the sheet of constant s whose position has abscissa x.
 
     Solves q - b e^(-m s) sin(k (q - c t)) = x by Newton over broadcast
@@ -259,7 +259,7 @@ def sheet_label_q(params: WaveParameters, s, x, t,
         residual = flow.position[0] - x[i]
         return np.abs(residual), (residual / flow.jacobian[0][0],)
 
-    open_ = _newton([q], step, tol * np.maximum(1.0, np.abs(x)), max_iter)
+    open_ = _newton([q], step, _SHEET_TOL * np.maximum(1.0, np.abs(x)), _SHEET_MAX_ITER)
     if open_.size:
         raise InversionError(
             f"sheet abscissa inversion did not converge for "

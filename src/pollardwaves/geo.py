@@ -12,20 +12,18 @@ from .errors import LatitudeError, StratificationError
 # Defaults for Earth
 G_STANDARD = 9.81        # gravitational acceleration [m s^-2]
 OMEGA_EARTH = 7.29e-5    # rotational speed [rad s^-1]
-RADIUS_EARTH = 6.371e6   # mean radius [m]
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Planetary constants: gravity g, rotation rate Omega, radius R."""
+    """Planetary constants: gravity g and rotation rate Omega."""
 
     g: float = G_STANDARD
     Omega: float = OMEGA_EARTH
-    R: float = RADIUS_EARTH
 
     def __post_init__(self):
-        if not (self.g > 0 and self.Omega > 0 and self.R > 0):
-            raise ValueError("g, Omega and R must all be positive")
+        if not (self.g > 0 and self.Omega > 0):
+            raise ValueError("g and Omega must both be positive")
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class Stratification:
     rho0: float
     rho_plus: float
     g_tilde: float
-    g: float = G_STANDARD
+    g: float
 
 
 def coriolis(constants: PhysicalConstants, phi: float) -> Site:

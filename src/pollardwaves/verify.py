@@ -15,7 +15,8 @@ Every check compares independent evaluation routes:
   and against a finite-difference Eulerian curl.
 
 Identity checks and finite-difference checks carry separate tolerances so a
-failure distinguishes roundoff from truncation.  All random sampling is
+failure distinguishes roundoff from truncation; a run sets those two, and the
+FD steps and single-family bounds are module constants.  All random sampling is
 seeded; reports are deterministic.
 """
 
@@ -24,28 +25,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import WaveParameters
+from .dispersion import IDENTITY_TOL, WaveParameters
 from .flowfield import Flow, invert_labels, sheet_elevation
 from .geo import Stratification
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Sampling grids, random seed and tolerances for the checks."""
+    """Sampling grids, random seed and the two tolerances a run may set."""
 
     n_theta: int = 16
     n_s: int = 16
     n_time: int = 5
     n_random: int = 50
     seed: int = 0
-    tol_identity: float = 1e-12      # closed-form identities, relative
-    tol_fd: float = 1e-6             # finite-difference checks, relative
-    tol_jacobian_time: float = 1e-14  # |J(t) - J(0)|
-    tol_curl: float = 1e-5           # FD curl vs analytic vorticity, relative
-    tol_dynamic: float = 1e-9        # dynamic condition, x |P0|
-    tol_kinematic: float = 1e-8      # kinematic condition [m/s]
-    fd_space: float = 1e-4           # spatial FD step [m]
-    fd_time_factor: float = 1e-3     # temporal FD step, / (k c)
+    tol_identity: float = IDENTITY_TOL  # closed-form identities, relative
+    tol_fd: float = 1e-6                # finite-difference checks, relative
+
+
+FD_SPACE = 1e-4            # spatial FD step [m] of every stencil
+FD_TIME_FACTOR = 1e-3      # temporal FD step of the boundary check, / (k |c|)
+TOL_DYNAMIC = 1e-9         # dynamic condition, x |P0|
+TOL_KINEMATIC = 1e-8       # kinematic condition [m/s]
+TOL_JACOBIAN_TIME = 1e-14  # |J(t) - J(0)| over 100 times in one period
+TOL_CURL = 1e-5            # FD curl against the analytic vorticity, relative
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,7 @@ def check_pressure_consistency(params: WaveParameters, strat: Stratification,
     """
     config, where = _inputs(params, config, grid)
     q, r, s, t = where
-    h = config.fd_space
+    h = FD_SPACE
     floor = config.tol_fd * strat.rho0 * strat.g  # [Pa/m] noise floor
 
     def stencil(*steps):  # one stacked evaluation, a row per (dq, dr, ds) step
@@ -231,14 +234,14 @@ def check_boundary(params: WaveParameters, strat: Stratification,
                    grid=None, config: VerifyConfig | None = None) -> VerificationReport:
     """Dynamic and kinematic conditions on the thermocline sheet s = s0.
 
-    Dynamic: P = P0 - rho_plus g z pointwise, within tol_dynamic * |P0|.
+    Dynamic: P = P0 - rho_plus g z pointwise, within TOL_DYNAMIC * |P0|.
     Kinematic: w = eta_t + u eta_x + v eta_y with sheet derivatives by
-    central differences (eta is independent of y), within tol_kinematic.
+    central differences (eta is independent of y), within TOL_KINEMATIC.
     """
     config, where = _inputs(params, config, grid, sheet=True)
     t = where[3]
-    ht = config.fd_time_factor / (params.k * abs(params.c))
-    hx = config.fd_space
+    ht = FD_TIME_FACTOR / (params.k * abs(params.c))
+    hx = FD_SPACE
     flow = Flow(params, *where)
     x, _, z = flow.position
     p = flow.pressure(strat)
@@ -252,8 +255,8 @@ def check_boundary(params: WaveParameters, strat: Stratification,
     eta_y = 0.0  # the sheet is y-invariant
     kin_res = np.abs(w - (eta_t + u * eta_x + v * eta_y))
     comps = [
-        _component("dynamic_condition", dyn_res, config.tol_dynamic, where),
-        _component("kinematic_condition", kin_res, config.tol_kinematic, where),
+        _component("dynamic_condition", dyn_res, TOL_DYNAMIC, where),
+        _component("kinematic_condition", kin_res, TOL_KINEMATIC, where),
     ]
     return _report("boundary", t.size, comps)
 
@@ -263,7 +266,7 @@ def _probes(params, config, *offsets):
     particles drawn with seed + offset, and the central-difference velocity
     gradient grad[i][j] = d u_i / d x_j there.  The points x +- h e_j around
     the particles of every offset are inverted in one batched Newton solve."""
-    h = config.fd_space
+    h = FD_SPACE
     steps = h * np.eye(3)[:, None, :, None] * np.array([1.0, -1.0])[:, None, None]
     flows = [Flow(params, *_random_samples(params, np.random.default_rng(config.seed + i),
                                            config.n_random)) for i in offsets]
@@ -288,7 +291,7 @@ def _distinct_labels(q, r, s):
     return q[keep], r[keep], s[keep]
 
 
-def check_incompressibility(params: WaveParameters, grid=None, t_grid=None,
+def check_incompressibility(params: WaveParameters, grid=None,
                             config: VerifyConfig | None = None,
                             probe=None) -> VerificationReport:
     """Volume preservation: J constant in time and FD Eulerian divergence.
@@ -299,15 +302,14 @@ def check_incompressibility(params: WaveParameters, grid=None, t_grid=None,
     when None.
     """
     config, where = _inputs(params, config, grid)
-    t_grid = (np.linspace(0.0, wave_period(params), 100) if t_grid is None
-              else np.asarray(t_grid, dtype=float))
+    t_grid = np.linspace(0.0, wave_period(params), 100)
     q, r, s = _distinct_labels(*where[:3])
     det = Flow(params, q, r, s, t_grid[:, None]).det  # (times, labels)
     jac_res = np.max(np.abs(det[1:] - det[0]), axis=0, initial=0.0)
     flow, grad = probe or _probes(params, config, 2)[0]
     div_res = np.abs(grad[0][0] + grad[1][1] + grad[2][2]) / (params.k * abs(params.c))
     comps = [
-        _component("jacobian_time_invariance", jac_res, config.tol_jacobian_time,
+        _component("jacobian_time_invariance", jac_res, TOL_JACOBIAN_TIME,
                    (q, r, s, np.full(q.size, t_grid[0]))),
         _component("eulerian_divergence", div_res, config.tol_fd,
                    (flow.q, flow.r, flow.s, flow.t)),
@@ -321,7 +323,7 @@ def check_vorticity(params: WaveParameters, grid=None,
 
     (i) the inverse-Jacobian matrix product (antisymmetrized velocity
     gradient), an identity at tol_identity; (ii) a finite-difference curl
-    of the Eulerian velocity through map inversion, at tol_curl.  ``probe``
+    of the Eulerian velocity through map inversion, at TOL_CURL.  ``probe``
     is this check's entry of _probes(params, config, 3), made here when None.
     """
     config, where = _inputs(params, config, grid)
@@ -337,7 +339,7 @@ def check_vorticity(params: WaveParameters, grid=None,
     curl_res = _relative_error(fd_flow.vorticity, _curl(fd_grad), scale_floor)
     comps = [
         _component("matrix_product", mp_res, config.tol_identity, where),
-        _component("fd_curl", curl_res, config.tol_curl,
+        _component("fd_curl", curl_res, TOL_CURL,
                    (fd_flow.q, fd_flow.r, fd_flow.s, fd_flow.t)),
     ]
     return _report("vorticity", where[0].size + config.n_random, comps)
@@ -358,7 +360,7 @@ def run_all(params: WaveParameters, strat: Stratification,
         check_euler(params, strat, grid, config),
         check_pressure_consistency(params, strat, grid, config),
         check_boundary(params, strat, sheet, config),
-        check_incompressibility(params, grid, config=config, probe=divergence),
+        check_incompressibility(params, grid, config, probe=divergence),
         check_vorticity(params, grid, config, probe=curl),
     ]
     return sorted(reports, key=lambda r: r.check_name)

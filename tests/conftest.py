@@ -52,7 +52,7 @@ def ref_roots(site45, strat):
 def ref_params(site45, strat, ref_roots):
     return pw.derive_parameters(site45, strat, REF_K, REF_A,
                                 ref_roots.c_plus, REF_S0,
-                                REF_BETA0_OFFSET, beta0_is_offset=True)
+                                REF_BETA0_OFFSET)
 
 
 @pytest.fixture(scope="session")
@@ -65,5 +65,4 @@ def equatorial(equator_site, strat):
     """Equatorial wave at the critical amplitude a = 1/m (= 1/k there)."""
     _, c_plus = pw.solve_branch(equator_site, strat, REF_K, "positive")
     return pw.derive_parameters(equator_site, strat, REF_K, 1.0 / REF_K,
-                                c_plus, REF_S0, REF_BETA0_OFFSET,
-                                beta0_is_offset=True)
+                                c_plus, REF_S0, REF_BETA0_OFFSET)

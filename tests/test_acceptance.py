@@ -133,8 +133,7 @@ def test_criterion_5_orbit_geometry(ref_params, constants, strat):
     south_site = pw.coriolis(constants, math.radians(-45.0))
     south_roots = pw.solve_dispersion(south_site, strat, REF_K)
     south = pw.derive_parameters(south_site, strat, REF_K, REF_A,
-                                 south_roots.c_plus, REF_S0, 2000.0,
-                                 beta0_is_offset=True)
+                                 south_roots.c_plus, REF_S0, 2000.0)
     sign_flip = ref_params.d < 0.0 < south.d
     ok = worst <= 1e-12 and tilt_err <= 1e-10 and sign_flip
     report_line(5, "orbit geometry", ok)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import pollardwaves as pw
-from pollardwaves import cli, dispersion as dsp
+from pollardwaves import cli, dispersion as dsp, verify
 from pollardwaves.cli import (FIELD_COLUMNS, PROFILE_COLUMNS, RunConfig, main,
                               solve_configured)
 from pollardwaves.errors import AmplitudeBoundError
@@ -265,6 +266,42 @@ def test_verify_negative_control_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_config_file_sets_every_verify_setting(tmp_path, strat):
+    """The seven VerifyConfig settings of a config file reach run_all: the
+    report equals the library's run with them, and differs from it when any
+    one of them is left at its default.  A JSON integer in a number field is
+    kept as it is."""
+    settings = {"n_theta": 4, "n_s": 3, "n_time": 2, "n_random": 7, "seed": 5,
+                "tol_identity": 3e-12, "tol_fd": 2e-6}
+    assert set(settings) == {f.name for f in dataclasses.fields(verify.VerifyConfig)}
+    cfg, out = tmp_path / "run.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({**settings, "latitude_deg": 30}))
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["latitude_deg"] == 30
+    assert isinstance(report["config"]["latitude_deg"], int)
+    by_name = {c["check_name"]: c for c in report["checks"]}
+    assert by_name["euler"]["n_samples"] == 4 * 3 * 2 + 7
+    assert by_name["boundary"]["n_samples"] == 4 * 2 + 7
+    assert by_name["euler"]["tolerance"] == 3e-12
+    tolerances = {c["name"]: c["tolerance"]
+                  for c in by_name["pressure_consistency"]["components"]}
+    assert tolerances == {"gradient_transport": 2e-6, "mixed_partials": 2e-6,
+                          "r_independence": 3e-12}
+
+    params = solve_configured(RunConfig(latitude_deg=30).validate())[3]
+
+    def checks(**changes):
+        config = verify.VerifyConfig(**{**settings, **changes})
+        reports = verify.run_all(params, strat, config)
+        return json.loads(json.dumps([dataclasses.asdict(r) for r in reports]))
+
+    assert report["checks"] == checks()
+    for name in settings:
+        default = getattr(verify.VerifyConfig(), name)
+        assert checks(**{name: default}) != report["checks"], name
+
+
 def test_verify_rejects_amplitude_beyond_bound(capsys):
     # 1/m is just under 16 m for the reference set
     assert main(["verify", "--amplitude", "16.5"]) == 2
@@ -447,10 +484,26 @@ def test_sampled_commands_need_two_samples(command, capsys):
     ["verify", "--tol-identity", "-1"],
     ["verify", "--tol-fd", "nan"],
     ["verify", "--tol-fd", "0"],
+    # the dispersion relation overflows a double: c = +-inf, or a power in
+    # the dimensional identity check
+    ["dispersion", "--rho-plus", "1e299", "--k", "1e-20"],
+    ["verify", "--rho-plus", "1e200", "--k", "1e-5", "--amplitude", "1"],
+    # config files with values of the wrong JSON type
+    ["verify", "--config", {"rho0": "1000"}],
+    ["verify", "--config", {"n_theta": 2.5}],
+    ["verify", "--config", {"seed": True}],
+    ["dispersion", "--config", {"wavenumber": None, "wavelength": [100.0]}],
 ])
-def test_config_gate_rejects_degenerate_inputs(argv, capsys):
-    assert main(argv) == 2
-    assert "configuration error" in capsys.readouterr().err
+def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
+    """Each is a one-line configuration error (exit 2); a dict in argv is the
+    content of a --config file."""
+    cfg = tmp_path / "run.json"
+    for value in argv:
+        if isinstance(value, dict):
+            cfg.write_text(json.dumps(value))
+    assert main([str(cfg) if isinstance(v, dict) else v for v in argv]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["dispersion", "verify", "field"])

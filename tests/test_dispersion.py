@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pollardwaves as pw
+from pollardwaves.cli import RunConfig, solve_configured
 from pollardwaves.dispersion import (_bisect_newton, _interface_map, orbit_parameters,
                                      pressure_coefficient_a)
 from pollardwaves.errors import (
@@ -15,7 +16,8 @@ from pollardwaves.errors import (
     WavenumberError,
 )
 
-from conftest import REF_A, REF_K, REF_S0, derivative_discriminant, nondim_of
+from conftest import (REF_A, REF_BETA0_OFFSET, REF_K, REF_S0, derivative_discriminant,
+                      nondim_of)
 from equatorial import solve_equatorial
 from ferrari import ferrari_roots
 
@@ -251,7 +253,7 @@ def test_hemisphere_mirror(constants, strat):
 def _solve_params(site, strat):
     roots = pw.solve_dispersion(site, strat, REF_K)
     return pw.derive_parameters(site, strat, REF_K, REF_A, roots.c_plus,
-                                REF_S0, 2000.0, beta0_is_offset=True)
+                                REF_S0, 2000.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,7 +266,7 @@ def test_consistency_chain_property(lat_deg, southern, k):
     strat = pw.reduced_gravity(const, 1000.0, 1004.0)
     roots = pw.solve_dispersion(site, strat, k)
     params = pw.derive_parameters(site, strat, k, 0.5 / k, roots.c_plus,
-                                  50.0, 100.0, beta0_is_offset=True)
+                                  50.0, 100.0)
     a, b, c, d, m, f = (params.a, params.b, params.c, params.d, params.m,
                         site.f)
     assert m * a - k * b == pytest.approx(0.0, abs=1e-12 * m * a)
@@ -279,7 +281,7 @@ def test_consistency_chain_property(lat_deg, southern, k):
 def test_amplitude_gate_rejects_large_amplitude(site45, strat, ref_roots):
     with pytest.raises(AmplitudeBoundError) as err:
         pw.derive_parameters(site45, strat, REF_K, 40.0, ref_roots.c_plus,
-                             1.0, 2000.0, beta0_is_offset=True)
+                             1.0, 2000.0)
     assert "1/m" in str(err.value)
 
 
@@ -287,7 +289,7 @@ def test_evanescent_regime_rejected(site45, strat):
     slow_c = site45.f / REF_K * 0.5
     with pytest.raises(EvanescentRegimeError):
         pw.derive_parameters(site45, strat, REF_K, 1.0, slow_c, 50.0,
-                             2000.0, beta0_is_offset=True)
+                             2000.0)
 
 
 def test_derive_rejects_wavenumber_below_threshold(constants, equator_site, strat):
@@ -296,7 +298,7 @@ def test_derive_rejects_wavenumber_below_threshold(constants, equator_site, stra
     c_plus, _ = solve_equatorial(constants, strat, k)
     with pytest.raises(WavenumberError):
         pw.derive_parameters(equator_site, strat, k, 0.1, c_plus, 50.0,
-                             2000.0, beta0_is_offset=True)
+                             2000.0)
 
 
 @pytest.mark.parametrize("lat_deg", [45.0, 30.0, -60.0, 82.6])
@@ -317,10 +319,10 @@ def test_interface_gate_is_min_wavenumber(constants, equator_site, strat):
     with pytest.raises(WavenumberError):
         pw.derive_parameters(equator_site, strat, threshold, 0.1,
                              solve_equatorial(constants, strat, threshold)[0],
-                             50.0, 2000.0, beta0_is_offset=True)
+                             50.0, 2000.0)
     params = pw.derive_parameters(equator_site, strat, above, 0.1,
                                   solve_equatorial(constants, strat, above)[0],
-                                  50.0, 2000.0, beta0_is_offset=True)
+                                  50.0, 2000.0)
     assert params.s_plus > params.s0
 
 
@@ -330,52 +332,70 @@ def interface_coefficient(p):
     return pressure_coefficient_a(p.f, p.f_hat, p.k, p.c, p.a, p.b, p.d)
 
 
-def interface_label(p, site, strat, beta0):
-    """s_plus of p's set re-derived for an absolute beta0."""
-    return pw.derive_parameters(site, strat, p.k, p.a, p.c, p.s0, beta0, P0=p.P0).s_plus
+def interface_map(p, strat, s):
+    """The thermocline map of p's set at the label s."""
+    return _interface_map(strat, interface_coefficient(p), p.m, s)
+
+
+def interface_label(p, site, strat, beta0_offset):
+    """s_plus of p's set re-derived for another beta0 offset."""
+    return pw.derive_parameters(site, strat, p.k, p.a, p.c, p.s0, beta0_offset).s_plus
+
+
+def offset_of(p, strat, s):
+    """The beta0 offset whose interface label is s: the map's rise from s0 to s."""
+    return interface_map(p, strat, s) - interface_map(p, strat, p.s0)
 
 
 def test_interface_round_trip(ref_params, site45, strat):
     target = ref_params.s0 + 1.0
-    beta0 = _interface_map(strat, interface_coefficient(ref_params), ref_params.m, target)
-    s_plus = interface_label(ref_params, site45, strat, beta0)
+    s_plus = interface_label(ref_params, site45, strat, offset_of(ref_params, strat, target))
     assert s_plus == pytest.approx(target, abs=1e-9)
 
 
 def test_interface_monotonicity(ref_params, site45, strat):
-    lower = interface_label(ref_params, site45, strat, ref_params.beta0)
-    higher = interface_label(ref_params, site45, strat, ref_params.beta0 + 500.0)
+    lower = interface_label(ref_params, site45, strat, REF_BETA0_OFFSET)
+    higher = interface_label(ref_params, site45, strat, REF_BETA0_OFFSET + 500.0)
     assert lower == ref_params.s_plus
     assert higher > lower
 
 
 def test_interface_reference_inversion(ref_params, site45, strat):
-    beta0 = _interface_map(strat, interface_coefficient(ref_params), ref_params.m, 60.0)
-    assert interface_label(ref_params, site45, strat, beta0) == pytest.approx(
+    offset = offset_of(ref_params, strat, 60.0)
+    assert interface_label(ref_params, site45, strat, offset) == pytest.approx(
         60.0, abs=1e-9)
 
 
 def test_interface_ordering_error(ref_params, site45, strat):
-    with pytest.raises(InterfaceOrderingError):
-        interface_label(ref_params, site45, strat,
-                        ref_params.P0 - ref_params.P0_tilde - 1.0)
+    """beta0 = (P0 - P0_tilde) + offset must exceed P0 - P0_tilde: a negative
+    offset fails, and so does 1e-20, which rounds away in the sum."""
+    map_s0 = interface_map(ref_params, strat, ref_params.s0)
+    assert map_s0 + 1e-20 == map_s0
+    for offset in (-1.0, 1e-20):
+        with pytest.raises(InterfaceOrderingError):
+            interface_label(ref_params, site45, strat, offset)
 
 
 def test_derive_rejects_nonpositive_offset(site45, strat, ref_roots):
     with pytest.raises(InterfaceOrderingError):
         pw.derive_parameters(site45, strat, REF_K, REF_A, ref_roots.c_plus,
-                             REF_S0, -1.0, beta0_is_offset=True)
+                             REF_S0, -1.0)
 
 
-@pytest.mark.parametrize("s0, beta0, is_offset", [
+@pytest.mark.parametrize("s0, offset, configured", [
     (math.inf, 2000.0, True), (math.nan, 2000.0, True),
     (REF_S0, math.inf, True), (REF_S0, math.inf, False), (REF_S0, math.nan, False),
 ])
-def test_derive_rejects_non_finite_s0_and_beta0(site45, strat, ref_roots, s0, beta0,
-                                                is_offset):
+def test_derive_rejects_non_finite_s0_and_beta0(site45, strat, ref_roots, s0, offset,
+                                                configured):
+    """A non-finite s0 or beta0 offset is an InputError, given to
+    derive_parameters directly or through a config's solve_configured."""
     with pytest.raises(InputError, match="must both be finite"):
-        pw.derive_parameters(site45, strat, REF_K, REF_A, ref_roots.c_plus,
-                             s0, beta0, beta0_is_offset=is_offset)
+        if configured:
+            solve_configured(RunConfig(s0=s0, beta0_offset=offset).validate())
+        else:
+            pw.derive_parameters(site45, strat, REF_K, REF_A, ref_roots.c_plus,
+                                 s0, offset)
 
 
 @pytest.mark.parametrize("k", [1e77, 1e80, 2.0 * math.pi / 1e-300, math.inf])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pollardwaves as pw
+from pollardwaves import flowfield
 from pollardwaves.errors import DiffeomorphismError
 from pollardwaves.flowfield import Flow, invert_labels, sheet_elevation
 
@@ -14,7 +15,7 @@ from conftest import REF_K, REF_S0
 def still(site45, strat, ref_roots):
     """Zero-amplitude regression set: still water."""
     return pw.derive_parameters(site45, strat, REF_K, 0.0, ref_roots.c_plus,
-                                REF_S0, 2000.0, beta0_is_offset=True)
+                                REF_S0, 2000.0)
 
 
 def wave_period(params):
@@ -186,7 +187,7 @@ def test_equatorial_critical_amplitude_vorticity(equatorial):
 
 def test_equatorial_general_amplitude_vorticity(equatorial, equator_site, strat):
     params = pw.derive_parameters(equator_site, strat, REF_K, 4.0, equatorial.c,
-                                  REF_S0, 2000.0, beta0_is_offset=True)
+                                  REF_S0, 2000.0)
     k, c, m, a = params.k, params.c, params.m, params.a
     s = 62.0
     e2 = math.exp(-2.0 * m * s)
@@ -264,7 +265,7 @@ def test_orbit_tilt_direction_flips_with_hemisphere(constants, strat):
         site = pw.coriolis(constants, math.radians(lat))
         roots = pw.solve_dispersion(site, strat, REF_K)
         params = pw.derive_parameters(site, strat, REF_K, 10.0, roots.c_plus,
-                                      REF_S0, 2000.0, beta0_is_offset=True)
+                                      REF_S0, 2000.0)
         assert math.copysign(1.0, params.d) == sign
 
 
@@ -321,9 +322,10 @@ def test_invert_round_trip_random_labels(ref_params):
     assert worst <= 1e-9
 
 
-def test_invert_converges_quickly(ref_params):
+def test_invert_converges_quickly(ref_params, monkeypatch):
+    monkeypatch.setattr(flowfield, "_INVERT_MAX_ITER", 8)
     target = Flow(ref_params, 10.0, 0.0, 55.0, 2.0).position
-    lab = invert_labels(ref_params, *target, 2.0, max_iter=8)
+    lab = invert_labels(ref_params, *target, 2.0)
     assert np.allclose(Flow(ref_params, *lab, 2.0).position, target, atol=1e-12)
 
 

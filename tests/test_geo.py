@@ -11,17 +11,15 @@ def test_default_constants_exact():
     const = pw.PhysicalConstants()
     assert const.g == 9.81
     assert const.Omega == 7.29e-5
-    assert const.R == 6.371e6
 
 
-@pytest.mark.parametrize("g, Omega, R", [
-    (-9.81, 7.29e-5, 6.371e6),
-    (9.81, 0.0, 6.371e6),
-    (9.81, 7.29e-5, -1.0),
+@pytest.mark.parametrize("g, Omega", [
+    (-9.81, 7.29e-5),
+    (9.81, 0.0),
 ])
-def test_constants_must_be_positive(g, Omega, R):
+def test_constants_must_be_positive(g, Omega):
     with pytest.raises(ValueError):
-        pw.PhysicalConstants(g=g, Omega=Omega, R=R)
+        pw.PhysicalConstants(g=g, Omega=Omega)
 
 
 def test_coriolis_at_equator(constants):

@@ -275,7 +275,7 @@ def test_interface_label_property(lat_deg, jump, k_exp, steepness, s0_exp,
     with pytest.MonkeyPatch.context() as patch:
         calls = count_calls(patch, dsp, "_interface_map")
         params = pw.derive_parameters(site, strat, k, steepness / m, c, s0,
-                                      10.0**offset_exp, beta0_is_offset=True)
+                                      10.0**offset_exp)
     assert params.s_plus > s0
     # F(s0), the lower-bound check and at most _MAX_STEPS Newton iterations
     assert len(calls) <= dsp._MAX_STEPS + 2
@@ -291,8 +291,7 @@ def test_still_water_interface_in_one_step(monkeypatch, lat_deg, s0, offset):
     root, and Newton accepts it with its first step."""
     site, strat, k, c = solved_site(lat_deg, 4.0, 1e5, "positive")
     calls = count_calls(monkeypatch, dsp, "_interface_map")
-    params = pw.derive_parameters(site, strat, k, 0.0, c, s0, offset,
-                                  beta0_is_offset=True)
+    params = pw.derive_parameters(site, strat, k, 0.0, c, s0, offset)
     assert len(calls) == 2  # F(s0) and the upper end; the lower end coincides
     assert abs(params.s_plus - (s0 + offset / (strat.rho0 * strat.g_tilde))) <= 1e-9
 
@@ -306,7 +305,7 @@ def test_reference_solve_work_counts(monkeypatch, site45, strat, equator_site):
     roots = pw.solve_dispersion(site45, strat, REF_K)
     assert len(evaluations) <= 10  # both roots
     pw.derive_parameters(site45, strat, REF_K, REF_A, roots.c_plus, REF_S0,
-                         REF_BETA0_OFFSET, beta0_is_offset=True)
+                         REF_BETA0_OFFSET)
     assert len(map_calls) <= 8
     configured = ((RunConfig(), 5), (RunConfig(latitude_deg=82.6, wavenumber=4.6e-6), 6),
                   (RunConfig(latitude_deg=0.0), 5))

@@ -15,7 +15,7 @@ from conftest import REF_K, REF_S0
 @pytest.fixture(scope="module")
 def still(site45, strat, ref_roots):
     return pw.derive_parameters(site45, strat, REF_K, 0.0, ref_roots.c_plus,
-                                REF_S0, 2000.0, beta0_is_offset=True)
+                                REF_S0, 2000.0)
 
 
 SMALL = verify.VerifyConfig(n_theta=8, n_s=6, n_time=3, n_random=12, seed=3)
