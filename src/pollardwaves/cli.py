@@ -42,7 +42,7 @@ EXIT_NUMERIC = 3
 
 EARTH = PhysicalConstants()  # frozen, so every configured solve shares it
 
-# a float field of a config file takes a JSON integer too, kept as it is
+# a float field of a config file takes a JSON integer that a double holds, kept as it is
 _JSON_TYPES = {float: (int, float), float | None: (int, float, type(None))}
 
 
@@ -113,7 +113,7 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer of over 4300 digits
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
@@ -126,6 +126,12 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, _JSON_TYPES.get(kind, kind)):
                 raise ConfigError(f"config key {name} must be of type "
                                   f"{getattr(kind, '__name__', kind)}, got {value!r}")
+            if kind in _JSON_TYPES and isinstance(value, int):
+                try:
+                    float(value)
+                except OverflowError as exc:
+                    raise ConfigError(f"config key {name} is an integer too large "
+                                      f"for a float") from exc
         return cls(**_clear_other_length(raw))
 
 

@@ -8,7 +8,8 @@ A particle with label (q, r, s) sits at
 
 so every quantity below is a closed form in the label, the time and the
 solved :class:`~pollardwaves.dispersion.WaveParameters`.  One array kernel,
-:class:`Flow`, evaluates them over broadcast (q, r, s, t) arrays.
+:class:`Flow`, evaluates them over broadcast (q, r, s, t) arrays, real or, for
+the verifier's complex-step derivatives, complex: every field is analytic.
 Labels are not range-checked here: the latitudinal half-width r0 of the
 strip and the vertical extent [s0, s_plus] are modelling choices enforced
 upstream, and every formula is well defined wherever the flow map stays a
@@ -34,13 +35,18 @@ def phase(params: WaveParameters, q, t):
     return params.k * (q - params.c * t)
 
 
+def _array(v):
+    """v as a float64 array, or a complex128 one when v is complex."""
+    return np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
+
+
 def _require_positive(values, s, message):
-    """Raise DiffeomorphismError at the first entry of values that is not > 0."""
-    bad = np.flatnonzero(~(values > 0.0))
+    """Raise DiffeomorphismError at the first entry of values whose real part is not > 0."""
+    bad = np.flatnonzero(~(np.real(values) > 0.0))
     if bad.size:
         i, s = bad[0], np.broadcast_to(s, np.shape(values))
-        raise DiffeomorphismError(message.format(s=float(s.flat[i]),
-                                                 value=float(values.flat[i])))
+        raise DiffeomorphismError(message.format(s=float(s.flat[i].real),
+                                                 value=float(values.flat[i].real)))
 
 
 class Flow:
@@ -53,8 +59,7 @@ class Flow:
 
     def __init__(self, params: WaveParameters, q, r, s, t):
         self.params = params
-        self.q, self.r, self.s, self.t = (np.asarray(v, dtype=float)
-                                          for v in (q, r, s, t))
+        self.q, self.r, self.s, self.t = (_array(v) for v in (q, r, s, t))
         self.e = np.exp(-params.m * self.s)
 
     @cached_property
@@ -198,20 +203,20 @@ class Flow:
 
 
 def _flat(values, shape):
-    return [np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in values]
+    return [np.broadcast_to(_array(v), shape).ravel() for v in values]
 
 
 def _newton(unknowns, step, bound, max_iter):
     """Masked Newton iteration on flat arrays, in place: ``step(i)`` gives
-    residual sizes and steps of ``unknowns`` at indices i, and an entry
-    freezes once its residual is within ``bound``.  Returns the open indices."""
+    residual sizes and steps of ``unknowns`` at indices i.  Every open entry
+    steps, and closes once the residual it stepped from is within ``bound``, so
+    one that starts at its real solution still corrects its imaginary part."""
     open_ = np.arange(bound.size)
     for _ in range(max_iter):
         size, steps = step(open_)
-        going = size > bound[open_]
         for v, d in zip(unknowns, steps):
-            v[open_[going]] -= d[going]
-        open_ = open_[going]
+            v[open_] -= d
+        open_ = open_[size > bound[open_]]
         if not open_.size:
             break
     return open_
@@ -224,20 +229,22 @@ def invert_labels(params: WaveParameters, x, y, z, t):
     A target stops once its residual is within max(_INVERT_TOL, 4 eps |target|),
     the rounding floor of the position; one still open after _INVERT_MAX_ITER
     iterations fails the inversion.  The start (q, r, s) = (x, y, z) lies in
-    the convergence basin of the gated domain."""
+    the convergence basin of the gated domain.  Complex targets or times give
+    complex labels, whose imaginary parts carry the complex-step derivative."""
     shape = np.broadcast_shapes(*(np.shape(v) for v in (x, y, z, t)))
     *target, t = _flat((x, y, z, t), shape)
-    label = [v.copy() for v in target]
+    label = [v.astype(np.result_type(*target, t)) for v in target]
 
     def step(i):
         flow = Flow(params, *(v[i] for v in label), t[i])
         residual = [p - v[i] for p, v in zip(flow.position, target)]
-        return np.sqrt(sum(v * v for v in residual)), flow.newton_step(*residual)
+        return np.sqrt(sum(abs(v) ** 2 for v in residual)), flow.newton_step(*residual)
 
-    bound = np.maximum(_INVERT_TOL, 4 * np.finfo(float).eps * np.sqrt(sum(v * v for v in target)))
+    bound = np.maximum(_INVERT_TOL,
+                       4 * np.finfo(float).eps * np.sqrt(sum(abs(v) ** 2 for v in target)))
     open_ = _newton(label, step, bound, _INVERT_MAX_ITER)
     if open_.size:
-        first = tuple(float(v[open_[0]]) for v in target)
+        first = tuple(float(v[open_[0]].real) for v in target)
         raise InversionError(
             f"map inversion did not reach |residual| <= max({_INVERT_TOL!r}, 4 eps |target|) "
             f"in {_INVERT_MAX_ITER} iterations (target {first!r})")
@@ -249,10 +256,10 @@ def sheet_label_q(params: WaveParameters, s, x, t):
 
     Solves q - b e^(-m s) sin(k (q - c t)) = x by Newton over broadcast
     arrays; the derivative 1 - k b e^(-m s) cos(theta) is positive under the
-    amplitude gate."""
+    amplitude gate.  Complex inputs give a complex q, as in invert_labels."""
     shape = np.broadcast_shapes(np.shape(s), np.shape(x), np.shape(t))
     s, x, t = _flat((s, x, t), shape)
-    q = x.copy()
+    q = x.astype(np.result_type(s, x, t))
 
     def step(i):
         flow = Flow(params, q[i], 0.0, s[i], t[i])
@@ -263,7 +270,7 @@ def sheet_label_q(params: WaveParameters, s, x, t):
     if open_.size:
         raise InversionError(
             f"sheet abscissa inversion did not converge for "
-            f"x={float(x[open_[0]])!r}, s={float(s[open_[0]])!r}")
+            f"x={float(x[open_[0]].real)!r}, s={float(s[open_[0]].real)!r}")
     return q.reshape(shape)[()]
 
 

@@ -5,18 +5,22 @@ Every check compares independent evaluation routes:
 * momentum balance: closed-form acceleration and Coriolis terms against the
   Eulerian gradient of the closed-form scalar pressure (transported through
   the label Jacobian) -- an identity check at near-machine tolerance;
-* pressure consistency: finite differences of the scalar pressure against
-  the chain-rule transport of the momentum-equation gradient;
+* pressure consistency: the label gradient of the scalar pressure against
+  the chain-rule transport of the momentum-equation gradient, and the
+  symmetry of that transport's mixed partials;
 * boundary conditions: the dynamic condition pointwise and the kinematic
-  condition by finite differences of the Eulerian sheet elevation;
+  condition with the derivatives of the Eulerian sheet elevation;
 * incompressibility: time invariance of the Jacobian determinant and the
-  finite-difference Eulerian divergence through map inversion;
+  Eulerian divergence through map inversion;
 * vorticity: the closed form against the inverse-Jacobian matrix product
-  and against a finite-difference Eulerian curl.
+  and against the Eulerian curl through map inversion.
 
-Identity checks and finite-difference checks carry separate tolerances so a
-failure distinguishes roundoff from truncation; a run sets those two, and the
-FD steps and single-family bounds are module constants.  All random sampling is
+Every derivative is a complex step, f'(x) = Im f(x + i h) / h.  The fields
+are analytic and the step subtracts nothing, so with h 1e-30 of the wave's
+length and time scales the derivatives are exact to roundoff at every scale:
+there is no step to tune.  Identity checks carry tol_identity and derivative
+checks tol_fd, the two tolerances a run sets; the dynamic condition and the
+Jacobian's time invariance have module constants.  All random sampling is
 seeded; reports are deterministic.
 """
 
@@ -40,15 +44,11 @@ class VerifyConfig:
     n_random: int = 50
     seed: int = 0
     tol_identity: float = IDENTITY_TOL  # closed-form identities, relative
-    tol_fd: float = 1e-6                # finite-difference checks, relative
+    tol_fd: float = 1e-8                # derivative checks, relative
 
 
-FD_SPACE = 1e-4            # spatial FD step [m] of every stencil
-FD_TIME_FACTOR = 1e-3      # temporal FD step of the boundary check, / (k |c|)
 TOL_DYNAMIC = 1e-9         # dynamic condition, x |P0|
-TOL_KINEMATIC = 1e-8       # kinematic condition [m/s]
 TOL_JACOBIAN_TIME = 1e-14  # |J(t) - J(0)| over 100 times in one period
-TOL_CURL = 1e-5            # FD curl against the analytic vorticity, relative
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,13 @@ def _curl(grad):
     return (grad[2][1] - grad[1][2],
             grad[0][2] - grad[2][0],
             grad[1][0] - grad[0][1])
+
+
+def _step(params):
+    """Imaginary step [m] of the complex-step derivatives: 1e-30 of the
+    length scale 1/k (a time step is this over |c|), so the step's relative
+    error, of order (k h)^2, is far below roundoff for every wave."""
+    return 1e-30 / params.k
 
 
 def wave_period(params: WaveParameters) -> float:
@@ -165,67 +172,43 @@ def check_euler(params: WaveParameters, strat: Stratification,
 
 def _transported_gradient(flow: Flow, strat: Stratification):
     """Label pressure gradient J . (P_x, P_y, P_z) by the chain rule, with
-    (P_x, P_y, P_z) demanded by the momentum equations.  The s component
-    omits its constant -rho0 g, so its differences do not cancel against it."""
+    (P_x, P_y, P_z) demanded by the momentum equations."""
     p = flow.params
     du, dv, dw = flow.acceleration
     u, v, w = flow.velocity
     gx = -strat.rho0 * (du + p.f_hat * w - p.f * v)
     gy = -strat.rho0 * (dv + p.f * u)
     gz = -strat.rho0 * (dw - p.f_hat * u + strat.g)
-    (j00, j01, j02), (j20, j21, _) = flow.jacobian
-    # J22 = 1 + m a e^(-m s) cos(theta); its 1 times gz carries the constant
-    wave_s = (j20 * gx + j21 * gy + p.m * p.a * flow.e * flow.cos * gz
-              - strat.rho0 * (dw - p.f_hat * u))
-    return j00 * gx + j01 * gy + j02 * gz, gy, wave_s
+    (j00, j01, j02), (j20, j21, j22) = flow.jacobian
+    return j00 * gx + j01 * gy + j02 * gz, gy, j20 * gx + j21 * gy + j22 * gz
 
 
 def check_pressure_consistency(params: WaveParameters, strat: Stratification,
                                grid=None,
                                config: VerifyConfig | None = None) -> VerificationReport:
-    """Finite-difference gradients of the scalar pressure against the
+    """Complex-step label gradient of the scalar pressure against the
     chain-rule transport of the momentum-equation gradient.
 
-    Also verifies that the pressure is independent of the latitudinal label
-    and that the transported gradient has symmetric mixed partials, which is
-    exactly the compatibility content of the construction.
+    The transport's r component is compared with the exact P_r = 0, and its
+    mixed partials, d/ds of its q component and d/dq of its s component, must
+    agree: that is exactly the compatibility content of the construction.
     """
     config, where = _inputs(params, config, grid)
     q, r, s, t = where
-    h = FD_SPACE
+    h = _step(params)
     floor = config.tol_fd * strat.rho0 * strat.g  # [Pa/m] noise floor
-
-    def stencil(*steps):  # one stacked evaluation, a row per (dq, dr, ds) step
-        steps = np.array(steps)[:, :, None]
-        return Flow(params, q + steps[:, 0], r + steps[:, 1], s + steps[:, 2], t)
-
-    def central(value, plus):  # central difference of rows plus and plus + 1
-        return (value[plus] - value[plus + 1]) / (2 * h)
-
-    # rows of near: here, +-h in q and +-h in s; of across: +-h in r and r + 7.5
-    near = stencil((0, 0, 0), (h, 0, 0), (-h, 0, 0), (0, 0, h), (0, 0, -h))
-    across = stencil((0, h, 0), (0, -h, 0), (0, 7.5, 0))
-    transported = _transported_gradient(near, strat)
-    t_q, t_r, t_s = (v[0] for v in transported)
-    # q and r differences act on the wave part only: the hydrostatic
-    # column term is constant in both and would otherwise dominate the
-    # cancellation error
-    wave, wave_across = near.dynamic_pressure(strat), across.dynamic_pressure(strat)
-    pressure = near.pressure(strat, wave)
-    fd = (central(wave, 1), central(wave_across, 0), central(pressure, 3))
+    # row 0 steps q by i h and row 1 steps s; each row's real part is the sample
+    rows = Flow(params, q + [[1j * h], [0.0]], r, s + [[0.0], [1j * h]], t)
+    transported = _transported_gradient(rows, strat)
+    p_q, p_s = rows.pressure(strat).imag / h
     grad_res = np.maximum.reduce([
-        _relative_error((a,), (b,), floor)
-        for a, b in zip(fd, (t_q, t_r, t_s - strat.rho0 * strat.g))])
-    # symmetric mixed partials d2P/dqds = d2P/dsdq; P_s differences its wave part
-    mixed_res = _relative_error((central(transported[0], 3),),
-                                (central(transported[2], 1),), floor)
-    # r-independence of the scalar pressure
-    p0, p1 = pressure[0], across.pressure(strat, wave_across)[2]
-    rfree_res = np.abs(p1 - p0) / np.maximum(np.abs(p0), np.abs(p1))
+        _relative_error((a,), (b.real,), floor)
+        for a, b in zip((p_q, 0.0, p_s), (v[0] for v in transported))])
+    mixed_res = _relative_error((transported[0][1].imag / h,),
+                                (transported[2][0].imag / h,), floor)
     comps = [
         _component("gradient_transport", grad_res, config.tol_fd, where),
         _component("mixed_partials", mixed_res, config.tol_fd, where),
-        _component("r_independence", rfree_res, config.tol_identity, where),
     ]
     return _report("pressure_consistency", q.size, comps)
 
@@ -235,48 +218,48 @@ def check_boundary(params: WaveParameters, strat: Stratification,
     """Dynamic and kinematic conditions on the thermocline sheet s = s0.
 
     Dynamic: P = P0 - rho_plus g z pointwise, within TOL_DYNAMIC * |P0|.
-    Kinematic: w = eta_t + u eta_x + v eta_y with sheet derivatives by
-    central differences (eta is independent of y), within TOL_KINEMATIC.
+    Kinematic: w = eta_t + u eta_x with the sheet's complex-step derivatives
+    (eta is independent of y), relative to the sheet's velocity scale
+    k |c| a e^(-m s0) and within tol_fd.
     """
     config, where = _inputs(params, config, grid, sheet=True)
     t = where[3]
-    ht = FD_TIME_FACTOR / (params.k * abs(params.c))
-    hx = FD_SPACE
     flow = Flow(params, *where)
     x, _, z = flow.position
     p = flow.pressure(strat)
     dyn_res = np.abs(p - (params.P0 - strat.rho_plus * strat.g * z)) / abs(params.P0)
-    u, v, w = flow.velocity
-    # one batched solve at (x, t + ht), (x, t - ht), (x + hx, t), (x - hx, t)
-    eta = sheet_elevation(params, params.s0, np.stack((x, x, x + hx, x - hx)),
-                          np.stack((t + ht, t - ht, t, t)))
-    eta_t = (eta[0] - eta[1]) / (2 * ht)
-    eta_x = (eta[2] - eta[3]) / (2 * hx)
-    eta_y = 0.0  # the sheet is y-invariant
-    kin_res = np.abs(w - (eta_t + u * eta_x + v * eta_y))
+    u, _, w = flow.velocity
+    # one batched solve at (x + i h, t) and (x, t + i h / |c|)
+    h = _step(params)
+    ht = h / abs(params.c)
+    eta = sheet_elevation(params, params.s0, x + [[1j * h], [0.0]], t + [[0.0], [1j * ht]])
+    eta_x, eta_t = eta[0].imag / h, eta[1].imag / ht
+    # the sheet's velocity scale; below a displacement of tiny / (k h), still
+    # water included, the steps' imaginary parts leave the normal doubles
+    scale = params.k * abs(params.c) * max(params.a * math.exp(-params.m * params.s0),
+                                           np.finfo(float).tiny / (params.k * h))
+    kin_res = np.abs(w - (eta_t + u * eta_x)) / scale
     comps = [
         _component("dynamic_condition", dyn_res, TOL_DYNAMIC, where),
-        _component("kinematic_condition", kin_res, TOL_KINEMATIC, where),
+        _component("kinematic_condition", kin_res, config.tol_fd, where),
     ]
     return _report("boundary", t.size, comps)
 
 
 def _probes(params, config, *offsets):
     """(flow, grad) per seed offset: the flow at the config's n_random
-    particles drawn with seed + offset, and the central-difference velocity
-    gradient grad[i][j] = d u_i / d x_j there.  The points x +- h e_j around
+    particles drawn with seed + offset, and the complex-step velocity
+    gradient grad[i][j] = d u_i / d x_j there.  The points x + i h e_j around
     the particles of every offset are inverted in one batched Newton solve."""
-    h = FD_SPACE
-    steps = h * np.eye(3)[:, None, :, None] * np.array([1.0, -1.0])[:, None, None]
+    h = _step(params)
     flows = [Flow(params, *_random_samples(params, np.random.default_rng(config.seed + i),
                                            config.n_random)) for i in offsets]
-    points = np.concatenate([np.array(f.position) + steps for f in flows],
-                            axis=-1)                               # (j, +-, xyz, n)
+    points = np.concatenate([np.array(f.position) + 1j * h * np.eye(3)[:, :, None]
+                             for f in flows], axis=-1)             # (j, xyz, n)
     t = np.concatenate([f.t for f in flows])
-    labels = invert_labels(params, *np.moveaxis(points, 2, 0), t)
-    vel = np.array(Flow(params, *labels, t).velocity)              # (i, j, +-, n)
-    return list(zip(flows, np.split((vel[:, :, 0] - vel[:, :, 1]) / (2 * h),
-                                    len(flows), axis=-1)))
+    labels = invert_labels(params, *np.moveaxis(points, 1, 0), t)
+    grad = np.array(Flow(params, *labels, t).velocity).imag / h    # (i, j, n)
+    return list(zip(flows, np.split(grad, len(flows), axis=-1)))
 
 
 def _distinct_labels(q, r, s):
@@ -294,10 +277,11 @@ def _distinct_labels(q, r, s):
 def check_incompressibility(params: WaveParameters, grid=None,
                             config: VerifyConfig | None = None,
                             probe=None) -> VerificationReport:
-    """Volume preservation: J constant in time and FD Eulerian divergence.
+    """Volume preservation: J constant in time and zero Eulerian divergence.
 
-    The divergence of the velocity recovered through map inversion is
-    compared against zero at the scale k |c| (tolerance tol_fd * k |c|).
+    The complex-step divergence of the velocity recovered through map
+    inversion is compared against zero at the scale k |c| (tolerance
+    tol_fd * k |c|).
     ``probe`` is this check's entry of _probes(params, config, 2), made here
     when None.
     """
@@ -322,8 +306,8 @@ def check_vorticity(params: WaveParameters, grid=None,
     """Analytic vorticity against two independent constructions.
 
     (i) the inverse-Jacobian matrix product (antisymmetrized velocity
-    gradient), an identity at tol_identity; (ii) a finite-difference curl
-    of the Eulerian velocity through map inversion, at TOL_CURL.  ``probe``
+    gradient), an identity at tol_identity; (ii) the complex-step curl of
+    the Eulerian velocity through map inversion, at tol_fd.  ``probe``
     is this check's entry of _probes(params, config, 3), made here when None.
     """
     config, where = _inputs(params, config, grid)
@@ -339,7 +323,7 @@ def check_vorticity(params: WaveParameters, grid=None,
     curl_res = _relative_error(fd_flow.vorticity, _curl(fd_grad), scale_floor)
     comps = [
         _component("matrix_product", mp_res, config.tol_identity, where),
-        _component("fd_curl", curl_res, TOL_CURL,
+        _component("fd_curl", curl_res, config.tol_fd,
                    (fd_flow.q, fd_flow.r, fd_flow.s, fd_flow.t)),
     ]
     return _report("vorticity", where[0].size + config.n_random, comps)

@@ -286,8 +286,7 @@ def test_config_file_sets_every_verify_setting(tmp_path, strat):
     assert by_name["euler"]["tolerance"] == 3e-12
     tolerances = {c["name"]: c["tolerance"]
                   for c in by_name["pressure_consistency"]["components"]}
-    assert tolerances == {"gradient_transport": 2e-6, "mixed_partials": 2e-6,
-                          "r_independence": 3e-12}
+    assert tolerances == {"gradient_transport": 2e-6, "mixed_partials": 2e-6}
 
     params = solve_configured(RunConfig(latitude_deg=30).validate())[3]
 
@@ -493,6 +492,7 @@ def test_sampled_commands_need_two_samples(command, capsys):
     ["verify", "--config", {"n_theta": 2.5}],
     ["verify", "--config", {"seed": True}],
     ["dispersion", "--config", {"wavenumber": None, "wavelength": [100.0]}],
+    ["dispersion", "--config", {"rho_plus": 10**400}],  # no double holds it
 ])
 def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
     """Each is a one-line configuration error (exit 2); a dict in argv is the
@@ -504,6 +504,16 @@ def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
     assert main([str(cfg) if isinstance(v, dict) else v for v in argv]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and err.count("\n") == 1
+
+
+def test_config_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    """json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    integer of over 4300 digits."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"rho_plus": 1' + "0" * 5000 + "}")
+    assert main(["dispersion", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config is not valid JSON" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["dispersion", "verify", "field"])
