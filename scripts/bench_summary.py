@@ -1,13 +1,14 @@
 """Summarise perfbench run records of a parent and a change as a BENCH_<n>.json file.
 
     python3 scripts/bench_summary.py PARENT_RUNS CHANGE_RUNS \
-        --claim sweep_solve:op_p50_ref --out BENCH_8.json
+        [--claim sweep_solve:op_p50_ref] --out BENCH_8.json
 
 The arguments are the ``.perfbench-runs/`` directories of two checkouts; a pair
 is one workload at one seed, run with ``--trace 0`` in both.  Each workload lists
 the relative change of every end-to-end median, and ``over_bound`` names the
 metrics whose change median is worse than the parent's by more than the metric's
-``bound`` in BENCHMARK.json.  Standard library only.
+``bound`` in BENCHMARK.json.  Without ``--claim`` the document's claim is null and
+no workload counts wins.  Standard library only.
 """
 
 import argparse
@@ -43,33 +44,41 @@ def relative_change(parent, change):
 
 
 def summarise(parent_runs, change_runs, claim, benchmark):
-    """The document; per workload, the pairs in which the change is better on ``claim``."""
+    """The document; per workload, the pairs in which the change is better on
+    ``claim`` ("workload:metric"), unless it is None."""
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    claimed, metric = claim.split(":")
-    sign = 1.0 if better[metric] == "lower" else -1.0
-    won = f"{metric}_change_{better[metric]}_in"
+    claimed, metric = claim.split(":") if claim else (None, None)
+    won = claim and f"{metric}_change_{better[metric]}_in"
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     workloads, over_bound = {}, []
     for workload in (w["name"] for w in benchmark["workloads"]):
         pairs = [(parent_runs[key], change_runs[key])
                  for key in sorted(parent_runs.keys() & change_runs.keys()) if key[0] == workload]
-        wins = sum(sign * (p["metrics"][metric]["value"] - c["metrics"][metric]["value"]) > 0
-                   for p, c in pairs)
         if pairs:
             entry = workloads[workload] = {
                 "seeds": [p["seed"] for p, _ in pairs], "seconds": pairs[0][0]["seconds"],
                 "pairs": len(pairs), "parent": side([p for p, _ in pairs], better),
-                "change": side([c for _, c in pairs], better),
-                won: f"{wins} of {len(pairs)} pairs"}
+                "change": side([c for _, c in pairs], better)}
+            if claim:
+                sign = 1.0 if better[metric] == "lower" else -1.0
+                wins = sum(sign * (p["metrics"][metric]["value"]
+                                   - c["metrics"][metric]["value"]) > 0 for p, c in pairs)
+                entry[won] = f"{wins} of {len(pairs)} pairs"
             entry["relative_change"] = {
                 name: relative_change(entry["parent"][name]["median"],
                                       entry["change"][name]["median"]) for name in better}
             over_bound += [f"{workload}:{name}" for name, change in entry["relative_change"].items()
                            if change is not None
                            and change * (1.0 if better[name] == "lower" else -1.0) > bounds[name]]
-    if claimed not in workloads:
-        raise SystemExit(f"no pairs of the claimed workload {claimed!r}")
-    medians = [workloads[claimed][s][metric]["median"] for s in ("parent", "change")]
+    claim_text = None
+    if claim:
+        if claimed not in workloads:
+            raise SystemExit(f"no pairs of the claimed workload {claimed!r}")
+        entry = workloads[claimed]
+        medians = [entry[s][metric]["median"] for s in ("parent", "change")]
+        claim_text = (f"{claimed} {metric}: {better[metric]} in {entry[won]}, median "
+                      f"{medians[0]:.4g} -> {medians[1]:.4g}; no other workload or metric "
+                      "is claimed")
     return {
         "description": "perfbench end-to-end metrics (--trace 0) of parent/change pairs on "
                        "one host: medians and quartiles (inclusive) over the listed seeds; "
@@ -79,9 +88,7 @@ def summarise(parent_runs, change_runs, claim, benchmark):
         "parent_commit": next(iter(parent_runs.values()))["git_commit"],
         "machine": {k: next(iter(change_runs.values()))[k]
                     for k in ("nproc", "cpu_model", "python", "numpy")},
-        "claim": f"{claimed} {metric}: {better[metric]} in {workloads[claimed][won]}, median "
-                 f"{medians[0]:.4g} -> {medians[1]:.4g}; no other workload or metric "
-                 "is claimed",
+        "claim": claim_text,
         "over_bound": over_bound,
         "workloads": workloads}
 
@@ -90,7 +97,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent_runs")
     parser.add_argument("change_runs")
-    parser.add_argument("--claim", required=True, help="workload:metric")
+    parser.add_argument("--claim", help="workload:metric; without it the claim is null")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     document = summarise(load_runs(args.parent_runs), load_runs(args.change_runs), args.claim,

@@ -28,7 +28,7 @@ import numpy as np
 from . import dispersion as dsp
 from . import flowfield as flow
 from . import verify as ver
-from .errors import AmplitudeBoundError, ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError
 from .geo import PhysicalConstants, coriolis, min_wavenumber, reduced_gravity
 
 FIELD_COLUMNS = ("t", "q", "r", "s", "x", "y", "z",
@@ -94,6 +94,8 @@ class RunConfig:
         for name in ("tol_identity", "tol_fd"):
             if not 0.0 < vars(self)[name] < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {vars(self)[name]!r}")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
         for name in ("n_theta", "n_s", "n_time", "n_random"):
             if not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
@@ -168,17 +170,13 @@ def solve_configured(config: RunConfig):
     of the config before when it was at the same site (_setting).  Only the
     configured branch's root is solved and checked (solve_branch), at every
     latitude; an overflowing k^4 and a non-finite density, s0 or beta0 offset
-    are InputErrors (exit 2).  The amplitude is capped at the thermocline
-    bound 1/m as soon as m is known; the perturb_c negative control replaces
+    are InputErrors (exit 2), and so is an amplitude above the thermocline
+    bound 1/m (derive_parameters).  The perturb_c negative control replaces
     the phase speed after the set is solved, leaving m, b, d untouched.
     """
     constants, site, strat = _setting(config)
     k = config.k
     _, c = dsp.solve_branch(site, strat, k, config.branch, tol=config.tol_identity)
-    m = dsp.orbit_parameters(site.f, k, config.amplitude, c)[0]
-    if config.amplitude > 1.0 / m:
-        raise AmplitudeBoundError(
-            f"amplitude {config.amplitude!r} exceeds the amplitude bound 1/m = {1.0 / m!r}")
     params = dsp.derive_parameters(site, strat, k, config.amplitude, c,
                                    config.s0, config.beta0_offset)
     if config.perturb_c != 0.0:

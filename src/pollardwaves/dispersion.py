@@ -18,8 +18,9 @@ From a solved phase speed the dependent parameters follow in closed form:
 
     m^2 = k^4 c^2 / (k^2 c^2 - f^2),   b = m a / k,   d = -f m a / (k^2 c),
 
-with the local-diffeomorphism gate m^2 a^2 e^(-2 m s0) < 1 and the
-thermocline/interface pressure constants completing the set.
+with the amplitude gate a <= 1/m, m^2 a^2 e^(-2 m s0) < 1 (a local
+diffeomorphism at s0) and the thermocline/interface pressure constants
+completing the set.
 """
 
 import math
@@ -123,31 +124,30 @@ def root_brackets(nd: NondimDispersion):
             (0.0, -math.sqrt(1.0 + nd.alpha)))
 
 
-def _bisect_newton(nd, inner, outer, tol):
-    """Safeguarded Newton for the root of P between ``inner``, where P < 0, and
-    ``outer``, where P > 0.
+def _newton(fun, slope_of, lo, hi, x, tol):
+    """Safeguarded Newton from ``x`` for a root of ``fun`` between ``lo``, where
+    fun < 0, and ``hi``, where fun > 0; they may come in either order, and
+    hi = inf leaves the bracket open above.
 
-    From outer, one P and one P' per iteration; a step out of the bracket goes
-    to its midpoint.  Stops at a step <= 2 ulp or an unhalvable bracket, within
-    _MAX_STEPS iterations, and then requires |P(X)| <= tol * max(1, X^4)."""
-    x, p = outer, nd.evaluate(outer)
+    One fun and one slope_of per iteration narrow the bracket; a step out of it
+    goes to its midpoint or, while it is open, doubles x - lo for the ``lo``
+    given (every iterate below the root joins the bracket as its lower end).
+    Stops at |step| <= tol or 2 ulp(x), checked before the safeguard so that an
+    iterate converged onto a bracket end is not bisected away, or at an
+    unhalvable bracket; a ConvergenceError after _MAX_STEPS iterations."""
+    anchor = lo
     for _ in range(_MAX_STEPS):
-        slope = nd.derivative(x)
-        step = p / slope if slope else math.inf
-        if abs(step) <= 2.0 * math.ulp(x):  # before the safeguard bisects away
-            x -= step
-            p = nd.evaluate(x)
-            break
-        mid = 0.5 * (inner + outer)
-        if mid == inner or mid == outer:
-            break
-        x = x - step if (x - step - inner) * (x - step - outer) < 0.0 else mid
-        p = nd.evaluate(x)
-        inner, outer = (x, outer) if p < 0.0 else (inner, x)
-    if abs(p) > tol * max(1.0, x**4):
-        raise ConvergenceError(
-            f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
-    return x
+        value = fun(x)
+        lo, hi = (x, hi) if value < 0.0 else (lo, x)
+        slope = slope_of(x)
+        step = value / slope if slope else math.inf
+        if abs(step) <= tol or abs(step) <= 2.0 * math.ulp(x):
+            return x - step
+        mid = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x - anchor
+        if mid == lo or mid == hi:
+            return x
+        x = x - step if (x - step - lo) * (x - step - hi) < 0.0 else mid
+    raise ConvergenceError(f"Newton did not converge within {_MAX_STEPS} steps at x={x!r}")
 
 
 def solve_branch(site: Site, strat: Stratification, k: float, branch: str,
@@ -161,7 +161,11 @@ def solve_branch(site: Site, strat: Stratification, k: float, branch: str,
         raise InputError(f"unknown branch {branch!r}")
     nd = nondimensionalize(site, strat, k)  # raises at k <= 4 Omega^2 / g_tilde
     sign = 1.0 if branch == "positive" else -1.0
-    x = _bisect_newton(nd, *root_brackets(nd)[0 if branch == "positive" else 1], tol)
+    inner, outer = root_brackets(nd)[0 if branch == "positive" else 1]
+    x = _newton(nd.evaluate, nd.derivative, inner, outer, outer, 0.0)
+    p = nd.evaluate(x)
+    if abs(p) > tol * max(1.0, x**4):
+        raise ConvergenceError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
     if not sign * x > 0.0:
         raise ConvergenceError(f"the {branch} root X={x!r} is on the wrong side of 0")
     c = x * math.sqrt(strat.g_tilde / k)
@@ -218,10 +222,9 @@ def _invert_interface_map(strat, A, m, s0, map_s0, beta0):
     """Label s_plus > s0 with _interface_map(s_plus) = beta0 > map_s0, the map at s0.
 
     The map's slope lies between its value at s0 and rho0 g_tilde, which bound
-    s_plus - s0 = (beta0 - map_s0) / slope.  Newton runs from the upper bound; a
-    bound that the sign of map - beta0 does not confirm is dropped, and a step out
-    of a bracket open above doubles s - s0.  Stops at a step <= INTERFACE_TOL / 2
-    or an unhalvable bracket (ulp(s) > INTERFACE_TOL), within _MAX_STEPS."""
+    s_plus - s0 = (beta0 - map_s0) / slope.  _newton runs from the upper bound
+    on a bracket open above, whose lower bound falls back to s0 unless the sign
+    of map - beta0 confirms it, to a step <= INTERFACE_TOL / 2."""
     if not beta0 > map_s0:
         raise InterfaceOrderingError(
             f"beta0={beta0!r} must exceed P0 - P0_tilde={map_s0!r}")
@@ -230,22 +233,12 @@ def _invert_interface_map(strat, A, m, s0, map_s0, beta0):
     flat, offset = (strat.rho_plus - strat.rho0) * strat.g, beta0 - map_s0
     slope = wave * math.exp(-2.0 * m * s0) + flat
     s = s0 + (offset / slope if slope > 0.0 else 1.0)
-    lo, hi = s0 + offset / flat, math.inf
+    lo = s0 + offset / flat
     if not (lo < s and _interface_map(strat, A, m, lo) < beta0):
         lo = s0
-    for _ in range(_MAX_STEPS):
-        value = _interface_map(strat, A, m, s) - beta0
-        lo, hi = (s, hi) if value < 0.0 else (lo, s)
-        slope = wave * math.exp(-2.0 * m * s) + flat
-        step = value / slope if slope else math.inf
-        if abs(step) <= 0.5 * INTERFACE_TOL:
-            return s - step
-        mid = 0.5 * (lo + hi) if hi < math.inf else 2.0 * s - s0
-        if mid == lo or mid == hi:
-            return s
-        s = s - step if lo < s - step < hi else mid
-    raise ConvergenceError(
-        f"interface label not converged within {_MAX_STEPS} steps at s={s!r}")
+    return _newton(lambda s: _interface_map(strat, A, m, s) - beta0,
+                   lambda s: wave * math.exp(-2.0 * m * s) + flat,
+                   lo, math.inf, s, INTERFACE_TOL / 2)
 
 
 def orbit_parameters(f: float, k: float, a: float, c: float):
@@ -263,8 +256,8 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
                       c: float, s0: float, beta0_offset: float) -> WaveParameters:
     """Complete the parameter set for a solved phase speed c.
 
-    m, b, d follow from the closed forms; the amplitude gate
-    m^2 a^2 e^(-2 m s0) < 1 is enforced at s0; the pressure
+    m, b, d follow from the closed forms; the amplitude gate a <= 1/m and
+    m^2 a^2 e^(-2 m s0) < 1 at s0 is enforced before any map call; the pressure
     constants are fixed by the dynamic boundary condition at s0 (gauge
     P0_STANDARD) and the interface label s_plus solves the monotone
     thermocline map for beta0 = (P0 - P0_tilde) + beta0_offset, which must
@@ -279,10 +272,10 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
         raise AmplitudeBoundError(f"amplitude must be non-negative, got {a!r}")
     m, b, d = orbit_parameters(site.f, k, a, c)
     gate = (m * a * math.exp(-m * s0)) ** 2
-    if not gate < 1.0:
+    if a > 1.0 / m or not gate < 1.0:
         raise AmplitudeBoundError(
-            f"amplitude a={a!r} violates m^2 a^2 e^(-2 m s0) < 1 "
-            f"(got {gate!r}); the thermocline amplitude bound is 1/m = {1.0 / m!r}")
+            f"amplitude a={a!r} must satisfy a <= 1/m = {1.0 / m!r} and "
+            f"m^2 a^2 e^(-2 m s0) < 1 (got {gate!r})")
     A = pressure_coefficient_a(site.f, site.f_hat, k, c, a, b, d)
     p0_minus_ptilde = _interface_map(strat, A, m, s0)
     p0_tilde = P0_STANDARD - p0_minus_ptilde

@@ -161,17 +161,16 @@ class Flow:
         A, B = self._pressure_coefficients(strat)
         return -strat.rho0 * (A * self.e * self.e + B * self.e * self.cos)
 
-    def pressure(self, strat: Stratification, dynamic=None):
-        """Pressure [Pa]; ``dynamic`` is this flow's dynamic_pressure(strat)
-        when the caller already has it.
+    def pressure(self, strat: Stratification):
+        """Pressure [Pa].
 
         The quadratic cos^2 term of the raw expression carries the
         coefficient a^2 + d^2 - b^2, identically zero for a solved set, and
         is dropped; the gauge constant P0_tilde pins P = P0 - rho_plus g z
         on the thermocline.
         """
-        dynamic = self.dynamic_pressure(strat) if dynamic is None else dynamic
-        return dynamic - strat.rho0 * strat.g * self.s + self.params.P0_tilde
+        return (self.dynamic_pressure(strat) - strat.rho0 * strat.g * self.s
+                + self.params.P0_tilde)
 
     def pressure_label_gradient(self, strat: Stratification):
         """Analytic gradient (P_q, P_r, P_s); P_r vanishes identically."""
@@ -228,9 +227,12 @@ def invert_labels(params: WaveParameters, x, y, z, t):
 
     A target stops once its residual is within max(_INVERT_TOL, 4 eps |target|),
     the rounding floor of the position; one still open after _INVERT_MAX_ITER
-    iterations fails the inversion.  The start (q, r, s) = (x, y, z) lies in
-    the convergence basin of the gated domain.  Complex targets or times give
-    complex labels, whose imaginary parts carry the complex-step derivative."""
+    iterations fails the inversion.  The start (q, r, s) = (x, y, z) is not
+    always in the convergence basin: for a steep wave above a shallow
+    thermocline a step can land where det J < 0, and Flow raises
+    DiffeomorphismError ("flow map is singular", exit 3).  Complex targets or
+    times give complex labels, whose imaginary parts carry the complex-step
+    derivative."""
     shape = np.broadcast_shapes(*(np.shape(v) for v in (x, y, z, t)))
     *target, t = _flat((x, y, z, t), shape)
     label = [v.astype(np.result_type(*target, t)) for v in target]

@@ -10,6 +10,7 @@ import math
 import pytest
 
 import pollardwaves as pw
+from pollardwaves.dispersion import _newton
 
 REF_K = 6.28e-2
 REF_A = 10.0
@@ -21,6 +22,12 @@ def nondim_of(eps, F):
     """The polynomial of eps = f / sqrt(g_tilde k) and F = f_hat / f:
     (alpha, beta) = (eps^2 (1 + F^2), eps F)."""
     return pw.NondimDispersion(alpha=float(eps**2 * (1.0 + F**2)), beta=float(eps * F))
+
+
+def refine_root(nd, inner, outer):
+    """The root of P on one root_brackets bracket, by the solver's own Newton
+    loop from the outer end (solve_branch without its checks)."""
+    return _newton(nd.evaluate, nd.derivative, inner, outer, outer, 0.0)
 
 
 def derivative_discriminant(nd):

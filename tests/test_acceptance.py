@@ -14,10 +14,9 @@ import pytest
 
 import pollardwaves as pw
 from pollardwaves import verify
-from pollardwaves.dispersion import _bisect_newton
 from pollardwaves.flowfield import Flow
 
-from conftest import REF_A, REF_K, REF_S0, derivative_discriminant, nondim_of
+from conftest import REF_A, REF_K, REF_S0, derivative_discriminant, nondim_of, refine_root
 from equatorial import solve_equatorial
 
 
@@ -50,8 +49,8 @@ def test_criterion_2_dispersion_bracket_theorem():
             nd = nondim_of(eps, F)
             assert derivative_discriminant(nd) < 0.0
             bracket_plus, bracket_minus = pw.root_brackets(nd)
-            x_plus = _bisect_newton(nd, *bracket_plus, 1e-12)
-            x_minus = _bisect_newton(nd, *bracket_minus, 1e-12)
+            x_plus = refine_root(nd, *bracket_plus)
+            x_minus = refine_root(nd, *bracket_minus)
             w = float(eps) * float(F)
             assert 0.0 < x_plus - 1.0 < w
             assert 0.0 < x_minus + 1.0 < w

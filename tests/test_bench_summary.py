@@ -52,6 +52,25 @@ def test_two_run_records_summarise_to_the_bench_layout(tmp_path):
                                         "median 2.2 -> 2.05")
 
 
+def test_without_a_claim_the_runs_are_still_summarised(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (before, after) in enumerate([(2.0, 2.8), (2.2, 2.8), (2.4, 2.8)]):
+        write_record(parent, seed, before, "abc")
+        write_record(change, seed, after, "def", peak_rss_mb=35.0)
+    out = tmp_path / "BENCH.json"
+    bench_summary.main([str(parent), str(change), "--out", str(out)])
+    document = json.loads(out.read_text())
+    assert document["claim"] is None
+    entry = document["workloads"]["sweep_solve"]
+    assert not any(key.endswith("_in") for key in entry)  # no wins are counted
+    assert entry["pairs"] == 3
+    assert entry["parent"]["op_p50_ref"] == pytest.approx({"median": 2.2, "q1": 2.1, "q3": 2.3})
+    assert entry["change"]["peak_rss_mb"]["median"] == 35.0
+    assert entry["relative_change"]["op_p50_ref"] == pytest.approx(2.8 / 2.2 - 1.0)
+    # +27 % on op_p50_ref (bound 20 %) and op_tail_ref (25 %); -21 % on ops_per_ref (25 %)
+    assert document["over_bound"] == ["sweep_solve:op_p50_ref", "sweep_solve:op_tail_ref"]
+
+
 def test_a_higher_is_better_claim_counts_higher_values(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed, (before, after) in enumerate([(2.0, 1.0), (2.0, 1.5), (2.0, 2.5)]):

@@ -493,6 +493,8 @@ def test_sampled_commands_need_two_samples(command, capsys):
     ["verify", "--config", {"seed": True}],
     ["dispersion", "--config", {"wavenumber": None, "wavelength": [100.0]}],
     ["dispersion", "--config", {"rho_plus": 10**400}],  # no double holds it
+    ["verify", "--seed", "-1"],            # np.random.default_rng takes no negative seed
+    ["verify", "--config", {"seed": -1}],
 ])
 def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
     """Each is a one-line configuration error (exit 2); a dict in argv is the
@@ -572,12 +574,15 @@ def test_bad_stratification_raises_on_every_call(capsys):
 
 def test_configured_solve_leaves_the_other_branch_alone(monkeypatch, ref_params):
     """solve_configured refines and checks its own branch only: a failing
-    negative-branch solve does not fail a positive-branch run."""
-    refine = dsp._bisect_newton
+    negative-branch solve does not fail a positive-branch run.  The Newton loop
+    runs twice, on the positive root's bracket and on the label's, open above."""
+    refine, upper_ends = dsp._newton, []
 
-    def positive_only(nd, inner, outer, tol):
-        assert outer > inner
-        return refine(nd, inner, outer, tol)
+    def positive_only(fun, slope_of, lo, hi, x, tol):
+        assert hi > lo  # the negative bracket (0, -sqrt(1 + alpha)) would fail
+        upper_ends.append(hi)
+        return refine(fun, slope_of, lo, hi, x, tol)
 
-    monkeypatch.setattr(dsp, "_bisect_newton", positive_only)
+    monkeypatch.setattr(dsp, "_newton", positive_only)
     assert solve_configured(RunConfig().validate())[3] == ref_params
+    assert len(upper_ends) == 2 and math.isfinite(upper_ends[0]) and upper_ends[1] == math.inf

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import pollardwaves as pw
 from pollardwaves.cli import RunConfig, solve_configured
-from pollardwaves.dispersion import (_bisect_newton, _interface_map, orbit_parameters,
-                                     pressure_coefficient_a)
+from pollardwaves.dispersion import _interface_map, orbit_parameters, pressure_coefficient_a
 from pollardwaves.errors import (
     AmplitudeBoundError,
     EvanescentRegimeError,
@@ -17,7 +16,7 @@ from pollardwaves.errors import (
 )
 
 from conftest import (REF_A, REF_BETA0_OFFSET, REF_K, REF_S0, derivative_discriminant,
-                      nondim_of)
+                      nondim_of, refine_root)
 from equatorial import solve_equatorial
 from ferrari import ferrari_roots
 
@@ -169,8 +168,8 @@ def test_bracket_theorem_property(eps, F):
     bracket_plus, bracket_minus = pw.root_brackets(nd)
     # refine directly on the brackets; the dimensional identity does not
     # apply to a synthetic (eps, F) pair
-    x_plus = _bisect_newton(nd, *bracket_plus, 1e-12)
-    x_minus = _bisect_newton(nd, *bracket_minus, 1e-12)
+    x_plus = refine_root(nd, *bracket_plus)
+    x_minus = refine_root(nd, *bracket_minus)
     w = eps * F
     assert 0.0 < x_plus - 1.0 < w
     assert 0.0 < x_minus + 1.0 < w
@@ -279,10 +278,11 @@ def test_consistency_chain_property(lat_deg, southern, k):
 
 
 def test_amplitude_gate_rejects_large_amplitude(site45, strat, ref_roots):
-    with pytest.raises(AmplitudeBoundError) as err:
-        pw.derive_parameters(site45, strat, REF_K, 40.0, ref_roots.c_plus,
-                             1.0, 2000.0)
-    assert "1/m" in str(err.value)
+    """a = 40 m at s0 = 1 m fails m^2 a^2 e^(-2 m s0) < 1; a = 16.5 m at s0 = 50 m
+    meets it, but not the thermocline bound a <= 1/m (just under 16 m here)."""
+    for a, s0 in ((40.0, 1.0), (16.5, 50.0)):
+        with pytest.raises(AmplitudeBoundError, match="1/m"):
+            pw.derive_parameters(site45, strat, REF_K, a, ref_roots.c_plus, s0, 2000.0)
 
 
 def test_evanescent_regime_rejected(site45, strat):
@@ -418,8 +418,8 @@ def test_wavenumbers_whose_fourth_power_overflows_are_rejected(site45, strat, re
 def test_ferrari_agrees_with_refinement(eps, F):
     nd = nondim_of(eps, F)
     bracket_plus, bracket_minus = pw.root_brackets(nd)
-    x_plus = _bisect_newton(nd, *bracket_plus, 1e-12)
-    x_minus = _bisect_newton(nd, *bracket_minus, 1e-12)
+    x_plus = refine_root(nd, *bracket_plus)
+    x_minus = refine_root(nd, *bracket_minus)
     fer = ferrari_roots(nd)
     assert len(fer) == 2
     assert fer[1] == pytest.approx(x_plus, rel=1e-9)

@@ -16,11 +16,10 @@ from hypothesis import assume, given, settings, strategies as st
 import pollardwaves as pw
 from pollardwaves import cli, dispersion as dsp
 from pollardwaves.cli import RunConfig, solve_configured
-from pollardwaves.dispersion import _bisect_newton
 from pollardwaves.errors import ConvergenceError, InputError
 
 from conftest import (REF_A, REF_BETA0_OFFSET, REF_K, REF_S0, derivative_discriminant,
-                      nondim_of)
+                      nondim_of, refine_root)
 
 MP_DIGITS = 50
 
@@ -68,8 +67,8 @@ def test_roots_match_mpmath_polyroots():
         real = exact_real_roots(nd)
         assert len(real) == 2, (eps, F)
         bracket_plus, bracket_minus = pw.root_brackets(nd)
-        x_plus = _bisect_newton(nd, *bracket_plus, 1e-12)
-        x_minus = _bisect_newton(nd, *bracket_minus, 1e-12)
+        x_plus = refine_root(nd, *bracket_plus)
+        x_minus = refine_root(nd, *bracket_minus)
         for x, exact in ((x_plus, real[1]), (x_minus, real[0])):
             distance = ulps_from(x, exact)
             assert distance <= 4.0, (eps, F, x, distance)
@@ -169,7 +168,34 @@ def test_negative_bracket_stays_below_zero():
         x_minus = exact_real_roots(nd)[0]
         assert outer < x_minus < inner == 0.0
         assert (x_minus < -1.0) == (nd.evaluate(-1.0) <= 0.0)
-        assert ulps_from(_bisect_newton(nd, inner, outer, 1e-12), x_minus) <= 4.0
+        assert ulps_from(refine_root(nd, inner, outer), x_minus) <= 4.0
+
+
+def test_newton_doubles_its_distance_from_lo_on_a_bracket_open_above():
+    """fun = x^3 - 3x - 100 falls on (-1, 1): from x = 0 the Newton step and the
+    zero slope at x = 1 leave (lo, inf), so x - lo doubles from lo = -1 (0, 1,
+    3) before Newton meets the root near 4.9 to 4 ulp."""
+    iterates = []
+
+    def fun(x):
+        iterates.append(x)
+        return (x * x - 3.0) * x - 100.0
+
+    x = dsp._newton(fun, lambda x: 3.0 * x * x - 3.0, -1.0, math.inf, 0.0, 0.0)
+    assert iterates[:3] == [0.0, 1.0, 3.0]
+    assert len(iterates) <= 10
+    with mpmath.workdps(MP_DIGITS):
+        exact = mpmath.findroot(lambda v: v**3 - 3 * v - 100, 4.9)
+    assert ulps_from(x, exact) <= 4.0
+
+
+def test_newton_raises_at_its_iteration_cap():
+    """A function below 0 everywhere, with a zero slope, on a bracket open above:
+    x doubles each step and never meets a root or an unhalvable bracket."""
+    calls = []
+    with pytest.raises(ConvergenceError, match=f"within {dsp._MAX_STEPS} steps"):
+        dsp._newton(lambda x: calls.append(x) or -1.0, lambda x: 0.0, 0.0, math.inf, 1.0, 0.0)
+    assert calls == [2.0**i for i in range(dsp._MAX_STEPS)]
 
 
 def test_roots_on_one_side_of_zero_are_rejected(monkeypatch, site45, strat):
@@ -207,7 +233,7 @@ def test_branch_solve_equals_both_root_solve(strat):
         for branch, bracket in zip(fields, pw.root_brackets(nd)):
             x, c = pw.solve_branch(site, case_strat, k, branch)
             assert (x.hex(), c.hex()) == tuple(v.hex() for v in fields[branch])
-            assert x.hex() == _bisect_newton(nd, *bracket, 1e-12).hex()
+            assert x.hex() == refine_root(nd, *bracket).hex()
             assert c.hex() == (x * math.sqrt(case_strat.g_tilde / k)).hex()
         solved += 1
     assert solved == 400 + len(HIGH_LATITUDE_CASES)  # every case, at every latitude
@@ -319,7 +345,7 @@ def test_reference_solve_work_counts(monkeypatch, site45, strat, equator_site):
             nd = nondim_of(eps, F)
             for bracket in pw.root_brackets(nd):
                 evaluations.clear()
-                _bisect_newton(nd, *bracket, 1e-12)
+                refine_root(nd, *bracket)
                 assert len(evaluations) <= 6, (eps, F)
 
 
