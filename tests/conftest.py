@@ -11,6 +11,7 @@ import pytest
 
 import pollardwaves as pw
 from pollardwaves.dispersion import _newton
+from pollardwaves.errors import ConvergenceError
 
 REF_K = 6.28e-2
 REF_A = 10.0
@@ -25,9 +26,14 @@ def nondim_of(eps, F):
 
 
 def refine_root(nd, inner, outer):
-    """The root of P on one root_brackets bracket, by the solver's own Newton
-    loop from the outer end (solve_branch without its checks)."""
-    return _newton(nd.evaluate, nd.derivative, inner, outer, outer, 0.0)
+    """The root X of P on one root_brackets bracket, by the solver's own Newton
+    loop from the outer end, held to |P(X)| <= 1e-12 max(1, X^4) (solve_branch's
+    residual gate, without its sign and dimensional checks)."""
+    x = _newton(nd.evaluate, nd.derivative, inner, outer, outer, 0.0)
+    p = nd.evaluate(x)
+    if abs(p) > 1e-12 * max(1.0, x**4):
+        raise ConvergenceError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
+    return x
 
 
 def derivative_discriminant(nd):
