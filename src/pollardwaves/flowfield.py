@@ -223,19 +223,25 @@ def _newton(unknowns, step, bound, max_iter):
 
 def invert_labels(params: WaveParameters, x, y, z, t):
     """Labels (q, r, s) whose positions at times t are (x, y, z), by Newton
-    iteration over broadcast arrays.
+    iteration over broadcast arrays from the start (q, r, s) = (x, y, z).
 
     A target stops once its residual is within max(_INVERT_TOL, 4 eps |target|),
     the rounding floor of the position; one still open after _INVERT_MAX_ITER
-    iterations fails the inversion.  The start (q, r, s) = (x, y, z) is not
-    always in the convergence basin: for a steep wave above a shallow
-    thermocline a step can land where det J < 0, and Flow raises
-    DiffeomorphismError ("flow map is singular", exit 3).  Complex targets or
-    times give complex labels, whose imaginary parts carry the complex-step
-    derivative."""
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (x, y, z, t)))
+    iterations fails the inversion.  For a steep wave above a shallow
+    thermocline the start is not always in the convergence basin: a step can
+    land where det J < 0, and Flow raises DiffeomorphismError (exit 3).  The
+    verifier starts at the labels it inverts back to, so only public callers
+    meet this.  Complex targets or times give complex labels, whose imaginary
+    parts carry the complex-step derivative."""
+    return _invert_from(params, (x, y, z), x, y, z, t)
+
+
+def _invert_from(params, start, x, y, z, t):
+    """invert_labels started at the labels ``start`` = (q, r, s)."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (*start, x, y, z, t)))
     *target, t = _flat((x, y, z, t), shape)
-    label = [v.astype(np.result_type(*target, t)) for v in target]
+    start = _flat(start, shape)
+    label = [v.astype(np.result_type(*start, *target, t)) for v in start]
 
     def step(i):
         flow = Flow(params, *(v[i] for v in label), t[i])
@@ -257,11 +263,17 @@ def sheet_label_q(params: WaveParameters, s, x, t):
     """Label q on the sheet of constant s whose position has abscissa x.
 
     Solves q - b e^(-m s) sin(k (q - c t)) = x by Newton over broadcast
-    arrays; the derivative 1 - k b e^(-m s) cos(theta) is positive under the
-    amplitude gate.  Complex inputs give a complex q, as in invert_labels."""
-    shape = np.broadcast_shapes(np.shape(s), np.shape(x), np.shape(t))
-    s, x, t = _flat((s, x, t), shape)
-    q = x.astype(np.result_type(s, x, t))
+    arrays from the start q = x; the derivative 1 - k b e^(-m s) cos(theta)
+    is positive under the amplitude gate.  Complex inputs give a complex q,
+    as in invert_labels."""
+    return _sheet_q_from(params, x, s, x, t)
+
+
+def _sheet_q_from(params, start, s, x, t):
+    """sheet_label_q started at the label ``start``."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (start, s, x, t)))
+    start, s, x, t = _flat((start, s, x, t), shape)
+    q = start.astype(np.result_type(start, s, x, t))
 
     def step(i):
         flow = Flow(params, q[i], 0.0, s[i], t[i])

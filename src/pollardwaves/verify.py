@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import IDENTITY_TOL, WaveParameters
-from .flowfield import Flow, invert_labels, sheet_elevation
+from .flowfield import Flow, _invert_from, _sheet_q_from
 from .geo import Stratification
 
 
@@ -79,6 +79,11 @@ def _component(name, residual, tolerance, where):
     i = int(np.argmax(residual))
     return CheckComponent(name, float(residual[i]), tolerance,
                           {key: float(v[i]) for key, v in zip("qrst", where)})
+
+
+def _where(flow):
+    """The (q, r, s, t) sample arrays of a Flow."""
+    return flow.q, flow.r, flow.s, flow.t
 
 
 def _report(check_name, n_samples, components):
@@ -141,33 +146,23 @@ def _grid(params, config, sheet=False):
         _random_samples(params, rng, config.n_random, sheet)))
 
 
-def _inputs(params, config, grid, sheet=False):
-    """The config (VerifyConfig() for None) and the (q, r, s, t) arrays of
-    ``grid``, the config's default grid for None."""
-    config = config or VerifyConfig()
-    return config, _grid(params, config, sheet) if grid is None else grid
-
-
-def check_euler(params: WaveParameters, strat: Stratification,
-                grid=None, config: VerifyConfig | None = None) -> VerificationReport:
-    """Residuals of the three momentum equations, normalized by g.
+def check_euler(volume: Flow, strat: Stratification, config: VerifyConfig) -> VerificationReport:
+    """Residuals of the three momentum equations at ``volume``, normalized by g.
 
     The pressure gradient is the Eulerian gradient of the closed-form
     scalar pressure; for a consistent parameter set all three residuals are
     pure roundoff.
     """
-    config, where = _inputs(params, config, grid)
-    flow = Flow(params, *where)
-    f, fh, g = params.f, params.f_hat, strat.g
-    du, dv, dw = flow.acceleration
-    u, v, w = flow.velocity
-    px, py, pz = flow.eulerian_gradient(*flow.pressure_label_gradient(strat))
+    f, fh, g = volume.params.f, volume.params.f_hat, strat.g
+    du, dv, dw = volume.acceleration
+    u, v, w = volume.velocity
+    px, py, pz = volume.eulerian_gradient(*volume.pressure_label_gradient(strat))
     r1 = du + fh * w - f * v + px / strat.rho0
     r2 = dv + f * u + py / strat.rho0
     r3 = dw - fh * u + pz / strat.rho0 + g
     comp = _component("momentum_residual", _max_abs(r1, r2, r3) / g,
-                      config.tol_identity, where)
-    return _report("euler", where[0].size, [comp])
+                      config.tol_identity, _where(volume))
+    return _report("euler", volume.q.size, [comp])
 
 
 def _transported_gradient(flow: Flow, strat: Stratification):
@@ -183,18 +178,16 @@ def _transported_gradient(flow: Flow, strat: Stratification):
     return j00 * gx + j01 * gy + j02 * gz, gy, j20 * gx + j21 * gy + j22 * gz
 
 
-def check_pressure_consistency(params: WaveParameters, strat: Stratification,
-                               grid=None,
-                               config: VerifyConfig | None = None) -> VerificationReport:
+def check_pressure_consistency(volume: Flow, strat: Stratification,
+                               config: VerifyConfig) -> VerificationReport:
     """Complex-step label gradient of the scalar pressure against the
-    chain-rule transport of the momentum-equation gradient.
+    chain-rule transport of the momentum-equation gradient at ``volume``.
 
     The transport's r component is compared with the exact P_r = 0, and its
     mixed partials, d/ds of its q component and d/dq of its s component, must
     agree: that is exactly the compatibility content of the construction.
     """
-    config, where = _inputs(params, config, grid)
-    q, r, s, t = where
+    params, (q, r, s, t) = volume.params, _where(volume)
     h = _step(params)
     floor = config.tol_fd * strat.rho0 * strat.g  # [Pa/m] noise floor
     # row 0 steps q by i h and row 1 steps s; each row's real part is the sample
@@ -207,33 +200,33 @@ def check_pressure_consistency(params: WaveParameters, strat: Stratification,
     mixed_res = _relative_error((transported[0][1].imag / h,),
                                 (transported[2][0].imag / h,), floor)
     comps = [
-        _component("gradient_transport", grad_res, config.tol_fd, where),
-        _component("mixed_partials", mixed_res, config.tol_fd, where),
+        _component("gradient_transport", grad_res, config.tol_fd, (q, r, s, t)),
+        _component("mixed_partials", mixed_res, config.tol_fd, (q, r, s, t)),
     ]
     return _report("pressure_consistency", q.size, comps)
 
 
-def check_boundary(params: WaveParameters, strat: Stratification,
-                   grid=None, config: VerifyConfig | None = None) -> VerificationReport:
-    """Dynamic and kinematic conditions on the thermocline sheet s = s0.
+def check_boundary(sheet: Flow, strat: Stratification,
+                   config: VerifyConfig) -> VerificationReport:
+    """Dynamic and kinematic conditions at ``sheet``, on the thermocline s = s0.
 
     Dynamic: P = P0 - rho_plus g z pointwise, within TOL_DYNAMIC * |P0|.
     Kinematic: w = eta_t + u eta_x with the sheet's complex-step derivatives
     (eta is independent of y), relative to the sheet's velocity scale
     k |c| a e^(-m s0) and within tol_fd.
     """
-    config, where = _inputs(params, config, grid, sheet=True)
-    t = where[3]
-    flow = Flow(params, *where)
-    x, _, z = flow.position
-    p = flow.pressure(strat)
+    params, where, t = sheet.params, _where(sheet), sheet.t
+    x, _, z = sheet.position
+    p = sheet.pressure(strat)
     dyn_res = np.abs(p - (params.P0 - strat.rho_plus * strat.g * z)) / abs(params.P0)
-    u, _, w = flow.velocity
-    # one batched solve at (x + i h, t) and (x, t + i h / |c|)
+    u, _, w = sheet.velocity
+    # one batched sheet solve at (x + i h, t) and (x, t + i h / |c|), started
+    # at each sample's own label q
     h = _step(params)
     ht = h / abs(params.c)
-    eta = sheet_elevation(params, params.s0, x + [[1j * h], [0.0]], t + [[0.0], [1j * ht]])
-    eta_x, eta_t = eta[0].imag / h, eta[1].imag / ht
+    t_h = t + [[0.0], [1j * ht]]
+    q_h = _sheet_q_from(params, sheet.q, params.s0, x + [[1j * h], [0.0]], t_h)
+    eta_x, eta_t = Flow(params, q_h, 0.0, params.s0, t_h).position[2].imag / [[h], [ht]]
     # the sheet's velocity scale; below a displacement of tiny / (k h), still
     # water included, the steps' imaginary parts leave the normal doubles
     scale = params.k * abs(params.c) * max(params.a * math.exp(-params.m * params.s0),
@@ -246,20 +239,17 @@ def check_boundary(params: WaveParameters, strat: Stratification,
     return _report("boundary", t.size, comps)
 
 
-def _probes(params, config, *offsets):
-    """(flow, grad) per seed offset: the flow at the config's n_random
-    particles drawn with seed + offset, and the complex-step velocity
-    gradient grad[i][j] = d u_i / d x_j there.  The points x + i h e_j around
-    the particles of every offset are inverted in one batched Newton solve."""
+def _probe(params, config):
+    """(flow, grad): the flow at the config's n_random particles drawn with
+    seed + 2, and the complex-step velocity gradient grad[i][j] = d u_i / d x_j
+    there.  The points x + i h e_j are inverted in one batched Newton solve
+    that starts at each particle's own label."""
     h = _step(params)
-    flows = [Flow(params, *_random_samples(params, np.random.default_rng(config.seed + i),
-                                           config.n_random)) for i in offsets]
-    points = np.concatenate([np.array(f.position) + 1j * h * np.eye(3)[:, :, None]
-                             for f in flows], axis=-1)             # (j, xyz, n)
-    t = np.concatenate([f.t for f in flows])
-    labels = invert_labels(params, *np.moveaxis(points, 1, 0), t)
-    grad = np.array(Flow(params, *labels, t).velocity).imag / h    # (i, j, n)
-    return list(zip(flows, np.split(grad, len(flows), axis=-1)))
+    flow = Flow(params, *_random_samples(params, np.random.default_rng(config.seed + 2),
+                                         config.n_random))
+    points = np.array(flow.position) + 1j * h * np.eye(3)[:, :, None]  # (j, xyz, n)
+    labels = _invert_from(params, (flow.q, flow.r, flow.s), *np.moveaxis(points, 1, 0), flow.t)
+    return flow, np.array(Flow(params, *labels, flow.t).velocity).imag / h  # (i, j, n)
 
 
 def _distinct_labels(q, r, s):
@@ -274,77 +264,72 @@ def _distinct_labels(q, r, s):
     return q[keep], r[keep], s[keep]
 
 
-def check_incompressibility(params: WaveParameters, grid=None,
-                            config: VerifyConfig | None = None,
-                            probe=None) -> VerificationReport:
-    """Volume preservation: J constant in time and zero Eulerian divergence.
+def check_incompressibility(volume: Flow, probe, config: VerifyConfig) -> VerificationReport:
+    """Volume preservation: J constant in time at the distinct labels of
+    ``volume``, and zero Eulerian divergence at the ``probe`` of _probe.
 
     The complex-step divergence of the velocity recovered through map
     inversion is compared against zero at the scale k |c| (tolerance
     tol_fd * k |c|).
-    ``probe`` is this check's entry of _probes(params, config, 2), made here
-    when None.
     """
-    config, where = _inputs(params, config, grid)
+    params = volume.params
     t_grid = np.linspace(0.0, wave_period(params), 100)
-    q, r, s = _distinct_labels(*where[:3])
+    q, r, s = _distinct_labels(volume.q, volume.r, volume.s)
     det = Flow(params, q, r, s, t_grid[:, None]).det  # (times, labels)
     jac_res = np.max(np.abs(det[1:] - det[0]), axis=0, initial=0.0)
-    flow, grad = probe or _probes(params, config, 2)[0]
+    flow, grad = probe
     div_res = np.abs(grad[0][0] + grad[1][1] + grad[2][2]) / (params.k * abs(params.c))
     comps = [
         _component("jacobian_time_invariance", jac_res, TOL_JACOBIAN_TIME,
                    (q, r, s, np.full(q.size, t_grid[0]))),
-        _component("eulerian_divergence", div_res, config.tol_fd,
-                   (flow.q, flow.r, flow.s, flow.t)),
+        _component("eulerian_divergence", div_res, config.tol_fd, _where(flow)),
     ]
-    return _report("incompressibility", q.size + config.n_random, comps)
+    return _report("incompressibility", q.size + flow.q.size, comps)
 
 
-def check_vorticity(params: WaveParameters, grid=None,
-                    config: VerifyConfig | None = None, probe=None) -> VerificationReport:
+def check_vorticity(volume: Flow, probe, config: VerifyConfig) -> VerificationReport:
     """Analytic vorticity against two independent constructions.
 
     (i) the inverse-Jacobian matrix product (antisymmetrized velocity
-    gradient), an identity at tol_identity; (ii) the complex-step curl of
-    the Eulerian velocity through map inversion, at tol_fd.  ``probe``
-    is this check's entry of _probes(params, config, 3), made here when None.
+    gradient) at the samples of ``volume``, an identity at tol_identity;
+    (ii) the complex-step curl of the Eulerian velocity through map
+    inversion at the ``probe`` of _probe, at tol_fd.
     """
-    config, where = _inputs(params, config, grid)
+    params = volume.params
     # deep in the layer the vorticity decays like e^(-2 m s) while matrix
     # roundoff does not; a tiny fraction of the advective scale k|c| keeps
     # the relative comparison meaningful there
     scale_floor = 1e-6 * params.k * abs(params.c)
-    flow = Flow(params, *where)
-    row_q, row_s = flow.velocity_gradient
-    grad = [flow.eulerian_gradient(row_q[i], 0.0, row_s[i]) for i in range(3)]
-    mp_res = _relative_error(flow.vorticity, _curl(grad), scale_floor)
-    fd_flow, fd_grad = probe or _probes(params, config, 3)[0]
+    row_q, row_s = volume.velocity_gradient
+    grad = [volume.eulerian_gradient(row_q[i], 0.0, row_s[i]) for i in range(3)]
+    mp_res = _relative_error(volume.vorticity, _curl(grad), scale_floor)
+    fd_flow, fd_grad = probe
     curl_res = _relative_error(fd_flow.vorticity, _curl(fd_grad), scale_floor)
     comps = [
-        _component("matrix_product", mp_res, config.tol_identity, where),
-        _component("fd_curl", curl_res, config.tol_fd,
-                   (fd_flow.q, fd_flow.r, fd_flow.s, fd_flow.t)),
+        _component("matrix_product", mp_res, config.tol_identity, _where(volume)),
+        _component("fd_curl", curl_res, config.tol_fd, _where(fd_flow)),
     ]
-    return _report("vorticity", where[0].size + config.n_random, comps)
+    return _report("vorticity", volume.q.size + fd_flow.q.size, comps)
 
 
 def run_all(params: WaveParameters, strat: Stratification,
             config: VerifyConfig | None = None):
     """Execute every check; reports are returned sorted by check name.
 
-    Failures are collected, never short-circuited; output is deterministic
-    for a fixed config (including its seed).  The divergence and curl probes
-    are inverted together before any check runs.
+    The one place the verifier makes samples: it evaluates the volume grid,
+    the sheet grid and the probe once, and each check reads the sets it
+    needs.  Failures are collected, never short-circuited; output is
+    deterministic for a fixed config (including its seed).
     """
     config = config or VerifyConfig()
-    grid, sheet = _grid(params, config), _grid(params, config, sheet=True)
-    divergence, curl = _probes(params, config, 2, 3)
+    volume = Flow(params, *_grid(params, config))
+    sheet = Flow(params, *_grid(params, config, sheet=True))
+    probe = _probe(params, config)
     reports = [
-        check_euler(params, strat, grid, config),
-        check_pressure_consistency(params, strat, grid, config),
-        check_boundary(params, strat, sheet, config),
-        check_incompressibility(params, grid, config, probe=divergence),
-        check_vorticity(params, grid, config, probe=curl),
+        check_euler(volume, strat, config),
+        check_pressure_consistency(volume, strat, config),
+        check_boundary(sheet, strat, config),
+        check_incompressibility(volume, probe, config),
+        check_vorticity(volume, probe, config),
     ]
     return sorted(reports, key=lambda r: r.check_name)

@@ -30,7 +30,7 @@ def test_criterion_1_exact_solution_residuals(ref_params, site45, strat):
     grid = verify._grid(ref_params, config)
     assert grid[0].size == 16 * 16 * 5
     start = time.perf_counter()
-    report = verify.check_euler(ref_params, strat, grid=grid, config=config)
+    report = verify.check_euler(Flow(ref_params, *grid), strat, config)
     elapsed = time.perf_counter() - start
     ok = report.passed and report.max_residual <= 1e-12 and elapsed < 1.0
     report_line(1, "exact-solution residuals", ok)
@@ -157,12 +157,12 @@ def test_criterion_6_decay_law(ref_params):
     assert ratio == pytest.approx(math.exp(-math.pi), abs=1e-4)
 
 
-def test_criterion_7_incompressibility_and_vorticity(ref_params, equatorial):
+def test_criterion_7_incompressibility_and_vorticity(ref_params, strat, equatorial):
     """J time-invariant to 1e-14, FD divergence <= 1e-6 k c, vorticity
     matches the FD curl to 1e-5 and the equatorial closed forms."""
-    config = verify.VerifyConfig(n_random=100)
-    inc = verify.check_incompressibility(ref_params, config=config)
-    vort = verify.check_vorticity(ref_params, config=config)
+    reports = {r.check_name: r
+               for r in pw.run_all(ref_params, strat, verify.VerifyConfig(n_random=100))}
+    inc, vort = reports["incompressibility"], reports["vorticity"]
     inc_fams = {c.name: c for c in inc.components}
     vort_fams = {c.name: c for c in vort.components}
     jac_ok = inc_fams["jacobian_time_invariance"].max_residual <= 1e-14
@@ -185,7 +185,9 @@ def test_criterion_7_incompressibility_and_vorticity(ref_params, equatorial):
 def test_criterion_8_boundary_conditions(ref_params, strat):
     """Dynamic residual <= 1e-9 |P0| and kinematic FD residual <= 1e-8 on
     the thermocline."""
-    report = verify.check_boundary(ref_params, strat)
+    config = verify.VerifyConfig()
+    report = verify.check_boundary(Flow(ref_params, *verify._grid(ref_params, config, sheet=True)),
+                                   strat, config)
     families = {c.name: c for c in report.components}
     dyn_ok = families["dynamic_condition"].max_residual <= 1e-9
     kin_ok = families["kinematic_condition"].max_residual <= 1e-8

@@ -191,7 +191,9 @@ def test_real_inputs_stay_float64_bit_for_bit(ref_params, strat):
 
 # --- batched inversions only ----------------------------------------------
 
-INVERSIONS = ("invert_labels", "sheet_label_q", "sheet_elevation")
+# the public inversions and the private ones behind them that verify calls
+INVERSIONS = ("invert_labels", "_invert_from", "sheet_label_q", "_sheet_q_from",
+              "sheet_elevation")
 
 
 @pytest.fixture
@@ -223,13 +225,13 @@ def test_verify_and_cli_make_no_per_label_calls(per_label_calls, ref_params, str
     assert cli.main(["field", "--nq", "16", "--ns", "4", "--out", out]) == 0
     assert cli.main(["trajectory", "--n", "16", "--out", out]) == 0
     assert cli.main(["profile", "--n", "16", "--out", out]) == 0
-    # check_boundary's four sheet elevations are one batched call on all
-    # samples; the divergence and curl probes are inverted in one call together
-    assert per_label_calls == {"sheet_elevation": 1, "sheet_label_q": 1,
-                               "invert_labels": 1}
+    # check_boundary's two sheet elevations per sample are one batched sheet
+    # solve; the one probe that the divergence and the curl read is one
+    # batched label inversion
+    assert per_label_calls == {"_sheet_q_from": 1, "_invert_from": 1}
     pw.sheet_elevation(ref_params, ref_params.s0, 0.0, 0.0)  # counter works
-    assert per_label_calls == {"sheet_elevation": 2, "sheet_label_q": 2,
-                               "invert_labels": 1}
+    assert per_label_calls == {"sheet_elevation": 1, "sheet_label_q": 1,
+                               "_sheet_q_from": 2, "_invert_from": 1}
 
 
 def test_verify_report_layout_at_defaults(tmp_path):

@@ -21,6 +21,16 @@ def still(site45, strat, ref_roots):
 SMALL = verify.VerifyConfig(n_theta=8, n_s=6, n_time=3, n_random=12, seed=3)
 
 
+def by_check(params, strat, config=SMALL):
+    """run_all's reports by check name."""
+    return {r.check_name: r for r in pw.run_all(params, strat, config)}
+
+
+def volume(params, config=SMALL):
+    """The Flow at the config's volume grid, as run_all evaluates it."""
+    return Flow(params, *verify._grid(params, config))
+
+
 # --- positive checks ----------------------------------------------------------
 
 def test_all_checks_pass_for_reference_set(ref_params, strat):
@@ -37,34 +47,34 @@ def test_all_checks_pass_for_still_water(still, strat):
 
 
 def test_euler_still_water_exactly_hydrostatic(still, strat):
-    report = verify.check_euler(still, strat, config=SMALL)
+    report = verify.check_euler(volume(still), strat, SMALL)
     assert report.max_residual == 0.0
 
 
 def test_report_invariant_passed_iff_within_tolerance(ref_params, strat):
-    report = verify.check_euler(ref_params, strat, config=SMALL)
+    report = verify.check_euler(volume(ref_params), strat, SMALL)
     assert report.passed == (report.max_residual <= report.tolerance)
     assert set(report.worst_sample) == {"q", "r", "s", "t"}
 
 
 def test_boundary_check_tolerances(ref_params, strat):
-    report = verify.check_boundary(ref_params, strat, config=SMALL)
+    report = by_check(ref_params, strat)["boundary"]
     families = {c.name: c for c in report.components}
     assert families["dynamic_condition"].tolerance == 1e-9
     assert families["kinematic_condition"].tolerance == 1e-8
     assert report.passed
 
 
-def test_incompressibility_families(ref_params):
-    report = verify.check_incompressibility(ref_params, config=SMALL)
+def test_incompressibility_families(ref_params, strat):
+    report = by_check(ref_params, strat)["incompressibility"]
     families = {c.name: c for c in report.components}
     assert families["jacobian_time_invariance"].max_residual <= 1e-14
     assert families["eulerian_divergence"].max_residual <= 1e-6
     assert report.passed
 
 
-def test_vorticity_families(ref_params):
-    report = verify.check_vorticity(ref_params, config=SMALL)
+def test_vorticity_families(ref_params, strat):
+    report = by_check(ref_params, strat)["vorticity"]
     families = {c.name: c for c in report.components}
     assert families["matrix_product"].max_residual <= 1e-12
     assert families["fd_curl"].max_residual <= 1e-5
@@ -75,43 +85,44 @@ def test_vorticity_families(ref_params):
 
 def test_euler_fails_with_perturbed_phase_speed(ref_params, strat):
     bad = dataclasses.replace(ref_params, c=1.01 * ref_params.c)
-    report = verify.check_euler(bad, strat, config=SMALL)
+    report = verify.check_euler(volume(bad), strat, SMALL)
     assert not report.passed
     assert report.max_residual > 1e-10  # far above the identity tolerance
 
 
 def test_boundary_fails_with_perturbed_phase_speed(ref_params, strat):
     bad = dataclasses.replace(ref_params, c=1.01 * ref_params.c)
-    report = verify.check_boundary(bad, strat, config=SMALL)
+    report = by_check(bad, strat)["boundary"]
     families = {c.name: c for c in report.components}
     assert families["dynamic_condition"].max_residual > 1e-7
     assert not report.passed
 
 
-def test_incompressibility_fails_with_broken_first_condition(ref_params):
+def test_incompressibility_fails_with_broken_first_condition(ref_params, strat):
     bad = dataclasses.replace(ref_params, b=1.01 * ref_params.b)
-    report = verify.check_incompressibility(bad, config=SMALL)
+    report = by_check(bad, strat)["incompressibility"]
     families = {c.name: c for c in report.components}
     assert families["jacobian_time_invariance"].max_residual > 1e-5
     assert not report.passed
 
 
-def test_vorticity_fails_with_broken_first_condition(ref_params):
+def test_vorticity_fails_with_broken_first_condition(ref_params, strat):
     bad = dataclasses.replace(ref_params, b=1.01 * ref_params.b)
-    report = verify.check_vorticity(bad, config=SMALL)
+    report = by_check(bad, strat)["vorticity"]
     assert not report.passed
 
 
 def test_pressure_consistency_fails_with_broken_second_condition(ref_params, strat):
     bad = dataclasses.replace(ref_params, d=1.01 * ref_params.d)
-    report = verify.check_pressure_consistency(bad, strat, config=SMALL)
+    report = verify.check_pressure_consistency(volume(bad), strat, SMALL)
     assert not report.passed
 
 
 def test_perturbed_m_breaks_vorticity_and_euler(ref_params, strat):
     bad = dataclasses.replace(ref_params, m=1.01 * ref_params.m)
-    assert not verify.check_vorticity(bad, config=SMALL).passed
-    assert not verify.check_euler(bad, strat, config=SMALL).passed
+    checks = by_check(bad, strat)
+    assert not checks["vorticity"].passed
+    assert not checks["euler"].passed
 
 
 def test_kinematic_residual_with_mismatched_velocity_sheet(ref_params):
@@ -175,7 +186,7 @@ def test_run_all_is_deterministic(ref_params, strat):
 
 def test_run_all_does_each_piece_of_work_once(monkeypatch, ref_params, strat):
     """One run at the defaults builds the volume and sheet grids once each and
-    evaluates the kernel in at most 17 Flow objects (148 with a Flow per time,
+    evaluates the kernel in at most 9 Flow objects (148 with a Flow per time,
     per stencil point and per sheet elevation)."""
     grids, flows = [], []
     original_grid, original_init = verify._grid, Flow.__init__
@@ -185,7 +196,7 @@ def test_run_all_does_each_piece_of_work_once(monkeypatch, ref_params, strat):
                         lambda self, *args: flows.append(None) or original_init(self, *args))
     assert all(r.passed for r in pw.run_all(ref_params, strat))
     assert grids == [{}, {"sheet": True}]
-    assert len(flows) <= 17
+    assert len(flows) <= 9
 
 
 def test_different_seeds_change_random_samples(ref_params):
@@ -212,7 +223,7 @@ def test_pressure_consistency_passes_for_sampling_seeds(ref_params, strat):
     2e-6 here."""
     for seed in range(40):
         config = verify.VerifyConfig(seed=seed)
-        report = verify.check_pressure_consistency(ref_params, strat, config=config)
+        report = verify.check_pressure_consistency(volume(ref_params, config), strat, config)
         assert report.passed, (seed, report.components)
         mixed = {c.name: c for c in report.components}["mixed_partials"]
         assert mixed.max_residual <= 0.1 * config.tol_fd, seed
@@ -220,7 +231,8 @@ def test_pressure_consistency_passes_for_sampling_seeds(ref_params, strat):
 
 def test_pressure_consistency_control_fails_on_default_grid(ref_params, strat):
     bad = dataclasses.replace(ref_params, d=1.01 * ref_params.d)
-    assert not verify.check_pressure_consistency(bad, strat).passed
+    config = verify.VerifyConfig()
+    assert not verify.check_pressure_consistency(volume(bad, config), strat, config).passed
 
 
 def samples(grid):
@@ -255,30 +267,6 @@ def test_worst_sample_is_first_largest_residual():
     assert comp.max_residual == 3.0
     assert comp.worst_sample == {"q": 1.0, "r": 2.0, "s": 3.0, "t": 4.0}
     assert all(type(v) is float for v in comp.worst_sample.values())
-
-
-def test_given_grid_matches_default_grid(ref_params, strat):
-    grid = verify._grid(ref_params, SMALL)
-    assert (verify.check_vorticity(ref_params, grid=grid, config=SMALL)
-            == verify.check_vorticity(ref_params, config=SMALL))
-    sheet = verify._grid(ref_params, SMALL, sheet=True)
-    assert (verify.check_boundary(ref_params, strat, grid=sheet, config=SMALL)
-            == verify.check_boundary(ref_params, strat, config=SMALL))
-
-
-@pytest.mark.parametrize("config", [verify.VerifyConfig(), SMALL], ids=["defaults", "small"])
-def test_each_check_alone_matches_run_all(ref_params, strat, config):
-    """A check called on its own draws and inverts its own probe; its report
-    equals the one run_all gives it from the stacked probe inversion."""
-    in_run = {r.check_name: r for r in pw.run_all(ref_params, strat, config)}
-    grid = verify._grid(ref_params, config)
-    sheet = verify._grid(ref_params, config, sheet=True)
-    alone = [verify.check_euler(ref_params, strat, grid, config),
-             verify.check_pressure_consistency(ref_params, strat, grid, config),
-             verify.check_boundary(ref_params, strat, sheet, config),
-             verify.check_incompressibility(ref_params, grid, config=config),
-             verify.check_vorticity(ref_params, grid, config)]
-    assert {r.check_name: r for r in alone} == in_run
 
 
 def test_distinct_labels_match_dict_keys():
