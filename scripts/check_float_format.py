@@ -61,9 +61,9 @@ def sample(n, rng):
 
 
 def kernel_spellings(values, fmt):
-    """The kernel's spelling of each value, one export column at a time."""
-    newline = _floatfmt._word(b"\0" * 7 + b"\n")
-    cells = (_floatfmt._spell(values[start:start + COLUMN], fmt == "json", newline).tobytes()
+    """The kernel's spelling of each value, one export column at a time, each
+    cell ending in a newline."""
+    cells = (_floatfmt._spell(values[start:start + COLUMN], fmt == "json", b"\n").tobytes()
              for start in range(0, len(values), COLUMN))
     return b"".join(cells).translate(None, b"\0").decode("ascii").split("\n")[:-1]
 

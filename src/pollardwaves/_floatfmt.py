@@ -4,11 +4,11 @@ f"{v:.17g}" (CSV) and of ``json.dumps`` (JSON) for every float64.
 The digits come from y = |x| * 10**(16 - X), X = floor(log10 |x|), held as a
 double-double by Dekker's (1971) exact TwoProduct against a (hi, lo) table of
 powers of ten; entries it cannot decide exactly go to ``_python_spelling``, as
-in Grisu3 (Loitsch, PLDI 2010).  A value fills a cell of six uint64 words, NUL
-where a character is absent: byte 0 the sign, 1-5 the "0.000" of a fixed number
-below 1, 6 the first digit, digit j = 1..16 at 6 + 2j after a point slot, 40-44
-"e+ddd", 47 the separator.  ``bytearray.translate`` deletes the NULs.
-"""
+in Grisu3 (Loitsch, PLDI 2010).  A value fills a cell of four int64 words (five
+for JSON), NUL where a character is absent: byte 0 the sign, 1-5 the "0.000" of
+a fixed number below 1, 6-23 the 17 digits with the point's slot spliced in
+after the digits before it, 24-28 "e+ddd", and the separator ends the cell.
+``bytearray.translate`` deletes the NULs."""
 
 import functools
 import json
@@ -22,37 +22,50 @@ _SCALE_MIN = -270                       # the power table holds 10**e, e in [-27
 _EXACT_MIN, _EXACT_MAX = 1e-280, 1e280  # no scaled product over- or underflows
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _BLOCK_ROWS = 512  # CSV rows per translate: their cells stay in cache
+_FORMS, _SCI = 22, 21  # forms of a cell's text: 0-16 fixed, 17-20 below 1, 21 scientific
+_SLOTS = 18            # a cell's digit slots: 17 digits and the point's
 
 
 def _word(text):
-    """Up to 8 bytes as one native uint64 word, NUL-padded."""
-    return np.frombuffer(text.ljust(8, b"\0"), np.uint64)[0]
+    """Up to 8 bytes as one native int64 word, NUL-padded."""
+    return np.frombuffer(text.ljust(8, b"\0"), np.int64)[0]
 
 
 @functools.cache
 def _tables():
     """Lookup tables, built on first use: powers of ten as double-doubles with
-    hi in Dekker halves, and the words that spell the parts of a cell."""
+    hi in Dekker halves, the digit values of 0000-9999, and by format the form
+    of each exponent, the text bytes of each form and last slot, and the
+    exponent words."""
     from fractions import Fraction  # imports decimal: keep it out of the package import
     ten = (Fraction(10) ** e for e in range(_SCALE_MIN, 301))  # float(): int / int, rounded
     hi, lo = np.array([(h := float(v), float(v - Fraction(h))) for v in ten]).T.copy()
     digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    spread = np.zeros((10_000, 4, 2), np.uint8)  # a 4-digit block at even bytes
-    spread[..., 0] = digits + ord("0")
-    last = np.max((digits > 0) * np.arange(1, 5), axis=1).astype(np.uint8)  # 0 for 0000
-    byte, j = np.arange(40), np.arange(18)[:, None]
-    keep = ((byte % 2 == 0) & (byte >= 8) & (byte < 2 * j + 6)) * np.uint8(255)
-    point = ((byte == 2 * j + 5) & (j > 0)) * np.uint8(ord("."))
-    head = [_word(sign + b"0.000"[:n].ljust(5, b"\0") + bytes([48 + d]))
-            for sign in (b"\0", b"-") for n in range(6) for d in range(10)]
-    exponent = [_word(f"e{x:+04d}".replace("+0", "+\0").replace("-0", "-\0").encode())
-                for x in range(-_EXP_OFFSET, _EXP_OFFSET + 1)]
+    # A cell's form by its exponent X: 0-16 fixed with X whole digits after d0,
+    # 17-20 below 1 ("0." and -X - 1 zeros), 21 scientific.  ``before`` digits
+    # follow d0 ahead of the point's slot: X, all 16 below 1 (no point), none.
+    form = np.arange(_FORMS)
+    before = np.select([form <= 16, form < _SCI], [form, 16], 0)
+    x = np.arange(-_EXP_OFFSET, _EXP_OFFSET + 1)
+    exponent = np.array([_word(f"e{v:+03d}".encode()) for v in x])
+    forms, texts, exponents = [], [], []
+    for json_ in (False, True):
+        sci = (x < -4) | (x >= (16 if json_ else 17))
+        forms.append(np.where(sci, _SCI, np.where(x < 0, 16 - x, x)))
+        exponents.append(exponent * sci)
+        # text[form * _SLOTS + last], the bytes the slots' values add to: "0"
+        # at d0 and each slot to the last nonzero one or, at and above 1, to the
+        # last whole digit (JSON: ".0"), "." at the point's, and the prefix
+        shown = np.maximum(np.arange(_SLOTS)[:, None], np.where(form <= 16, before + 2 * json_, 0))
+        byte = np.arange(32 + 8 * json_)[:, None, None]
+        text = np.where((byte >= 6) & (byte <= 6 + shown),
+                        np.where(byte == 7 + before, ord("."), ord("0")), 0)
+        prefix = (form > 16) & (form < _SCI) & (byte >= 1) & (byte <= form - 15)  # "0.000"
+        text += prefix * np.where(byte == 2, ord("."), ord("0"))
+        texts.append(text.astype(np.uint8).T.reshape(_FORMS * _SLOTS, -1).view(np.int64))
     return SimpleNamespace(
-        hi=hi, lo=lo, halves=_split(hi), spread=spread.reshape(-1, 8).view(np.uint64)[:, 0],
-        # digits of M, d0 included, when a block holds its last nonzero digit
-        n_sig=(np.arange(1, 17, 4, dtype=np.uint8)[:, None] + last) * (last > 0),
-        keep=keep.view(np.uint64).T.copy(), point=point.view(np.uint64).T.copy(),
-        head=np.array(head), exponent=np.array(exponent))
+        hi=hi, lo=lo, halves=_split(hi), quad=digits @ 256 ** np.arange(4),
+        split=_POW10[16 - before], form=forms, text=texts, exponent=exponents)
 
 
 def _split(a):
@@ -86,10 +99,9 @@ def _mod(a, q):
     return a - a // q * q
 
 
-def _spell(x, json_, tail):
-    """The cells (n, 6) uint64 of the floats of x, with the separator word
-    ``tail`` ORed into the last word of each."""
-    t = _tables()
+def _digits(x, json_, t):
+    """(M, X, fallback): the 17 digits of each float of x as an integer M (0 for
+    a zero), its decimal exponent X, and where Python must spell it instead."""
     a = np.abs(x)
     zero = a == 0.0
     exact = (a >= _EXACT_MIN) & (a <= _EXACT_MAX)
@@ -131,70 +143,111 @@ def _spell(x, json_, tail):
         twice = 2.0 * (r + f)  # twice the distance to the multiple below
         fallback |= np.abs(twice - q) <= 2.0 * band
         D = D - r + (twice > q) * q
-    # Spell M = D, a 17-digit integer (0 for a zero), and X.
+    # M = D, a 17-digit integer (0 for a zero), and X
     carry = D >= _POW10[17]
     M = np.where(zero, 0, np.where(carry, D // 10, D))
     X = np.where(zero, 0, X + carry)
-    lead = M // _POW10[16]
-    high, low = _mod(M, _POW10[16]) // _POW10[8], _mod(M, _POW10[8])
-    blocks = [high // _POW10[4], _mod(high, _POW10[4]), low // _POW10[4], _mod(low, _POW10[4])]
-    n = functools.reduce(np.maximum, (t.n_sig[k][b] for k, b in enumerate(blocks)))  # 0: d0 only
-    sci = (X < -4) | (X >= (16 if json_ else 17))
-    n_int = np.where(sci, 1, np.maximum(X + 1, 0))  # digits before the point
-    # JSON spells a whole number with ".0"; both drop trailing fraction zeros
-    shown = np.maximum(n, n_int + (json_ & ~sci & (X >= 0)))
-    point = np.where(shown > n_int, n_int, 0)  # a point before this digit; 0: none
-    below_one = np.where(~sci & (X < 0), 1 - X, 0)
-    words = np.empty((len(x), 6), np.uint64)
-    words[:, 0] = t.head[(np.signbit(x) * 6 + below_one) * 10 + lead] | t.point[0][point]
-    for k, b in enumerate(blocks, 1):
-        words[:, k] = (t.spread[b] & t.keep[k][shown]) | t.point[k][point]
-    words[:, 5] = t.exponent[X + _EXP_OFFSET] * sci | tail
-    index = np.flatnonzero(fallback)
-    texts = "".join(text.ljust(47, "\0") for text in _python_spelling(x[index].tolist(), json_))
-    words.view(np.uint8)[index, :47] = np.frombuffer(texts.encode(), np.uint8).reshape(-1, 47)
+    return M, X, fallback
+
+
+def _slot_words(M, split, negative, t):
+    """The three words of a cell that hold its sign and digits, as the value of
+    each byte: the sign's at byte 0 and the 18 slots' at bytes 6-23.  The slots
+    hold M with a 0 for the point spliced in before its digits below
+    ``split``: M + 9 * (M - M mod split)."""
+    M = M + M // split * split * 9
+    top = M // _POW10[16]
+    M = M - top * _POW10[16]
+    words = [t.quad[top] << 32 | negative * ord("-")]
+    high = M // _POW10[8]
+    for w in (high, M - high * _POW10[8]):
+        w_high = w // _POW10[4]
+        words.append(t.quad[w_high] | t.quad[w - w_high * _POW10[4]] << 32)
     return words
 
 
+def _last_slot(words):
+    """The last nonzero slot of each cell, 0 for none after the first digit.
+    With each word scaled by 2 ** (8 s + 1), s the slot at its byte 0, the
+    largest one's biased float exponent // 8 - 128 is the slot of its highest
+    nonzero byte: a digit, below 16, cannot round up into the next byte."""
+    scaled = [np.multiply(w, 2.0 ** (8 * offset + 1)) for w, offset in zip(words, (-6, 2, 10))]
+    last = np.maximum(np.maximum(*scaled[:2]), scaled[2]).view(np.int64) >> 55
+    return np.maximum(last - 128, 0)
+
+
+def _spell(x, json_, tail):
+    """The cells (n, 4 + json_) int64 of the floats of x, each ending in the
+    bytes ``tail``."""
+    t = _tables()
+    M, X, fallback = _digits(x, json_, t)
+    row = X + _EXP_OFFSET
+    form = t.form[json_][row]
+    words = _slot_words(M, t.split[form], np.signbit(x), t)
+    template = t.text[json_].copy()
+    template[:, -1] |= _word(tail.rjust(8, b"\0"))
+    cells = np.take(template, form * _SLOTS + _last_slot(words), axis=0)
+    for k, w in enumerate(words):
+        cells[:, k] += w
+    cells[:, 3] |= t.exponent[json_][row]
+    index = np.flatnonzero(fallback)
+    width = cells.shape[1] * 8 - len(tail)
+    texts = "".join(text.ljust(width, "\0") for text in _python_spelling(x[index].tolist(), json_))
+    cells.view(np.uint8)[index, :width] = np.frombuffer(texts.encode(), np.uint8).reshape(-1, width)
+    return cells
+
+
 def _cells(a, json_, sep):
-    """The cells (*a.shape, 6) of the floats of array a, each ending in byte ``sep``."""
-    return _spell(a.ravel(), json_, _word(b"\0" * 7 + sep)).reshape(*a.shape, 6)
+    """The cells (*a.shape, 4 + json_) of the floats of array a, each ending in ``sep``."""
+    return _spell(a.ravel(), json_, sep).reshape(*a.shape, 4 + json_)
 
 
 def table_text(columns, values, fmt):
     """The export bytes of float arrays that broadcast to one table shape, one
-    array per column and one row per entry in C order: CSV rows of f"{v:.17g}"
-    cells, or JSON column arrays in the layout of json.dumps(indent=2).
+    array per column and one row per entry in C order, as an iterator of
+    chunks: CSV rows of f"{v:.17g}" cells, or JSON column arrays in the
+    layout of json.dumps(indent=2).
 
-    Each array's own entries are spelled once and their cells broadcast onto
-    the table.  ``translate`` deletes the NULs a block of rows (CSV) or a
-    column (JSON) at a time, while its cells are still in cache."""
+    Each array's own entries are spelled once, before this returns, and their
+    cells broadcast onto the table.  The iterator makes each chunk as it is
+    asked for: ``translate`` deletes the NULs of a block of about 512 rows
+    (CSV) or of a column (JSON) while its cells are still in cache."""
     arrays = [np.asarray(v, dtype=float) for v in values]
     shape = np.broadcast_shapes(*(a.shape for a in arrays)) or (1,)
-    size = math.prod(shape)
-    if fmt == "csv":
-        seps = [b","] * (len(arrays) - 1) + [b"\n"]
-        cells = [np.broadcast_to(_cells(a, False, sep), (*shape, 6)) for a, sep in zip(arrays, seps)]
-        per_index = math.prod(shape[1:])  # rows per index of the first axis
-        step = max(1, _BLOCK_ROWS // max(per_index, 1))
-        parts = [(",".join(columns) + "\n").encode("ascii")]
-        for i in range(0, shape[0], step):
-            n = min(step, shape[0] - i)
-            buffer = bytearray(n * per_index * len(arrays) * 48)
-            block = np.frombuffer(buffer, np.uint64).reshape(n, *shape[1:], len(arrays), 6)
-            for c, x in enumerate(cells):
-                block[..., c, :] = x[i:i + n]
-            parts.append(buffer.translate(None, b"\0"))
-        return b"".join(parts)
-    parts = [b"{\n"]
-    for c, (name, a) in enumerate(zip(columns, arrays)):
-        parts.append(b"%s  %s: [" % (b",\n" * (c > 0), json.dumps(name).encode("ascii")))
-        if size:  # a cell and the word ",\n    " after it, none after the last
-            buffer = bytearray(size * 56)
-            column = np.frombuffer(buffer, np.uint64).reshape(*shape, 7)
-            column[..., :6] = _cells(a, True, b"\0")
-            column[..., 6] = _word(b",\n    ")
-            column.reshape(-1, 7)[-1, 6] = 0
-            parts += [b"\n    ", buffer.translate(None, b"\0"), b"\n  "]
-        parts.append(b"]")
-    return b"".join(parts + [b"\n}\n"])
+    json_ = fmt == "json"
+    seps = [b",\n    "] * len(arrays) if json_ else [b","] * (len(arrays) - 1) + [b"\n"]
+    cells = [np.broadcast_to(_cells(a, json_, sep), (*shape, 4 + json_))
+             for a, sep in zip(arrays, seps)]
+    return (_json_chunks if json_ else _csv_chunks)(columns, cells, shape)
+
+
+def _csv_chunks(columns, cells, shape):
+    """The header line, then the text of each block of about 512 rows."""
+    yield (",".join(columns) + "\n").encode("ascii")
+    per_index = math.prod(shape[1:])  # rows per index of the first axis
+    step = max(1, _BLOCK_ROWS // max(per_index, 1))
+    for i in range(0, shape[0], step):
+        n = min(step, shape[0] - i)
+        if i == 0 or n < step:  # the full blocks share one buffer
+            buffer = bytearray(n * per_index * len(cells) * 32)
+            block = np.frombuffer(buffer, np.int64).reshape(n, *shape[1:], len(cells), 4)
+        for c, x in enumerate(cells):
+            block[..., c, :] = x[i:i + n]
+        yield buffer.translate(None, b"\0")
+
+
+def _json_chunks(columns, cells, shape):
+    """The object's text, a column's values and the separators around them at a time."""
+    yield b"{\n"
+    buffer = bytearray(math.prod(shape) * 40)  # each column's cells in turn
+    column = np.frombuffer(buffer, np.int64).reshape(*shape, 5)
+    for c, (name, x) in enumerate(zip(columns, cells)):
+        yield b"%s  %s: [" % (b",\n" * (c > 0), json.dumps(name).encode("ascii"))
+        if column.size:  # no separator after the last cell
+            column[...] = x
+            column.reshape(-1, 5)[-1, 4] = 0
+            yield b"\n    "
+            yield buffer.translate(None, b"\0")
+            yield b"\n  "
+        yield b"]"
+    yield b"\n}\n"

@@ -40,6 +40,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# ceilings checked before anything is allocated: rows per exported table
+# (--n, or --nq x --ns) and samples per verify run
+MAX_TABLE_ROWS = 1_000_000
+MAX_VERIFY_SAMPLES = 100_000
+
 EARTH = PhysicalConstants()  # frozen, so every configured solve shares it
 
 # a float field of a config file takes a JSON integer that a double holds, kept as it is
@@ -99,6 +104,10 @@ class RunConfig:
         for name in ("n_theta", "n_s", "n_time", "n_random"):
             if not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        samples = self.n_theta * self.n_s * self.n_time + self.n_random
+        if samples > MAX_VERIFY_SAMPLES:
+            raise ConfigError(f"n_theta * n_s * n_time + n_random must be at most "
+                              f"{MAX_VERIFY_SAMPLES}, got {samples}")
         return self
 
     @property
@@ -187,14 +196,18 @@ def solve_configured(config: RunConfig):
 def write_table(path: str, columns, values, fmt: str):
     """Write one float array per column, the arrays broadcasting to one table
     with rows in C order, as CSV (the bytes of f"{v:.17g}") or JSON column
-    arrays (the bytes of json.dumps(indent=2) of the column lists)."""
+    arrays (the bytes of json.dumps(indent=2) of the column lists).  Every
+    value is spelled before the file is opened; then each chunk of the
+    table's bytes is written as it is made: to a binary file handle, or as
+    text to sys.stdout for path "-"."""
     from . import _floatfmt  # imported by the exports only, not at the CLI's startup
-    data = _floatfmt.table_text(columns, values, fmt)
+    chunks = _floatfmt.table_text(columns, values, fmt)
     if path == "-":
-        sys.stdout.write(data.decode("ascii"))
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode("ascii"))
     else:
         with open(path, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
 
 
 def _flow_columns(fields: flow.Flow, strat):
@@ -390,12 +403,29 @@ def load_config(args) -> RunConfig:
     return dataclasses.replace(config, **_clear_other_length(overrides)).validate()
 
 
+def _check_table_size(args):
+    """Reject a table size before anything is allocated: --n of trajectory and
+    profile is at least 2, field's --nq and --ns are non-negative (0 gives a
+    header-only table), and no table has over MAX_TABLE_ROWS rows."""
+    if args.command == "field":
+        for flag, n in (("--nq", args.nq), ("--ns", args.ns)):
+            if n < 0:
+                raise ConfigError(f"{flag} must be non-negative, got {n!r}")
+        rows = args.nq * args.ns
+    else:
+        if args.n < 2:
+            raise ConfigError(f"--n must be at least 2, got {args.n!r}")
+        rows = args.n
+    if rows > MAX_TABLE_ROWS:
+        raise ConfigError(f"a table has at most {MAX_TABLE_ROWS} rows, got {rows}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
-        if getattr(args, "n", 2) < 2:  # trajectory and profile
-            raise ConfigError(f"--n must be at least 2, got {args.n!r}")
+        if args.command in ("trajectory", "profile", "field"):
+            _check_table_size(args)
         return COMMANDS[args.command](config, args)
     except InputError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -495,6 +496,8 @@ def test_sampled_commands_need_two_samples(command, capsys):
     ["dispersion", "--config", {"rho_plus": 10**400}],  # no double holds it
     ["verify", "--seed", "-1"],            # np.random.default_rng takes no negative seed
     ["verify", "--config", {"seed": -1}],
+    ["field", "--nq", "-1"],               # np.linspace takes no negative count
+    ["field", "--ns", "-3"],
 ])
 def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
     """Each is a one-line configuration error (exit 2); a dict in argv is the
@@ -506,6 +509,48 @@ def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
     assert main([str(cfg) if isinstance(v, dict) else v for v in argv]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and err.count("\n") == 1
+
+
+# the verifier's default grid: samples before the random ones
+GRID = verify.VerifyConfig.n_theta * verify.VerifyConfig.n_s * verify.VerifyConfig.n_time
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--nq", str(cli.MAX_TABLE_ROWS + 1), "--ns", "1"],
+    ["field", "--nq", "1000", "--ns", str(cli.MAX_TABLE_ROWS // 1000 + 1)],
+    ["trajectory", "--n", str(cli.MAX_TABLE_ROWS + 1)],
+    ["profile", "--n", str(cli.MAX_TABLE_ROWS + 1)],
+    ["verify", "--n-random", str(cli.MAX_VERIFY_SAMPLES - GRID + 1)],
+    ["verify", "--n-theta", "100", "--n-s", "100", "--n-time", "10", "--n-random", "1"],
+    ["verify", "--config", {"n_theta": 10**6}],
+])
+def test_sizes_past_their_ceiling_exit_before_allocating(argv, capsys, tmp_path):
+    """One past a ceiling is a one-line configuration error within a second,
+    and no output file is made; a dict in argv is a --config file's content."""
+    cfg = tmp_path / "run.json"
+    for value in argv:
+        if isinstance(value, dict):
+            cfg.write_text(json.dumps(value))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main([str(cfg) if isinstance(v, dict) else v for v in argv] + ["--out", str(out)])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "at most" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--nq", "1000", "--ns", str(cli.MAX_TABLE_ROWS // 1000)],
+    ["trajectory", "--n", str(cli.MAX_TABLE_ROWS)],
+])
+def test_tables_at_the_ceiling_are_admitted(argv):
+    """Checked only, not run: the check passes a table of MAX_TABLE_ROWS rows."""
+    cli._check_table_size(cli.build_parser().parse_args(argv))
+
+
+def test_verify_run_at_the_ceiling_is_admitted():
+    RunConfig(n_random=cli.MAX_VERIFY_SAMPLES - GRID).validate()
 
 
 def test_config_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):

@@ -48,14 +48,31 @@ def test_specials_zeros_and_range_ends(fmt):
     assert check_float_format.kernel_spellings(specials, fmt) == want[fmt]
 
 
+def cell_text(form, last, json_):
+    """The bytes a cell's slot values add to, by string construction: "0" for
+    each shown digit and "." for a shown point, after the sign and prefix."""
+    if form <= 16:  # fixed, form whole digits after d0; JSON shows ".0"
+        prefix, before, whole = "", form, form + 2 * json_
+    elif form <= 20:  # below 1, and no point among the digits
+        prefix, before, whole = "0." + "0" * (form - 17), 16, 0
+    else:  # scientific
+        prefix, before, whole = "", 0, 0
+    slots = "".join("." if s == before + 1 else "0" for s in range(1, max(last, whole) + 1))
+    return ("\0" + prefix.ljust(5, "\0") + "0" + slots).ljust(32 + 8 * json_, "\0").encode()
+
+
 def test_digit_tables_match_their_string_construction():
     t = _floatfmt._tables()
-    spread = np.zeros((10_000, 4, 2), np.uint8)
-    spread[..., 0] = np.array([list(f"{g:04d}".encode()) for g in range(10_000)])
-    last = np.array([len(f"{g:04d}".rstrip("0")) for g in range(10_000)], np.uint8)
-    np.testing.assert_array_equal(t.spread, spread.reshape(-1, 8).view(np.uint64)[:, 0])
-    np.testing.assert_array_equal(
-        t.n_sig, (np.arange(1, 17, 4, dtype=np.uint8)[:, None] + last) * (last > 0))
+    quad = [int.from_bytes(bytes(map(int, f"{g:04d}")), "little") for g in range(10_000)]
+    np.testing.assert_array_equal(t.quad, quad)
+    for json_, spell in ((False, "{:.17g}".format), (True, repr)):
+        scientific = ["e" in spell(float(f"1e{x}")) for x in range(-300, 301)]
+        np.testing.assert_array_equal(t.form[json_] == 21, scientific)
+        assert t.exponent[json_].tobytes() == b"".join(
+            f"e{x:+03d}".encode().ljust(8, b"\0") if sci else bytes(8)
+            for x, sci in zip(range(-300, 301), scientific))
+        assert t.text[json_].tobytes() == b"".join(
+            cell_text(form, last, json_) for form in range(22) for last in range(18))
 
 
 @pytest.fixture

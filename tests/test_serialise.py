@@ -4,11 +4,12 @@ or broadcast from smaller arrays."""
 
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pollardwaves import cli
+from pollardwaves import cli, flowfield
 
 import table_reference
 
@@ -110,3 +111,35 @@ def test_export_to_redirected_stdout(fmt, monkeypatch, capsys):
         assert cli.main(argv) == 0
     assert stdout.getvalue().encode() == want
 
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("nq, ns", [(300, 7), (128, 64)])  # 7 and 16 blocks of CSV rows
+def test_multi_block_exports_match_row_wise_writer(nq, ns, fmt, monkeypatch, capsys, tmp_path):
+    argv = ["field", "--nq", str(nq), "--ns", str(ns), "--t", T, "--format", fmt]
+    want = export(monkeypatch, capsys, argv + ["--out", "-"], reference_writer)
+    path = tmp_path / f"field.{fmt}"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == want
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert cli.main(argv + ["--out", "-"]) == 0
+    assert stdout.getvalue().encode() == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_streams_the_table(fmt, tmp_path):
+    """No whole copy of the table's text is held: the memory traced while a
+    256 x 128 field table is written stays below twice the file's size."""
+    _, _, strat, params = cli.solve_configured(cli.RunConfig().validate())
+    qs = np.linspace(0.0, params.L, 256)
+    ss = np.linspace(params.s0, params.s_plus, 128)
+    values = cli._flow_columns(flowfield.Flow(params, qs[None, :], 0.0, ss[:, None], float(T)),
+                               strat)
+    path = tmp_path / f"field.{fmt}"
+    tracemalloc.start()
+    try:
+        cli.write_table(str(path), cli.FIELD_COLUMNS, values, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
