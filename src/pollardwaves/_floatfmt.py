@@ -33,13 +33,13 @@ def _word(text):
 
 @functools.cache
 def _tables():
-    """Lookup tables, built on first use: powers of ten as double-doubles with
-    hi in Dekker halves, the digit values of 0000-9999, and by format the form
-    of each exponent, the text bytes of each form and last slot, and the
-    exponent words."""
+    """Lookup tables, built on first use: the powers of ten as one row each of
+    a double-double's hi, hi's two Dekker halves and lo, the digit values of
+    0000-9999, and by format the form of each exponent, the text bytes of each
+    form and last slot, and the exponent words."""
     from fractions import Fraction  # imports decimal: keep it out of the package import
     ten = (Fraction(10) ** e for e in range(_SCALE_MIN, 301))  # float(): int / int, rounded
-    hi, lo = np.array([(h := float(v), float(v - Fraction(h))) for v in ten]).T.copy()
+    hi, lo = np.array([(h := float(v), float(v - Fraction(h))) for v in ten]).T
     digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     # A cell's form by its exponent X: 0-16 fixed with X whole digits after d0,
     # 17-20 below 1 ("0." and -X - 1 zeros), 21 scientific.  ``before`` digits
@@ -64,7 +64,7 @@ def _tables():
         text += prefix * np.where(byte == 2, ord("."), ord("0"))
         texts.append(text.astype(np.uint8).T.reshape(_FORMS * _SLOTS, -1).view(np.int64))
     return SimpleNamespace(
-        hi=hi, lo=lo, halves=_split(hi), quad=digits @ 256 ** np.arange(4),
+        powers=np.stack((hi, *_split(hi), lo), axis=1), quad=digits @ 256 ** np.arange(4),
         split=_POW10[16 - before], form=forms, text=texts, exponent=exponents)
 
 
@@ -80,8 +80,7 @@ def _scale(a, X, t):
     y's leading double p (an integer for y in [2**53, 1e17]) and the power's hi.
     y = p + err to 2**-104 * y: hi + lo is 10**e to 2**-106, a * hi = p + err
     exactly (TwoProduct), and a * lo and its sum round once each."""
-    i = 16 - X - _SCALE_MIN
-    hi, hh, hl, lo = t.hi[i], t.halves[0][i], t.halves[1][i], t.lo[i]
+    hi, hh, hl, lo = np.take(t.powers, 16 - X - _SCALE_MIN, axis=0).T
     ah, al = _split(a)
     p = a * hi
     err = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo

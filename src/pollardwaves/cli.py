@@ -94,8 +94,8 @@ class RunConfig:
                 f"latitude must satisfy |lat| < 90 deg, got {self.latitude_deg!r}")
         if not 0 <= self.amplitude < math.inf:
             raise ConfigError(f"amplitude must be finite and non-negative, got {self.amplitude!r}")
-        if not (math.isfinite(self.perturb_c) and self.perturb_c > -1.0):
-            raise ConfigError(f"perturb_c must be finite and above -1, got {self.perturb_c!r}")
+        if not -1.0 < self.perturb_c <= 1.0:
+            raise ConfigError(f"perturb_c must satisfy -1 < perturb_c <= 1, got {self.perturb_c!r}")
         for name in ("tol_identity", "tol_fd"):
             if not 0.0 < vars(self)[name] < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {vars(self)[name]!r}")

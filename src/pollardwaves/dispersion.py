@@ -271,7 +271,8 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
     if a < 0:
         raise AmplitudeBoundError(f"amplitude must be non-negative, got {a!r}")
     m, b, d = orbit_parameters(site.f, k, a, c)
-    gate = (m * a * math.exp(-m * s0)) ** 2
+    gate = m * a * math.exp(-m * s0)
+    gate *= gate  # a product, not a power: a float power that overflows raises
     if a > 1.0 / m or not gate < 1.0:
         raise AmplitudeBoundError(
             f"amplitude a={a!r} must satisfy a <= 1/m = {1.0 / m!r} and "

@@ -60,7 +60,9 @@ class Flow:
     def __init__(self, params: WaveParameters, q, r, s, t):
         self.params = params
         self.q, self.r, self.s, self.t = (_array(v) for v in (q, r, s, t))
-        self.e = np.exp(-params.m * self.s)
+        with np.errstate(over="ignore"):  # m s past a double (s > 0): e^(-m s) is 0 exactly
+            exponent = -params.m * self.s
+        self.e = np.exp(exponent)
 
     @cached_property
     def theta(self):
@@ -230,18 +232,12 @@ def invert_labels(params: WaveParameters, x, y, z, t):
     iterations fails the inversion.  For a steep wave above a shallow
     thermocline the start is not always in the convergence basin: a step can
     land where det J < 0, and Flow raises DiffeomorphismError (exit 3).  The
-    verifier starts at the labels it inverts back to, so only public callers
-    meet this.  Complex targets or times give complex labels, whose imaginary
-    parts carry the complex-step derivative."""
-    return _invert_from(params, (x, y, z), x, y, z, t)
-
-
-def _invert_from(params, start, x, y, z, t):
-    """invert_labels started at the labels ``start`` = (q, r, s)."""
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (*start, x, y, z, t)))
+    verifier inverts nothing: it takes its one Newton step from the labels it
+    holds, with Flow.newton_step.  Complex targets or times give complex
+    labels, whose imaginary parts carry the complex-step derivative."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (x, y, z, t)))
     *target, t = _flat((x, y, z, t), shape)
-    start = _flat(start, shape)
-    label = [v.astype(np.result_type(*start, *target, t)) for v in start]
+    label = [v.astype(np.result_type(*target, t)) for v in target]
 
     def step(i):
         flow = Flow(params, *(v[i] for v in label), t[i])
@@ -266,14 +262,9 @@ def sheet_label_q(params: WaveParameters, s, x, t):
     arrays from the start q = x; the derivative 1 - k b e^(-m s) cos(theta)
     is positive under the amplitude gate.  Complex inputs give a complex q,
     as in invert_labels."""
-    return _sheet_q_from(params, x, s, x, t)
-
-
-def _sheet_q_from(params, start, s, x, t):
-    """sheet_label_q started at the label ``start``."""
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (start, s, x, t)))
-    start, s, x, t = _flat((start, s, x, t), shape)
-    q = start.astype(np.result_type(start, s, x, t))
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (s, x, t)))
+    s, x, t = _flat((s, x, t), shape)
+    q = x.astype(np.result_type(s, x, t))
 
     def step(i):
         flow = Flow(params, q[i], 0.0, s[i], t[i])

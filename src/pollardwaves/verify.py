@@ -11,17 +11,19 @@ Every check compares independent evaluation routes:
 * boundary conditions: the dynamic condition pointwise and the kinematic
   condition with the derivatives of the Eulerian sheet elevation;
 * incompressibility: time invariance of the Jacobian determinant and the
-  Eulerian divergence through map inversion;
+  Eulerian divergence through the inverse map;
 * vorticity: the closed form against the inverse-Jacobian matrix product
-  and against the Eulerian curl through map inversion.
+  and against the Eulerian curl through the inverse map.
 
 Every derivative is a complex step, f'(x) = Im f(x + i h) / h.  The fields
 are analytic and the step subtracts nothing, so with h 1e-30 of the wave's
 length and time scales the derivatives are exact to roundoff at every scale:
-there is no step to tune.  Identity checks carry tol_identity and derivative
-checks tol_fd, the two tolerances a run sets; the dynamic condition and the
-Jacobian's time invariance have module constants.  All random sampling is
-seeded; reports are deterministic.
+there is no step to tune.  A stepped position's label is one Newton step
+from the sample's own, label + i h J^-T e_j: the verifier inverts nothing.
+Identity checks carry tol_identity and derivative checks tol_fd, the two
+tolerances a run sets; the dynamic condition and the Jacobian's time
+invariance have module constants.  All random sampling is seeded; reports
+are deterministic.
 """
 
 import math
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import IDENTITY_TOL, WaveParameters
-from .flowfield import Flow, _invert_from, _sheet_q_from
+from .flowfield import Flow
 from .geo import Stratification
 
 
@@ -220,12 +222,13 @@ def check_boundary(sheet: Flow, strat: Stratification,
     p = sheet.pressure(strat)
     dyn_res = np.abs(p - (params.P0 - strat.rho_plus * strat.g * z)) / abs(params.P0)
     u, _, w = sheet.velocity
-    # one batched sheet solve at (x + i h, t) and (x, t + i h / |c|), started
-    # at each sample's own label q
+    # the labels at (x_h, t_h) = (x + i h, t) and (x, t + i h / |c|), one Newton
+    # step from each sample's q; eta_t is a complex step, not the closed-form u
     h = _step(params)
     ht = h / abs(params.c)
-    t_h = t + [[0.0], [1j * ht]]
-    q_h = _sheet_q_from(params, sheet.q, params.s0, x + [[1j * h], [0.0]], t_h)
+    x_h, t_h = x + [[1j * h], [0.0]], t + [[0.0], [1j * ht]]
+    at = Flow(params, sheet.q, 0.0, params.s0, t_h)
+    q_h = sheet.q - (at.position[0] - x_h) / at.jacobian[0][0]
     eta_x, eta_t = Flow(params, q_h, 0.0, params.s0, t_h).position[2].imag / [[h], [ht]]
     # the sheet's velocity scale; below a displacement of tiny / (k h), still
     # water included, the steps' imaginary parts leave the normal doubles
@@ -242,13 +245,13 @@ def check_boundary(sheet: Flow, strat: Stratification,
 def _probe(params, config):
     """(flow, grad): the flow at the config's n_random particles drawn with
     seed + 2, and the complex-step velocity gradient grad[i][j] = d u_i / d x_j
-    there.  The points x + i h e_j are inverted in one batched Newton solve
-    that starts at each particle's own label."""
+    there.  The labels of the points x + i h e_j are one Newton step from each
+    particle's own label, whose real residual is 0: label + i h J^-T e_j."""
     h = _step(params)
     flow = Flow(params, *_random_samples(params, np.random.default_rng(config.seed + 2),
                                          config.n_random))
-    points = np.array(flow.position) + 1j * h * np.eye(3)[:, :, None]  # (j, xyz, n)
-    labels = _invert_from(params, (flow.q, flow.r, flow.s), *np.moveaxis(points, 1, 0), flow.t)
+    steps = flow.newton_step(*(-1j * h * np.eye(3)[:, :, None]))  # (qrs, j, n)
+    labels = [v - d for v, d in zip((flow.q, flow.r, flow.s), steps)]
     return flow, np.array(Flow(params, *labels, flow.t).velocity).imag / h  # (i, j, n)
 
 
@@ -268,9 +271,8 @@ def check_incompressibility(volume: Flow, probe, config: VerifyConfig) -> Verifi
     """Volume preservation: J constant in time at the distinct labels of
     ``volume``, and zero Eulerian divergence at the ``probe`` of _probe.
 
-    The complex-step divergence of the velocity recovered through map
-    inversion is compared against zero at the scale k |c| (tolerance
-    tol_fd * k |c|).
+    The complex-step divergence of the velocity through the inverse map is
+    compared against zero at the scale k |c| (tolerance tol_fd * k |c|).
     """
     params = volume.params
     t_grid = np.linspace(0.0, wave_period(params), 100)
@@ -292,8 +294,8 @@ def check_vorticity(volume: Flow, probe, config: VerifyConfig) -> VerificationRe
 
     (i) the inverse-Jacobian matrix product (antisymmetrized velocity
     gradient) at the samples of ``volume``, an identity at tol_identity;
-    (ii) the complex-step curl of the Eulerian velocity through map
-    inversion at the ``probe`` of _probe, at tol_fd.
+    (ii) the complex-step curl of the Eulerian velocity through the inverse
+    map at the ``probe`` of _probe, at tol_fd.
     """
     params = volume.params
     # deep in the layer the vorticity decays like e^(-2 m s) while matrix

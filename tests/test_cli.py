@@ -498,6 +498,13 @@ def test_sampled_commands_need_two_samples(command, capsys):
     ["verify", "--config", {"seed": -1}],
     ["field", "--nq", "-1"],               # np.linspace takes no negative count
     ["field", "--ns", "-3"],
+    # the amplitude gate's square overflows a double; a > 1/m rejects it
+    ["verify", "--amplitude", "1e200"],
+    ["field", "--amplitude", "1e200"],
+    # a control scales c by a factor in (0, 2]; 1e300 overflowed (k c)^2 in
+    # verify and c^2 in field with a traceback, and 1e16 was admitted
+    ["verify", "--perturb-c", "1e300"],
+    ["field", "--config", {"perturb_c": 1e16}],
 ])
 def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
     """Each is a one-line configuration error (exit 2); a dict in argv is the

@@ -1,0 +1,75 @@
+"""Every --config file the CLI reads runs or exits with a typed error.
+
+Each case writes a config file of up to four keys drawn at random, each with
+a value of its own type (its default or an extreme of the type) or arbitrary
+JSON, and runs one command on it.
+``cli.main`` must then exit 0-3 within CASE_SECONDS, print at most one
+stderr line and raise nothing, numpy's floating-point warnings included.
+The tables are kept small, so that no case allocates much.
+"""
+
+import contextlib
+import dataclasses
+import io
+import json
+import time
+import warnings
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from pollardwaves import cli
+
+CASE_SECONDS = 5.0
+# per command, the arguments after --config: small tables, a file for output
+SIZES = {"dispersion": [], "trajectory": ["--n", "8"], "profile": ["--n", "8"],
+         "field": ["--nq", "4", "--ns", "3"], "verify": []}
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e16]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["nan", "inf", "-1e400", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def typed(field):
+    """A value of the field's own type: its default or an extreme of the type."""
+    if field.name == "seed":
+        return st.integers(0, 2**80)
+    if field.type is int:
+        return st.integers(1, 6)
+    if field.type is str:
+        return st.sampled_from(["positive", "negative", "csv", "json"])
+    return st.sampled_from([field.default, *EXTREMES])
+
+
+@st.composite
+def configs(draw):
+    """Up to four keys, each with a value of its own type or, one time in
+    four, arbitrary JSON; the keys left out keep their defaults."""
+    fields = draw(st.lists(st.sampled_from(dataclasses.fields(cli.RunConfig)),
+                           unique=True, max_size=4))
+    return {f.name: draw(JSON if draw(st.booleans()) and draw(st.booleans()) else typed(f))
+            for f in fields}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(sorted(SIZES)), config=configs())
+@example(command="verify", config={"amplitude": 1e200})
+@example(command="field", config={"perturb_c": 1e300})
+@example(command="field", config={"wavenumber": 1e16, "beta0_offset": 1e300, "amplitude": 0.0})
+def test_every_config_file_runs_or_exits_with_one_line(command, config, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "run.json").write_text(json.dumps(config))
+    argv = [command, "--config", str(path / "run.json"), *SIZES[command],
+            "--out", str(path / "out")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert time.perf_counter() - start < CASE_SECONDS, (argv, config)
+    assert code in (0, 1, 2, 3), (code, config)
+    assert stderr.getvalue().count("\n") <= 1, (config, stderr.getvalue())

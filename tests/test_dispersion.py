@@ -279,8 +279,9 @@ def test_consistency_chain_property(lat_deg, southern, k):
 
 def test_amplitude_gate_rejects_large_amplitude(site45, strat, ref_roots):
     """a = 40 m at s0 = 1 m fails m^2 a^2 e^(-2 m s0) < 1; a = 16.5 m at s0 = 50 m
-    meets it, but not the thermocline bound a <= 1/m (just under 16 m here)."""
-    for a, s0 in ((40.0, 1.0), (16.5, 50.0)):
+    meets it, but not the thermocline bound a <= 1/m (just under 16 m here);
+    a = 1e200 m, whose m^2 a^2 e^(-2 m s0) overflows a double, fails both."""
+    for a, s0 in ((40.0, 1.0), (16.5, 50.0), (1e200, 50.0)):
         with pytest.raises(AmplitudeBoundError, match="1/m"):
             pw.derive_parameters(site45, strat, REF_K, a, ref_roots.c_plus, s0, 2000.0)
 

@@ -2,6 +2,7 @@
 value, and the work that it hands back to Python."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,18 @@ def test_digit_tables_match_their_string_construction():
             for x, sci in zip(range(-300, 301), scientific))
         assert t.text[json_].tobytes() == b"".join(
             cell_text(form, last, json_) for form in range(22) for last in range(18))
+
+
+def test_power_table_rows_are_double_doubles_of_ten_to_the_e():
+    """Each row (hi, hh, hl, lo) of the power table, 10**e for e from
+    _SCALE_MIN to 300: the Dekker halves of hi sum to it exactly, and hi + lo
+    is 10**e to 2**-106 of it."""
+    powers = _floatfmt._tables().powers
+    assert powers.shape == (301 - _floatfmt._SCALE_MIN, 4) and powers.flags.c_contiguous
+    for e, (hi, hh, hl, lo) in enumerate(powers.tolist(), start=_floatfmt._SCALE_MIN):
+        assert hh + hl == hi
+        ten = Fraction(10) ** e
+        assert abs(Fraction(hi) + Fraction(lo) - ten) <= ten / 2**106, e
 
 
 @pytest.fixture

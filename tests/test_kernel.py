@@ -1,6 +1,6 @@
 """The array kernel against the per-label ``math`` oracle, its closed-form
 2x2 solves against numpy.linalg, the batched inversions, and guards that the
-verifier and the CLI batch their inversions."""
+verifier and the CLI call no inversion."""
 
 import contextlib
 import io
@@ -189,11 +189,10 @@ def test_real_inputs_stay_float64_bit_for_bit(ref_params, strat):
                 assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
-# --- batched inversions only ----------------------------------------------
+# --- no inversion in the verifier or the CLI --------------------------------
 
-# the public inversions and the private ones behind them that verify calls
-INVERSIONS = ("invert_labels", "_invert_from", "sheet_label_q", "_sheet_q_from",
-              "sheet_elevation")
+# the public inversions
+INVERSIONS = ("invert_labels", "sheet_label_q", "sheet_elevation")
 
 
 @pytest.fixture
@@ -225,13 +224,11 @@ def test_verify_and_cli_make_no_per_label_calls(per_label_calls, ref_params, str
     assert cli.main(["field", "--nq", "16", "--ns", "4", "--out", out]) == 0
     assert cli.main(["trajectory", "--n", "16", "--out", out]) == 0
     assert cli.main(["profile", "--n", "16", "--out", out]) == 0
-    # check_boundary's two sheet elevations per sample are one batched sheet
-    # solve; the one probe that the divergence and the curl read is one
-    # batched label inversion
-    assert per_label_calls == {"_sheet_q_from": 1, "_invert_from": 1}
+    # check_boundary's sheet labels and the probe's labels are each one
+    # Newton step from labels the verifier holds: no inversion at all
+    assert per_label_calls == {}
     pw.sheet_elevation(ref_params, ref_params.s0, 0.0, 0.0)  # counter works
-    assert per_label_calls == {"sheet_elevation": 1, "sheet_label_q": 1,
-                               "_sheet_q_from": 2, "_invert_from": 1}
+    assert per_label_calls == {"sheet_elevation": 1, "sheet_label_q": 1}
 
 
 def test_verify_report_layout_at_defaults(tmp_path):

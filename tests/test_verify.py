@@ -186,7 +186,7 @@ def test_run_all_is_deterministic(ref_params, strat):
 
 def test_run_all_does_each_piece_of_work_once(monkeypatch, ref_params, strat):
     """One run at the defaults builds the volume and sheet grids once each and
-    evaluates the kernel in at most 9 Flow objects (148 with a Flow per time,
+    evaluates the kernel in at most 8 Flow objects (148 with a Flow per time,
     per stencil point and per sheet elevation)."""
     grids, flows = [], []
     original_grid, original_init = verify._grid, Flow.__init__
@@ -196,7 +196,7 @@ def test_run_all_does_each_piece_of_work_once(monkeypatch, ref_params, strat):
                         lambda self, *args: flows.append(None) or original_init(self, *args))
     assert all(r.passed for r in pw.run_all(ref_params, strat))
     assert grids == [{}, {"sheet": True}]
-    assert len(flows) <= 9
+    assert len(flows) <= 8
 
 
 def test_different_seeds_change_random_samples(ref_params):
