@@ -222,9 +222,10 @@ def _invert_interface_map(strat, A, m, s0, map_s0, beta0):
     """Label s_plus > s0 with _interface_map(s_plus) = beta0 > map_s0, the map at s0.
 
     The map's slope lies between its value at s0 and rho0 g_tilde, which bound
-    s_plus - s0 = (beta0 - map_s0) / slope.  _newton runs from the upper bound
-    on a bracket open above, whose lower bound falls back to s0 unless the sign
-    of map - beta0 confirms it, to a step <= INTERFACE_TOL / 2."""
+    s_plus - s0 = (beta0 - map_s0) / slope; rho_plus g s must not overflow at
+    the lower one.  _newton runs from the upper bound on a bracket open above,
+    whose lower bound falls back to s0 unless the sign of map - beta0 confirms
+    it, to a step <= INTERFACE_TOL / 2."""
     if not beta0 > map_s0:
         raise InterfaceOrderingError(
             f"beta0={beta0!r} must exceed P0 - P0_tilde={map_s0!r}")
@@ -234,6 +235,8 @@ def _invert_interface_map(strat, A, m, s0, map_s0, beta0):
     slope = wave * math.exp(-2.0 * m * s0) + flat
     s = s0 + (offset / slope if slope > 0.0 else 1.0)
     lo = s0 + offset / flat
+    if not math.isfinite(strat.rho_plus * strat.g * lo):
+        raise InputError(f"beta0 offset {offset!r} overflows rho_plus g s_plus (s_plus >= {lo!r})")
     if not (lo < s and _interface_map(strat, A, m, lo) < beta0):
         lo = s0
     return _newton(lambda s: _interface_map(strat, A, m, s) - beta0,

@@ -16,7 +16,7 @@ upstream, and every formula is well defined wherever the flow map stays a
 local diffeomorphism.
 """
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -242,10 +242,10 @@ def invert_labels(params: WaveParameters, x, y, z, t):
     def step(i):
         flow = Flow(params, *(v[i] for v in label), t[i])
         residual = [p - v[i] for p, v in zip(flow.position, target)]
-        return np.sqrt(sum(abs(v) ** 2 for v in residual)), flow.newton_step(*residual)
+        return reduce(np.hypot, map(abs, residual)), flow.newton_step(*residual)
 
-    bound = np.maximum(_INVERT_TOL,
-                       4 * np.finfo(float).eps * np.sqrt(sum(abs(v) ** 2 for v in target)))
+    # sizes by np.hypot, which squares nothing: no overflow at any double
+    bound = np.maximum(_INVERT_TOL, 4 * np.finfo(float).eps * reduce(np.hypot, map(abs, target)))
     open_ = _newton(label, step, bound, _INVERT_MAX_ITER)
     if open_.size:
         first = tuple(float(v[open_[0]].real) for v in target)

@@ -479,6 +479,10 @@ def test_sampled_commands_need_two_samples(command, capsys):
     ["field", "--beta0-offset", "inf"],    # s_plus = nan
     ["verify", "--beta0-offset", "inf"],
     ["verify", "--s0", "inf"],
+    # rho_plus g s_plus overflows a double: the solve returned s_plus 1.8252e304,
+    # where the interface map reads inf or 7.16e305, not beta0
+    ["verify", "--beta0-offset", "1e306"],
+    ["verify", "--beta0-offset", "1.7e308"],
     ["verify", "--tol-identity", "nan"],   # abs(p) > nan * ... never holds
     ["dispersion", "--tol-identity", "nan"],
     ["verify", "--tol-identity", "-1"],

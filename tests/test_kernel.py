@@ -7,6 +7,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -131,6 +132,19 @@ def test_inversion_keeps_array_shape(ref_params):
     x = np.full((2, 3), 20.0)
     q, r, s = invert_labels(ref_params, x, 0.0, 60.0, np.array([0.0, 5.0, 9.0]))
     assert q.shape == r.shape == s.shape == (2, 3)
+
+
+def test_inversion_of_a_huge_target_squares_nothing(ref_params):
+    """The residual size and the stop bound are scaled norms: at |target| 1e200
+    a sum of squares overflowed with a RuntimeWarning, and its inf bound
+    closed every entry after one step."""
+    target = (1e200, 0.0, 60.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        label = invert_labels(ref_params, *target, 0.0)
+        position = Flow(ref_params, *label, 0.0).position
+    residual = math.hypot(*(float(p) - v for p, v in zip(position, target)))
+    assert residual <= max(flowfield._INVERT_TOL, 4 * np.finfo(float).eps * 1e200)
 
 
 def test_batched_sheet_inversion_equals_scalar(ref_params):

@@ -98,12 +98,22 @@ def test_boundary_fails_with_perturbed_phase_speed(ref_params, strat):
     assert not report.passed
 
 
-def test_incompressibility_fails_with_broken_first_condition(ref_params, strat):
-    bad = dataclasses.replace(ref_params, b=1.01 * ref_params.b)
+@pytest.mark.parametrize("name", ["m", "a", "b", "k"])
+def test_incompressibility_fails_with_broken_first_condition(ref_params, strat, name):
+    """A 1 % error in any factor of m a = k b moves det J off its closed form."""
+    bad = dataclasses.replace(ref_params, **{name: 1.01 * getattr(ref_params, name)})
     report = by_check(bad, strat)["incompressibility"]
     families = {c.name: c for c in report.components}
     assert families["jacobian_time_invariance"].max_residual > 1e-5
     assert not report.passed
+
+
+def test_jacobian_is_blind_to_the_phase_speed(ref_params, strat):
+    """det J does not depend on c, so a c error leaves it on its closed form."""
+    bad = dataclasses.replace(ref_params, c=1.01 * ref_params.c)
+    report = by_check(bad, strat)["incompressibility"]
+    families = {c.name: c for c in report.components}
+    assert families["jacobian_time_invariance"].max_residual <= 1e-14
 
 
 def test_vorticity_fails_with_broken_first_condition(ref_params, strat):
@@ -269,15 +279,14 @@ def test_worst_sample_is_first_largest_residual():
     assert all(type(v) is float for v in comp.worst_sample.values())
 
 
-def test_distinct_labels_match_dict_keys():
-    """Sorting finds the labels that dict.fromkeys keeps, in the same order:
-    -0.0 is the same key as 0.0 (the first one seen is kept), every NaN is new."""
-    nan = float("nan")
-    rows = [(1.0, 2.0, 3.0), (0.0, 5.0, 1.0), (-0.0, 5.0, 1.0), (1.0, 2.0, 3.0),
-            (nan, 0.0, 0.0), (-0.0, -0.0, 2.0), (nan, 0.0, 0.0), (0.0, 0.0, 2.0),
-            (1.0, nan, 3.0), (1.0, 2.0, 3.0), (-1.0, 2.0, 3.0), (0.0, 5.0, 1.0)]
-    q, r, s = (np.array(v) for v in zip(*rows))
-    expected = np.array(list(dict.fromkeys(zip(q.tolist(), r.tolist(), s.tolist()))))
-    got = verify._distinct_labels(q, r, s)
-    assert len(got[0]) == 7
-    assert np.column_stack(got).tobytes() == expected.tobytes()
+def test_incompressibility_reads_each_label_once(ref_params):
+    """The Jacobian is read at one sample per label of the volume grid, in
+    the order dict.fromkeys keeps them, and the probe at its n_random
+    particles: n_theta n_s + 2 n_random samples."""
+    config = verify.VerifyConfig(n_theta=5, n_s=4, n_time=3, n_random=7, seed=1)
+    vol = volume(ref_params, config)
+    report = verify.check_incompressibility(vol, verify._probe(ref_params, config), config)
+    assert report.n_samples == 5 * 4 + 2 * 7
+    one = verify._one_per_label(config, vol.q.size)
+    expected = list(dict.fromkeys(zip(vol.q.tolist(), vol.r.tolist(), vol.s.tolist())))
+    assert list(zip(vol.q[one].tolist(), vol.r[one].tolist(), vol.s[one].tolist())) == expected
