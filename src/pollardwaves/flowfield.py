@@ -12,8 +12,8 @@ solved :class:`~pollardwaves.dispersion.WaveParameters`.  One array kernel,
 the verifier's complex-step derivatives, complex: every field is analytic.
 Labels are not range-checked here: the latitudinal half-width r0 of the
 strip and the vertical extent [s0, s_plus] are modelling choices enforced
-upstream, and every formula is well defined wherever the flow map stays a
-local diffeomorphism.
+upstream (the CLI's exports hold s to [s0, s_plus]), and every formula is
+well defined wherever the flow map stays a local diffeomorphism.
 """
 
 from functools import cached_property, reduce

@@ -1,8 +1,10 @@
-"""Every --config file the CLI reads runs or exits with a typed error.
+"""Every --config file the CLI reads, and every label and time flag of the
+exports, runs or exits with a typed error.
 
-Each case writes a config file of up to four keys drawn at random, each with
-a value of its own type (its default or an extreme of the type) or arbitrary
-JSON, and runs one command on it.
+Each config case writes a config file of up to four keys drawn at random, each
+with a value of its own type (its default or an extreme of the type) or
+arbitrary JSON, and runs one command on it.  Each export case runs trajectory,
+profile or field with some of its float flags set to extremes.
 ``cli.main`` must then exit 0-3 within CASE_SECONDS, print at most one
 stderr line and raise nothing, numpy's floating-point warnings included.
 The tables are kept small, so that no case allocates much.
@@ -12,6 +14,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import time
 import warnings
 
@@ -54,6 +57,22 @@ def configs(draw):
             for f in fields}
 
 
+def run_main(argv):
+    """The exit code of cli.main(argv), run with warnings raised as errors,
+    after asserting that it exited 0-3 within CASE_SECONDS with at most one
+    stderr line."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert time.perf_counter() - start < CASE_SECONDS, argv
+    assert code in (0, 1, 2, 3), (code, argv)
+    assert stderr.getvalue().count("\n") <= 1, (argv, stderr.getvalue())
+    return code
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(sorted(SIZES)), config=configs())
 @example(command="verify", config={"amplitude": 1e200})
@@ -62,14 +81,52 @@ def configs(draw):
 def test_every_config_file_runs_or_exits_with_one_line(command, config, tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     (path / "run.json").write_text(json.dumps(config))
-    argv = [command, "--config", str(path / "run.json"), *SIZES[command],
-            "--out", str(path / "out")]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("error")
-        code = cli.main(argv)
-    assert time.perf_counter() - start < CASE_SECONDS, (argv, config)
-    assert code in (0, 1, 2, 3), (code, config)
-    assert stderr.getvalue().count("\n") <= 1, (config, stderr.getvalue())
+    run_main([command, "--config", str(path / "run.json"), *SIZES[command],
+              "--out", str(path / "out")])
+
+
+# per export command, its float label and time flags; a flag left out keeps its default
+EXPORT_FLAGS = {"trajectory": ["--q", "--r", "--s", "--t0", "--t1"],
+                "profile": ["--s", "--r", "--t", "--q0", "--q1"],
+                "field": ["--t", "--r", "--q0", "--q1"]}
+FLAG_VALUES = [*EXTREMES, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+# inputs that wrote nan/inf rows, ended in a traceback under warnings as errors,
+# or exited 3, before the label gate; each must exit 2
+REPRODUCERS = [
+    ("field", ("--q1=inf",)),
+    ("field", ("--t=nan",)),
+    ("trajectory", ("--t1=inf",)),
+    ("trajectory", ("--r=nan",)),
+    ("trajectory", ("--s=nan",)),
+    ("trajectory", ("--q=-1.7e+308", "--t0=1.7e+308")),
+    ("profile", ("--q0=-1.7e+308", "--q1=1.7e+308")),
+    ("profile", ("--s=-1e+300",)),
+]
+
+
+@st.composite
+def export_cases(draw):
+    """An export command and some of its float flags, each set to an extreme."""
+    command = draw(st.sampled_from(sorted(EXPORT_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(EXPORT_FLAGS[command]), unique=True, max_size=3))
+    return command, tuple(f"{flag}={draw(st.sampled_from(FLAG_VALUES))!r}" for flag in flags)
+
+
+def _with_reproducers(test):
+    for case in REPRODUCERS:
+        test = example(case=case)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=export_cases())
+@_with_reproducers
+def test_every_export_label_runs_or_exits_with_one_line(case, tmp_path_factory):
+    """A non-finite flag exits 2, and so does each reproducer; an exit 2 comes
+    before the table, so it leaves no output file."""
+    command, flags = case
+    out = tmp_path_factory.mktemp("fuzz") / "out"
+    code = run_main([command, *SIZES[command], *flags, "--out", str(out)])
+    if case in REPRODUCERS or not all(math.isfinite(float(f.split("=")[1])) for f in flags):
+        assert code == 2, case
+    assert code != 2 or not out.exists(), case

@@ -364,3 +364,32 @@ def test_one_curve_builds_its_site_once(monkeypatch):
     solve_configured(RunConfig(latitude_deg=37.5, rho_plus=1003.0).validate())
     assert (len(sites), len(strats)) == (2, 2)
     cli._site_setting.cache_clear()
+
+
+def test_shared_records_are_frozen_and_each_solve_builds_its_own_parameters():
+    """Solves share their PhysicalConstants (cli.EARTH), Site and Stratification
+    (cli._setting's memo), so these stay frozen; each solve builds its own plain
+    WaveParameters, equal to the last one of the same config but not it."""
+    constants, site, strat, params = solve_configured(RunConfig().validate())
+    for record, name in ((constants, "g"), (site, "f"), (strat, "rho0")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0.0)
+    again = solve_configured(RunConfig().validate())[3]
+    assert again == params and again is not params
+
+
+def test_perturb_c_copies_the_solved_set_through_replace(monkeypatch):
+    """The negative control replaces c in a copy made by dataclasses.replace and
+    leaves the solved set it copied as it was."""
+    copies, replace = [], dataclasses.replace
+
+    def spy(record, **changes):
+        copies.append((record, dict(vars(record)), changes))
+        return replace(record, **changes)
+
+    monkeypatch.setattr(cli.dataclasses, "replace", spy)
+    params = solve_configured(RunConfig(perturb_c=0.01).validate())[3]
+    [(solved, fields, changes)] = copies
+    assert changes == {"c": (1.0 + 0.01) * solved.c}
+    assert params is not solved and vars(solved) == fields
+    assert params == replace(solved, c=(1.0 + 0.01) * solved.c)
