@@ -42,7 +42,9 @@ EDGES = np.concatenate([
 
 
 def sample(n, rng):
-    """About n doubles: n // 7 from each class, in this order, then EDGES."""
+    """About n doubles, n // 7 from each class and then EDGES, in a seeded
+    shuffled order: each column mixes short decimals, which outlast both
+    passes of JSON's shortest-digit search, with generic doubles and specials."""
     k = n // 7
     sign = rng.choice(SIGNS, k)
     tens = np.array([float(f"1e{e}") for e in rng.integers(-307, 309, k)])
@@ -57,13 +59,13 @@ def sample(n, rng):
         sign * np.nextafter(tens, tens * rng.choice([0.0, np.inf], k)),  # powers of ten +-1 ulp
         sign * (whole + (2 * rng.integers(0, 2 ** (digits - 1)) + 1) / 2.0 ** digits),
     ]
-    return np.concatenate(classes + [EDGES])
+    return rng.permutation(np.concatenate(classes + [EDGES]))
 
 
 def kernel_spellings(values, fmt):
     """The kernel's spelling of each value, one export column at a time, each
     cell ending in a newline."""
-    cells = (_floatfmt._spell(values[start:start + COLUMN], fmt == "json", b"\n").tobytes()
+    cells = (_floatfmt._spell(values[start:start + COLUMN], fmt == "json", (b"\n",)).tobytes()
              for start in range(0, len(values), COLUMN))
     return b"".join(cells).translate(None, b"\0").decode("ascii").split("\n")[:-1]
 

@@ -27,7 +27,7 @@ from .geo import (
 )
 from .verify import VerificationReport, VerifyConfig, run_all
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "DispersionRoots",

@@ -22,8 +22,10 @@ _SCALE_MIN = -270                       # the power table holds 10**e, e in [-27
 _EXACT_MIN, _EXACT_MAX = 1e-280, 1e280  # no scaled product over- or underflows
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _BLOCK_ROWS = 512  # CSV rows per translate: their cells stay in cache
+_GROUP = 8192     # values per kernel call that spells small arrays together
 _FORMS, _SCI = 22, 21  # forms of a cell's text: 0-16 fixed, 17-20 below 1, 21 scientific
 _SLOTS = 18            # a cell's digit slots: 17 digits and the point's
+_JSON_SEP = b",\n    "  # ends each JSON cell; the text drops the last one
 
 
 def _word(text):
@@ -37,9 +39,12 @@ def _tables():
     a double-double's hi, hi's two Dekker halves and lo, the digit values of
     0000-9999, and by format the form of each exponent, the text bytes of each
     form and last slot, and the exponent words."""
-    from fractions import Fraction  # imports decimal: keep it out of the package import
-    ten = (Fraction(10) ** e for e in range(_SCALE_MIN, 301))  # float(): int / int, rounded
-    hi, lo = np.array([(h := float(v), float(v - Fraction(h))) for v in ten]).T
+    rows = []
+    for e in range(_SCALE_MIN, 301):  # 10**e = num / den; int / int rounds correctly
+        num, den = 10 ** max(e, 0), 10 ** max(-e, 0)
+        n, d = (hi := num / den).as_integer_ratio()
+        rows.append((hi, (num * d - n * den) / (den * d)))
+    hi, lo = np.array(rows).T
     digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     # A cell's form by its exponent X: 0-16 fixed with X whole digits after d0,
     # 17-20 below 1 ("0." and -X - 1 zeros), 21 scientific.  ``before`` digits
@@ -100,13 +105,15 @@ def _mod(a, q):
 
 def _digits(x, json_, t):
     """(M, X, fallback): the 17 digits of each float of x as an integer M (0 for
-    a zero), its decimal exponent X, and where Python must spell it instead."""
+    a zero), its decimal exponent X, and where Python must spell it instead.
+    For JSON, M holds the shortest digits that round-trip, zeros after them."""
     a = np.abs(x)
-    zero = a == 0.0
     exact = (a >= _EXACT_MIN) & (a <= _EXACT_MAX)
     if json_:  # a power of two has a narrower rounding interval below than above
         exact &= (a.view(np.int64) & ((1 << 52) - 1)) != 0
-    a = np.where(exact, a, 1.0)
+    every_exact = exact.all()
+    if not every_exact:
+        a = np.where(exact, a, 1.0)
     X = np.floor(np.log10(a)).astype(np.int64)
     D, f, p, hi = _scale(a, X, t)
     # log10 may miss floor(log10 a) by one near a power of ten: bring y into
@@ -123,30 +130,38 @@ def _digits(x, json_, t):
     if json_:
         h = (a.view(np.int64) & (0x7FF << 52)).view(np.float64) * 2.0**-53 * hi
         band += h * 2.0**-50
-    fallback = ~(exact | zero) | (np.abs(np.abs(f) - 0.5) <= band)
+    fallback = np.abs(np.abs(f) - 0.5) <= band
+    if not every_exact:
+        zero = x == 0.0
+        fallback |= ~(exact | zero)
     if json_:
         # Shortest digits: the nearest multiple of q = 10**k round-trips when
         # within h of y; that of 10q is never nearer, so the k that round-trip
-        # are 1..K.  Only the decisions at K and K + 1 need to be exact.
+        # are 1..K.  Multiples of 100 lie 100 > 2h apart, so for K >= 2 the
+        # nearest multiple of 10**K is also the nearest of 100: rounding y to
+        # 10**min(K, 2) spells the same digits, and two passes find min(K, 2).
+        # Only the decisions at it and at the next power need to be exact.
         h_minus, h_plus = h - f, h + f
-        alive, k_max = exact.copy(), np.zeros_like(D)
-        for q in _POW10[1:17]:
+        alive, k = exact, np.zeros_like(D)
+        for q in _POW10[1:3]:
             r = _mod(D, q)
-            alive &= np.minimum(r - h_minus, (q - r) - h_plus) < 0
-            if not alive.any():
-                break
-            k_max += alive
-        for q in (_POW10[k_max + 1], _POW10[k_max]):  # K last: its r rounds below
-            r = D % q
+            alive = alive & (np.minimum(r - h_minus, (q - r) - h_plus) < 0)
+            k += alive
+        for q in (_POW10[k + 1], _POW10[k]):  # k last: its r rounds below
+            r = _mod(D, q)
             fallback |= np.abs(np.minimum(r - h_minus, (q - r) - h_plus)) <= band
         twice = 2.0 * (r + f)  # twice the distance to the multiple below
         fallback |= np.abs(twice - q) <= 2.0 * band
         D = D - r + (twice > q) * q
     # M = D, a 17-digit integer (0 for a zero), and X
     carry = D >= _POW10[17]
-    M = np.where(zero, 0, np.where(carry, D // 10, D))
-    X = np.where(zero, 0, X + carry)
-    return M, X, fallback
+    if carry.any():
+        D = np.where(carry, D // 10, D)
+        X = X + carry
+    if not every_exact and zero.any():
+        D = np.where(zero, 0, D)
+        X = np.where(zero, 0, X)
+    return D, X, fallback
 
 
 def _slot_words(M, split, negative, t):
@@ -175,30 +190,43 @@ def _last_slot(words):
     return np.maximum(last - 128, 0)
 
 
-def _spell(x, json_, tail):
-    """The cells (n, 4 + json_) int64 of the floats of x, each ending in the
-    bytes ``tail``."""
+def _spell(x, json_, seps, which=0, out=None):
+    """The cells (n, 4 + json_) int64 of the floats of x, the cell of x[i]
+    ending in the bytes seps[which[i]] (``which`` broadcasts), written to
+    ``out`` if given."""
     t = _tables()
     M, X, fallback = _digits(x, json_, t)
     row = X + _EXP_OFFSET
     form = t.form[json_][row]
     words = _slot_words(M, t.split[form], np.signbit(x), t)
-    template = t.text[json_].copy()
-    template[:, -1] |= _word(tail.rjust(8, b"\0"))
-    cells = np.take(template, form * _SLOTS + _last_slot(words), axis=0)
+    template = np.concatenate([t.text[json_]] * len(seps))  # one copy per separator
+    template[:, -1] |= np.repeat([_word(sep.rjust(8, b"\0")) for sep in seps], _FORMS * _SLOTS)
+    index = (which * _FORMS + form) * _SLOTS + _last_slot(words)
+    cells = np.take(template, index, axis=0, out=out, mode="clip")  # in range; "clip" writes out unbuffered
     for k, w in enumerate(words):
         cells[:, k] += w
     cells[:, 3] |= t.exponent[json_][row]
-    index = np.flatnonzero(fallback)
-    width = cells.shape[1] * 8 - len(tail)
-    texts = "".join(text.ljust(width, "\0") for text in _python_spelling(x[index].tolist(), json_))
-    cells.view(np.uint8)[index, :width] = np.frombuffer(texts.encode(), np.uint8).reshape(-1, width)
+    if fallback.any():  # Python's text fills each such cell up to its separator
+        index = np.flatnonzero(fallback)
+        width = cells.shape[1] * 8 - max(map(len, seps))
+        texts = "".join(text.ljust(width, "\0") for text in _python_spelling(x[index].tolist(), json_))
+        cells.view(np.uint8)[index, :width] = np.frombuffer(texts.encode(), np.uint8).reshape(-1, width)
     return cells
 
 
-def _cells(a, json_, sep):
-    """The cells (*a.shape, 4 + json_) of the floats of array a, each ending in ``sep``."""
-    return _spell(a.ravel(), json_, sep).reshape(*a.shape, 4 + json_)
+def _calls(sizes):
+    """The arrays of each kernel call, as a range of their indices: an array
+    of _GROUP values or more alone, and runs of smaller ones together, up to
+    _GROUP values a call."""
+    calls, room = [], -1  # the values the last call can still take
+    for i, n in enumerate(sizes):
+        if n < _GROUP and n <= room:
+            calls[-1] = range(calls[-1].start, i + 1)
+            room -= n
+        else:
+            calls.append(range(i, i + 1))
+            room = _GROUP - n if n < _GROUP else -1
+    return calls
 
 
 def table_text(columns, values, fmt):
@@ -207,17 +235,30 @@ def table_text(columns, values, fmt):
     chunks: CSV rows of f"{v:.17g}" cells, or JSON column arrays in the
     layout of json.dumps(indent=2).
 
-    Each array's own entries are spelled once, before this returns, and their
-    cells broadcast onto the table.  The iterator makes each chunk as it is
-    asked for: ``translate`` deletes the NULs of a block of about 512 rows
-    (CSV) or of a column (JSON) while its cells are still in cache."""
+    Each array's own entries are spelled once, before this returns: arrays
+    of fewer than _GROUP values share kernel calls of up to _GROUP values,
+    each array's cells ending in its own separator.  The iterator makes each
+    chunk as it is asked for: ``translate`` deletes the NULs of a block of
+    about 512 rows (CSV) while its cells are still in cache, or of a JSON
+    column's own cells, whose text a broadcast axis repeats."""
     arrays = [np.asarray(v, dtype=float) for v in values]
     shape = np.broadcast_shapes(*(a.shape for a in arrays)) or (1,)
     json_ = fmt == "json"
-    seps = [b",\n    "] * len(arrays) if json_ else [b","] * (len(arrays) - 1) + [b"\n"]
-    cells = [np.broadcast_to(_cells(a, json_, sep), (*shape, 4 + json_))
-             for a, sep in zip(arrays, seps)]
-    return (_json_chunks if json_ else _csv_chunks)(columns, cells, shape)
+    seps = (_JSON_SEP,) if json_ else (b",", b"\n")
+    which = [0] * len(arrays) if json_ else [0] * (len(arrays) - 1) + [1]
+    sizes = [a.size for a in arrays]
+    offsets = np.cumsum([0, *sizes])  # each array's first row in the store
+    store = np.empty((offsets[-1], 4 + json_), np.int64)  # every array's cells, in one allocation
+    for call in _calls(sizes):
+        _spell(np.concatenate([arrays[i].ravel() for i in call]), json_, seps,
+               np.repeat(which[call.start:call.stop], sizes[call.start:call.stop]),
+               store[offsets[call.start]:offsets[call.stop]])
+    # each array's own cells, with the table's number of axes
+    cells = [own.reshape(*(1,) * (len(shape) - a.ndim), *a.shape, 4 + json_)
+             for a, own in zip(arrays, np.split(store, offsets[1:-1]))]
+    if json_:
+        return _json_chunks(columns, cells, shape)
+    return _csv_chunks(columns, [np.broadcast_to(x, (*shape, 4)) for x in cells], shape)
 
 
 def _csv_chunks(columns, cells, shape):
@@ -238,15 +279,24 @@ def _csv_chunks(columns, cells, shape):
 def _json_chunks(columns, cells, shape):
     """The object's text, a column's values and the separators around them at a time."""
     yield b"{\n"
-    buffer = bytearray(math.prod(shape) * 40)  # each column's cells in turn
-    column = np.frombuffer(buffer, np.int64).reshape(*shape, 5)
     for c, (name, x) in enumerate(zip(columns, cells)):
         yield b"%s  %s: [" % (b",\n" * (c > 0), json.dumps(name).encode("ascii"))
-        if column.size:  # no separator after the last cell
-            column[...] = x
-            column.reshape(-1, 5)[-1, 4] = 0
+        if math.prod(shape):
+            text = _column_text(x, shape)
+            del text[-len(_JSON_SEP):]
             yield b"\n    "
-            yield buffer.translate(None, b"\0")
+            yield text
             yield b"\n  "
         yield b"]"
     yield b"\n}\n"
+
+
+def _column_text(cells, shape):
+    """The text, as a bytearray, of an array's own cells broadcast onto the
+    table shape (no axis of it 0) in C order: a full array's cells are
+    translated at once, and a broadcast axis repeats the text below it."""
+    if cells.shape[:-1] == shape:
+        return bytearray(cells).translate(None, b"\0")
+    if cells.shape[0] < shape[0]:
+        return _column_text(cells[0], shape[1:]) * shape[0]
+    return bytearray().join(_column_text(x, shape[1:]) for x in cells)

@@ -10,7 +10,7 @@ import pytest
 
 from pollardwaves import _floatfmt, cli
 
-from test_serialise import T, edge_table
+from test_serialise import T, assert_written_as_reference, edge_table
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("check_float_format",
@@ -90,13 +90,13 @@ def test_power_table_rows_are_double_doubles_of_ten_to_the_e():
 
 @pytest.fixture
 def spelled_sizes(monkeypatch):
-    """The number of values in each array that the kernel spells while in use."""
+    """The number of values in each kernel call while in use."""
     sizes = []
     original = _floatfmt._spell
 
-    def recording(x, json_, tail):
+    def recording(x, *args):
         sizes.append(len(x))
-        return original(x, json_, tail)
+        return original(x, *args)
 
     monkeypatch.setattr(_floatfmt, "_spell", recording)
     return sizes
@@ -106,11 +106,13 @@ def spelled_sizes(monkeypatch):
 def test_exports_spell_each_stored_value_once(fmt, spelled_sizes, tmp_path):
     out = str(tmp_path / "table")
     assert cli.main(["field", "--nq", "128", "--ns", "64", "--format", fmt, "--out", out]) == 0
-    # t, q, r, s, then the ten fields on the whole lattice
-    assert spelled_sizes == [1, 128, 1, 64] + [128 * 64] * 10
+    # t, q, r and s in one call, then the ten fields on the whole lattice
+    assert spelled_sizes == [1 + 128 + 1 + 64] + [128 * 64] * 10
+    assert sum(spelled_sizes) == 1 + 128 + 1 + 64 + 10 * 128 * 64  # the stored values
     spelled_sizes.clear()
     assert cli.main(["trajectory", "--n", "50", "--format", fmt, "--out", out]) == 0
-    assert spelled_sizes == [50, 1, 1, 1] + [50] * 10
+    # every array in one call: t, q, r, s, then the ten fields over t
+    assert spelled_sizes == [50 + 1 + 1 + 1 + 10 * 50]
 
 
 @pytest.fixture
@@ -131,8 +133,7 @@ def python_spelled(monkeypatch):
 @pytest.mark.parametrize("t", ["0", T])
 def test_reference_field_export_spells_no_value_in_python(t, fmt, python_spelled, tmp_path):
     assert cli.main(["field", "--t", t, "--format", fmt, "--out", str(tmp_path / "field")]) == 0
-    assert len(python_spelled) == len(cli.FIELD_COLUMNS)
-    assert sum(python_spelled) == 0
+    assert python_spelled == []  # not even an empty call
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -144,3 +145,52 @@ def test_edge_table_spells_only_its_special_values_in_python(fmt, python_spelled
     if fmt == "json":  # a power of two has an uneven rounding interval
         special |= np.frexp(size)[0] == 0.5
     assert 0 < sum(python_spelled) <= special.sum()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grouped_arrays_keep_their_separators_beside_python_text(
+        fmt, spelled_sizes, python_spelled, tmp_path):
+    """Small arrays spelled in one kernel call, Python's text in cells that end
+    in "," and in the last column's "\n": no text runs into a separator."""
+    # a power of two falls back in JSON only
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 2.0**-20])
+    values = (special, np.array(1e300), np.arange(7) / 10, special[::-1].copy())
+    assert_written_as_reference(("a", "b", "c", "d"), values, fmt, tmp_path)
+    assert spelled_sizes == [7 + 1 + 7 + 7] * 2  # to the file, then to stdout
+    assert 0 < sum(python_spelled)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_arrays_share_calls_of_at_most_8192_values(fmt, spelled_sizes, tmp_path):
+    """A small array that would take a call past 8192 values starts the next
+    call; an array of 8192 values or more is spelled alone."""
+    rng = np.random.default_rng(8192)
+    values = (rng.standard_normal((2, 1)), rng.standard_normal((1, 8191)), np.array(0.1),
+              rng.standard_normal((2, 8191)), np.array(-2.5))
+    assert_written_as_reference(("a", "b", "c", "d", "e"), values, fmt, tmp_path)
+    assert spelled_sizes == [2, 8191 + 1, 2 * 8191, 1] * 2
+
+
+def significant_digits(value):
+    """The digit count of Python's shortest spelling of a finite nonzero float."""
+    return len(repr(value).split("e")[0].lstrip("-").replace(".", "").strip("0"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("open_after_two", ["none", "every", "mix"])
+def test_columns_whose_entries_outlast_two_shortest_digit_passes(open_after_two, fmt, tmp_path):
+    """JSON's shortest-digit search makes two passes, and the entries whose
+    shortest digits number 15 or fewer outlast both: columns of 8192 values
+    in which none, every or some entries do."""
+    rng = np.random.default_rng(15)
+    generic = rng.uniform(-1e3, 1e3, 3 * 8192)
+    generic = generic[[significant_digits(v) >= 16 for v in generic.tolist()]][:8192]
+    short = rng.integers(-10**6, 10**6, 8192) / 10.0 ** rng.integers(0, 12, 8192)
+    short[short == 0.0] = 37.3
+    column = {"none": generic, "every": short,
+              "mix": np.where(rng.random(8192) < 0.1, short, generic)}[open_after_two]
+    digits = [significant_digits(v) for v in column.tolist()]
+    assert len(digits) == 8192
+    assert {"none": min(digits) >= 16, "every": max(digits) <= 15,
+            "mix": min(digits) <= 15 < max(digits)}[open_after_two]
+    assert_written_as_reference(("x", "x2"), (column, column[::-1].copy()), fmt, tmp_path)

@@ -4,6 +4,7 @@ or broadcast from smaller arrays."""
 
 import contextlib
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,18 @@ def materialised(values):
 
 def reference_writer(path, columns, values, fmt):
     table_reference.write_table(path, columns, materialised(values).tolist(), fmt)
+
+
+def assert_written_as_reference(columns, values, fmt, tmp_path):
+    """``cli.write_table`` writes the row-wise writer's bytes of the
+    materialised table, to a file and to stdout."""
+    want, got = tmp_path / "want", tmp_path / "got"
+    reference_writer(str(want), columns, values, fmt)
+    cli.write_table(str(got), columns, values, fmt)
+    assert got.read_bytes() == want.read_bytes()
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        cli.write_table("-", columns, values, fmt)
+    assert stdout.getvalue().encode() == want.read_bytes()
 
 
 def export(monkeypatch, capsys, argv, writer):
@@ -82,15 +95,20 @@ def test_broadcast_columns_match_row_wise_writer(n, m, fmt, tmp_path):
               edge_table(rng, m)[:, 2][None, :], np.array(np.inf),
               edge_table(rng, n * m)[:, 3].reshape(n, m))
     columns = ("zero", "a", "nan", "b", "inf", "ab")
-    table = materialised(values)
-    assert table.shape == (n * m, len(columns))
-    want, got = tmp_path / "want", tmp_path / "got"
-    table_reference.write_table(str(want), columns, table.tolist(), fmt)
-    cli.write_table(str(got), columns, values, fmt)
-    assert got.read_bytes() == want.read_bytes()
-    with contextlib.redirect_stdout(io.StringIO()) as stdout:
-        cli.write_table("-", columns, values, fmt)
-    assert stdout.getvalue().encode() == want.read_bytes()
+    assert materialised(values).shape == (n * m, len(columns))
+    assert_written_as_reference(columns, values, fmt, tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("shape", [(2, 3, 4), (1, 3, 4), (2, 1, 4), (2, 3, 1), (0, 3, 4), (2, 0, 4)])
+def test_three_axis_broadcasts_match_row_wise_writer(shape, fmt, tmp_path):
+    """Arrays broadcast along every subset of three axes: a broadcast axis
+    above, between or below full ones."""
+    rng = np.random.default_rng(sum(shape))
+    kept = [(a, b, c) for a in (1, shape[0]) for b in (1, shape[1]) for c in (1, shape[2])]
+    values = [edge_table(rng, math.prod(axes))[:, 1].reshape(axes) for axes in kept]
+    assert materialised(values).shape == (math.prod(shape), len(kept))
+    assert_written_as_reference([f"c{i}" for i in range(len(kept))], values, fmt, tmp_path)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
