@@ -28,7 +28,7 @@ import numpy as np
 from . import dispersion as dsp
 from . import flowfield as flow
 from . import verify as ver
-from .errors import ConfigError, InputError, NumericError
+from .errors import AmplitudeBoundError, ConfigError, InputError, NumericError
 from .geo import PhysicalConstants, coriolis, min_wavenumber, reduced_gravity
 
 FIELD_COLUMNS = ("t", "q", "r", "s", "x", "y", "z",
@@ -210,10 +210,10 @@ def write_table(path: str, columns, values, fmt: str):
             handle.writelines(chunks)
 
 
-def _flow_columns(fields: flow.Flow, strat):
+def _flow_columns(fields: flow.Flow):
     """FIELD_COLUMNS arrays of a kernel evaluation, each at its own broadcast shape."""
     return (fields.t, fields.q, fields.r, fields.s, *fields.position,
-            *fields.velocity, fields.pressure(strat), *fields.vorticity)
+            *fields.velocity, fields.pressure, *fields.vorticity)
 
 
 def cmd_dispersion(config: RunConfig, args) -> int:
@@ -223,6 +223,8 @@ def cmd_dispersion(config: RunConfig, args) -> int:
     nd = dsp.nondimensionalize(site, strat, k)
     c = roots.c_minus if config.branch == "negative" else roots.c_plus
     m, b, d = dsp.orbit_parameters(site.f, k, config.amplitude, c)
+    if not all(map(math.isfinite, (m, b, d))):  # m a overflows in b = m a / k
+        raise AmplitudeBoundError(f"the orbit parameters (m, b, d) = {(m, b, d)!r} overflow")
     report = {
         "latitude_deg": config.latitude_deg,
         "wavenumber": k,
@@ -250,12 +252,12 @@ def cmd_dispersion(config: RunConfig, args) -> int:
 
 
 def cmd_trajectory(config: RunConfig, args) -> int:
-    _, _, strat, params = solve_configured(config)
+    _, _, _, params = solve_configured(config)
     s = params.s0 if args.s is None else args.s
     t1 = args.t1 if args.t1 is not None else ver.wave_period(params)
     _check_labels(args, params, s, (args.q, args.q), (args.t0, t1))
     ts = np.linspace(args.t0, t1, args.n)
-    values = _flow_columns(flow.Flow(params, args.q, args.r, s, ts), strat)
+    values = _flow_columns(flow.Flow(params, args.q, args.r, s, ts))
     write_table(args.out, FIELD_COLUMNS, values, config.output_format)
     return EXIT_OK
 
@@ -272,22 +274,22 @@ def cmd_profile(config: RunConfig, args) -> int:
 
 
 def cmd_field(config: RunConfig, args) -> int:
-    _, _, strat, params = solve_configured(config)
+    _, _, _, params = solve_configured(config)
     q1 = args.q1 if args.q1 is not None else params.L
     _check_labels(args, params, params.s0, (args.q0, q1), (args.t, args.t))
     qs = np.linspace(args.q0, q1, args.nq)
     ss = np.linspace(params.s0, params.s_plus, args.ns)
     # rows run over q within each s
-    values = _flow_columns(flow.Flow(params, qs[None, :], args.r, ss[:, None], args.t), strat)
+    values = _flow_columns(flow.Flow(params, qs[None, :], args.r, ss[:, None], args.t))
     write_table(args.out, FIELD_COLUMNS, values, config.output_format)
     return EXIT_OK
 
 
 def cmd_verify(config: RunConfig, args) -> int:
-    _, _, strat, params = solve_configured(config)
+    _, _, _, params = solve_configured(config)
     vconfig = ver.VerifyConfig(**{fld.name: getattr(config, fld.name)
                                   for fld in dataclasses.fields(ver.VerifyConfig)})
-    reports = ver.run_all(params, strat, vconfig)
+    reports = ver.run_all(params, vconfig)
     passed = all(r.passed for r in reports)
     for r in reports:
         state = "PASS" if r.passed else "FAIL"

@@ -88,13 +88,13 @@ class DispersionRoots:
 class WaveParameters:
     """Complete solved parameter set of the explicit wave.
 
-    Lengths in m, speeds in m/s, pressures in Pa.  The Coriolis parameters
-    the set was solved under are carried along (f, f_hat) so that field
-    evaluation does not need the Site again.
+    Lengths in m, speeds in m/s, pressures in Pa.  The Coriolis pair and the
+    Stratification the set was solved under are carried along, so that field
+    evaluation and verification read every physical parameter from the set.
 
     Not frozen: every configured solve builds a fresh set, and a frozen
-    dataclass's __init__ sets each of the 14 fields through object.__setattr__,
-    which took 2.5 us per set against 0.7 us for this plain one (2-core Xeon
+    dataclass's __init__ sets each field through object.__setattr__, which
+    took 2.5 us per set of 14 against 0.7 us for this plain one (2-core Xeon
     host), a tenth of the configured solve.  Callers treat a set as read-only
     and make a variant with dataclasses.replace, as the perturb_c control does.
     """
@@ -113,6 +113,7 @@ class WaveParameters:
     beta0: float    # interface pressure constant
     f: float
     f_hat: float
+    strat: Stratification
 
 
 def nondimensionalize(site: Site, strat: Stratification,
@@ -295,7 +296,6 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
     p0_tilde = P0_STANDARD - p0_minus_ptilde
     beta0 = p0_minus_ptilde + beta0_offset
     s_plus = _invert_interface_map(strat, A, m, s0, p0_minus_ptilde, beta0)
-    return WaveParameters(a=a, k=k, L=2.0 * math.pi / k, c=c, m=m, b=b, d=d,
-                          s0=s0, s_plus=s_plus, P0=P0_STANDARD,
-                          P0_tilde=p0_tilde, beta0=beta0,
-                          f=site.f, f_hat=site.f_hat)
+    return WaveParameters(a=a, k=k, L=2.0 * math.pi / k, c=c, m=m, b=b, d=d, s0=s0,
+                          s_plus=s_plus, P0=P0_STANDARD, P0_tilde=p0_tilde, beta0=beta0,
+                          f=site.f, f_hat=site.f_hat, strat=strat)

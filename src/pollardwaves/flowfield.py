@@ -22,7 +22,6 @@ import numpy as np
 
 from .dispersion import WaveParameters, pressure_coefficient_a
 from .errors import DiffeomorphismError, InversionError
-from .geo import Stratification
 
 _INVERT_TOL = 1e-12   # [m] Newton residual target for map inversion
 _INVERT_MAX_ITER = 50
@@ -52,10 +51,10 @@ def _require_positive(values, s, message):
 class Flow:
     """Every field of the wave at label and time arrays that broadcast.
 
-    e^(-m s) is computed at construction; theta, sin(theta), cos(theta) and
-    every field are computed on first use, once.  The label Jacobian's middle
-    row d(x,y,z)/dr is (0, 1, 0), so its linear systems reduce to a
-    closed-form 2x2 block."""
+    e^(-m s) is computed at construction, theta, sin(theta), cos(theta) and
+    every field on first use, once, all from params (rho0 and g from its
+    strat).  The label Jacobian's middle row d(x,y,z)/dr is (0, 1, 0), so its
+    linear systems reduce to a closed-form 2x2 block."""
 
     def __init__(self, params: WaveParameters, q, r, s, t):
         self.params = params
@@ -148,22 +147,24 @@ class Flow:
         ds = (j00 * res_z - j02 * res_x) / self.det
         return dq, res_y - j01 * dq - j21 * ds, ds
 
-    def _pressure_coefficients(self, strat: Stratification):
+    def _pressure_coefficients(self):
         """(A, B) of the wave pressure -rho0 (A e^(-2 m s) + B e^(-m s) cos(theta))."""
         p = self.params
         return (pressure_coefficient_a(p.f, p.f_hat, p.k, p.c, p.a, p.b, p.d),
-                p.c * p.a * p.f_hat - p.c * p.d * p.f - p.k * p.c**2 * p.b - p.a * strat.g)
+                p.c * p.a * p.f_hat - p.c * p.d * p.f - p.k * p.c**2 * p.b - p.a * p.strat.g)
 
-    def dynamic_pressure(self, strat: Stratification):
+    @cached_property
+    def dynamic_pressure(self):
         """Wave part of the pressure: P + rho0 g s - P0_tilde [Pa].
 
-        Evaluated without the hydrostatic column term, so differences in q
-        or r do not cancel against rho0 g s.
+        The pressure less its hydrostatic column term; it decays like
+        e^(-m s) with depth, where the column term grows.
         """
-        A, B = self._pressure_coefficients(strat)
-        return -strat.rho0 * (A * self.e * self.e + B * self.e * self.cos)
+        A, B = self._pressure_coefficients()
+        return -self.params.strat.rho0 * (A * self.e * self.e + B * self.e * self.cos)
 
-    def pressure(self, strat: Stratification):
+    @cached_property
+    def pressure(self):
         """Pressure [Pa].
 
         The quadratic cos^2 term of the raw expression carries the
@@ -171,13 +172,14 @@ class Flow:
         is dropped; the gauge constant P0_tilde pins P = P0 - rho_plus g z
         on the thermocline.
         """
-        return (self.dynamic_pressure(strat) - strat.rho0 * strat.g * self.s
-                + self.params.P0_tilde)
+        strat = self.params.strat
+        return self.dynamic_pressure - strat.rho0 * strat.g * self.s + self.params.P0_tilde
 
-    def pressure_label_gradient(self, strat: Stratification):
+    @cached_property
+    def pressure_label_gradient(self):
         """Analytic gradient (P_q, P_r, P_s); P_r vanishes identically."""
-        A, B = self._pressure_coefficients(strat)
-        k, m, e = self.params.k, self.params.m, self.e
+        A, B = self._pressure_coefficients()
+        k, m, e, strat = self.params.k, self.params.m, self.e, self.params.strat
         p_q = -strat.rho0 * (-k * B * e * self.sin)
         p_s = -strat.rho0 * (-2.0 * m * A * e * e - m * B * e * self.cos + strat.g)
         return p_q, np.zeros_like(p_q), p_s

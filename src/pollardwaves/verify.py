@@ -33,7 +33,6 @@ import numpy as np
 
 from .dispersion import IDENTITY_TOL, WaveParameters
 from .flowfield import Flow
-from .geo import Stratification
 
 
 @dataclass(frozen=True)
@@ -148,40 +147,37 @@ def _grid(params, config, sheet=False):
         _random_samples(params, rng, config.n_random, sheet)))
 
 
-def check_euler(volume: Flow, strat: Stratification, config: VerifyConfig) -> VerificationReport:
+def _momentum(flow: Flow):
+    """Du/Dt + 2 Omega x u + g e_z per component; the momentum balance sets it to -grad P / rho0."""
+    p = flow.params
+    du, dv, dw = flow.acceleration
+    u, v, w = flow.velocity
+    return du + p.f_hat * w - p.f * v, dv + p.f * u, dw - p.f_hat * u + p.strat.g
+
+
+def check_euler(volume: Flow, config: VerifyConfig) -> VerificationReport:
     """Residuals of the three momentum equations at ``volume``, normalized by g.
 
     The pressure gradient is the Eulerian gradient of the closed-form
     scalar pressure; for a consistent parameter set all three residuals are
     pure roundoff.
     """
-    f, fh, g = volume.params.f, volume.params.f_hat, strat.g
-    du, dv, dw = volume.acceleration
-    u, v, w = volume.velocity
-    px, py, pz = volume.eulerian_gradient(*volume.pressure_label_gradient(strat))
-    r1 = du + fh * w - f * v + px / strat.rho0
-    r2 = dv + f * u + py / strat.rho0
-    r3 = dw - fh * u + pz / strat.rho0 + g
-    comp = _component("momentum_residual", _max_abs(r1, r2, r3) / g,
+    strat, grad = volume.params.strat, volume.eulerian_gradient(*volume.pressure_label_gradient)
+    residual = [term + dp / strat.rho0 for term, dp in zip(_momentum(volume), grad)]
+    comp = _component("momentum_residual", _max_abs(*residual) / strat.g,
                       config.tol_identity, _where(volume))
     return _report("euler", volume.q.size, [comp])
 
 
-def _transported_gradient(flow: Flow, strat: Stratification):
+def _transported_gradient(flow: Flow):
     """Label pressure gradient J . (P_x, P_y, P_z) by the chain rule, with
     (P_x, P_y, P_z) demanded by the momentum equations."""
-    p = flow.params
-    du, dv, dw = flow.acceleration
-    u, v, w = flow.velocity
-    gx = -strat.rho0 * (du + p.f_hat * w - p.f * v)
-    gy = -strat.rho0 * (dv + p.f * u)
-    gz = -strat.rho0 * (dw - p.f_hat * u + strat.g)
+    gx, gy, gz = (-flow.params.strat.rho0 * t for t in _momentum(flow))
     (j00, j01, j02), (j20, j21, j22) = flow.jacobian
     return j00 * gx + j01 * gy + j02 * gz, gy, j20 * gx + j21 * gy + j22 * gz
 
 
-def check_pressure_consistency(volume: Flow, strat: Stratification,
-                               config: VerifyConfig) -> VerificationReport:
+def check_pressure_consistency(volume: Flow, config: VerifyConfig) -> VerificationReport:
     """Complex-step label gradient of the scalar pressure against the
     chain-rule transport of the momentum-equation gradient at ``volume``.
 
@@ -191,11 +187,11 @@ def check_pressure_consistency(volume: Flow, strat: Stratification,
     """
     params, (q, r, s, t) = volume.params, _where(volume)
     h = _step(params)
-    floor = config.tol_fd * strat.rho0 * strat.g  # [Pa/m] noise floor
+    floor = config.tol_fd * params.strat.rho0 * params.strat.g  # [Pa/m] noise floor
     # row 0 steps q by i h and row 1 steps s; each row's real part is the sample
     rows = Flow(params, q + [[1j * h], [0.0]], r, s + [[0.0], [1j * h]], t)
-    transported = _transported_gradient(rows, strat)
-    p_q, p_s = rows.pressure(strat).imag / h
+    transported = _transported_gradient(rows)
+    p_q, p_s = rows.pressure.imag / h
     grad_res = np.maximum.reduce([
         _relative_error((a,), (b.real,), floor)
         for a, b in zip((p_q, 0.0, p_s), (v[0] for v in transported))])
@@ -208,8 +204,7 @@ def check_pressure_consistency(volume: Flow, strat: Stratification,
     return _report("pressure_consistency", q.size, comps)
 
 
-def check_boundary(sheet: Flow, strat: Stratification,
-                   config: VerifyConfig) -> VerificationReport:
+def check_boundary(sheet: Flow, config: VerifyConfig) -> VerificationReport:
     """Dynamic and kinematic conditions at ``sheet``, on the thermocline s = s0.
 
     Dynamic: P = P0 - rho_plus g z pointwise, within TOL_DYNAMIC * |P0|.
@@ -219,8 +214,8 @@ def check_boundary(sheet: Flow, strat: Stratification,
     """
     params, where, t = sheet.params, _where(sheet), sheet.t
     x, _, z = sheet.position
-    p = sheet.pressure(strat)
-    dyn_res = np.abs(p - (params.P0 - strat.rho_plus * strat.g * z)) / abs(params.P0)
+    thermocline = params.P0 - params.strat.rho_plus * params.strat.g * z
+    dyn_res = np.abs(sheet.pressure - thermocline) / abs(params.P0)
     u, _, w = sheet.velocity
     # the labels at (x_h, t_h) = (x + i h, t) and (x, t + i h / |c|), one Newton
     # step from each sample's q; eta_t is a complex step, not the closed-form u
@@ -306,23 +301,24 @@ def check_vorticity(volume: Flow, probe, config: VerifyConfig) -> VerificationRe
     return _report("vorticity", volume.q.size + fd_flow.q.size, comps)
 
 
-def run_all(params: WaveParameters, strat: Stratification,
-            config: VerifyConfig | None = None):
+def run_all(params: WaveParameters, config: VerifyConfig | None = None):
     """Execute every check; reports are returned sorted by check name.
 
     The one place the verifier makes samples: it evaluates the volume grid,
     the sheet grid and the probe once, and each check reads the sets it
-    needs.  Failures are collected, never short-circuited; output is
-    deterministic for a fixed config (including its seed).
+    needs.  Every physical parameter, rho0, rho_plus and g included, is read
+    from ``params`` as it was solved.  Failures are collected, never
+    short-circuited; output is deterministic for a fixed config (including
+    its seed).
     """
     config = config or VerifyConfig()
     volume = Flow(params, *_grid(params, config))
     sheet = Flow(params, *_grid(params, config, sheet=True))
     probe = _probe(params, config)
     reports = [
-        check_euler(volume, strat, config),
-        check_pressure_consistency(volume, strat, config),
-        check_boundary(sheet, strat, config),
+        check_euler(volume, config),
+        check_pressure_consistency(volume, config),
+        check_boundary(sheet, config),
         check_incompressibility(volume, probe, config),
         check_vorticity(volume, probe, config),
     ]

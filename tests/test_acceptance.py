@@ -24,13 +24,13 @@ def report_line(number, name, passed):
     print(f"acceptance {number} ({name}): {'PASS' if passed else 'FAIL'}")
 
 
-def test_criterion_1_exact_solution_residuals(ref_params, site45, strat):
+def test_criterion_1_exact_solution_residuals(ref_params, site45):
     """Euler residuals <= 1e-12 over a 16x16x5 (theta, s, t) grid in < 1 s."""
     config = verify.VerifyConfig(n_theta=16, n_s=16, n_time=5, n_random=0)
     grid = verify._grid(ref_params, config)
     assert grid[0].size == 16 * 16 * 5
     start = time.perf_counter()
-    report = verify.check_euler(Flow(ref_params, *grid), strat, config)
+    report = verify.check_euler(Flow(ref_params, *grid), config)
     elapsed = time.perf_counter() - start
     ok = report.passed and report.max_residual <= 1e-12 and elapsed < 1.0
     report_line(1, "exact-solution residuals", ok)
@@ -157,11 +157,11 @@ def test_criterion_6_decay_law(ref_params):
     assert ratio == pytest.approx(math.exp(-math.pi), abs=1e-4)
 
 
-def test_criterion_7_incompressibility_and_vorticity(ref_params, strat, equatorial):
+def test_criterion_7_incompressibility_and_vorticity(ref_params, equatorial):
     """J time-invariant to 1e-14, FD divergence <= 1e-6 k c, vorticity
     matches the FD curl to 1e-5 and the equatorial closed forms."""
     reports = {r.check_name: r
-               for r in pw.run_all(ref_params, strat, verify.VerifyConfig(n_random=100))}
+               for r in pw.run_all(ref_params, verify.VerifyConfig(n_random=100))}
     inc, vort = reports["incompressibility"], reports["vorticity"]
     inc_fams = {c.name: c for c in inc.components}
     vort_fams = {c.name: c for c in vort.components}
@@ -182,12 +182,12 @@ def test_criterion_7_incompressibility_and_vorticity(ref_params, strat, equatori
     assert jac_ok and div_ok and curl_ok and mp_ok and eq_ok
 
 
-def test_criterion_8_boundary_conditions(ref_params, strat):
+def test_criterion_8_boundary_conditions(ref_params):
     """Dynamic residual <= 1e-9 |P0| and kinematic FD residual <= 1e-8 on
     the thermocline."""
     config = verify.VerifyConfig()
     report = verify.check_boundary(Flow(ref_params, *verify._grid(ref_params, config, sheet=True)),
-                                   strat, config)
+                                   config)
     families = {c.name: c for c in report.components}
     dyn_ok = families["dynamic_condition"].max_residual <= 1e-9
     kin_ok = families["kinematic_condition"].max_residual <= 1e-8

@@ -157,7 +157,7 @@ def test_trajectory_orbit_radii_decay_with_height(tmp_path, ref_params):
         math.exp(-10.0 * ref_params.m), rel=1e-9)
 
 
-def test_trajectory_csv_floats_roundtrip(tmp_path, ref_params, strat):
+def test_trajectory_csv_floats_roundtrip(tmp_path, ref_params):
     out = tmp_path / "traj.csv"
     assert main(["trajectory", "--q", "3", "--r", "1", "--s", "55",
                  "--t0", "0", "--t1", "10", "--n", "3",
@@ -165,7 +165,7 @@ def test_trajectory_csv_floats_roundtrip(tmp_path, ref_params, strat):
     _, rows = read_csv(out)
     ts = np.linspace(0.0, 10.0, 3)
     flow = pw.Flow(ref_params, 3.0, 1.0, 55.0, ts)
-    columns = (*flow.position, *flow.velocity, flow.pressure(strat), *flow.vorticity)
+    columns = (*flow.position, *flow.velocity, flow.pressure, *flow.vorticity)
     assert len(rows) == 3
     for i, row in enumerate(rows):
         # 17 significant digits give exact double round-trips
@@ -267,7 +267,7 @@ def test_verify_negative_control_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_config_file_sets_every_verify_setting(tmp_path, strat):
+def test_config_file_sets_every_verify_setting(tmp_path):
     """The seven VerifyConfig settings of a config file reach run_all: the
     report equals the library's run with them, and differs from it when any
     one of them is left at its default.  A JSON integer in a number field is
@@ -293,7 +293,7 @@ def test_config_file_sets_every_verify_setting(tmp_path, strat):
 
     def checks(**changes):
         config = verify.VerifyConfig(**{**settings, **changes})
-        reports = verify.run_all(params, strat, config)
+        reports = verify.run_all(params, config)
         return json.loads(json.dumps([dataclasses.asdict(r) for r in reports]))
 
     assert report["checks"] == checks()
@@ -509,6 +509,9 @@ def test_sampled_commands_need_two_samples(command, capsys):
     # verify and c^2 in field with a traceback, and 1e16 was admitted
     ["verify", "--perturb-c", "1e300"],
     ["field", "--config", {"perturb_c": 1e16}],
+    # a finite amplitude whose m a overflows in b = m a / k: the report read
+    # b = inf and d = -inf
+    ["dispersion", "--k", "1e5", "--amplitude", "1e308"],
 ])
 def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
     """Each is a one-line configuration error (exit 2); a dict in argv is the

@@ -6,7 +6,8 @@ with a value of its own type (its default or an extreme of the type) or
 arbitrary JSON, and runs one command on it.  Each export case runs trajectory,
 profile or field with some of its float flags set to extremes.
 ``cli.main`` must then exit 0-3 within CASE_SECONDS, print at most one
-stderr line and raise nothing, numpy's floating-point warnings included.
+stderr line and raise nothing, numpy's floating-point warnings included.  A
+``dispersion`` run that exits 0 must report finite numbers only.
 The tables are kept small, so that no case allocates much.
 """
 
@@ -73,16 +74,28 @@ def run_main(argv):
     return code
 
 
+def report_numbers(path):
+    """The values of a dispersion report, CSV (name,value rows) or JSON."""
+    text = path.read_text(encoding="utf-8")
+    if text.startswith("name,value\n"):
+        return [float(line.split(",")[1]) for line in text.splitlines()[1:]]
+    return list(json.loads(text).values())
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(sorted(SIZES)), config=configs())
 @example(command="verify", config={"amplitude": 1e200})
 @example(command="field", config={"perturb_c": 1e300})
 @example(command="field", config={"wavenumber": 1e16, "beta0_offset": 1e300, "amplitude": 0.0})
+@example(command="dispersion", config={"wavenumber": 1e16, "amplitude": 1e300})
 def test_every_config_file_runs_or_exits_with_one_line(command, config, tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     (path / "run.json").write_text(json.dumps(config))
-    run_main([command, "--config", str(path / "run.json"), *SIZES[command],
-              "--out", str(path / "out")])
+    code = run_main([command, "--config", str(path / "run.json"), *SIZES[command],
+                     "--out", str(path / "out")])
+    if command == "dispersion" and code == 0:
+        numbers = report_numbers(path / "out")
+        assert all(map(math.isfinite, numbers)), (config, numbers)
 
 
 # per export command, its float label and time flags; a flag left out keeps its default

@@ -54,15 +54,15 @@ def draws(n=N_DRAWS, seed=SWEEP_SEED):
 
 
 def verified(config):
-    """(params, strat) of a draw whose default verify run passes, or None
-    where verify exits 2."""
+    """The params of a draw whose default verify run passes, or None where
+    verify exits 2."""
     try:
-        _, _, strat, params = solve_configured(config.validate())
+        _, _, _, params = solve_configured(config.validate())
     except InputError:
         return None
-    failed = [r for r in verify.run_all(params, strat) if not r.passed]
+    failed = [r for r in verify.run_all(params) if not r.passed]
     assert not failed, (config, failed)
-    return params, strat
+    return params
 
 
 def errors(params):
@@ -81,10 +81,10 @@ def errors(params):
     return {name: dataclasses.replace(params, **change) for name, change in wrong.items()}
 
 
-def passes(params, strat):
+def passes(params):
     """Whether an error run verifies; one that exits 3 does not."""
     try:
-        return all(r.passed for r in verify.run_all(params, strat, ERROR_GRID))
+        return all(r.passed for r in verify.run_all(params, ERROR_GRID))
     except NumericError:
         return False
 
@@ -95,9 +95,9 @@ def test_domain_sweep_verifies_every_admitted_draw():
         start = time.perf_counter()
         result = verified(config)
         if result is not None:
-            wrong = errors(result[0])
+            wrong = errors(result)
             counts.update(["admitted", *wrong])
-            missed = [name for name, bad in wrong.items() if passes(bad, result[1])]
+            missed = [name for name, bad in wrong.items() if passes(bad)]
             assert not missed, (config, missed)
         assert time.perf_counter() - start < CASE_SECONDS, config
     assert counts == {"admitted": 181, "b": 160, "m^2": 160, "c+": 133, "c-": 133, "d": 133}
@@ -110,10 +110,9 @@ def test_domain_sweep_verifies_every_admitted_draw():
        branch=st.sampled_from(("positive", "negative")))
 def test_every_draw_verifies_or_is_a_config_error(lat, log_jump, log_k, log_a,
                                                   log_s0, branch):
-    result = verified(run_config(lat, log_jump, log_k, log_a, log_s0, branch))
-    if result is not None:
-        params, strat = result
-        assert not any(passes(bad, strat) for bad in errors(params).values())
+    params = verified(run_config(lat, log_jump, log_k, log_a, log_s0, branch))
+    if params is not None:
+        assert not any(passes(bad) for bad in errors(params).values())
 
 
 def test_steep_wave_above_a_shallow_thermocline_verifies():

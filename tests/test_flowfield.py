@@ -139,38 +139,45 @@ def test_jacobian_raises_below_validity_floor(ref_params):
 # --- pressure ----------------------------------------------------------------
 
 def test_still_water_pressure_is_hydrostatic(still, strat):
-    p1 = Flow(still, 0.0, 0.0, 55.0, 0.0).pressure(strat)
-    p2 = Flow(still, 40.0, 2.0, 75.0, 9.0).pressure(strat)
+    p1 = Flow(still, 0.0, 0.0, 55.0, 0.0).pressure
+    p2 = Flow(still, 40.0, 2.0, 75.0, 9.0).pressure
     assert p1 - p2 == pytest.approx(strat.rho0 * strat.g * 20.0, rel=1e-12)
 
 
 def test_dynamic_boundary_condition(ref_params, strat):
     qs = np.linspace(0.0, ref_params.L, 64, endpoint=False)
     flow = Flow(ref_params, qs, 0.0, ref_params.s0, 3.0)
-    p, (_, _, z) = flow.pressure(strat), flow.position
+    p, (_, _, z) = flow.pressure, flow.position
     worst = np.max(np.abs(p - (ref_params.P0 - strat.rho_plus * strat.g * z)))
     assert worst <= 1e-9 * abs(ref_params.P0)
 
 
-def test_pressure_periodic_in_time(ref_params, strat):
+def test_pressure_periodic_in_time(ref_params):
     period = wave_period(ref_params)
     ts = np.linspace(0.0, period, 7)
-    p0 = Flow(ref_params, 2.0, 0.0, ref_params.s0, ts).pressure(strat)
-    p1 = Flow(ref_params, 2.0, 0.0, ref_params.s0, ts + period).pressure(strat)
+    p0 = Flow(ref_params, 2.0, 0.0, ref_params.s0, ts).pressure
+    p1 = Flow(ref_params, 2.0, 0.0, ref_params.s0, ts + period).pressure
     assert np.all(np.abs(p1 - p0) <= 1e-14 * np.abs(p0))
 
 
-def test_pressure_independent_of_r(ref_params, strat):
-    assert (Flow(ref_params, 9.0, 0.0, 61.0, 1.0).pressure(strat)
-            == Flow(ref_params, 9.0, 123.0, 61.0, 1.0).pressure(strat))
+def test_pressure_independent_of_r(ref_params):
+    assert (Flow(ref_params, 9.0, 0.0, 61.0, 1.0).pressure
+            == Flow(ref_params, 9.0, 123.0, 61.0, 1.0).pressure)
 
 
 def test_pressure_splits_into_wave_and_column_parts(ref_params, strat):
     flow = Flow(ref_params, 4.0, 0.0, 66.0, 2.0)
-    total = flow.pressure(strat)
-    wave = flow.dynamic_pressure(strat)
+    total = flow.pressure
+    wave = flow.dynamic_pressure
     assert total == pytest.approx(
         wave - strat.rho0 * strat.g * 66.0 + ref_params.P0_tilde, rel=1e-15)
+
+
+def test_pressures_are_cached_like_every_field(ref_params):
+    flow = Flow(ref_params, np.linspace(0.0, ref_params.L, 5), 0.0, 66.0, 2.0)
+    assert flow.pressure is flow.pressure
+    assert flow.dynamic_pressure is flow.dynamic_pressure
+    assert flow.pressure_label_gradient is flow.pressure_label_gradient
 
 
 # --- vorticity ---------------------------------------------------------------

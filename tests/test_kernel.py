@@ -41,31 +41,31 @@ def flat_rows(rows):
 
 # (name, kernel components, oracle components at one label)
 QUANTITIES = [
-    ("position", lambda f, st: f.position, lambda p, st, *x: ref.position(p, *x)),
-    ("velocity", lambda f, st: f.velocity, lambda p, st, *x: ref.velocity(p, *x)),
-    ("acceleration", lambda f, st: f.acceleration,
+    ("position", lambda f: f.position, lambda p, st, *x: ref.position(p, *x)),
+    ("velocity", lambda f: f.velocity, lambda p, st, *x: ref.velocity(p, *x)),
+    ("acceleration", lambda f: f.acceleration,
      lambda p, st, *x: ref.acceleration(p, *x)),
-    ("jacobian", lambda f, st: flat_rows(f.jacobian),
+    ("jacobian", lambda f: flat_rows(f.jacobian),
      lambda p, st, *x: flat_rows(ref.jacobian_rows(p, *x))),
-    ("det", lambda f, st: (f.det,), lambda p, st, *x: (ref.det(p, *x),)),
-    ("dynamic_pressure", lambda f, st: (f.dynamic_pressure(st),),
+    ("det", lambda f: (f.det,), lambda p, st, *x: (ref.det(p, *x),)),
+    ("dynamic_pressure", lambda f: (f.dynamic_pressure,),
      lambda p, st, *x: (ref.dynamic_pressure(p, st, *x),)),
-    ("pressure", lambda f, st: (f.pressure(st),),
+    ("pressure", lambda f: (f.pressure,),
      lambda p, st, *x: (ref.pressure(p, st, *x),)),
-    ("pressure_label_gradient", lambda f, st: f.pressure_label_gradient(st),
+    ("pressure_label_gradient", lambda f: f.pressure_label_gradient,
      lambda p, st, *x: ref.pressure_label_gradient(p, st, *x)),
-    ("vorticity", lambda f, st: f.vorticity, lambda p, st, *x: ref.vorticity(p, *x)),
+    ("vorticity", lambda f: f.vorticity, lambda p, st, *x: ref.vorticity(p, *x)),
 ]
 
 
 @pytest.mark.parametrize("name, kernel, oracle", QUANTITIES,
                          ids=[q[0] for q in QUANTITIES])
-def test_kernel_matches_scalar_oracle(scenario, strat, name, kernel, oracle):
+def test_kernel_matches_scalar_oracle(scenario, name, kernel, oracle):
     """Within 4 ulp of the oracle, or 1e-15 of the component's scale over
     the sampled labels."""
     labels = random_labels(scenario, seed=11)
-    got = np.array(np.broadcast_arrays(*kernel(Flow(scenario, *labels), strat)))
-    want = np.array([oracle(scenario, strat, *x)
+    got = np.array(np.broadcast_arrays(*kernel(Flow(scenario, *labels))))
+    want = np.array([oracle(scenario, scenario.strat, *x)
                      for x in zip(*(a.tolist() for a in labels))]).T
     scale = np.abs(want).max(axis=1, keepdims=True)
     bound = np.maximum(4.0 * np.spacing(np.abs(want)), 1e-15 * scale)
@@ -181,7 +181,7 @@ def test_complex_step_inversions_match_the_inverse_jacobian(ref_params):
     assert np.abs(got.imag / h - want).max() <= 1e-15
 
 
-def test_real_inputs_stay_float64_bit_for_bit(ref_params, strat):
+def test_real_inputs_stay_float64_bit_for_bit(ref_params):
     """Real labels and times, -0.0 included, are kept bit for bit as float64,
     and every field on Python scalars and ints equals, bit for bit, the field
     on the same values as float64 arrays."""
@@ -192,7 +192,7 @@ def test_real_inputs_stay_float64_bit_for_bit(ref_params, strat):
     fields = [lambda f: f.position, lambda f: f.velocity, lambda f: f.acceleration,
               lambda f: flat_rows(f.jacobian), lambda f: (f.det,),
               lambda f: flat_rows(f.velocity_gradient),
-              lambda f: (f.pressure(strat),), lambda f: f.pressure_label_gradient(strat),
+              lambda f: (f.pressure,), lambda f: f.pressure_label_gradient,
               lambda f: f.vorticity]
     for scalars in [(-0.0, -0.0, 50.0, -0.0), (3, 0, 60, 2), (7.25, -1.0, 55.5, 9.0)]:
         one = Flow(ref_params, *scalars)
@@ -230,10 +230,10 @@ def per_label_calls(monkeypatch):
     return calls
 
 
-def test_verify_and_cli_make_no_per_label_calls(per_label_calls, ref_params, strat,
+def test_verify_and_cli_make_no_per_label_calls(per_label_calls, ref_params,
                                                 tmp_path):
     config = verify.VerifyConfig(n_theta=8, n_s=6, n_time=3, n_random=12, seed=3)
-    assert all(r.passed for r in verify.run_all(ref_params, strat, config))
+    assert all(r.passed for r in verify.run_all(ref_params, config))
     out = str(tmp_path / "out.csv")
     assert cli.main(["field", "--nq", "16", "--ns", "4", "--out", out]) == 0
     assert cli.main(["trajectory", "--n", "16", "--out", out]) == 0

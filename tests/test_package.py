@@ -1,10 +1,13 @@
-"""The package surface: the README's library example runs, every exported
-name resolves, and the package and its metadata carry one version."""
+"""The package surface: the README's library example runs, nothing after the
+solve takes a Stratification, every exported name resolves, and the package
+and its metadata carry one version."""
 
+import inspect
 import re
 from pathlib import Path
 
 import pollardwaves as pw
+from pollardwaves import flowfield, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,6 +21,25 @@ def test_readme_library_example_runs():
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert all(r.passed for r in namespace["reports"])
     assert namespace["q"].shape == namespace["x"].shape == (64,)
+
+
+def test_nothing_after_the_solve_takes_a_stratification():
+    """Field evaluation and verification read rho0, rho_plus and g from the
+    WaveParameters they are given: no public function or method of flowfield
+    or verify takes a Stratification."""
+    takers = []
+    for module in (flowfield, verify):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for member, fn in members:
+                if not callable(fn) or member.startswith("_"):
+                    continue
+                params = inspect.signature(fn).parameters.values()
+                if any(p.name == "strat" or p.annotation is pw.Stratification for p in params):
+                    takers.append(f"{name}.{member}".rstrip("."))
+    assert takers == []
 
 
 def test_every_exported_name_resolves():

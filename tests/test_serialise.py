@@ -148,11 +148,10 @@ def test_multi_block_exports_match_row_wise_writer(nq, ns, fmt, monkeypatch, cap
 def test_write_table_streams_the_table(fmt, tmp_path):
     """No whole copy of the table's text is held: the memory traced while a
     256 x 128 field table is written stays below twice the file's size."""
-    _, _, strat, params = cli.solve_configured(cli.RunConfig().validate())
+    _, _, _, params = cli.solve_configured(cli.RunConfig().validate())
     qs = np.linspace(0.0, params.L, 256)
     ss = np.linspace(params.s0, params.s_plus, 128)
-    values = cli._flow_columns(flowfield.Flow(params, qs[None, :], 0.0, ss[:, None], float(T)),
-                               strat)
+    values = cli._flow_columns(flowfield.Flow(params, qs[None, :], 0.0, ss[:, None], float(T)))
     path = tmp_path / f"field.{fmt}"
     tracemalloc.start()
     try:

@@ -165,7 +165,7 @@ def test_transcribed_closed_forms_are_the_kernels(ref_params, strat):
               g: strat.g, rho0: strat.rho0, P0_tilde: p.P0_tilde,
               q: label[0], r: label[1], s: label[2],
               E: math.exp(-p.m * label[2]), S: math.sin(theta), C: math.cos(theta)}
-    pairs = [(DET_CODE, flow.det), (PRESSURE_CODE, flow.pressure(strat)),
+    pairs = [(DET_CODE, flow.det), (PRESSURE_CODE, flow.pressure),
              *zip(VORTICITY_CODE, flow.vorticity), *zip(POSITION, flow.position),
              *zip(VELOCITY, flow.velocity)]
     for expr, kernel in pairs:

@@ -21,9 +21,9 @@ def still(site45, strat, ref_roots):
 SMALL = verify.VerifyConfig(n_theta=8, n_s=6, n_time=3, n_random=12, seed=3)
 
 
-def by_check(params, strat, config=SMALL):
+def by_check(params, config=SMALL):
     """run_all's reports by check name."""
-    return {r.check_name: r for r in pw.run_all(params, strat, config)}
+    return {r.check_name: r for r in pw.run_all(params, config)}
 
 
 def volume(params, config=SMALL):
@@ -33,48 +33,48 @@ def volume(params, config=SMALL):
 
 # --- positive checks ----------------------------------------------------------
 
-def test_all_checks_pass_for_reference_set(ref_params, strat):
-    reports = pw.run_all(ref_params, strat, SMALL)
+def test_all_checks_pass_for_reference_set(ref_params):
+    reports = pw.run_all(ref_params, SMALL)
     assert [r.check_name for r in reports] == sorted(r.check_name for r in reports)
     for report in reports:
         assert report.passed, (report.check_name, report.max_residual)
         assert report.n_samples > 0
 
 
-def test_all_checks_pass_for_still_water(still, strat):
-    for report in pw.run_all(still, strat, SMALL):
+def test_all_checks_pass_for_still_water(still):
+    for report in pw.run_all(still, SMALL):
         assert report.passed
 
 
-def test_euler_still_water_exactly_hydrostatic(still, strat):
-    report = verify.check_euler(volume(still), strat, SMALL)
+def test_euler_still_water_exactly_hydrostatic(still):
+    report = verify.check_euler(volume(still), SMALL)
     assert report.max_residual == 0.0
 
 
-def test_report_invariant_passed_iff_within_tolerance(ref_params, strat):
-    report = verify.check_euler(volume(ref_params), strat, SMALL)
+def test_report_invariant_passed_iff_within_tolerance(ref_params):
+    report = verify.check_euler(volume(ref_params), SMALL)
     assert report.passed == (report.max_residual <= report.tolerance)
     assert set(report.worst_sample) == {"q", "r", "s", "t"}
 
 
-def test_boundary_check_tolerances(ref_params, strat):
-    report = by_check(ref_params, strat)["boundary"]
+def test_boundary_check_tolerances(ref_params):
+    report = by_check(ref_params)["boundary"]
     families = {c.name: c for c in report.components}
     assert families["dynamic_condition"].tolerance == 1e-9
     assert families["kinematic_condition"].tolerance == 1e-8
     assert report.passed
 
 
-def test_incompressibility_families(ref_params, strat):
-    report = by_check(ref_params, strat)["incompressibility"]
+def test_incompressibility_families(ref_params):
+    report = by_check(ref_params)["incompressibility"]
     families = {c.name: c for c in report.components}
     assert families["jacobian_time_invariance"].max_residual <= 1e-14
     assert families["eulerian_divergence"].max_residual <= 1e-6
     assert report.passed
 
 
-def test_vorticity_families(ref_params, strat):
-    report = by_check(ref_params, strat)["vorticity"]
+def test_vorticity_families(ref_params):
+    report = by_check(ref_params)["vorticity"]
     families = {c.name: c for c in report.components}
     assert families["matrix_product"].max_residual <= 1e-12
     assert families["fd_curl"].max_residual <= 1e-5
@@ -83,54 +83,54 @@ def test_vorticity_families(ref_params, strat):
 
 # --- negative controls ----------------------------------------------------------
 
-def test_euler_fails_with_perturbed_phase_speed(ref_params, strat):
+def test_euler_fails_with_perturbed_phase_speed(ref_params):
     bad = dataclasses.replace(ref_params, c=1.01 * ref_params.c)
-    report = verify.check_euler(volume(bad), strat, SMALL)
+    report = verify.check_euler(volume(bad), SMALL)
     assert not report.passed
     assert report.max_residual > 1e-10  # far above the identity tolerance
 
 
-def test_boundary_fails_with_perturbed_phase_speed(ref_params, strat):
+def test_boundary_fails_with_perturbed_phase_speed(ref_params):
     bad = dataclasses.replace(ref_params, c=1.01 * ref_params.c)
-    report = by_check(bad, strat)["boundary"]
+    report = by_check(bad)["boundary"]
     families = {c.name: c for c in report.components}
     assert families["dynamic_condition"].max_residual > 1e-7
     assert not report.passed
 
 
 @pytest.mark.parametrize("name", ["m", "a", "b", "k"])
-def test_incompressibility_fails_with_broken_first_condition(ref_params, strat, name):
+def test_incompressibility_fails_with_broken_first_condition(ref_params, name):
     """A 1 % error in any factor of m a = k b moves det J off its closed form."""
     bad = dataclasses.replace(ref_params, **{name: 1.01 * getattr(ref_params, name)})
-    report = by_check(bad, strat)["incompressibility"]
+    report = by_check(bad)["incompressibility"]
     families = {c.name: c for c in report.components}
     assert families["jacobian_time_invariance"].max_residual > 1e-5
     assert not report.passed
 
 
-def test_jacobian_is_blind_to_the_phase_speed(ref_params, strat):
+def test_jacobian_is_blind_to_the_phase_speed(ref_params):
     """det J does not depend on c, so a c error leaves it on its closed form."""
     bad = dataclasses.replace(ref_params, c=1.01 * ref_params.c)
-    report = by_check(bad, strat)["incompressibility"]
+    report = by_check(bad)["incompressibility"]
     families = {c.name: c for c in report.components}
     assert families["jacobian_time_invariance"].max_residual <= 1e-14
 
 
-def test_vorticity_fails_with_broken_first_condition(ref_params, strat):
+def test_vorticity_fails_with_broken_first_condition(ref_params):
     bad = dataclasses.replace(ref_params, b=1.01 * ref_params.b)
-    report = by_check(bad, strat)["vorticity"]
+    report = by_check(bad)["vorticity"]
     assert not report.passed
 
 
-def test_pressure_consistency_fails_with_broken_second_condition(ref_params, strat):
+def test_pressure_consistency_fails_with_broken_second_condition(ref_params):
     bad = dataclasses.replace(ref_params, d=1.01 * ref_params.d)
-    report = verify.check_pressure_consistency(volume(bad), strat, SMALL)
+    report = verify.check_pressure_consistency(volume(bad), SMALL)
     assert not report.passed
 
 
-def test_perturbed_m_breaks_vorticity_and_euler(ref_params, strat):
+def test_perturbed_m_breaks_vorticity_and_euler(ref_params):
     bad = dataclasses.replace(ref_params, m=1.01 * ref_params.m)
-    checks = by_check(bad, strat)
+    checks = by_check(bad)
     assert not checks["vorticity"].passed
     assert not checks["euler"].passed
 
@@ -154,28 +154,28 @@ def test_kinematic_residual_with_mismatched_velocity_sheet(ref_params):
 
 # --- finite-difference behaviour ---------------------------------------------
 
-def test_pressure_gradient_fd_convergence_order(ref_params, strat):
+def test_pressure_gradient_fd_convergence_order(ref_params):
     """Central differences converge at second order: halving the step cuts
     the error by about four."""
     q, s = (math.pi / 2) / ref_params.k, ref_params.s0
-    exact = Flow(ref_params, q, 0.0, s, 0.0).pressure_label_gradient(strat)[0]
+    exact = Flow(ref_params, q, 0.0, s, 0.0).pressure_label_gradient[0]
 
     def fd_error(h):
-        hi = Flow(ref_params, q + h, 0.0, s, 0.0).pressure(strat)
-        lo = Flow(ref_params, q - h, 0.0, s, 0.0).pressure(strat)
+        hi = Flow(ref_params, q + h, 0.0, s, 0.0).pressure
+        lo = Flow(ref_params, q - h, 0.0, s, 0.0).pressure
         return abs((hi - lo) / (2 * h) - exact)
 
     ratio = fd_error(2e-2) / fd_error(1e-2)
     assert 3.5 < ratio < 4.5
 
 
-def test_fd_gradient_matches_analytic_at_spec_step(ref_params, strat):
+def test_fd_gradient_matches_analytic_at_spec_step(ref_params):
     q, s = (math.pi / 2) / ref_params.k, ref_params.s0
-    grad = Flow(ref_params, q, 0.0, s, 0.0).pressure_label_gradient(strat)
+    grad = Flow(ref_params, q, 0.0, s, 0.0).pressure_label_gradient
     h = 1e-4
 
     def pressure(q, s):
-        return Flow(ref_params, q, 0.0, s, 0.0).pressure(strat)
+        return Flow(ref_params, q, 0.0, s, 0.0).pressure
 
     fd_q = (pressure(q + h, s) - pressure(q - h, s)) / (2 * h)
     fd_s = (pressure(q, s + h) - pressure(q, s - h)) / (2 * h)
@@ -185,28 +185,30 @@ def test_fd_gradient_matches_analytic_at_spec_step(ref_params, strat):
 
 # --- determinism ----------------------------------------------------------------
 
-def test_run_all_is_deterministic(ref_params, strat):
-    first = pw.run_all(ref_params, strat, SMALL)
-    second = pw.run_all(ref_params, strat, SMALL)
+def test_run_all_is_deterministic(ref_params):
+    first = pw.run_all(ref_params, SMALL)
+    second = pw.run_all(ref_params, SMALL)
     assert first == second
     as_json = [json.dumps(dataclasses.asdict(r), sort_keys=True) for r in first]
     again = [json.dumps(dataclasses.asdict(r), sort_keys=True) for r in second]
     assert as_json == again
 
 
-def test_run_all_does_each_piece_of_work_once(monkeypatch, ref_params, strat):
+def test_run_all_does_each_piece_of_work_once(monkeypatch, ref_params):
     """One run at the defaults builds the volume and sheet grids once each and
-    evaluates the kernel in at most 8 Flow objects (148 with a Flow per time,
-    per stencil point and per sheet elevation)."""
+    evaluates the kernel in 7 Flow objects (148 with a Flow per time, per
+    stencil point and per sheet elevation): the volume, the sheet, the probe
+    and its stepped labels, the pressure check's stepped rows, and the
+    kinematic condition's two."""
     grids, flows = [], []
     original_grid, original_init = verify._grid, Flow.__init__
     monkeypatch.setattr(verify, "_grid",
                         lambda *args, **kw: grids.append(kw) or original_grid(*args, **kw))
     monkeypatch.setattr(Flow, "__init__",
                         lambda self, *args: flows.append(None) or original_init(self, *args))
-    assert all(r.passed for r in pw.run_all(ref_params, strat))
+    assert all(r.passed for r in pw.run_all(ref_params))
     assert grids == [{}, {"sheet": True}]
-    assert len(flows) <= 8
+    assert len(flows) == 7
 
 
 def test_different_seeds_change_random_samples(ref_params):
@@ -227,22 +229,33 @@ def test_grid_sizes(ref_params):
 
 # --- sampling seeds and array bookkeeping --------------------------------------
 
-def test_pressure_consistency_passes_for_sampling_seeds(ref_params, strat):
+def test_pressure_consistency_passes_for_sampling_seeds(ref_params):
     """The complex step subtracts nothing, so mixed_partials stays at
     roundoff at every sampling seed; finite differences of P_s reached about
     2e-6 here."""
     for seed in range(40):
         config = verify.VerifyConfig(seed=seed)
-        report = verify.check_pressure_consistency(volume(ref_params, config), strat, config)
+        report = verify.check_pressure_consistency(volume(ref_params, config), config)
         assert report.passed, (seed, report.components)
         mixed = {c.name: c for c in report.components}["mixed_partials"]
         assert mixed.max_residual <= 0.1 * config.tol_fd, seed
 
 
-def test_pressure_consistency_control_fails_on_default_grid(ref_params, strat):
+def test_pressure_consistency_control_fails_on_default_grid(ref_params):
     bad = dataclasses.replace(ref_params, d=1.01 * ref_params.d)
     config = verify.VerifyConfig()
-    assert not verify.check_pressure_consistency(volume(bad, config), strat, config).passed
+    assert not verify.check_pressure_consistency(volume(bad, config), config).passed
+
+
+def test_verifier_reads_the_stratification_of_the_set(ref_params, constants):
+    """A set carrying densities it was not solved under fails the dynamic
+    condition: its P0_tilde pins P = P0 - rho_plus g z for the densities of
+    the solve, so the verifier reads the set's own stratification."""
+    other = pw.reduced_gravity(constants, 1025.0, 1029.0)
+    reports = by_check(dataclasses.replace(ref_params, strat=other), verify.VerifyConfig())
+    assert [name for name, r in reports.items() if not r.passed] == ["boundary"]
+    dynamic = {c.name: c for c in reports["boundary"].components}["dynamic_condition"]
+    assert dynamic.max_residual > dynamic.tolerance
 
 
 def samples(grid):
