@@ -293,10 +293,25 @@ def _json_chunks(columns, cells, shape):
 
 def _column_text(cells, shape):
     """The text, as a bytearray, of an array's own cells broadcast onto the
-    table shape (no axis of it 0) in C order: a full array's cells are
-    translated at once, and a broadcast axis repeats the text below it."""
-    if cells.shape[:-1] == shape:
+    table shape (no axis of it 0) in C order.  The own cells are translated
+    at once.  A full array's text is the column's.  A broadcast array's is cut,
+    by each cell's count of nonzero bytes, into blocks over the full axes
+    below its innermost broadcast axis, whose text is contiguous; each block
+    is repeated over the run of broadcast axes ending there, and the axes
+    above repeat the blocks by reference before one join.  The cut is of
+    bytes, not of a bytearray: 100,000 slices of a bytearray took three
+    times as long."""
+    own = cells.shape[:-1]
+    if own == shape:
         return bytearray(cells).translate(None, b"\0")
-    if cells.shape[0] < shape[0]:
-        return _column_text(cells[0], shape[1:]) * shape[0]
-    return bytearray().join(_column_text(x, shape[1:]) for x in cells)
+    inner = max(i for i, n in enumerate(own) if n < shape[i])
+    run = inner
+    while run > 0 and own[run - 1] < shape[run - 1]:
+        run -= 1
+    text = cells.tobytes().translate(None, b"\0")
+    size = math.prod(own[inner + 1:])  # cells per block
+    ends = np.cumsum(np.count_nonzero(cells.view(np.uint8), axis=-1).ravel())[size - 1::size].tolist()
+    repeat = math.prod(shape[run:inner + 1])
+    blocks = np.empty(len(ends), object)
+    blocks[:] = [text[start:end] * repeat for start, end in zip([0, *ends], ends)]
+    return bytearray().join(np.broadcast_to(blocks.reshape(own[:run]), shape[:run]).ravel().tolist())

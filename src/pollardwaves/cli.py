@@ -223,7 +223,8 @@ def cmd_dispersion(config: RunConfig, args) -> int:
     nd = dsp.nondimensionalize(site, strat, k)
     c = roots.c_minus if config.branch == "negative" else roots.c_plus
     m, b, d = dsp.orbit_parameters(site.f, k, config.amplitude, c)
-    if not all(map(math.isfinite, (m, b, d))):  # m a overflows in b = m a / k
+    dsp.require_admissible_amplitude(m, config.amplitude, config.s0)
+    if not all(map(math.isfinite, (m, b, d))):  # the gate bounds m a, not k^2 c in d
         raise AmplitudeBoundError(f"the orbit parameters (m, b, d) = {(m, b, d)!r} overflow")
     report = {
         "latitude_deg": config.latitude_deg,

@@ -11,8 +11,12 @@ whose coefficients are finite at every latitude.  At f = 0 it factors as
 Above the wavenumber threshold (alpha < 1) P has exactly one positive and one
 negative root at every latitude, each refined by safeguarded Newton on a
 closed-form bracket: X+ in (1, sqrt(1 + alpha + 2 beta)] and X- in
-[-sqrt(1 + alpha), 0).  solve_branch solves and checks one root of a
-(site, strat, k); solve_dispersion calls it twice, cli.solve_configured once.
+[-sqrt(1 + alpha), 0).  Newton starts at the root of X^2 - beta X - 1 on the
+root's side of 0, where P <= 0 since P is that product less
+(alpha - beta^2) X^2: inside the bracket on its inner side, and the root
+itself at the Equator.  Each step makes one call for P and P' together.
+solve_branch solves and checks one root of a (site, strat, k);
+solve_dispersion calls it twice, cli.solve_configured once.
 
 From a solved phase speed the dependent parameters follow in closed form:
 
@@ -69,9 +73,11 @@ class NondimDispersion:
         """P(x); accepts scalars or numpy arrays."""
         return ((x * x - self.alpha) * x - 2.0 * self.beta) * x - 1.0
 
-    def derivative(self, x):
-        """P'(x)."""
-        return (4.0 * x * x - 2.0 * self.alpha) * x - 2.0 * self.beta
+    def value_and_slope(self, x):
+        """(P(x), P'(x)), sharing x^2: one call per Newton step."""
+        x2 = x * x
+        return (((x2 - self.alpha) * x - 2.0 * self.beta) * x - 1.0,
+                (4.0 * x2 - 2.0 * self.alpha) * x - 2.0 * self.beta)
 
 
 @dataclass(frozen=True)
@@ -135,22 +141,22 @@ def root_brackets(nd: NondimDispersion):
             (0.0, -math.sqrt(1.0 + nd.alpha)))
 
 
-def _newton(fun, slope_of, lo, hi, x, tol):
-    """Safeguarded Newton from ``x`` for a root of ``fun`` between ``lo``, where
-    fun < 0, and ``hi``, where fun > 0; they may come in either order, and
-    hi = inf leaves the bracket open above.
+def _newton(fun, lo, hi, x, tol):
+    """Safeguarded Newton from ``x`` for a root of ``fun``, which returns the
+    pair (value, slope), between ``lo``, where the value < 0, and ``hi``, where
+    it is > 0; they may come in either order, and hi = inf leaves the bracket
+    open above.
 
-    One fun and one slope_of per iteration narrow the bracket; a step out of it
-    goes to its midpoint or, while it is open, doubles x - lo for the ``lo``
-    given (every iterate below the root joins the bracket as its lower end).
+    One fun call per iteration narrows the bracket; a step out of it goes to
+    its midpoint or, while it is open, doubles x - lo for the ``lo`` given
+    (every iterate below the root joins the bracket as its lower end).
     Stops at |step| <= tol or 2 ulp(x), checked before the safeguard so that an
     iterate converged onto a bracket end is not bisected away, or at an
     unhalvable bracket; a ConvergenceError after _MAX_STEPS iterations."""
     anchor = lo
     for _ in range(_MAX_STEPS):
-        value = fun(x)
+        value, slope = fun(x)
         lo, hi = (x, hi) if value < 0.0 else (lo, x)
-        slope = slope_of(x)
         step = value / slope if slope else math.inf
         if abs(step) <= tol or abs(step) <= 2.0 * math.ulp(x):
             return x - step
@@ -159,6 +165,19 @@ def _newton(fun, slope_of, lo, hi, x, tol):
             return x
         x = x - step if (x - step - lo) * (x - step - hi) < 0.0 else mid
     raise ConvergenceError(f"Newton did not converge within {_MAX_STEPS} steps at x={x!r}")
+
+
+def _refine_root(nd: NondimDispersion, inner: float, outer: float) -> float:
+    """The root of P on one root_brackets bracket, by _newton from the root of
+    the equatorial factor X^2 - beta X - 1 on the bracket's side of 0:
+    x0 = (beta + sqrt(beta^2 + 4)) / 2 or -2 / (beta + sqrt(beta^2 + 4)).
+
+    P = (X^2 - beta X - 1)(X^2 + beta X + 1) - (alpha - beta^2) X^2, and
+    alpha - beta^2 = f^2 / (g_tilde k) >= 0, so P(x0) <= 0: the start lies
+    between the bracket's inner end and the root, and at the Equator it is
+    the root itself."""
+    r = nd.beta + math.sqrt(nd.beta * nd.beta + 4.0)
+    return _newton(nd.value_and_slope, inner, outer, 0.5 * r if outer > 0.0 else -2.0 / r, 0.0)
 
 
 def solve_branch(site: Site, strat: Stratification, k: float, branch: str,
@@ -172,8 +191,7 @@ def solve_branch(site: Site, strat: Stratification, k: float, branch: str,
         raise InputError(f"unknown branch {branch!r}")
     nd = nondimensionalize(site, strat, k)  # raises at k <= 4 Omega^2 / g_tilde
     sign = 1.0 if branch == "positive" else -1.0
-    inner, outer = root_brackets(nd)[0 if branch == "positive" else 1]
-    x = _newton(nd.evaluate, nd.derivative, inner, outer, outer, 0.0)
+    x = _refine_root(nd, *root_brackets(nd)[0 if branch == "positive" else 1])
     p = nd.evaluate(x)
     if abs(p) > tol * max(1.0, x**4):
         raise ConvergenceError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
@@ -219,20 +237,26 @@ def pressure_coefficient_a(f, f_hat, k, c, a, b, d):
 
 
 def _interface_map(strat, A, m, s):
-    """RHS of the thermocline-constant equation as a function of the label s,
-    with A = pressure_coefficient_a(...).
+    """(F(s), F'(s)): the RHS of the thermocline-constant equation as a
+    function of the label s, with A = pressure_coefficient_a(...), and its
+    slope, from one exponential.
 
-    Strictly increasing in s whenever the amplitude gate holds, since its
-    derivative reduces to rho0 * g_tilde * (1 - m^2 a^2 e^(-2 m s)).
+    In the reduced form F = (rho_plus - rho0) g s - rho0 A e^(-2 m s), which
+    has no cancellation between rho0 g s and rho_plus g s.  F is strictly
+    increasing in s whenever the amplitude gate holds, since
+    F' = 2 m rho0 A e^(-2 m s) + (rho_plus - rho0) g reduces to
+    rho0 g_tilde (1 - m^2 a^2 e^(-2 m s)).
     """
-    return (-strat.rho0 * (A * math.exp(-2.0 * m * s) + strat.g * s)
-            + strat.rho_plus * strat.g * s)
+    wave = strat.rho0 * A * math.exp(-2.0 * m * s)
+    flat = (strat.rho_plus - strat.rho0) * strat.g
+    return flat * s - wave, 2.0 * m * wave + flat
 
 
-def _invert_interface_map(strat, A, m, s0, map_s0, beta0):
-    """Label s_plus > s0 with _interface_map(s_plus) = beta0 > map_s0, the map at s0.
+def _invert_interface_map(strat, A, m, s0, map_s0, slope_s0, beta0):
+    """Label s_plus > s0 with _interface_map(s_plus) = beta0 > map_s0, given
+    the map's value map_s0 and slope slope_s0 at s0.
 
-    The map's slope lies between its value at s0 and rho0 g_tilde, which bound
+    The map's slope lies between slope_s0 and rho0 g_tilde, which bound
     s_plus - s0 = (beta0 - map_s0) / slope; rho_plus g s must not overflow at
     the lower one.  _newton runs from the upper bound on a bracket open above,
     whose lower bound falls back to s0 unless the sign of map - beta0 confirms
@@ -240,19 +264,19 @@ def _invert_interface_map(strat, A, m, s0, map_s0, beta0):
     if not beta0 > map_s0:
         raise InterfaceOrderingError(
             f"beta0={beta0!r} must exceed P0 - P0_tilde={map_s0!r}")
-    # the exact slope of _interface_map, for any c: wave e^(-2ms) + flat
-    wave = 2.0 * m * strat.rho0 * A
     flat, offset = (strat.rho_plus - strat.rho0) * strat.g, beta0 - map_s0
-    slope = wave * math.exp(-2.0 * m * s0) + flat
-    s = s0 + (offset / slope if slope > 0.0 else 1.0)
+    s = s0 + (offset / slope_s0 if slope_s0 > 0.0 else 1.0)
     lo = s0 + offset / flat
     if not math.isfinite(strat.rho_plus * strat.g * lo):
         raise InputError(f"beta0 offset {offset!r} overflows rho_plus g s_plus (s_plus >= {lo!r})")
-    if not (lo < s and _interface_map(strat, A, m, lo) < beta0):
+    if not (lo < s and _interface_map(strat, A, m, lo)[0] < beta0):
         lo = s0
-    return _newton(lambda s: _interface_map(strat, A, m, s) - beta0,
-                   lambda s: wave * math.exp(-2.0 * m * s) + flat,
-                   lo, math.inf, s, INTERFACE_TOL / 2)
+
+    def residual(s):
+        value, slope = _interface_map(strat, A, m, s)
+        return value - beta0, slope
+
+    return _newton(residual, lo, math.inf, s, INTERFACE_TOL / 2)
 
 
 def orbit_parameters(f: float, k: float, a: float, c: float):
@@ -266,12 +290,30 @@ def orbit_parameters(f: float, k: float, a: float, c: float):
     return m, m * a / k, -f * m * a / (k**2 * c)
 
 
+def require_admissible_amplitude(m: float, a: float, s0: float):
+    """The amplitude gate at the thermocline label s0: an InputError unless s0
+    is positive and finite, and an AmplitudeBoundError unless 0 <= a <= 1/m
+    (the thermocline bound) and m^2 a^2 e^(-2 m s0) < 1 (a local
+    diffeomorphism at s0).  derive_parameters and the dispersion report both
+    apply it."""
+    if not 0.0 < s0 < math.inf:
+        raise InputError(f"thermocline label must be positive and finite, got {s0!r}")
+    if a < 0:
+        raise AmplitudeBoundError(f"amplitude must be non-negative, got {a!r}")
+    gate = m * a * math.exp(-m * s0)
+    gate *= gate  # a product, not a power: a float power that overflows raises
+    if a > 1.0 / m or not gate < 1.0:
+        raise AmplitudeBoundError(
+            f"amplitude a={a!r} must satisfy a <= 1/m = {1.0 / m!r} and "
+            f"m^2 a^2 e^(-2 m s0) < 1 (got {gate!r})")
+
+
 def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
                       c: float, s0: float, beta0_offset: float) -> WaveParameters:
     """Complete the parameter set for a solved phase speed c.
 
-    m, b, d follow from the closed forms; the amplitude gate a <= 1/m and
-    m^2 a^2 e^(-2 m s0) < 1 at s0 is enforced before any map call; the pressure
+    m, b, d follow from the closed forms; the amplitude gate
+    (require_admissible_amplitude) is enforced before any map call; the pressure
     constants are fixed by the dynamic boundary condition at s0 (gauge
     P0_STANDARD) and the interface label s_plus solves the monotone
     thermocline map for beta0 = (P0 - P0_tilde) + beta0_offset, which must
@@ -280,22 +322,13 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
     _require_admissible_wavenumber(site, strat, k)  # the interface map's monotonicity
     if not (math.isfinite(s0) and math.isfinite(beta0_offset)):
         raise InputError(f"s0={s0!r} and beta0_offset={beta0_offset!r} must both be finite")
-    if not s0 > 0:
-        raise InputError(f"thermocline label must be positive, got {s0!r}")
-    if a < 0:
-        raise AmplitudeBoundError(f"amplitude must be non-negative, got {a!r}")
     m, b, d = orbit_parameters(site.f, k, a, c)
-    gate = m * a * math.exp(-m * s0)
-    gate *= gate  # a product, not a power: a float power that overflows raises
-    if a > 1.0 / m or not gate < 1.0:
-        raise AmplitudeBoundError(
-            f"amplitude a={a!r} must satisfy a <= 1/m = {1.0 / m!r} and "
-            f"m^2 a^2 e^(-2 m s0) < 1 (got {gate!r})")
+    require_admissible_amplitude(m, a, s0)
     A = pressure_coefficient_a(site.f, site.f_hat, k, c, a, b, d)
-    p0_minus_ptilde = _interface_map(strat, A, m, s0)
+    p0_minus_ptilde, slope_s0 = _interface_map(strat, A, m, s0)
     p0_tilde = P0_STANDARD - p0_minus_ptilde
     beta0 = p0_minus_ptilde + beta0_offset
-    s_plus = _invert_interface_map(strat, A, m, s0, p0_minus_ptilde, beta0)
+    s_plus = _invert_interface_map(strat, A, m, s0, p0_minus_ptilde, slope_s0, beta0)
     return WaveParameters(a=a, k=k, L=2.0 * math.pi / k, c=c, m=m, b=b, d=d, s0=s0,
                           s_plus=s_plus, P0=P0_STANDARD, P0_tilde=p0_tilde, beta0=beta0,
                           f=site.f, f_hat=site.f_hat, strat=strat)

@@ -10,7 +10,7 @@ import math
 import pytest
 
 import pollardwaves as pw
-from pollardwaves.dispersion import _newton
+from pollardwaves.dispersion import _refine_root
 from pollardwaves.errors import ConvergenceError
 
 REF_K = 6.28e-2
@@ -27,9 +27,10 @@ def nondim_of(eps, F):
 
 def refine_root(nd, inner, outer):
     """The root X of P on one root_brackets bracket, by the solver's own Newton
-    loop from the outer end, held to |P(X)| <= 1e-12 max(1, X^4) (solve_branch's
-    residual gate, without its sign and dimensional checks)."""
-    x = _newton(nd.evaluate, nd.derivative, inner, outer, outer, 0.0)
+    loop and start (the root of X^2 - beta X - 1 on the bracket's side of 0),
+    held to |P(X)| <= 1e-12 max(1, X^4) (solve_branch's residual gate, without
+    its sign and dimensional checks)."""
+    x = _refine_root(nd, inner, outer)
     p = nd.evaluate(x)
     if abs(p) > 1e-12 * max(1.0, x**4):
         raise ConvergenceError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")

@@ -59,16 +59,22 @@ def test_dispersion_high_latitude_positive_root(tmp_path):
 @pytest.mark.parametrize("lat, k", [(45.0, REF_K), (82.6, 4.6e-6)])
 def test_dispersion_evaluates_P_only_in_its_root_solves(monkeypatch, capsys, strat,
                                                         lat, k):
-    """The command makes the P evaluations of its two root solves only."""
-    evaluate, calls = dsp.NondimDispersion.evaluate, []
-    monkeypatch.setattr(dsp.NondimDispersion, "evaluate",
-                        lambda self, x: calls.append(x) or evaluate(self, x))
+    """The command makes the Newton steps and residual gates of its two root
+    solves only: 3 steps and one gate per root at the reference."""
+    calls = {}
+    for name in ("value_and_slope", "evaluate"):
+        method, calls[name] = getattr(dsp.NondimDispersion, name), []
+        monkeypatch.setattr(dsp.NondimDispersion, name,
+                            lambda self, x, method=method, seen=calls[name]:
+                            seen.append(x) or method(self, x))
     site = pw.coriolis(pw.PhysicalConstants(), math.radians(lat))
     dsp.solve_dispersion(site, strat, k)
-    solve = len(calls)
+    solve = {name: len(seen) for name, seen in calls.items()}
     assert main(["dispersion", "--lat", str(lat), "--k", str(k)]) == 0
-    assert len(calls) == 2 * solve
-    assert solve == 10 or lat != 45.0
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        name: 2 * n for name, n in solve.items()}
+    assert solve["evaluate"] == 2
+    assert solve["value_and_slope"] == 6 or lat != 45.0
 
 
 def test_dispersion_report_orbit_parameters_equal_derived(tmp_path, ref_params):
@@ -310,6 +316,19 @@ def test_verify_rejects_amplitude_beyond_bound(capsys):
     assert "1/m" in err
 
 
+def test_dispersion_and_verify_share_the_amplitude_gate(capsys):
+    """16.5 m, just above 1/m = 15.92 m at the reference, is the same one-line
+    error (exit 2) from dispersion and verify; 15.9 m is reported."""
+    errors = []
+    for command in ("dispersion", "verify"):
+        assert main([command, "--amplitude", "16.5"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].count("\n") == 1
+    assert "a <= 1/m = 15.92" in errors[0]
+    assert main(["dispersion", "--amplitude", "15.9"]) == 0
+    assert "b = 15.9" in capsys.readouterr().out
+
+
 def test_amplitude_bound_checked_before_interface_solve(monkeypatch):
     # 1/m is about 0.018 m; the rejected set must not pay for the interface solve
     original, calls = dsp._interface_map, []
@@ -512,6 +531,8 @@ def test_sampled_commands_need_two_samples(command, capsys):
     # a finite amplitude whose m a overflows in b = m a / k: the report read
     # b = inf and d = -inf
     ["dispersion", "--k", "1e5", "--amplitude", "1e308"],
+    # the amplitude gate at s0 = -1e300 overflowed e^(-m s0) in the report
+    ["dispersion", "--s0=-1e300"],
 ])
 def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
     """Each is a one-line configuration error (exit 2); a dict in argv is the
@@ -634,13 +655,14 @@ def test_bad_stratification_raises_on_every_call(capsys):
 def test_configured_solve_leaves_the_other_branch_alone(monkeypatch, ref_params):
     """solve_configured refines and checks its own branch only: a failing
     negative-branch solve does not fail a positive-branch run.  The Newton loop
-    runs twice, on the positive root's bracket and on the label's, open above."""
+    runs twice, on the positive root's bracket and on the label's, open above,
+    each from a start inside its bracket."""
     refine, upper_ends = dsp._newton, []
 
-    def positive_only(fun, slope_of, lo, hi, x, tol):
-        assert hi > lo  # the negative bracket (0, -sqrt(1 + alpha)) would fail
+    def positive_only(fun, lo, hi, x, tol):
+        assert lo < x < hi  # the negative bracket (0, -sqrt(1 + alpha)) would fail
         upper_ends.append(hi)
-        return refine(fun, slope_of, lo, hi, x, tol)
+        return refine(fun, lo, hi, x, tol)
 
     monkeypatch.setattr(dsp, "_newton", positive_only)
     assert solve_configured(RunConfig().validate())[3] == ref_params

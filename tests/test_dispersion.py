@@ -50,20 +50,22 @@ def test_nondim_epsilon_reference_value(site45, strat):
 
 
 def test_nondim_coefficients_explicit():
-    """P(X) = X^4 - alpha X^2 - 2 beta X - 1 and its derivative, at eps = 0.05, F = 1."""
+    """P(X) = X^4 - alpha X^2 - 2 beta X - 1 and its derivative, at eps = 0.05,
+    F = 1; value_and_slope's P is evaluate's, bit for bit."""
     nd = nondim_of(0.05, 1.0)
     assert nd.alpha == pytest.approx(0.005, rel=1e-15)
     assert nd.beta == pytest.approx(0.05, rel=1e-15)
     for x in (-2.0, -0.5, 0.0, 0.5, 3.0):
-        assert nd.evaluate(x) == pytest.approx(x**4 - 0.005 * x**2 - 0.1 * x - 1.0, rel=1e-15)
-        assert nd.derivative(x) == pytest.approx(4.0 * x**3 - 0.01 * x - 0.1, rel=1e-15)
+        value, slope = nd.value_and_slope(x)
+        assert value == nd.evaluate(x)
+        assert value == pytest.approx(x**4 - 0.005 * x**2 - 0.1 * x - 1.0, rel=1e-15)
+        assert slope == pytest.approx(4.0 * x**3 - 0.01 * x - 0.1, rel=1e-15)
 
 
 def test_nondim_structural_coefficients(site45, strat):
     """No X^3 term and P(0) = -1: the roots multiply to -1 over the complex plane."""
     nd = pw.nondimensionalize(site45, strat, REF_K)
-    assert nd.evaluate(0.0) == -1.0
-    assert nd.derivative(0.0) == -2.0 * nd.beta
+    assert nd.value_and_slope(0.0) == (-1.0, -2.0 * nd.beta)
 
 
 def test_nondim_is_finite_at_the_equator(equator_site, strat):
@@ -335,7 +337,7 @@ def interface_coefficient(p):
 
 def interface_map(p, strat, s):
     """The thermocline map of p's set at the label s."""
-    return _interface_map(strat, interface_coefficient(p), p.m, s)
+    return _interface_map(strat, interface_coefficient(p), p.m, s)[0]
 
 
 def interface_label(p, site, strat, beta0_offset):
@@ -352,6 +354,18 @@ def test_interface_round_trip(ref_params, site45, strat):
     target = ref_params.s0 + 1.0
     s_plus = interface_label(ref_params, site45, strat, offset_of(ref_params, strat, target))
     assert s_plus == pytest.approx(target, abs=1e-9)
+
+
+def test_interface_map_slope_is_its_derivative(ref_params, equatorial, strat):
+    """The slope _interface_map returns with the map is rho0 g_tilde
+    (1 - m^2 a^2 e^(-2 m s)), positive under the amplitude gate, also at the
+    Equator's critical amplitude a = 1/m, where it vanishes at s = 0."""
+    for p in (ref_params, equatorial):
+        for s in (0.0, p.s0, 0.5 * (p.s0 + p.s_plus), p.s_plus, 10.0 * p.s_plus):
+            _, slope = _interface_map(strat, interface_coefficient(p), p.m, s)
+            gate = (p.m * p.a) ** 2 * math.exp(-2.0 * p.m * s)
+            assert slope == pytest.approx(strat.rho0 * strat.g_tilde * (1.0 - gate),
+                                          rel=1e-12, abs=1e-12 * strat.rho0 * strat.g_tilde)
 
 
 def test_interface_monotonicity(ref_params, site45, strat):

@@ -7,6 +7,7 @@ repeat exactly, so a return to bisection fails them loudly.
 
 import dataclasses
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -101,16 +102,16 @@ def count_calls(monkeypatch, owner, name):
 
 
 def site_roots_checked(lat_deg, jump, k):
-    """(X+, X-) of solve_branch at one site, each solved in at most 9 P
-    evaluations and checked against the 50-digit root to 4 ulp."""
+    """(X+, X-) of solve_branch at one site, each solved in at most 7 Newton
+    steps (calls for P and P') and checked against the 50-digit root to 4 ulp."""
     site, strat = site_of(lat_deg), strat_of(jump)
     x_minus, x_plus = exact_real_roots(nondim_at(lat_deg, jump, k))
     solved = []
     for branch, exact in (("positive", x_plus), ("negative", x_minus)):
         with pytest.MonkeyPatch.context() as patch:
-            evaluations = count_calls(patch, pw.NondimDispersion, "evaluate")
+            steps = count_calls(patch, pw.NondimDispersion, "value_and_slope")
             x, _ = pw.solve_branch(site, strat, k, branch)
-        assert len(evaluations) <= 9, (lat_deg, jump, k, branch)
+        assert 1 <= len(steps) <= 7, (lat_deg, jump, k, branch)
         assert ulps_from(x, exact) <= 4.0, (lat_deg, jump, k, branch)
         solved.append(x)
     return tuple(solved)
@@ -150,13 +151,58 @@ HIGH_LATITUDE_CASES = [(82.6, 4.0, 4.6e-6)] + [
 def test_high_latitude_roots_match_mpmath_polyroots():
     """Where P(-1) <= 0 the negative root lies below -1 (long waves at high
     latitudes), and near the poles P' has three real zeros; both roots still
-    meet the 50-digit roots to 4 ulp in at most 9 P evaluations each."""
+    meet the 50-digit roots to 4 ulp in at most 7 Newton steps each."""
     solved = [site_roots_checked(*case) for case in HIGH_LATITUDE_CASES]
     below = sum(x_minus < -1.0 for _, x_minus in solved)
     assert below >= 10  # the P(-1) <= 0 side is reached, the CLI's point first
     three_zeros = sum(derivative_discriminant(nondim_at(*case)) >= 0.0
                       for case in HIGH_LATITUDE_CASES)
     assert three_zeros == 142  # the region the two-real-root analysis left out
+
+
+def domain_sites(n, seed):
+    """n (lat_deg, jump, k) drawn from a fixed seed: 1 in 8 on the Equator, the
+    rest at up to 89 deg either side; density jumps of 1e-3 to 50 kg/m^3 and
+    k of 1.0001 to 1e8 times the 4 Omega^2 / g_tilde threshold, log-uniform."""
+    rng = random.Random(seed)
+    sites = []
+    for _ in range(n):
+        lat_deg = 0.0 if rng.random() < 0.125 else rng.uniform(-89.0, 89.0)
+        jump = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
+        factor = math.exp(rng.uniform(math.log(1.0001), math.log(1e8)))
+        sites.append((lat_deg, jump, factor * threshold_of(jump)))
+    return sites
+
+
+def test_seeded_domain_roots_start_inside_their_brackets():
+    """Over 7,282 roots (3,641 drawn sites, both branches) each Newton loop
+    starts in its root_brackets bracket, between the inner end and the root
+    (to 2 ulp at the Equator, where the start is the root), and takes at most
+    7 steps (8 from the bracket's outer end); every 60th site meets the
+    50-digit roots to 4 ulp.  About 0.3 s on a 2-core host."""
+    starts, steps_taken = [], []
+    pair = pw.NondimDispersion.value_and_slope
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pw.NondimDispersion, "value_and_slope",
+                      lambda nd, x: starts.append(x) or pair(nd, x))
+        for index, (lat_deg, jump, k) in enumerate(domain_sites(3641, seed=25)):
+            site, strat = site_of(lat_deg), strat_of(jump)
+            nd = pw.nondimensionalize(site, strat, k)
+            solved = []
+            for branch, (inner, outer) in zip(("positive", "negative"), pw.root_brackets(nd)):
+                starts.clear()
+                x, _ = pw.solve_branch(site, strat, k, branch)
+                start = starts[0]
+                assert min(inner, outer) <= start <= max(inner, outer), (lat_deg, k, branch)
+                assert abs(start) <= abs(x) + 2.0 * math.ulp(x), (lat_deg, k, branch)
+                steps_taken.append(len(starts))
+                solved.append(x)
+            if index % 60 == 0:
+                x_minus, x_plus = exact_real_roots(nd)
+                assert ulps_from(solved[0], x_plus) <= 4.0, (lat_deg, k)
+                assert ulps_from(solved[1], x_minus) <= 4.0, (lat_deg, k)
+    assert len(steps_taken) == 7282 and max(steps_taken) <= 7
+    assert min(steps_taken) == 1  # the Equator's start is its root
 
 
 def test_negative_bracket_stays_below_zero():
@@ -179,11 +225,11 @@ def test_newton_doubles_its_distance_from_lo_on_a_bracket_open_above():
 
     def fun(x):
         iterates.append(x)
-        return (x * x - 3.0) * x - 100.0
+        return (x * x - 3.0) * x - 100.0, 3.0 * x * x - 3.0
 
-    x = dsp._newton(fun, lambda x: 3.0 * x * x - 3.0, -1.0, math.inf, 0.0, 0.0)
+    x = dsp._newton(fun, -1.0, math.inf, 0.0, 0.0)
     assert iterates[:3] == [0.0, 1.0, 3.0]
-    assert len(iterates) <= 10
+    assert len(iterates) <= 9
     with mpmath.workdps(MP_DIGITS):
         exact = mpmath.findroot(lambda v: v**3 - 3 * v - 100, 4.9)
     assert ulps_from(x, exact) <= 4.0
@@ -194,7 +240,7 @@ def test_newton_raises_at_its_iteration_cap():
     x doubles each step and never meets a root or an unhalvable bracket."""
     calls = []
     with pytest.raises(ConvergenceError, match=f"within {dsp._MAX_STEPS} steps"):
-        dsp._newton(lambda x: calls.append(x) or -1.0, lambda x: 0.0, 0.0, math.inf, 1.0, 0.0)
+        dsp._newton(lambda x: calls.append(x) or (-1.0, 0.0), 0.0, math.inf, 1.0, 0.0)
     assert calls == [2.0**i for i in range(dsp._MAX_STEPS)]
 
 
@@ -324,29 +370,34 @@ def test_still_water_interface_in_one_step(monkeypatch, lat_deg, s0, offset):
 
 def test_reference_solve_work_counts(monkeypatch, site45, strat, equator_site):
     """Newton's work, counted exactly: bisection took about 47 P evaluations per
-    root and 44 map calls; Newton from the outer end of the closed-form brackets
-    takes at most 5 per root at the reference, 6 at 82.6 deg and k = 4.6e-6."""
+    root and 44 map calls.  Each Newton step is one call for (P, P') and the
+    residual gate one evaluate; from the root of X^2 - beta X - 1, a root takes
+    3 steps at the reference, 1 at the Equator, where that start is the root,
+    and 5 at 82.6 deg and k = 4.6e-6 (4, 4 and 5 from the brackets' outer ends).
+    The label takes F(s0), the lower-bound check and 2 Newton steps."""
+    steps = count_calls(monkeypatch, pw.NondimDispersion, "value_and_slope")
     evaluations = count_calls(monkeypatch, pw.NondimDispersion, "evaluate")
     map_calls = count_calls(monkeypatch, dsp, "_interface_map")
     roots = pw.solve_dispersion(site45, strat, REF_K)
-    assert len(evaluations) <= 10  # both roots
+    assert (len(steps), len(evaluations)) == (6, 2)  # both roots
     pw.derive_parameters(site45, strat, REF_K, REF_A, roots.c_plus, REF_S0,
                          REF_BETA0_OFFSET)
-    assert len(map_calls) <= 8
-    configured = ((RunConfig(), 5), (RunConfig(latitude_deg=82.6, wavenumber=4.6e-6), 6),
-                  (RunConfig(latitude_deg=0.0), 5))
+    assert len(map_calls) <= 4
+    configured = ((RunConfig(), 3), (RunConfig(latitude_deg=82.6, wavenumber=4.6e-6), 5),
+                  (RunConfig(latitude_deg=0.0), 1))
     for config, bound in configured:
         for branch in ("positive", "negative"):  # a configured solve: its own branch only
+            steps.clear()
             evaluations.clear()
             solve_configured(dataclasses.replace(config, branch=branch).validate())
-            assert len(evaluations) <= bound, (config.latitude_deg, branch)
+            assert (len(steps), len(evaluations)) == (bound, 1), (config.latitude_deg, branch)
     for eps in np.linspace(1e-3, 5e-2, 20):
         for F in np.linspace(0.42, 2.4, 20):
             nd = nondim_of(eps, F)
             for bracket in pw.root_brackets(nd):
-                evaluations.clear()
+                steps.clear()
                 refine_root(nd, *bracket)
-                assert len(evaluations) <= 6, (eps, F)
+                assert len(steps) <= 4, (eps, F)
 
 
 def test_one_curve_builds_its_site_once(monkeypatch):

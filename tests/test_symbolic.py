@@ -9,6 +9,7 @@ sympy proves, for symbols rather than sampled numbers, the algebra that
   reduces to g_tilde^2 P(X) with P(X) = X^4 - alpha X^2 - 2 beta X - 1;
 * on P = 0, 1 + beta X = (X^4 - alpha X^2 + 1) / 2, which exceeds 3/8 for
   alpha < 1, so squaring added no spurious root;
+* P <= 0 at both roots of X^2 - beta X - 1, where the root solves start;
 * the cos^2 coefficient a^2 + d^2 - b^2 of the raw pressure vanishes under
   b = m a / k, d = -f m a / (k^2 c) and m^2 = k^4 c^2 / (k^2 c^2 - f^2);
 * the label Jacobian of the flow map has det J = 1 - k m a b e^(-2 m s)
@@ -63,6 +64,20 @@ def test_root_identity_and_its_positive_bound():
     assert is_zero(difference + P / 2)
     # with u = X^2: u^2 - alpha u + 1 = (u - alpha/2)^2 + 1 - alpha^2/4 >= 3/4 at alpha < 1
     assert is_zero(u**2 - alpha * u + 1 - ((u - alpha / 2) ** 2 + 1 - alpha**2 / 4))
+
+
+def test_newton_starts_on_the_inner_side_of_each_root():
+    """P = (X^2 - beta X - 1)(X^2 + beta X + 1) - (alpha - beta^2) X^2, so at
+    both roots x0 of X^2 - beta X - 1, the Newton starts of solve_branch,
+    P(x0) = -(alpha - beta^2) x0^2 = -(f^2 / (g_tilde k)) x0^2 <= 0: each start
+    lies between its bracket's inner end, where P < 0, and the root."""
+    factored = (X**2 - beta * X - 1) * (X**2 + beta * X + 1) - (alpha - beta**2) * X**2
+    assert is_zero(P - factored)
+    assert is_zero(ALPHA - BETA**2 - f**2 / (g_tilde * k))
+    root = sp.sqrt(beta**2 + 4)
+    for x0 in ((beta + root) / 2, -2 / (beta + root)):
+        assert is_zero(sp.radsimp(x0**2 - beta * x0 - 1))
+        assert is_zero(sp.radsimp(P.subs(X, x0) + (alpha - beta**2) * x0**2))
 
 
 def test_cos_squared_pressure_coefficient_vanishes():
