@@ -16,7 +16,7 @@ from .dispersion import (
     solve_dispersion,
 )
 from .errors import PollardWaveError
-from .flowfield import Flow, invert_labels, sheet_elevation
+from .flowfield import Flow
 from .geo import (
     PhysicalConstants,
     Site,
@@ -27,7 +27,7 @@ from .geo import (
 )
 from .verify import VerificationReport, VerifyConfig, run_all
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "DispersionRoots",
@@ -42,13 +42,11 @@ __all__ = [
     "WaveParameters",
     "coriolis",
     "derive_parameters",
-    "invert_labels",
     "min_wavenumber",
     "nondimensionalize",
     "reduced_gravity",
     "root_brackets",
     "run_all",
-    "sheet_elevation",
     "solve_branch",
     "solve_dispersion",
 ]

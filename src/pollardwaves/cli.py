@@ -116,10 +116,6 @@ class RunConfig:
             return self.wavenumber
         return 2.0 * math.pi / self.wavelength
 
-    def to_json(self) -> str:
-        """Canonical serialization (sorted keys, trailing newline)."""
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         try:
@@ -222,8 +218,9 @@ def cmd_dispersion(config: RunConfig, args) -> int:
     roots = dsp.solve_dispersion(site, strat, k, tol=config.tol_identity)
     nd = dsp.nondimensionalize(site, strat, k)
     c = roots.c_minus if config.branch == "negative" else roots.c_plus
-    m, b, d = dsp.orbit_parameters(site.f, k, config.amplitude, c)
-    dsp.require_admissible_amplitude(m, config.amplitude, config.s0)
+    params = dsp.derive_parameters(site, strat, k, config.amplitude, c,
+                                   config.s0, config.beta0_offset)
+    m, b, d = params.m, params.b, params.d
     if not all(map(math.isfinite, (m, b, d))):  # the gate bounds m a, not k^2 c in d
         raise AmplitudeBoundError(f"the orbit parameters (m, b, d) = {(m, b, d)!r} overflow")
     report = {

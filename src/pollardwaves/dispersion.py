@@ -294,8 +294,7 @@ def require_admissible_amplitude(m: float, a: float, s0: float):
     """The amplitude gate at the thermocline label s0: an InputError unless s0
     is positive and finite, and an AmplitudeBoundError unless 0 <= a <= 1/m
     (the thermocline bound) and m^2 a^2 e^(-2 m s0) < 1 (a local
-    diffeomorphism at s0).  derive_parameters and the dispersion report both
-    apply it."""
+    diffeomorphism at s0).  derive_parameters applies it, for every command."""
     if not 0.0 < s0 < math.inf:
         raise InputError(f"thermocline label must be positive and finite, got {s0!r}")
     if a < 0:

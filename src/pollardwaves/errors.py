@@ -50,9 +50,5 @@ class ConvergenceError(NumericError):
     """Iterative refinement did not reach the requested tolerance."""
 
 
-class InversionError(NumericError):
-    """Newton inversion of the label-to-position map did not converge."""
-
-
 class DiffeomorphismError(NumericError):
     """Jacobian determinant vanished; the flow map is singular at this label."""

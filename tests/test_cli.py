@@ -399,12 +399,18 @@ def test_config_file_with_cli_override(tmp_path):
     assert report["beta"] == pytest.approx(expected, rel=1e-12)
 
 
-def test_config_round_trip_is_idempotent():
-    config = RunConfig(latitude_deg=33.0, amplitude=2.5, seed=9)
-    text = config.to_json()
+def test_config_round_trip_is_idempotent(tmp_path):
+    """The one place a config is written, the config block of verify's
+    report, reads back through RunConfig.from_json to an equal config."""
+    config = RunConfig(latitude_deg=33.0, amplitude=2.5, seed=9,
+                       n_theta=6, n_s=4, n_time=2, n_random=8)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--lat", "33", "--amplitude", "2.5", "--seed", "9",
+                 *VERIFY_FAST, "--out", str(out)]) == 0
+    text = json.dumps(json.loads(out.read_text())["config"], sort_keys=True)
     parsed = RunConfig.from_json(text)
     assert parsed == config
-    assert parsed.to_json() == text
+    assert json.dumps(vars(parsed), sort_keys=True) == text
 
 
 def test_config_rejects_both_wavenumber_and_wavelength(tmp_path, capsys):

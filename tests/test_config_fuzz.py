@@ -7,7 +7,8 @@ arbitrary JSON, and runs one command on it.  Each export case runs trajectory,
 profile or field with some of its float flags set to extremes.
 ``cli.main`` must then exit 0-3 within CASE_SECONDS, print at most one
 stderr line and raise nothing, numpy's floating-point warnings included.  A
-``dispersion`` run that exits 0 must report finite numbers only.
+``dispersion`` run that exits 0 must report finite numbers only, and one on a
+config whose configured solve is an InputError must exit 2.
 The tables are kept small, so that no case allocates much.
 """
 
@@ -22,6 +23,7 @@ import warnings
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from pollardwaves import cli
+from pollardwaves.errors import InputError, NumericError
 
 CASE_SECONDS = 5.0
 # per command, the arguments after --config: small tables, a file for output
@@ -96,6 +98,24 @@ def test_every_config_file_runs_or_exits_with_one_line(command, config, tmp_path
     if command == "dispersion" and code == 0:
         numbers = report_numbers(path / "out")
         assert all(map(math.isfinite, numbers)), (config, numbers)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=configs())
+@example(config={"beta0_offset": -5.0})
+@example(config={"beta0_offset": 1e306})
+def test_dispersion_exits_2_where_the_configured_solve_is_rejected(config, tmp_path_factory):
+    """dispersion reports the configured branch's (m, b, d), so it rejects
+    every config whose configured solve is an InputError.  The converse need
+    not hold: dispersion also solves the other root."""
+    path = tmp_path_factory.mktemp("fuzz") / "run.json"
+    path.write_text(json.dumps(config))
+    try:
+        cli.solve_configured(cli.RunConfig.from_json(path.read_text()).validate())
+    except InputError:
+        assert run_main(["dispersion", "--config", str(path)]) == 2, config
+    except NumericError:  # exit 3, which the property leaves alone
+        pass
 
 
 # per export command, its float label and time flags; a flag left out keeps its default

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import pollardwaves as pw
-from pollardwaves import flowfield
 from pollardwaves.errors import DiffeomorphismError
-from pollardwaves.flowfield import Flow, invert_labels, sheet_elevation
+from pollardwaves.flowfield import Flow
 
+import inversion
 from conftest import REF_K, REF_S0
+from inversion import invert_labels, sheet_elevation
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +331,7 @@ def test_invert_round_trip_random_labels(ref_params):
 
 
 def test_invert_converges_quickly(ref_params, monkeypatch):
-    monkeypatch.setattr(flowfield, "_INVERT_MAX_ITER", 8)
+    monkeypatch.setattr(inversion, "_INVERT_MAX_ITER", 8)
     target = Flow(ref_params, 10.0, 0.0, 55.0, 2.0).position
     lab = invert_labels(ref_params, *target, 2.0)
     assert np.allclose(Flow(ref_params, *lab, 2.0).position, target, atol=1e-12)

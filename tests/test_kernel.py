@@ -1,24 +1,23 @@
 """The array kernel against the per-label ``math`` oracle, its closed-form
-2x2 solves against numpy.linalg, the batched inversions, and guards that the
-verifier and the CLI call no inversion."""
+2x2 solves against numpy.linalg, the batched inversions of the test oracle
+``inversion``, and the verify report's layout."""
 
 import contextlib
 import io
 import json
 import math
-import sys
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
 
-import pollardwaves as pw
-from pollardwaves import cli, flowfield, verify
-from pollardwaves.errors import DiffeomorphismError, InversionError
-from pollardwaves.flowfield import Flow, invert_labels, sheet_label_q
+from pollardwaves import cli
+from pollardwaves.errors import DiffeomorphismError
+from pollardwaves.flowfield import Flow
 
+import inversion
 import scalar_reference as ref
+from inversion import InversionError, invert_labels, sheet_label_q
 
 N_LABELS = 200
 
@@ -121,7 +120,7 @@ def test_batched_inversion_equals_per_target_inversion(ref_params):
 
 
 def test_batched_inversion_fails_if_any_target_fails(ref_params, monkeypatch):
-    monkeypatch.setattr(flowfield, "_INVERT_MAX_ITER", 1)
+    monkeypatch.setattr(inversion, "_INVERT_MAX_ITER", 1)
     q, r, s, t = random_labels(ref_params, seed=10, n=8)
     x, y, z = Flow(ref_params, q, r, s, t).position
     with pytest.raises(InversionError):
@@ -144,7 +143,7 @@ def test_inversion_of_a_huge_target_squares_nothing(ref_params):
         label = invert_labels(ref_params, *target, 0.0)
         position = Flow(ref_params, *label, 0.0).position
     residual = math.hypot(*(float(p) - v for p, v in zip(position, target)))
-    assert residual <= max(flowfield._INVERT_TOL, 4 * np.finfo(float).eps * 1e200)
+    assert residual <= max(inversion._INVERT_TOL, 4 * np.finfo(float).eps * 1e200)
 
 
 def test_batched_sheet_inversion_equals_scalar(ref_params):
@@ -153,7 +152,7 @@ def test_batched_sheet_inversion_equals_scalar(ref_params):
     assert [float(sheet_label_q(ref_params, ref_params.s0, float(x), 4.0))
             for x in xs] == batch.tolist()
     z = Flow(ref_params, float(batch[3]), 0.0, ref_params.s0, 4.0).position[2]
-    assert flowfield.sheet_elevation(ref_params, ref_params.s0, xs, 4.0)[3] == z
+    assert inversion.sheet_elevation(ref_params, ref_params.s0, xs, 4.0)[3] == z
 
 
 def test_complex_step_inversions_match_the_inverse_jacobian(ref_params):
@@ -201,48 +200,6 @@ def test_real_inputs_stay_float64_bit_for_bit(ref_params):
             for a, b in zip(field(one), field(arrays)):
                 a, b = np.asarray(a), np.asarray(b)
                 assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
-
-
-# --- no inversion in the verifier or the CLI --------------------------------
-
-# the public inversions
-INVERSIONS = ("invert_labels", "sheet_label_q", "sheet_elevation")
-
-
-@pytest.fixture
-def per_label_calls(monkeypatch):
-    """Counts calls to the flowfield inversions, wherever the package holds
-    them; a solve per label would show as one call per sample."""
-    calls = Counter()
-    modules = [m for name, m in sorted(sys.modules.items())
-               if name == "pollardwaves" or name.startswith("pollardwaves.")]
-    for name in INVERSIONS:
-        original = getattr(flowfield, name)
-
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
-    return calls
-
-
-def test_verify_and_cli_make_no_per_label_calls(per_label_calls, ref_params,
-                                                tmp_path):
-    config = verify.VerifyConfig(n_theta=8, n_s=6, n_time=3, n_random=12, seed=3)
-    assert all(r.passed for r in verify.run_all(ref_params, config))
-    out = str(tmp_path / "out.csv")
-    assert cli.main(["field", "--nq", "16", "--ns", "4", "--out", out]) == 0
-    assert cli.main(["trajectory", "--n", "16", "--out", out]) == 0
-    assert cli.main(["profile", "--n", "16", "--out", out]) == 0
-    # check_boundary's sheet labels and the probe's labels are each one
-    # Newton step from labels the verifier holds: no inversion at all
-    assert per_label_calls == {}
-    pw.sheet_elevation(ref_params, ref_params.s0, 0.0, 0.0)  # counter works
-    assert per_label_calls == {"sheet_elevation": 1, "sheet_label_q": 1}
 
 
 def test_verify_report_layout_at_defaults(tmp_path):

@@ -305,12 +305,13 @@ def interface_root(site, strat, params):
 
 def interface_tolerance(site, strat, params):
     """1e-9 m, widened to 4 ulp(s) and to the map's own roundoff: 4 eps times
-    the sum of the magnitudes of its terms, over its slope."""
+    the sum of the magnitudes of the reduced form's terms, (rho_plus - rho0) g s
+    and rho0 A e^(-2 m s) with A's own terms, over its slope."""
     p, s = params, params.s_plus
     e2 = math.exp(-2.0 * p.m * s)
     wave = (p.k**2 * p.c**2 * p.b**2 + abs(site.f_hat * p.k * p.c * p.a * p.b)
             + abs(site.f * p.k * p.c * p.b * p.d))
-    terms = strat.rho0 * 0.5 * wave * e2 + (strat.rho0 + strat.rho_plus) * strat.g * s
+    terms = strat.rho0 * 0.5 * wave * e2 + (strat.rho_plus - strat.rho0) * strat.g * s
     slope = strat.rho0 * strat.g_tilde * (1.0 - (p.m * p.a) ** 2 * e2)
     roundoff = 4.0 * np.finfo(float).eps * terms / slope
     return max(dsp.INTERFACE_TOL, 4.0 * math.ulp(s)) + roundoff
@@ -327,19 +328,20 @@ def solved_site(lat_deg, jump, k_over_threshold, branch):
 
 @settings(max_examples=80, deadline=None)
 @given(lat_deg=st.one_of(st.just(0.0), st.floats(0.0, 89.99), st.floats(-89.99, 0.0)),
-       jump=st.floats(0.5, 20.0),
+       jump_exp=st.floats(-3.0, math.log10(20.0)),
        k_exp=st.floats(0.05, 7.0),
        steepness=st.floats(0.0, 0.99),
        s0_exp=st.floats(0.0, 8.0),
        offset_exp=st.floats(0.0, 5.0),
        branch=st.sampled_from(("positive", "negative")))
-def test_interface_label_property(lat_deg, jump, k_exp, steepness, s0_exp,
+def test_interface_label_property(lat_deg, jump_exp, k_exp, steepness, s0_exp,
                                   offset_exp, branch):
-    """Over admitted sets, latitudes down to the smallest doubles and s0 up to
-    1e8 m: s_plus > s0 solves the map to 1e-9 m (or a few ulp(s) and the map's
-    roundoff) within the iteration cap."""
+    """Over admitted sets, latitudes down to the smallest doubles, density
+    jumps from 1e-3 to 20 kg/m^3 and s0 up to 1e8 m: s_plus > s0 solves the
+    map to 1e-9 m (or a few ulp(s) and the map's roundoff) within the
+    iteration cap."""
     try:
-        site, strat, k, c = solved_site(lat_deg, jump, 10.0**k_exp, branch)
+        site, strat, k, c = solved_site(lat_deg, 10.0**jump_exp, 10.0**k_exp, branch)
         m = dsp.orbit_parameters(site.f, k, 1.0, c)[0]
     except InputError:  # the set is not admitted: a typed input error ends the run
         assume(False)

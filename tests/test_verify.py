@@ -7,9 +7,10 @@ import pytest
 
 import pollardwaves as pw
 from pollardwaves import verify
-from pollardwaves.flowfield import Flow, sheet_elevation
+from pollardwaves.flowfield import Flow
 
 from conftest import REF_K, REF_S0
+from inversion import sheet_elevation
 
 
 @pytest.fixture(scope="module")
