@@ -28,7 +28,7 @@ import numpy as np
 from . import dispersion as dsp
 from . import flowfield as flow
 from . import verify as ver
-from .errors import AmplitudeBoundError, ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError
 from .geo import PhysicalConstants, coriolis, min_wavenumber, reduced_gravity
 
 FIELD_COLUMNS = ("t", "q", "r", "s", "x", "y", "z",
@@ -46,6 +46,7 @@ MAX_TABLE_ROWS = 1_000_000
 MAX_VERIFY_SAMPLES = 100_000
 
 EARTH = PhysicalConstants()  # frozen, so every configured solve shares it
+_SITE_BITS = struct.Struct("3d")  # (latitude_deg, rho0, rho_plus), _setting's memo key
 
 # a float field of a config file takes a JSON integer that a double holds, kept as it is
 _JSON_TYPES = {float: (int, float), float | None: (int, float, type(None))}
@@ -157,13 +158,13 @@ def _setting(config: RunConfig):
     its Site and Stratification, built again only when the latitude or either
     density changes its bit pattern (-0.0 and 0.0 are two sites).  Unstable or
     non-finite densities raise a StratificationError (exit 2) on every call."""
-    values = (config.latitude_deg, config.rho0, config.rho_plus)
-    return _site_setting(*values, struct.pack("3d", *values))
+    return _site_setting(_SITE_BITS.pack(config.latitude_deg, config.rho0, config.rho_plus))
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _site_setting(latitude_deg, rho0, rho_plus, _bits):
-    """_setting's one-entry memo; an error is raised, not stored."""
+@functools.lru_cache(maxsize=1)
+def _site_setting(bits):
+    """_setting's one-entry memo, keyed on bytes alone; an error is raised, not stored."""
+    latitude_deg, rho0, rho_plus = _SITE_BITS.unpack(bits)
     return (EARTH, coriolis(EARTH, math.radians(latitude_deg)),
             reduced_gravity(EARTH, rho0, rho_plus))
 
@@ -174,16 +175,15 @@ def solve_configured(config: RunConfig):
     Returns (constants, site, strat, params), with the site and stratification
     of the config before when it was at the same site (_setting).  Only the
     configured branch's root is solved and checked (solve_branch), at every
-    latitude; an overflowing k^4 and a non-finite density, s0 or beta0 offset
-    are InputErrors (exit 2), and so is an amplitude above the thermocline
-    bound 1/m (derive_parameters).  The perturb_c negative control replaces
-    the phase speed after the set is solved, leaving m, b, d untouched.
+    latitude, which gates k once; an overflowing k^4, a non-finite density, s0
+    or beta0 offset, an m that is not positive and finite and an amplitude
+    above the thermocline bound 1/m are InputErrors (exit 2).  The perturb_c
+    negative control replaces c after the set is solved, leaving m, b, d.
     """
     constants, site, strat = _setting(config)
     k = config.k
     _, c = dsp.solve_branch(site, strat, k, config.branch, tol=config.tol_identity)
-    params = dsp.derive_parameters(site, strat, k, config.amplitude, c,
-                                   config.s0, config.beta0_offset)
+    params = dsp._derive(site, strat, k, config.amplitude, c, config.s0, config.beta0_offset)
     if config.perturb_c != 0.0:
         params = dataclasses.replace(params, c=(1.0 + config.perturb_c) * params.c)
     return constants, site, strat, params
@@ -215,29 +215,20 @@ def _flow_columns(fields: flow.Flow):
 def cmd_dispersion(config: RunConfig, args) -> int:
     _, site, strat = _setting(config)
     k = config.k
-    roots = dsp.solve_dispersion(site, strat, k, tol=config.tol_identity)
-    nd = dsp.nondimensionalize(site, strat, k)
-    c = roots.c_minus if config.branch == "negative" else roots.c_plus
-    params = dsp.derive_parameters(site, strat, k, config.amplitude, c,
-                                   config.s0, config.beta0_offset)
-    m, b, d = params.m, params.b, params.d
-    if not all(map(math.isfinite, (m, b, d))):  # the gate bounds m a, not k^2 c in d
-        raise AmplitudeBoundError(f"the orbit parameters (m, b, d) = {(m, b, d)!r} overflow")
-    report = {
-        "latitude_deg": config.latitude_deg,
-        "wavenumber": k,
-        "wavelength": 2.0 * math.pi / k,
-        "g_tilde": strat.g_tilde,
-        "min_wavenumber": min_wavenumber(site, strat),
-        "alpha": nd.alpha, "beta": nd.beta,
-        "x_plus": roots.x_plus, "x_minus": roots.x_minus,
-        "c_plus": roots.c_plus, "c_minus": roots.c_minus,
-        "m": m, "b": b, "d": d,
-    }
+    nd = dsp.nondimensionalize(site, strat, k)  # the one wavenumber gate
+    (x_plus, c_plus), (x_minus, c_minus) = (
+        dsp._branch_root(nd, site, strat, k, branch, config.tol_identity)
+        for branch in ("positive", "negative"))
+    c = c_minus if config.branch == "negative" else c_plus
+    params = dsp._derive(site, strat, k, config.amplitude, c, config.s0, config.beta0_offset)
+    report = {"latitude_deg": config.latitude_deg, "wavenumber": k, "wavelength": params.L,
+              "g_tilde": strat.g_tilde, "min_wavenumber": min_wavenumber(site, strat),
+              "alpha": nd.alpha, "beta": nd.beta, "x_plus": x_plus, "x_minus": x_minus,
+              "c_plus": c_plus, "c_minus": c_minus, "m": params.m, "b": params.b, "d": params.d}
     print(f"alpha = {nd.alpha:.10g}   beta = {nd.beta:.10g}")
-    print(f"  X_plus  = {roots.x_plus:.12g}   c_plus  = {roots.c_plus:.10g} m/s")
-    print(f"  X_minus = {roots.x_minus:.12g}   c_minus = {roots.c_minus:.10g} m/s")
-    print(f"  m = {m:.10g} 1/m   b = {b:.10g} m   d = {d:.10g} m")
+    print(f"  X_plus  = {x_plus:.12g}   c_plus  = {c_plus:.10g} m/s")
+    print(f"  X_minus = {x_minus:.12g}   c_minus = {c_minus:.10g} m/s")
+    print(f"  m = {params.m:.10g} 1/m   b = {params.b:.10g} m   d = {params.d:.10g} m")
     if args.out:
         if config.output_format == "csv":
             text = "name,value\n" + "".join(

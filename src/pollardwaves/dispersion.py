@@ -22,9 +22,10 @@ From a solved phase speed the dependent parameters follow in closed form:
 
     m^2 = k^4 c^2 / (k^2 c^2 - f^2),   b = m a / k,   d = -f m a / (k^2 c),
 
-with the amplitude gate a <= 1/m, m^2 a^2 e^(-2 m s0) < 1 (a local
-diffeomorphism at s0) and the thermocline/interface pressure constants
-completing the set.
+with m a positive finite double, the amplitude gate a <= 1/m,
+m^2 a^2 e^(-2 m s0) < 1 (a local diffeomorphism at s0) and the
+thermocline/interface pressure constants completing the set.  Products, not
+float powers: cheaper, and inf on overflow where a power raises OverflowError.
 """
 
 import math
@@ -187,13 +188,18 @@ def solve_branch(site: Site, strat: Stratification, k: float, branch: str,
     identity rho0^2 c^2 (c^2 k^2 - f^2) = (rho0 c f_hat + g (rho_plus - rho0))^2
     met to the same relative tolerance.  Densities and k for which a side of
     the identity overflows a double are a StratificationError."""
+    return _branch_root(nondimensionalize(site, strat, k), site, strat, k, branch, tol)
+
+
+def _branch_root(nd, site, strat, k, branch, tol):
+    """solve_branch on nd, the polynomial nondimensionalize(site, strat, k)
+    made after gating k."""
     if branch not in ("positive", "negative"):
         raise InputError(f"unknown branch {branch!r}")
-    nd = nondimensionalize(site, strat, k)  # raises at k <= 4 Omega^2 / g_tilde
     sign = 1.0 if branch == "positive" else -1.0
     x = _refine_root(nd, *root_brackets(nd)[0 if branch == "positive" else 1])
     p = nd.evaluate(x)
-    if abs(p) > tol * max(1.0, x**4):
+    if abs(p) > tol * max(1.0, x * x * (x * x)):
         raise ConvergenceError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
     if not sign * x > 0.0:
         raise ConvergenceError(f"the {branch} root X={x!r} is on the wrong side of 0")
@@ -233,13 +239,13 @@ def _require_admissible_wavenumber(site, strat, k):
 def pressure_coefficient_a(f, f_hat, k, c, a, b, d):
     """A, the coefficient of e^(-2 m s) in the wave pressure
     -rho0 (A e^(-2 m s) + B e^(-m s) cos(theta))."""
-    return -0.5 * k**2 * c**2 * b**2 + 0.5 * f_hat * k * c * a * b - 0.5 * f * k * c * b * d
+    return (-0.5 * (k * k) * (c * c) * (b * b) + 0.5 * f_hat * k * c * a * b
+            - 0.5 * f * k * c * b * d)
 
 
-def _interface_map(strat, A, m, s):
-    """(F(s), F'(s)): the RHS of the thermocline-constant equation as a
-    function of the label s, with A = pressure_coefficient_a(...), and its
-    slope, from one exponential.
+def _interface_map(strat, A, m, s, beta0=0.0):
+    """(F(s) - beta0, F'(s)): the RHS F of the thermocline-constant equation
+    at the label s, with A = pressure_coefficient_a(...), from one exponential.
 
     In the reduced form F = (rho_plus - rho0) g s - rho0 A e^(-2 m s), which
     has no cancellation between rho0 g s and rho_plus g s.  F is strictly
@@ -249,7 +255,7 @@ def _interface_map(strat, A, m, s):
     """
     wave = strat.rho0 * A * math.exp(-2.0 * m * s)
     flat = (strat.rho_plus - strat.rho0) * strat.g
-    return flat * s - wave, 2.0 * m * wave + flat
+    return flat * s - wave - beta0, 2.0 * m * wave + flat
 
 
 def _invert_interface_map(strat, A, m, s0, map_s0, slope_s0, beta0):
@@ -258,36 +264,33 @@ def _invert_interface_map(strat, A, m, s0, map_s0, slope_s0, beta0):
 
     The map's slope lies between slope_s0 and rho0 g_tilde, which bound
     s_plus - s0 = (beta0 - map_s0) / slope; rho_plus g s must not overflow at
-    the lower one.  _newton runs from the upper bound on a bracket open above,
-    whose lower bound falls back to s0 unless the sign of map - beta0 confirms
-    it, to a step <= INTERFACE_TOL / 2."""
+    the lower one.  _newton runs from the upper bound, on the bracket from s0
+    open above, to a step <= INTERFACE_TOL / 2.  A <= 0 makes the map convex as
+    well as increasing, so Newton stays above s_plus: no call probes a lower end."""
     if not beta0 > map_s0:
         raise InterfaceOrderingError(
             f"beta0={beta0!r} must exceed P0 - P0_tilde={map_s0!r}")
-    flat, offset = (strat.rho_plus - strat.rho0) * strat.g, beta0 - map_s0
-    s = s0 + (offset / slope_s0 if slope_s0 > 0.0 else 1.0)
-    lo = s0 + offset / flat
-    if not math.isfinite(strat.rho_plus * strat.g * lo):
-        raise InputError(f"beta0 offset {offset!r} overflows rho_plus g s_plus (s_plus >= {lo!r})")
-    if not (lo < s and _interface_map(strat, A, m, lo)[0] < beta0):
-        lo = s0
-
-    def residual(s):
-        value, slope = _interface_map(strat, A, m, s)
-        return value - beta0, slope
-
-    return _newton(residual, lo, math.inf, s, INTERFACE_TOL / 2)
+    offset = beta0 - map_s0
+    least = s0 + offset / ((strat.rho_plus - strat.rho0) * strat.g)
+    if not math.isfinite(strat.rho_plus * strat.g * least):
+        raise InputError(
+            f"beta0 offset {offset!r} overflows rho_plus g s_plus (s_plus >= {least!r})")
+    return _newton(lambda s: _interface_map(strat, A, m, s, beta0), s0, math.inf,
+                   s0 + (offset / slope_s0 if slope_s0 > 0.0 else 1.0), INTERFACE_TOL / 2)
 
 
 def orbit_parameters(f: float, k: float, a: float, c: float):
     """(m, b, d) of a phase speed c, by the closed forms above."""
-    m2_denom = k**2 * c**2 - f**2
+    k2, c2 = k * k, c * c
+    m2_denom = k2 * c2 - f * f
     if not m2_denom > 0:
         raise EvanescentRegimeError(
-            f"k^2 c^2 = {k**2 * c**2!r} must exceed f^2 = {f**2!r}; "
+            f"k^2 c^2 = {k2 * c2!r} must exceed f^2 = {f * f!r}; "
             "the vertical decay rate m diverges as k^2 c^2 -> f^2")
-    m = math.sqrt(k**4 * c**2 / m2_denom)
-    return m, m * a / k, -f * m * a / (k**2 * c)
+    m = math.sqrt(k2 * k2 * c2 / m2_denom)
+    if not 0.0 < m < math.inf:  # k^4 underflows below k of about 1e-81
+        raise EvanescentRegimeError(f"the decay rate m={m!r} at k={k!r} is not positive and finite")
+    return m, m * a / k, -f * m * a / (k2 * c)
 
 
 def require_admissible_amplitude(m: float, a: float, s0: float):
@@ -319,6 +322,12 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
     exceed P0 - P0_tilde (an InterfaceOrderingError otherwise).
     """
     _require_admissible_wavenumber(site, strat, k)  # the interface map's monotonicity
+    return _derive(site, strat, k, a, c, s0, beta0_offset)
+
+
+def _derive(site, strat, k, a, c, s0, beta0_offset):
+    """derive_parameters without its wavenumber gate, for a c that solve_branch
+    solved, and so gated, at this k: a configured solve gates k once."""
     if not (math.isfinite(s0) and math.isfinite(beta0_offset)):
         raise InputError(f"s0={s0!r} and beta0_offset={beta0_offset!r} must both be finite")
     m, b, d = orbit_parameters(site.f, k, a, c)

@@ -39,7 +39,7 @@ class AmplitudeBoundError(InputError):
 
 
 class EvanescentRegimeError(InputError):
-    """Phase speed with k^2 c^2 <= f^2: the vertical decay rate m is not real."""
+    """Vertical decay rate m not real (k^2 c^2 <= f^2), or not a positive finite double."""
 
 
 class InterfaceOrderingError(InputError):

@@ -85,6 +85,38 @@ def test_dispersion_report_orbit_parameters_equal_derived(tmp_path, ref_params):
         ref_params.m, ref_params.b, ref_params.d)
 
 
+@pytest.mark.parametrize("lat, branch", [(45.0, "positive"), (-60.0, "negative"),
+                                         (0.0, "negative")])
+def test_dispersion_gates_its_wavenumber_once(monkeypatch, tmp_path, lat, branch):
+    """One wavenumber gate serves both roots and the configured set, and the
+    report holds what separate solves give: each root of solve_branch and the
+    (m, b, d) of solve_configured."""
+    gate, gates = dsp._require_admissible_wavenumber, []
+    monkeypatch.setattr(dsp, "_require_admissible_wavenumber",
+                        lambda *args: gates.append(None) or gate(*args))
+    out = tmp_path / "report.json"
+    assert main(["dispersion", "--lat", str(lat), "--branch", branch, "--format", "json",
+                 "--out", str(out)]) == 0
+    assert len(gates) == 1
+    report = json.loads(out.read_text())
+    config = RunConfig(latitude_deg=lat, branch=branch).validate()
+    _, site, strat, params = solve_configured(config)
+    for root, sign in (("positive", "plus"), ("negative", "minus")):
+        x, c = dsp.solve_branch(site, strat, REF_K, root)
+        assert (report[f"x_{sign}"], report[f"c_{sign}"]) == (x, c)
+    assert (report["m"], report["b"], report["d"]) == (params.m, params.b, params.d)
+
+
+@pytest.mark.parametrize("command", ["dispersion", "verify"])
+def test_underflowing_decay_rate_is_a_typed_error(command, capsys):
+    """k^4 underflows at k = 1e-100, so m = 0, where the amplitude gate's 1/m
+    raised ZeroDivisionError: a one-line typed error (exit 2)."""
+    assert main([command, "--rho0", "1e-200", "--rho-plus", "1e-50", "--k", "1e-100",
+                 "--amplitude", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "decay rate m=0.0" in err
+
+
 def test_dispersion_report_speed_in_bracket(tmp_path, site45, strat):
     out = tmp_path / "report.json"
     assert main(["dispersion", "--format", "json", "--out", str(out)]) == 0

@@ -30,7 +30,10 @@ CASE_SECONDS = 5.0
 SIZES = {"dispersion": [], "trajectory": ["--n", "8"], "profile": ["--n", "8"],
          "field": ["--nq", "4", "--ns", "3"], "verify": []}
 
-EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e16]
+# tiny normal magnitudes reach an underflowing k^4 (k = 1e-200 over rho0 = 1e-200)
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e300, -1e300, 1e16]
+# k^4 underflows, so m = 0: the amplitude gate's 1/m raised ZeroDivisionError
+M_UNDERFLOW = {"rho0": 1e-200, "rho_plus": 1e-50, "wavenumber": 1e-100, "amplitude": 0.0}
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
     | st.sampled_from(["nan", "inf", "-1e400", ""]),
@@ -90,6 +93,8 @@ def report_numbers(path):
 @example(command="field", config={"perturb_c": 1e300})
 @example(command="field", config={"wavenumber": 1e16, "beta0_offset": 1e300, "amplitude": 0.0})
 @example(command="dispersion", config={"wavenumber": 1e16, "amplitude": 1e300})
+@example(command="verify", config=M_UNDERFLOW)
+@example(command="dispersion", config=M_UNDERFLOW)
 def test_every_config_file_runs_or_exits_with_one_line(command, config, tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     (path / "run.json").write_text(json.dumps(config))

@@ -21,6 +21,7 @@ from pollardwaves.errors import ConvergenceError, InputError
 
 from conftest import (REF_A, REF_BETA0_OFFSET, REF_K, REF_S0, derivative_discriminant,
                       nondim_of, refine_root)
+from test_domain import draws as domain_draws
 
 MP_DIGITS = 50
 
@@ -285,22 +286,91 @@ def test_branch_solve_equals_both_root_solve(strat):
     assert solved == 400 + len(HIGH_LATITUDE_CASES)  # every case, at every latitude
 
 
+def exact_map(strat, f, f_hat, k, c, a, b, d, m):
+    """The thermocline-constant map F(s) = (rho_plus - rho0) g s - rho0 A e^(-2 m s)
+    of mpf parameters, in the working precision of its caller."""
+    rho0, rho_plus, g = map(mpmath.mpf, (strat.rho0, strat.rho_plus, strat.g))
+    wave = (-k**2 * c**2 * b**2 + f_hat * k * c * a * b - f * k * c * b * d) / 2
+    return lambda s: (rho_plus - rho0) * g * s - rho0 * wave * mpmath.exp(-2 * m * s)
+
+
 def interface_root(site, strat, params):
     """s solving the thermocline-constant map = beta0 in 50-digit arithmetic,
     with the double-precision parameters taken as exact."""
     with mpmath.workdps(MP_DIGITS):
+        p = params
+        F = exact_map(strat, *map(mpmath.mpf, (site.f, site.f_hat, p.k, p.c, p.a, p.b,
+                                               p.d, p.m)))
+        return mpmath.findroot(lambda s: F(s) - p.beta0, mpmath.mpf(p.s_plus))
+
+
+def exact_parameters(config):
+    """(params, exact, F(s0)): the solve_configured set of a config, the
+    50-digit values of its solved fields c, m, b, d, L, P0_tilde, beta0 and
+    s_plus, and the map at s0, which P0_tilde = P0 - F(s0) cancels against.
+
+    The 50-digit solve takes the same doubles as exact: f, f_hat, rho0,
+    rho_plus, g, k, a, s0 and the beta0 offset, with g_tilde formed in 50
+    digits.  Its roots, X of P and the label s_plus, are met from the double
+    solve's own."""
+    _, site, strat, params = solve_configured(config)
+    with mpmath.workdps(MP_DIGITS):
         mp = mpmath.mpf
-        k, c, a, b, d, m, g = map(mp, (params.k, params.c, params.a, params.b,
-                                       params.d, params.m, strat.g))
-        f, f_hat = mp(site.f), mp(site.f_hat)
+        f, f_hat, k, a, s0 = map(mp, (site.f, site.f_hat, config.k, config.amplitude,
+                                      config.s0))
+        g_tilde = mp(strat.g) * (mp(strat.rho_plus) - mp(strat.rho0)) / mp(strat.rho0)
+        alpha, beta = (f**2 + f_hat**2) / (g_tilde * k), f_hat / mpmath.sqrt(g_tilde * k)
+        x = mpmath.findroot(lambda X: X**4 - alpha * X**2 - 2 * beta * X - 1,
+                            mp(params.c) * mpmath.sqrt(k / g_tilde))
+        c = x * mpmath.sqrt(g_tilde / k)
+        m = mpmath.sqrt(k**4 * c**2 / (k**2 * c**2 - f**2))
+        b, d = m * a / k, -f * m * a / (k**2 * c)
+        F = exact_map(strat, f, f_hat, k, c, a, b, d, m)
+        map_s0 = F(s0)
+        beta0 = map_s0 + mp(config.beta0_offset)
+        s_plus = mpmath.findroot(lambda s: F(s) - beta0, mp(params.s_plus))
+        exact = {"c": c, "m": m, "b": b, "d": d, "L": 2 * mpmath.pi / k,
+                 "P0_tilde": dsp.P0_STANDARD - map_s0, "beta0": beta0, "s_plus": s_plus}
+    return params, exact, map_s0
 
-        def residual(s):
-            wave = (-k**2 * c**2 * b**2 + f_hat * k * c * a * b - f * k * c * b * d) / 2
-            value = (-mp(strat.rho0) * (wave * mpmath.exp(-2 * m * s) + g * s)
-                     + mp(strat.rho_plus) * g * s)
-            return value - mp(params.beta0)
 
-        return mpmath.findroot(residual, mp(params.s_plus))
+# Worst ulps of each solved field from its 50-digit value over test_domain's
+# draws (181 admitted), each bound just above the worst at version 0.14.0:
+# c 1.62, m 2.06, b 2.30, d 3.57, L 0.84, P0_tilde 0.88, beta0 1.22, s_plus 2.24.
+# P0_tilde's is in ulps of max(P0, |F(s0)|): P0 - F(s0) cancels at large s0,
+# and 0.88 ulp of that scale was 33 ulp of P0_tilde itself.
+FIELD_ULPS = {"c": 1.7, "m": 2.1, "b": 2.4, "d": 3.6, "L": 0.9,
+              "P0_tilde": 0.9, "beta0": 1.3, "s_plus": 2.3}
+
+
+def test_every_solved_field_meets_a_50_digit_solve():
+    """Every WaveParameters field over test_domain's draws, with density jumps
+    down to 1e-3 kg/m^3: the inputs and the gauge P0 exactly, and each solved
+    field within its FIELD_ULPS bound of exact_parameters.  Version 0.12.0's
+    s_plus, off by up to 2.2e-5 m at the smallest jumps, misses by 8e5 ulp."""
+    worst, admitted = dict.fromkeys(FIELD_ULPS, 0.0), 0
+    for config in domain_draws():
+        try:
+            params, exact, map_s0 = exact_parameters(config.validate())
+        except InputError:
+            continue
+        admitted += 1
+        _, site, strat = cli._setting(config)
+        assert (params.a, params.k, params.s0, params.P0, params.f, params.f_hat,
+                params.strat) == (config.amplitude, config.k, config.s0, dsp.P0_STANDARD,
+                                  site.f, site.f_hat, strat)
+        for name, value in exact.items():
+            got = getattr(params, name)
+            if name == "P0_tilde":
+                scale = math.ulp(max(params.P0, abs(float(map_s0))))
+                with mpmath.workdps(MP_DIGITS):
+                    miss = float(abs(mpmath.mpf(got) - value) / scale)
+            else:
+                miss = ulps_from(got, value)
+            worst[name] = max(worst[name], miss)
+    assert admitted == 181
+    assert all(worst[name] <= FIELD_ULPS[name] for name in FIELD_ULPS), worst
+    assert worst["c"] > 0.0  # the oracle is not comparing a solve with itself
 
 
 def interface_tolerance(site, strat, params):
@@ -351,8 +421,11 @@ def test_interface_label_property(lat_deg, jump_exp, k_exp, steepness, s0_exp,
         params = pw.derive_parameters(site, strat, k, steepness / m, c, s0,
                                       10.0**offset_exp)
     assert params.s_plus > s0
-    # F(s0), the lower-bound check and at most _MAX_STEPS Newton iterations
-    assert len(calls) <= dsp._MAX_STEPS + 2
+    # A <= 0: the map is convex, so Newton from the upper tangent bound stays above s_plus
+    assert dsp.pressure_coefficient_a(params.f, params.f_hat, k, c, params.a, params.b,
+                                      params.d) <= 0.0
+    # F(s0) and at most _MAX_STEPS Newton iterations
+    assert len(calls) <= dsp._MAX_STEPS + 1
     miss = abs(params.s_plus - float(interface_root(site, strat, params)))
     assert miss <= interface_tolerance(site, strat, params)
 
@@ -366,7 +439,7 @@ def test_still_water_interface_in_one_step(monkeypatch, lat_deg, s0, offset):
     site, strat, k, c = solved_site(lat_deg, 4.0, 1e5, "positive")
     calls = count_calls(monkeypatch, dsp, "_interface_map")
     params = pw.derive_parameters(site, strat, k, 0.0, c, s0, offset)
-    assert len(calls) == 2  # F(s0) and the upper end; the lower end coincides
+    assert len(calls) == 2  # F(s0) and the upper end, the root
     assert abs(params.s_plus - (s0 + offset / (strat.rho0 * strat.g_tilde))) <= 1e-9
 
 
@@ -376,23 +449,27 @@ def test_reference_solve_work_counts(monkeypatch, site45, strat, equator_site):
     residual gate one evaluate; from the root of X^2 - beta X - 1, a root takes
     3 steps at the reference, 1 at the Equator, where that start is the root,
     and 5 at 82.6 deg and k = 4.6e-6 (4, 4 and 5 from the brackets' outer ends).
-    The label takes F(s0), the lower-bound check and 2 Newton steps."""
+    The label takes F(s0) and 2 Newton steps, and a configured solve computes
+    the wavenumber threshold once, in solve_branch's gate."""
     steps = count_calls(monkeypatch, pw.NondimDispersion, "value_and_slope")
     evaluations = count_calls(monkeypatch, pw.NondimDispersion, "evaluate")
     map_calls = count_calls(monkeypatch, dsp, "_interface_map")
+    thresholds = count_calls(monkeypatch, dsp, "min_wavenumber")
     roots = pw.solve_dispersion(site45, strat, REF_K)
     assert (len(steps), len(evaluations)) == (6, 2)  # both roots
     pw.derive_parameters(site45, strat, REF_K, REF_A, roots.c_plus, REF_S0,
                          REF_BETA0_OFFSET)
-    assert len(map_calls) <= 4
+    assert len(map_calls) == 3
     configured = ((RunConfig(), 3), (RunConfig(latitude_deg=82.6, wavenumber=4.6e-6), 5),
                   (RunConfig(latitude_deg=0.0), 1))
     for config, bound in configured:
         for branch in ("positive", "negative"):  # a configured solve: its own branch only
             steps.clear()
             evaluations.clear()
+            thresholds.clear()
             solve_configured(dataclasses.replace(config, branch=branch).validate())
             assert (len(steps), len(evaluations)) == (bound, 1), (config.latitude_deg, branch)
+            assert len(thresholds) == 1, (config.latitude_deg, branch)
     for eps in np.linspace(1e-3, 5e-2, 20):
         for F in np.linspace(0.42, 2.4, 20):
             nd = nondim_of(eps, F)
