@@ -65,7 +65,7 @@ def sample(n, rng):
 def kernel_spellings(values, fmt):
     """The kernel's spelling of each value, one export column at a time, each
     cell ending in a newline."""
-    cells = (_floatfmt._spell(values[start:start + COLUMN], fmt == "json", (b"\n",)).tobytes()
+    cells = (_floatfmt._spell(values[start:start + COLUMN], fmt == "json", b"\n").tobytes()
              for start in range(0, len(values), COLUMN))
     return b"".join(cells).translate(None, b"\0").decode("ascii").split("\n")[:-1]
 

@@ -22,7 +22,7 @@ _SCALE_MIN = -270                       # the power table holds 10**e, e in [-27
 _EXACT_MIN, _EXACT_MAX = 1e-280, 1e280  # no scaled product over- or underflows
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _BLOCK_ROWS = 512  # CSV rows per translate: their cells stay in cache
-_GROUP = 8192     # values per kernel call that spells small arrays together
+_GROUP = 8192     # values per kernel call: a table's values in slices of this size
 _FORMS, _SCI = 22, 21  # forms of a cell's text: 0-16 fixed, 17-20 below 1, 21 scientific
 _SLOTS = 18            # a cell's digit slots: 17 digits and the point's
 _JSON_SEP = b",\n    "  # ends each JSON cell; the text drops the last one
@@ -190,43 +190,27 @@ def _last_slot(words):
     return np.maximum(last - 128, 0)
 
 
-def _spell(x, json_, seps, which=0, out=None):
-    """The cells (n, 4 + json_) int64 of the floats of x, the cell of x[i]
-    ending in the bytes seps[which[i]] (``which`` broadcasts), written to
-    ``out`` if given."""
+def _spell(x, json_, sep, out=None):
+    """The cells (n, 4 + json_) int64 of the floats of x, each ending in the
+    bytes ``sep``, written to ``out`` if given."""
     t = _tables()
     M, X, fallback = _digits(x, json_, t)
     row = X + _EXP_OFFSET
     form = t.form[json_][row]
     words = _slot_words(M, t.split[form], np.signbit(x), t)
-    template = np.concatenate([t.text[json_]] * len(seps))  # one copy per separator
-    template[:, -1] |= np.repeat([_word(sep.rjust(8, b"\0")) for sep in seps], _FORMS * _SLOTS)
-    index = (which * _FORMS + form) * _SLOTS + _last_slot(words)
+    template = t.text[json_].copy()
+    template[:, -1] |= _word(sep.rjust(8, b"\0"))
+    index = form * _SLOTS + _last_slot(words)
     cells = np.take(template, index, axis=0, out=out, mode="clip")  # in range; "clip" writes out unbuffered
     for k, w in enumerate(words):
         cells[:, k] += w
     cells[:, 3] |= t.exponent[json_][row]
     if fallback.any():  # Python's text fills each such cell up to its separator
         index = np.flatnonzero(fallback)
-        width = cells.shape[1] * 8 - max(map(len, seps))
+        width = cells.shape[1] * 8 - len(sep)
         texts = "".join(text.ljust(width, "\0") for text in _python_spelling(x[index].tolist(), json_))
         cells.view(np.uint8)[index, :width] = np.frombuffer(texts.encode(), np.uint8).reshape(-1, width)
     return cells
-
-
-def _calls(sizes):
-    """The arrays of each kernel call, as a range of their indices: an array
-    of _GROUP values or more alone, and runs of smaller ones together, up to
-    _GROUP values a call."""
-    calls, room = [], -1  # the values the last call can still take
-    for i, n in enumerate(sizes):
-        if n < _GROUP and n <= room:
-            calls[-1] = range(calls[-1].start, i + 1)
-            room -= n
-        else:
-            calls.append(range(i, i + 1))
-            room = _GROUP - n if n < _GROUP else -1
-    return calls
 
 
 def table_text(columns, values, fmt):
@@ -235,24 +219,24 @@ def table_text(columns, values, fmt):
     chunks: CSV rows of f"{v:.17g}" cells, or JSON column arrays in the
     layout of json.dumps(indent=2).
 
-    Each array's own entries are spelled once, before this returns: arrays
-    of fewer than _GROUP values share kernel calls of up to _GROUP values,
-    each array's cells ending in its own separator.  The iterator makes each
-    chunk as it is asked for: ``translate`` deletes the NULs of a block of
-    about 512 rows (CSV) while its cells are still in cache, or of a JSON
-    column's own cells, whose text a broadcast axis repeats."""
+    Each array's own entries are spelled once, before this returns: all of
+    them, one array after another, in consecutive slices of _GROUP values,
+    each cell ending in the table's one separator.  A CSV cell's separator is
+    one byte, its last, so the last array's cells then end in "\n" by one
+    assignment.  The iterator makes each chunk as it is asked for:
+    ``translate`` deletes the NULs of a block of about 512 rows (CSV) while
+    its cells are still in cache, or of a JSON column's own cells, whose text
+    a broadcast axis repeats."""
     arrays = [np.asarray(v, dtype=float) for v in values]
     shape = np.broadcast_shapes(*(a.shape for a in arrays)) or (1,)
     json_ = fmt == "json"
-    seps = (_JSON_SEP,) if json_ else (b",", b"\n")
-    which = [0] * len(arrays) if json_ else [0] * (len(arrays) - 1) + [1]
-    sizes = [a.size for a in arrays]
-    offsets = np.cumsum([0, *sizes])  # each array's first row in the store
+    offsets = np.cumsum([0, *(a.size for a in arrays)])  # each array's first row in the store
+    flat = np.concatenate([a.ravel() for a in arrays])
     store = np.empty((offsets[-1], 4 + json_), np.int64)  # every array's cells, in one allocation
-    for call in _calls(sizes):
-        _spell(np.concatenate([arrays[i].ravel() for i in call]), json_, seps,
-               np.repeat(which[call.start:call.stop], sizes[call.start:call.stop]),
-               store[offsets[call.start]:offsets[call.stop]])
+    for start in range(0, offsets[-1], _GROUP):
+        _spell(flat[start:start + _GROUP], json_, _JSON_SEP if json_ else b",", store[start:start + _GROUP])
+    if not json_:
+        store.view(np.uint8)[offsets[-2]:, -1] = ord("\n")
     # each array's own cells, with the table's number of axes
     cells = [own.reshape(*(1,) * (len(shape) - a.ndim), *a.shape, 4 + json_)
              for a, own in zip(arrays, np.split(store, offsets[1:-1]))]

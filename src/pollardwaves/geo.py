@@ -7,7 +7,7 @@ Latitude in degrees is accepted only at the CLI boundary.
 import math
 from dataclasses import dataclass
 
-from .errors import LatitudeError, StratificationError
+from .errors import InputError, LatitudeError, StratificationError
 
 # Defaults for Earth
 G_STANDARD = 9.81        # gravitational acceleration [m s^-2]
@@ -22,20 +22,20 @@ class PhysicalConstants:
     Omega: float = OMEGA_EARTH
 
     def __post_init__(self):
-        if not (self.g > 0 and self.Omega > 0):
-            raise ValueError("g and Omega must both be positive")
+        if not (0 < self.g < math.inf and 0 < self.Omega < math.inf):
+            raise InputError(f"g and Omega must be positive and finite, got g={self.g!r}, "
+                             f"Omega={self.Omega!r}")
 
 
 @dataclass(frozen=True)
 class Site:
-    """Fixed latitude phi [rad] with its f-plane Coriolis parameters.
+    """The f-plane Coriolis parameters of a fixed latitude phi.
 
     f = 2 Omega sin(phi) is the Coriolis parameter and
     f_hat = 2 Omega cos(phi) its reciprocal companion, both in s^-1.
-    Positive phi is the Northern Hemisphere.
+    f > 0 in the Northern Hemisphere.
     """
 
-    phi: float
     f: float
     f_hat: float
 
@@ -64,11 +64,8 @@ def coriolis(constants: PhysicalConstants, phi: float) -> Site:
     """
     if not abs(phi) < math.pi / 2:
         raise LatitudeError(f"latitude must satisfy |phi| < pi/2, got {phi!r}")
-    return Site(
-        phi=phi,
-        f=2.0 * constants.Omega * math.sin(phi),
-        f_hat=2.0 * constants.Omega * math.cos(phi),
-    )
+    return Site(f=2.0 * constants.Omega * math.sin(phi),
+                f_hat=2.0 * constants.Omega * math.cos(phi))
 
 
 def reduced_gravity(constants: PhysicalConstants, rho0: float,

@@ -101,7 +101,7 @@ def test_brackets_reference_case(site45, strat):
     assert nd.evaluate(in_m) < 0 < nd.evaluate(out_m)
 
 
-def test_brackets_discriminant_gate_passes_at_large_eps():
+def test_brackets_hold_sign_changes_at_large_eps():
     """Criterion 2's largest eps and F: P' has one real zero, and each bracket
     holds a sign change of P."""
     nd = nondim_of(0.05, 2.4)

@@ -106,8 +106,8 @@ def spelled_sizes(monkeypatch):
 def test_exports_spell_each_stored_value_once(fmt, spelled_sizes, tmp_path):
     out = str(tmp_path / "table")
     assert cli.main(["field", "--nq", "128", "--ns", "64", "--format", fmt, "--out", out]) == 0
-    # t, q, r and s in one call, then the ten fields on the whole lattice
-    assert spelled_sizes == [1 + 128 + 1 + 64] + [128 * 64] * 10
+    # t, q, r and s, then the ten fields on the whole lattice, in 8192-value slices
+    assert spelled_sizes == [8192] * 10 + [194]
     assert sum(spelled_sizes) == 1 + 128 + 1 + 64 + 10 * 128 * 64  # the stored values
     spelled_sizes.clear()
     assert cli.main(["trajectory", "--n", "50", "--format", fmt, "--out", out]) == 0
@@ -161,14 +161,43 @@ def test_grouped_arrays_keep_their_separators_beside_python_text(
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_arrays_share_calls_of_at_most_8192_values(fmt, spelled_sizes, tmp_path):
-    """A small array that would take a call past 8192 values starts the next
-    call; an array of 8192 values or more is spelled alone."""
+def test_calls_spell_consecutive_8192_value_slices(fmt, spelled_sizes, tmp_path):
+    """The stored values, one array after another, in slices of 8192 that
+    cut across arrays of any size."""
     rng = np.random.default_rng(8192)
     values = (rng.standard_normal((2, 1)), rng.standard_normal((1, 8191)), np.array(0.1),
               rng.standard_normal((2, 8191)), np.array(-2.5))
     assert_written_as_reference(("a", "b", "c", "d", "e"), values, fmt, tmp_path)
-    assert spelled_sizes == [2, 8191 + 1, 2 * 8191, 1] * 2
+    assert spelled_sizes == [8192, 8192, 8192, 1] * 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("special", [np.nan, -np.inf, 5e-324, 1e300, 2.0**-20])
+def test_python_text_at_either_side_of_a_slice_boundary(special, fmt, spelled_sizes, tmp_path):
+    """Values that Python spells (a power of two in JSON only) at stored
+    indices 8191 and 8192: the last of one call, ending a "," cell, and the
+    first of the next, in the last CSV column."""
+    rng = np.random.default_rng(8193)
+    a, b = rng.standard_normal(8192), rng.standard_normal(8192)
+    a[-1] = b[0] = special
+    assert_written_as_reference(("a", "b"), (a, b), fmt, tmp_path)
+    assert spelled_sizes == [8192, 8192] * 2
+
+
+def slice_table(case):
+    """Columns whose stored values the 8192-value slices cut in other places."""
+    rng = np.random.default_rng(8194)
+    return {"a slice across the last two columns": [rng.standard_normal(3000) for _ in range(3)],
+            "a 0-d last column": [rng.standard_normal((2, 5000)), np.array(-0.0)],
+            "one column": [np.append(rng.standard_normal(8999), np.nan)]}[case]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ["a slice across the last two columns", "a 0-d last column",
+                                  "one column"])
+def test_newlines_end_the_last_column_however_slices_fall(case, fmt, tmp_path):
+    values = slice_table(case)
+    assert_written_as_reference(tuple("abc"[:len(values)]), values, fmt, tmp_path)
 
 
 def significant_digits(value):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pollardwaves as pw
-from pollardwaves.errors import LatitudeError, StratificationError
+from pollardwaves.errors import InputError, LatitudeError, StratificationError
 
 
 def test_default_constants_exact():
@@ -16,9 +16,13 @@ def test_default_constants_exact():
 @pytest.mark.parametrize("g, Omega", [
     (-9.81, 7.29e-5),
     (9.81, 0.0),
+    (math.inf, 7.29e-5),
+    (9.81, math.inf),
+    (math.nan, 7.29e-5),
+    (9.81, math.nan),
 ])
 def test_constants_must_be_positive(g, Omega):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="positive and finite"):
         pw.PhysicalConstants(g=g, Omega=Omega)
 
 
