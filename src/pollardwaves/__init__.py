@@ -15,7 +15,7 @@ from .dispersion import (
     solve_branch,
     solve_dispersion,
 )
-from .errors import PollardWaveError
+from .errors import InputError, NumericError, PollardWaveError
 from .flowfield import Flow
 from .geo import (
     PhysicalConstants,
@@ -27,12 +27,14 @@ from .geo import (
 )
 from .verify import VerificationReport, VerifyConfig, run_all
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = [
     "DispersionRoots",
     "Flow",
+    "InputError",
     "NondimDispersion",
+    "NumericError",
     "PhysicalConstants",
     "PollardWaveError",
     "Site",

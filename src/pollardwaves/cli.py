@@ -28,7 +28,7 @@ import numpy as np
 from . import dispersion as dsp
 from . import flowfield as flow
 from . import verify as ver
-from .errors import ConfigError, InputError, NumericError
+from .errors import InputError, NumericError
 from .geo import PhysicalConstants, coriolis, min_wavenumber, reduced_gravity
 
 FIELD_COLUMNS = ("t", "q", "r", "s", "x", "y", "z",
@@ -77,39 +77,34 @@ class RunConfig:
     n_random: int = ver.VerifyConfig.n_random
 
     def validate(self):
+        """This config, if it passes the checks no solve gate makes; the
+        amplitude and the wavenumber's sign are left to the solve's gates."""
         has_k = self.wavenumber is not None
         has_l = self.wavelength is not None
         if has_k == has_l:
-            raise ConfigError(
-                "exactly one of wavenumber/wavelength must be set")
+            raise InputError("exactly one of wavenumber/wavelength must be set")
         if has_l and not self.wavelength > 0:
-            raise ConfigError(f"wavelength must be positive, got {self.wavelength!r}")
-        if has_k and not self.wavenumber > 0:
-            raise ConfigError(f"wavenumber must be positive, got {self.wavenumber!r}")
+            raise InputError(f"wavelength must be positive, got {self.wavelength!r}")
         if self.branch not in ("positive", "negative"):
-            raise ConfigError(f"unknown branch {self.branch!r}")
+            raise InputError(f"unknown branch {self.branch!r}")
         if self.output_format not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
+            raise InputError(f"unknown output format {self.output_format!r}")
         if not abs(self.latitude_deg) < 90.0:
-            raise ConfigError(
+            raise InputError(
                 f"latitude must satisfy |lat| < 90 deg, got {self.latitude_deg!r}")
-        if not 0 <= self.amplitude < math.inf:
-            raise ConfigError(f"amplitude must be finite and non-negative, got {self.amplitude!r}")
         if not -1.0 < self.perturb_c <= 1.0:
-            raise ConfigError(f"perturb_c must satisfy -1 < perturb_c <= 1, got {self.perturb_c!r}")
-        for name in ("tol_identity", "tol_fd"):
-            if not 0.0 < vars(self)[name] < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {vars(self)[name]!r}")
-        if not self.seed >= 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
-        for name in ("n_theta", "n_s", "n_time", "n_random"):
-            if not getattr(self, name) >= 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+            raise InputError(f"perturb_c must satisfy -1 < perturb_c <= 1, got {self.perturb_c!r}")
+        self.verify_config()  # VerifyConfig checks the sampling grids, seed and tolerances
         samples = self.n_theta * self.n_s * self.n_time + self.n_random
         if samples > MAX_VERIFY_SAMPLES:
-            raise ConfigError(f"n_theta * n_s * n_time + n_random must be at most "
-                              f"{MAX_VERIFY_SAMPLES}, got {samples}")
+            raise InputError(f"n_theta * n_s * n_time + n_random must be at most "
+                             f"{MAX_VERIFY_SAMPLES}, got {samples}")
         return self
+
+    def verify_config(self) -> ver.VerifyConfig:
+        """The VerifyConfig of this run's sampling and tolerance fields."""
+        return ver.VerifyConfig(**{fld.name: getattr(self, fld.name)
+                                   for fld in dataclasses.fields(ver.VerifyConfig)})
 
     @property
     def k(self) -> float:
@@ -122,24 +117,24 @@ class RunConfig:
         try:
             raw = json.loads(text)
         except ValueError as exc:  # also an integer of over 4300 digits
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            raise InputError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
+            raise InputError("config must be a JSON object")
         fields = {f.name: f.type for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - set(fields))
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+            raise InputError(f"unknown config keys: {', '.join(unknown)}")
         for name, value in raw.items():
             kind = fields[name]
             if isinstance(value, bool) or not isinstance(value, _JSON_TYPES.get(kind, kind)):
-                raise ConfigError(f"config key {name} must be of type "
-                                  f"{getattr(kind, '__name__', kind)}, got {value!r}")
+                raise InputError(f"config key {name} must be of type "
+                                 f"{getattr(kind, '__name__', kind)}, got {value!r}")
             if kind in _JSON_TYPES and isinstance(value, int):
                 try:
                     float(value)
                 except OverflowError as exc:
-                    raise ConfigError(f"config key {name} is an integer too large "
-                                      f"for a float") from exc
+                    raise InputError(f"config key {name} is an integer too large "
+                                     f"for a float") from exc
         return cls(**_clear_other_length(raw))
 
 
@@ -157,7 +152,7 @@ def _setting(config: RunConfig):
     Coriolis pair and its two densities.  Consecutive configs at one site share
     its Site and Stratification, built again only when the latitude or either
     density changes its bit pattern (-0.0 and 0.0 are two sites).  Unstable or
-    non-finite densities raise a StratificationError (exit 2) on every call."""
+    non-finite densities raise an InputError (exit 2) on every call."""
     return _site_setting(_SITE_BITS.pack(config.latitude_deg, config.rho0, config.rho_plus))
 
 
@@ -276,9 +271,7 @@ def cmd_field(config: RunConfig, args) -> int:
 
 def cmd_verify(config: RunConfig, args) -> int:
     _, _, _, params = solve_configured(config)
-    vconfig = ver.VerifyConfig(**{fld.name: getattr(config, fld.name)
-                                  for fld in dataclasses.fields(ver.VerifyConfig)})
-    reports = ver.run_all(params, vconfig)
+    reports = ver.run_all(params, config.verify_config())
     passed = all(r.passed for r in reports)
     for r in reports:
         state = "PASS" if r.passed else "FAIL"
@@ -389,7 +382,7 @@ def load_config(args) -> RunConfig:
             with open(args.config, "r", encoding="utf-8") as handle:
                 config = RunConfig.from_json(handle.read())
         except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+            raise InputError(f"cannot read config file: {exc}") from exc
     else:
         config = RunConfig()
     overrides = {fld.name: getattr(args, fld.name) for fld in dataclasses.fields(RunConfig)
@@ -404,14 +397,14 @@ def _check_table_size(args):
     if args.command == "field":
         for flag, n in (("--nq", args.nq), ("--ns", args.ns)):
             if n < 0:
-                raise ConfigError(f"{flag} must be non-negative, got {n!r}")
+                raise InputError(f"{flag} must be non-negative, got {n!r}")
         rows = args.nq * args.ns
     else:
         if args.n < 2:
-            raise ConfigError(f"--n must be at least 2, got {args.n!r}")
+            raise InputError(f"--n must be at least 2, got {args.n!r}")
         rows = args.n
     if rows > MAX_TABLE_ROWS:
-        raise ConfigError(f"a table has at most {MAX_TABLE_ROWS} rows, got {rows}")
+        raise InputError(f"a table has at most {MAX_TABLE_ROWS} rows, got {rows}")
 
 
 def _check_labels(args, params, s, q_ends, t_ends):
@@ -422,17 +415,17 @@ def _check_labels(args, params, s, q_ends, t_ends):
     for name in ("q", "r", "s", "t", "t0", "t1", "q0", "q1"):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{name} must be finite, got {value!r}")
+            raise InputError(f"--{name} must be finite, got {value!r}")
     for axis, (lo, hi) in (("q", q_ends), ("t", t_ends)):
         if not math.isfinite(hi - lo):
-            raise ConfigError(f"the {axis} range [{lo!r}, {hi!r}] overflows a double")
+            raise InputError(f"the {axis} range [{lo!r}, {hi!r}] overflows a double")
     for q in q_ends:
         for t in t_ends:
             if not math.isfinite(flow.phase(params, q, t)):
-                raise ConfigError(f"the phase k (q - c t) overflows a double at q={q!r}, t={t!r}")
+                raise InputError(f"the phase k (q - c t) overflows a double at q={q!r}, t={t!r}")
     if not params.s0 <= s <= params.s_plus:
-        raise ConfigError(f"--s={s!r} must lie in the layer [s0, s_plus] = "
-                          f"[{params.s0!r}, {params.s_plus!r}]")
+        raise InputError(f"--s={s!r} must lie in the layer [s0, s_plus] = "
+                         f"[{params.s0!r}, {params.s_plus!r}]")
 
 
 def main(argv=None) -> int:

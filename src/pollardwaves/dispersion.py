@@ -31,15 +31,7 @@ float powers: cheaper, and inf on overflow where a power raises OverflowError.
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    AmplitudeBoundError,
-    ConvergenceError,
-    EvanescentRegimeError,
-    InputError,
-    InterfaceOrderingError,
-    StratificationError,
-    WavenumberError,
-)
+from .errors import InputError, NumericError
 from .geo import Site, Stratification, min_wavenumber
 
 # Default gauge: thermocline reference pressure [Pa]
@@ -153,7 +145,7 @@ def _newton(fun, lo, hi, x, tol):
     (every iterate below the root joins the bracket as its lower end).
     Stops at |step| <= tol or 2 ulp(x), checked before the safeguard so that an
     iterate converged onto a bracket end is not bisected away, or at an
-    unhalvable bracket; a ConvergenceError after _MAX_STEPS iterations."""
+    unhalvable bracket; a NumericError after _MAX_STEPS iterations."""
     anchor = lo
     for _ in range(_MAX_STEPS):
         value, slope = fun(x)
@@ -165,7 +157,7 @@ def _newton(fun, lo, hi, x, tol):
         if mid == lo or mid == hi:
             return x
         x = x - step if (x - step - lo) * (x - step - hi) < 0.0 else mid
-    raise ConvergenceError(f"Newton did not converge within {_MAX_STEPS} steps at x={x!r}")
+    raise NumericError(f"Newton did not converge within {_MAX_STEPS} steps at x={x!r}")
 
 
 def _refine_root(nd: NondimDispersion, inner: float, outer: float) -> float:
@@ -187,7 +179,7 @@ def solve_branch(site: Site, strat: Stratification, k: float, branch: str,
     c = X sqrt(g_tilde / k), |P(X)| <= tol * max(1, X^4) and the dimensional
     identity rho0^2 c^2 (c^2 k^2 - f^2) = (rho0 c f_hat + g (rho_plus - rho0))^2
     met to the same relative tolerance.  Densities and k for which a side of
-    the identity overflows a double are a StratificationError."""
+    the identity overflows a double are an InputError."""
     return _branch_root(nondimensionalize(site, strat, k), site, strat, k, branch, tol)
 
 
@@ -200,18 +192,18 @@ def _branch_root(nd, site, strat, k, branch, tol):
     x = _refine_root(nd, *root_brackets(nd)[0 if branch == "positive" else 1])
     p = nd.evaluate(x)
     if abs(p) > tol * max(1.0, x * x * (x * x)):
-        raise ConvergenceError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
+        raise NumericError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
     if not sign * x > 0.0:
-        raise ConvergenceError(f"the {branch} root X={x!r} is on the wrong side of 0")
+        raise NumericError(f"the {branch} root X={x!r} is on the wrong side of 0")
     c = x * math.sqrt(strat.g_tilde / k)
     rho_c = strat.rho0 * c  # products, not powers: a float power that overflows raises
     root = rho_c * site.f_hat + strat.g * (strat.rho_plus - strat.rho0)
     lhs, rhs = rho_c * rho_c * (c * k * (c * k) - site.f * site.f), root * root
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        raise StratificationError(f"the dispersion relation overflows a double at rho0="
-                                  f"{strat.rho0!r}, rho_plus={strat.rho_plus!r}, k={k!r}")
+        raise InputError(f"the dispersion relation overflows a double at rho0="
+                         f"{strat.rho0!r}, rho_plus={strat.rho_plus!r}, k={k!r}")
     if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs)):
-        raise ConvergenceError(
+        raise NumericError(
             f"dimensional dispersion identity violated at c={c!r}: |{lhs!r} - {rhs!r}|")
     return x, c
 
@@ -225,14 +217,13 @@ def solve_dispersion(site: Site, strat: Stratification, k: float,
 
 
 def _require_admissible_wavenumber(site, strat, k):
-    """min_wavenumber(site, strat); raises WavenumberError unless it < k < 1e77
+    """min_wavenumber(site, strat); raises InputError unless it < k < 1e77
     (orbit_parameters' k^4 overflows a double above 1.16e77)."""
     threshold = min_wavenumber(site, strat)
     if not k > threshold:
-        raise WavenumberError(
-            f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
+        raise InputError(f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
     if not k < 1e77:
-        raise WavenumberError(f"wavenumber k={k!r} must be below 1e77, where k^4 overflows")
+        raise InputError(f"wavenumber k={k!r} must be below 1e77, where k^4 overflows")
     return threshold
 
 
@@ -268,8 +259,7 @@ def _invert_interface_map(strat, A, m, s0, map_s0, slope_s0, beta0):
     open above, to a step <= INTERFACE_TOL / 2.  A <= 0 makes the map convex as
     well as increasing, so Newton stays above s_plus: no call probes a lower end."""
     if not beta0 > map_s0:
-        raise InterfaceOrderingError(
-            f"beta0={beta0!r} must exceed P0 - P0_tilde={map_s0!r}")
+        raise InputError(f"beta0={beta0!r} must exceed P0 - P0_tilde={map_s0!r}")
     offset = beta0 - map_s0
     least = s0 + offset / ((strat.rho_plus - strat.rho0) * strat.g)
     if not math.isfinite(strat.rho_plus * strat.g * least):
@@ -284,28 +274,28 @@ def orbit_parameters(f: float, k: float, a: float, c: float):
     k2, c2 = k * k, c * c
     m2_denom = k2 * c2 - f * f
     if not m2_denom > 0:
-        raise EvanescentRegimeError(
+        raise InputError(
             f"k^2 c^2 = {k2 * c2!r} must exceed f^2 = {f * f!r}; "
             "the vertical decay rate m diverges as k^2 c^2 -> f^2")
     m = math.sqrt(k2 * k2 * c2 / m2_denom)
     if not 0.0 < m < math.inf:  # k^4 underflows below k of about 1e-81
-        raise EvanescentRegimeError(f"the decay rate m={m!r} at k={k!r} is not positive and finite")
+        raise InputError(f"the decay rate m={m!r} at k={k!r} is not positive and finite")
     return m, m * a / k, -f * m * a / (k2 * c)
 
 
 def require_admissible_amplitude(m: float, a: float, s0: float):
     """The amplitude gate at the thermocline label s0: an InputError unless s0
-    is positive and finite, and an AmplitudeBoundError unless 0 <= a <= 1/m
+    is positive and finite, and an InputError unless 0 <= a <= 1/m
     (the thermocline bound) and m^2 a^2 e^(-2 m s0) < 1 (a local
     diffeomorphism at s0).  derive_parameters applies it, for every command."""
     if not 0.0 < s0 < math.inf:
         raise InputError(f"thermocline label must be positive and finite, got {s0!r}")
     if a < 0:
-        raise AmplitudeBoundError(f"amplitude must be non-negative, got {a!r}")
+        raise InputError(f"amplitude must be non-negative, got {a!r}")
     gate = m * a * math.exp(-m * s0)
     gate *= gate  # a product, not a power: a float power that overflows raises
     if a > 1.0 / m or not gate < 1.0:
-        raise AmplitudeBoundError(
+        raise InputError(
             f"amplitude a={a!r} must satisfy a <= 1/m = {1.0 / m!r} and "
             f"m^2 a^2 e^(-2 m s0) < 1 (got {gate!r})")
 
@@ -319,7 +309,7 @@ def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
     constants are fixed by the dynamic boundary condition at s0 (gauge
     P0_STANDARD) and the interface label s_plus solves the monotone
     thermocline map for beta0 = (P0 - P0_tilde) + beta0_offset, which must
-    exceed P0 - P0_tilde (an InterfaceOrderingError otherwise).
+    exceed P0 - P0_tilde (an InputError otherwise).
     """
     _require_admissible_wavenumber(site, strat, k)  # the interface map's monotonicity
     return _derive(site, strat, k, a, c, s0, beta0_offset)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .dispersion import WaveParameters, pressure_coefficient_a
-from .errors import DiffeomorphismError
+from .errors import NumericError
 
 
 def phase(params: WaveParameters, q, t):
@@ -35,12 +35,12 @@ def _array(v):
 
 
 def _require_positive(values, s, message):
-    """Raise DiffeomorphismError at the first entry of values whose real part is not > 0."""
+    """Raise NumericError at the first entry of values whose real part is not > 0."""
     bad = np.flatnonzero(~(np.real(values) > 0.0))
     if bad.size:
         i, s = bad[0], np.broadcast_to(s, np.shape(values))
-        raise DiffeomorphismError(message.format(s=float(s.flat[i].real),
-                                                 value=float(values.flat[i].real)))
+        raise NumericError(message.format(s=float(s.flat[i].real),
+                                          value=float(values.flat[i].real)))
 
 
 class Flow:

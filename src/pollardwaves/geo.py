@@ -7,7 +7,7 @@ Latitude in degrees is accepted only at the CLI boundary.
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, LatitudeError, StratificationError
+from .errors import InputError
 
 # Defaults for Earth
 G_STANDARD = 9.81        # gravitational acceleration [m s^-2]
@@ -24,7 +24,7 @@ class PhysicalConstants:
     def __post_init__(self):
         if not (0 < self.g < math.inf and 0 < self.Omega < math.inf):
             raise InputError(f"g and Omega must be positive and finite, got g={self.g!r}, "
-                             f"Omega={self.Omega!r}")
+                           f"Omega={self.Omega!r}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,10 @@ class Stratification:
 def coriolis(constants: PhysicalConstants, phi: float) -> Site:
     """Build a Site at latitude phi [rad].
 
-    Raises LatitudeError unless |phi| < pi/2.
+    Raises InputError unless |phi| < pi/2.
     """
     if not abs(phi) < math.pi / 2:
-        raise LatitudeError(f"latitude must satisfy |phi| < pi/2, got {phi!r}")
+        raise InputError(f"latitude must satisfy |phi| < pi/2, got {phi!r}")
     return Site(f=2.0 * constants.Omega * math.sin(phi),
                 f_hat=2.0 * constants.Omega * math.cos(phi))
 
@@ -72,17 +72,16 @@ def reduced_gravity(constants: PhysicalConstants, rho0: float,
                     rho_plus: float) -> Stratification:
     """Build a Stratification with g_tilde = g (rho_plus - rho0) / rho0.
 
-    Raises StratificationError unless rho_plus > rho0 > 0 and g_tilde is finite.
+    Raises InputError unless rho_plus > rho0 > 0 and g_tilde is finite.
     """
     if not rho0 > 0:
-        raise StratificationError(f"rho0 must be positive, got {rho0!r}")
+        raise InputError(f"rho0 must be positive, got {rho0!r}")
     if not rho_plus > rho0:
-        raise StratificationError(
-            f"unstable stratification: need rho_plus > rho0, "
-            f"got rho_plus={rho_plus!r}, rho0={rho0!r}")
+        raise InputError(f"unstable stratification: need rho_plus > rho0, "
+                         f"got rho_plus={rho_plus!r}, rho0={rho0!r}")
     g_tilde = constants.g * (rho_plus - rho0) / rho0
     if not math.isfinite(g_tilde):
-        raise StratificationError(
+        raise InputError(
             f"g_tilde must be finite, got {g_tilde!r} from rho_plus={rho_plus!r}, rho0={rho0!r}")
     return Stratification(rho0=rho0, rho_plus=rho_plus, g_tilde=g_tilde,
                           g=constants.g)

@@ -32,12 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import IDENTITY_TOL, WaveParameters
+from .errors import InputError
 from .flowfield import Flow
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Sampling grids, random seed and the two tolerances a run may set."""
+    """Sampling grids, random seed and the two tolerances a run may set; an
+    InputError unless each grid has a sample, the seed is non-negative and
+    both tolerances are positive and finite."""
 
     n_theta: int = 16
     n_s: int = 16
@@ -46,6 +49,16 @@ class VerifyConfig:
     seed: int = 0
     tol_identity: float = IDENTITY_TOL  # closed-form identities, relative
     tol_fd: float = 1e-8                # derivative checks, relative
+
+    def __post_init__(self):
+        for name in ("tol_identity", "tol_fd"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InputError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not self.seed >= 0:
+            raise InputError(f"seed must be non-negative, got {self.seed!r}")
+        for name in ("n_theta", "n_s", "n_time", "n_random"):
+            if not getattr(self, name) >= 1:
+                raise InputError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
 TOL_DYNAMIC = 1e-9         # dynamic condition, x |P0|

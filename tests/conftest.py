@@ -11,7 +11,7 @@ import pytest
 
 import pollardwaves as pw
 from pollardwaves.dispersion import _refine_root
-from pollardwaves.errors import ConvergenceError
+from pollardwaves.errors import NumericError
 
 REF_K = 6.28e-2
 REF_A = 10.0
@@ -33,7 +33,7 @@ def refine_root(nd, inner, outer):
     x = _refine_root(nd, inner, outer)
     p = nd.evaluate(x)
     if abs(p) > 1e-12 * max(1.0, x**4):
-        raise ConvergenceError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
+        raise NumericError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
     return x
 
 

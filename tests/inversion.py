@@ -20,10 +20,6 @@ _SHEET_TOL = 1e-13    # sheet_label_q's residual target, relative to max(1, |x|)
 _SHEET_MAX_ITER = 60
 
 
-class InversionError(NumericError):
-    """Newton inversion of the label-to-position map did not converge."""
-
-
 def _flat(values, shape):
     return [np.broadcast_to(_array(v), shape).ravel() for v in values]
 
@@ -52,7 +48,7 @@ def invert_labels(params: WaveParameters, x, y, z, t):
     the rounding floor of the position; one still open after _INVERT_MAX_ITER
     iterations fails the inversion.  For a steep wave above a shallow
     thermocline the start is not always in the convergence basin: a step can
-    land where det J < 0, and Flow raises DiffeomorphismError.  Complex
+    land where det J < 0, and Flow raises a NumericError.  Complex
     targets or times give complex labels, whose imaginary parts carry the
     complex-step derivative."""
     shape = np.broadcast_shapes(*(np.shape(v) for v in (x, y, z, t)))
@@ -69,7 +65,7 @@ def invert_labels(params: WaveParameters, x, y, z, t):
     open_ = _newton(label, step, bound, _INVERT_MAX_ITER)
     if open_.size:
         first = tuple(float(v[open_[0]].real) for v in target)
-        raise InversionError(
+        raise NumericError(
             f"map inversion did not reach |residual| <= max({_INVERT_TOL!r}, 4 eps |target|) "
             f"in {_INVERT_MAX_ITER} iterations (target {first!r})")
     return tuple(v.reshape(shape) for v in label)
@@ -93,7 +89,7 @@ def sheet_label_q(params: WaveParameters, s, x, t):
 
     open_ = _newton([q], step, _SHEET_TOL * np.maximum(1.0, np.abs(x)), _SHEET_MAX_ITER)
     if open_.size:
-        raise InversionError(
+        raise NumericError(
             f"sheet abscissa inversion did not converge for "
             f"x={float(x[open_[0]].real)!r}, s={float(s[open_[0]].real)!r}")
     return q.reshape(shape)[()]

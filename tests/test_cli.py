@@ -13,7 +13,7 @@ import pollardwaves as pw
 from pollardwaves import cli, dispersion as dsp, verify
 from pollardwaves.cli import (FIELD_COLUMNS, PROFILE_COLUMNS, RunConfig, main,
                               solve_configured)
-from pollardwaves.errors import AmplitudeBoundError
+from pollardwaves.errors import InputError
 
 from conftest import REF_K
 from equatorial import solve_equatorial
@@ -368,7 +368,7 @@ def test_amplitude_bound_checked_before_interface_solve(monkeypatch):
                         lambda *args: calls.append(args) or original(*args))
     config = RunConfig(latitude_deg=1e-6, wavenumber=55.36,
                        rho_plus=1000.0000001).validate()
-    with pytest.raises(AmplitudeBoundError, match="1/m"):
+    with pytest.raises(InputError, match="1/m"):
         solve_configured(config)
     assert calls == []
 
@@ -571,6 +571,11 @@ def test_sampled_commands_need_two_samples(command, capsys):
     ["dispersion", "--k", "1e5", "--amplitude", "1e308"],
     # the amplitude gate at s0 = -1e300 overflowed e^(-m s0) in the report
     ["dispersion", "--s0=-1e300"],
+    # the solve's own amplitude and wavenumber gates, which the config does not repeat
+    ["verify", "--amplitude=-1"],
+    ["field", "--amplitude=-1"],
+    *([command, *flag] for command in ("dispersion", "verify", "field")
+      for flag in (["--k=-1"], ["--k", "0"], ["--k", "nan"])),
 ])
 def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
     """Each is a one-line configuration error (exit 2); a dict in argv is the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pollardwaves as pw
-from pollardwaves.errors import DiffeomorphismError
+from pollardwaves.errors import NumericError
 from pollardwaves.flowfield import Flow
 
 import inversion
@@ -133,7 +133,7 @@ def test_jacobian_reference_value_at_thermocline(ref_params):
 
 
 def test_jacobian_raises_below_validity_floor(ref_params):
-    with pytest.raises(DiffeomorphismError):
+    with pytest.raises(NumericError, match="flow map is singular at s=-10.0"):
         Flow(ref_params, 0.0, 0.0, -10.0, 0.0).det
 
 
@@ -222,7 +222,7 @@ def test_vorticity_matches_matrix_product(ref_params):
 
 
 def test_vorticity_raises_below_validity_floor(ref_params):
-    with pytest.raises(DiffeomorphismError):
+    with pytest.raises(NumericError, match="vorticity prefactor degenerate at s=-10.0"):
         Flow(ref_params, 0.0, 0.0, -10.0, 0.0).vorticity
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pollardwaves as pw
-from pollardwaves.errors import InputError, LatitudeError, StratificationError
+from pollardwaves.errors import InputError
 
 
 def test_default_constants_exact():
@@ -43,7 +43,7 @@ def test_coriolis_at_45_degrees(constants):
 
 @pytest.mark.parametrize("phi", [math.pi / 2, -math.pi / 2, 2.0, -3.0])
 def test_coriolis_rejects_out_of_range_latitude(constants, phi):
-    with pytest.raises(LatitudeError):
+    with pytest.raises(InputError, match=r"\|phi\| < pi/2"):
         pw.coriolis(constants, phi)
 
 
@@ -79,12 +79,12 @@ def test_reduced_gravity_swap_raises_never_negative(rho0, jump):
     const = pw.PhysicalConstants()
     rho_plus = rho0 + jump
     assert pw.reduced_gravity(const, rho0, rho_plus).g_tilde > 0.0
-    with pytest.raises(StratificationError):
+    with pytest.raises(InputError, match="unstable stratification"):
         pw.reduced_gravity(const, rho_plus, rho0)
 
 
 def test_reduced_gravity_rejects_nonpositive_density(constants):
-    with pytest.raises(StratificationError):
+    with pytest.raises(InputError, match="rho0 must be positive"):
         pw.reduced_gravity(constants, -5.0, 1000.0)
 
 
@@ -93,7 +93,8 @@ def test_reduced_gravity_rejects_nonpositive_density(constants):
     (-math.inf, 1004.0), (1e-10, 1e308),   # the last: finite densities, g_tilde overflows
 ])
 def test_reduced_gravity_rejects_non_finite_inputs(constants, rho0, rho_plus):
-    with pytest.raises(StratificationError):
+    with pytest.raises(InputError, match="rho0 must be positive|unstable stratification|"
+                                         "g_tilde must be finite"):
         pw.reduced_gravity(constants, rho0, rho_plus)
 
 

@@ -1,7 +1,8 @@
 """The package surface: the README's library example runs, nothing after the
-solve takes a Stratification, every exported name resolves, and the package
-and its metadata carry one version."""
+solve takes a Stratification, every exported name resolves, every raise is one
+of the two error types, and the package and its metadata carry one version."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -46,6 +47,24 @@ def test_every_exported_name_resolves():
     missing = [name for name in pw.__all__ if not hasattr(pw, name)]
     assert missing == []
     assert len(set(pw.__all__)) == len(pw.__all__)
+
+
+def test_every_raise_is_one_of_the_two_error_types():
+    """One error type per CLI exit code: each raise in the package names
+    InputError (exit 2) or NumericError (exit 3), and errors.py defines those
+    two and their base class, nothing else."""
+    package = Path(pw.__file__).parent
+    others = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) not in ("InputError", "NumericError"):
+                    others.append(f"{path.name}:{node.lineno}")
+    assert others == []
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    assert classes == ["PollardWaveError", "InputError", "NumericError"]
 
 
 def test_package_and_metadata_versions_agree():

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 import pollardwaves as pw
 from pollardwaves import cli, dispersion as dsp
 from pollardwaves.cli import RunConfig, solve_configured
-from pollardwaves.errors import ConvergenceError, InputError
+from pollardwaves.errors import InputError, NumericError
 
 from conftest import (REF_A, REF_BETA0_OFFSET, REF_K, REF_S0, derivative_discriminant,
                       nondim_of, refine_root)
@@ -240,7 +240,7 @@ def test_newton_raises_at_its_iteration_cap():
     """A function below 0 everywhere, with a zero slope, on a bracket open above:
     x doubles each step and never meets a root or an unhalvable bracket."""
     calls = []
-    with pytest.raises(ConvergenceError, match=f"within {dsp._MAX_STEPS} steps"):
+    with pytest.raises(NumericError, match=f"within {dsp._MAX_STEPS} steps"):
         dsp._newton(lambda x: calls.append(x) or (-1.0, 0.0), 0.0, math.inf, 1.0, 0.0)
     assert calls == [2.0**i for i in range(dsp._MAX_STEPS)]
 
@@ -251,9 +251,9 @@ def test_roots_on_one_side_of_zero_are_rejected(monkeypatch, site45, strat):
     plus, minus = pw.root_brackets(nd)
     monkeypatch.setattr(dsp, "root_brackets", lambda nd: (minus, plus))
     for branch in ("positive", "negative"):
-        with pytest.raises(ConvergenceError, match=f"the {branch} root .* wrong side of 0"):
+        with pytest.raises(NumericError, match=f"the {branch} root .* wrong side of 0"):
             pw.solve_branch(site45, strat, REF_K, branch)
-    with pytest.raises(ConvergenceError, match="wrong side of 0"):
+    with pytest.raises(NumericError, match="wrong side of 0"):
         pw.solve_dispersion(site45, strat, REF_K)
 
 

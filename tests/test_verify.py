@@ -228,6 +228,23 @@ def test_grid_sizes(ref_params):
     assert np.all(sheet[2] == ref_params.s0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_theta", 0, "n_theta must be at least 1"),
+    ("n_s", -1, "n_s must be at least 1"),
+    ("n_time", 0, "n_time must be at least 1"),           # the lattice is read in steps of it
+    ("n_random", 0, "n_random must be at least 1"),       # no random sample to take a worst of
+    ("seed", -1, "seed must be non-negative"),            # numpy takes no negative seed
+    ("tol_identity", 0.0, "tol_identity must be positive and finite"),
+    ("tol_fd", math.nan, "tol_fd must be positive and finite"),
+    ("tol_fd", math.inf, "tol_fd must be positive and finite"),
+])
+def test_verify_config_rejects_each_bad_field(ref_params, field, value, message):
+    """A library caller's invalid VerifyConfig is an InputError that names the
+    field, raised before run_all does any work, never a builtin exception."""
+    with pytest.raises(pw.InputError, match=message):
+        pw.run_all(ref_params, pw.VerifyConfig(**{field: value}))
+
+
 # --- sampling seeds and array bookkeeping --------------------------------------
 
 def test_pressure_consistency_passes_for_sampling_seeds(ref_params):
