@@ -23,10 +23,14 @@ from the sample's own, label + i h J^-T e_j: the verifier inverts nothing.
 Identity checks carry tol_identity and derivative checks tol_fd, the two
 tolerances a run sets; the dynamic condition and the Jacobian's closed
 form have module constants.  All random sampling is seeded; reports
-are deterministic.
+are deterministic.  The random samples come from the standard library's
+``random.Random``, whose ``random()`` sequence for a seed Python keeps across
+versions (numpy's ``Generator`` promises no such stream), and which spares
+the process numpy.random's import.
 """
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,10 +140,12 @@ def wave_period(params: WaveParameters) -> float:
     return 2.0 * math.pi / (params.k * abs(params.c))
 
 
-def _random_samples(params, rng, n, sheet=False):
-    """(q, r, s, t) of n seeded interior samples, each drawing q, r, s, t in
-    turn (not s on the sheet s = s0); lo + (hi - lo) u is rng.uniform(lo, hi)."""
-    u = iter(rng.random((n, 3 if sheet else 4)).T)
+def _random_samples(params, seed, n, sheet=False):
+    """(q, r, s, t) of n interior samples drawn from random.Random(seed), each
+    drawing q, r, s, t in turn (not s on the sheet s = s0); lo + (hi - lo) u
+    is Random.uniform(lo, hi)."""
+    rng, width = random.Random(seed), 3 if sheet else 4
+    u = iter(np.array([rng.random() for _ in range(n * width)]).reshape(n, width).T)
     q = 0.0 + params.L * next(u)
     r = -10.0 + 20.0 * next(u)
     s = (np.full(n, params.s0) if sheet
@@ -154,10 +160,9 @@ def _grid(params, config, sheet=False):
     ss = [params.s0] if sheet else np.linspace(params.s0, params.s_plus, config.n_s)
     ts = np.linspace(0.0, wave_period(params), config.n_time, endpoint=False)
     q, s, t = (a.ravel() for a in np.meshgrid(qs, ss, ts, indexing="ij"))
-    rng = np.random.default_rng(config.seed + (1 if sheet else 0))
     return tuple(np.concatenate(pair) for pair in zip(
         (q, np.zeros(q.size), s, t),
-        _random_samples(params, rng, config.n_random, sheet)))
+        _random_samples(params, config.seed + (1 if sheet else 0), config.n_random, sheet)))
 
 
 def _momentum(flow: Flow):
@@ -256,8 +261,7 @@ def _probe(params, config):
     there.  The labels of the points x + i h e_j are one Newton step from each
     particle's own label, whose real residual is 0: label + i h J^-T e_j."""
     h = _step(params)
-    flow = Flow(params, *_random_samples(params, np.random.default_rng(config.seed + 2),
-                                         config.n_random))
+    flow = Flow(params, *_random_samples(params, config.seed + 2, config.n_random))
     steps = flow.newton_step(*(-1j * h * np.eye(3)[:, :, None]))  # (qrs, j, n)
     labels = [v - d for v, d in zip((flow.q, flow.r, flow.s), steps)]
     return flow, np.array(Flow(params, *labels, flow.t).velocity).imag / h  # (i, j, n)

@@ -1,6 +1,7 @@
 """The array kernel against the per-label ``math`` oracle, its closed-form
-2x2 solves against numpy.linalg, the batched inversions of the test oracle
-``inversion``, and the verify report's layout."""
+2x2 solves against numpy.linalg, its complex sin and cos against numpy's, the
+batched inversions of the test oracle ``inversion``, and the verify report's
+layout."""
 
 import contextlib
 import io
@@ -105,6 +106,55 @@ def test_flow_read_for_det_leaves_sin_uncomputed(ref_params):
     assert "cos" in vars(flow) and "sin" not in vars(flow)
     flow.velocity
     assert "sin" in vars(flow)
+
+
+# --- complex phases ---------------------------------------------------------
+
+def field_bits(flow):
+    """dtype, shape and bytes of sin, cos and every QUANTITIES field of a Flow."""
+    arrays = [flow.sin, flow.cos, *(v for _, kernel, _ in QUANTITIES for v in kernel(flow))]
+    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+def with_numpy_trig(flow):
+    """A Flow at the labels of ``flow`` whose sin and cos are numpy's complex ones."""
+    twin = Flow(flow.params, flow.q, flow.r, flow.s, flow.t)
+    twin.sin, twin.cos = np.sin(twin.theta), np.cos(twin.theta)
+    return twin
+
+
+@pytest.mark.parametrize("argv", [[], ["--lat", "0"], ["--lat", "-60", "--branch", "negative"]],
+                         ids=["reference", "equator", "south-negative"])
+def test_complex_trig_keeps_numpy_bits_at_the_verifiers_steps(argv, monkeypatch, tmp_path):
+    """The verifier's four complex Flows (the pressure rows, the boundary's
+    `at` and `q_h` flows and the probe's stepped labels) have cosh y = 1 and
+    sinh y = y at theta = x + i y: every field, from sin and cos taken from
+    real parts, has the bits it has from numpy's complex sin and cos."""
+    flows, original = [], Flow.__init__
+    monkeypatch.setattr(Flow, "__init__",
+                        lambda self, *args: flows.append(self) or original(self, *args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", *argv, "--out", str(tmp_path / "report.json")]) == 0
+    monkeypatch.undo()
+    stepped = [flow for flow in flows if np.iscomplexobj(flow.theta)]
+    assert len(stepped) == 4
+    for flow in stepped:
+        assert field_bits(flow) == field_bits(with_numpy_trig(flow))
+
+
+def test_complex_trig_within_4_ulp_of_numpy(scenario):
+    """At general complex phases, |Im theta| <= 5, sin and cos taken from real
+    parts agree with numpy's complex sin and cos within 4 ulp in each of the
+    real and imaginary parts (2 measured)."""
+    q, r, s, t = random_labels(scenario, seed=12, n=2000)
+    im = np.random.default_rng(13).uniform(-5.0, 5.0, q.size) / scenario.k
+    split = Flow(scenario, q + 1j * im, r, s, t)
+    twin = with_numpy_trig(split)
+    assert np.max(np.abs(split.theta.imag)) <= 5.0
+    for got, want in ((split.sin, twin.sin), (split.cos, twin.cos)):
+        for part in (np.real, np.imag):
+            a, b = part(got), part(want)
+            assert np.all(np.abs(a - b) <= 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
 
 
 # --- batched inversions ---------------------------------------------------

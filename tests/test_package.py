@@ -1,10 +1,15 @@
 """The package surface: the README's library example runs, nothing after the
 solve takes a Stratification, every exported name resolves, every raise is one
-of the two error types, and the package and its metadata carry one version."""
+of the two error types, no command loads numpy.random, and the package and its
+metadata carry one version."""
 
 import ast
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pollardwaves as pw
@@ -65,6 +70,31 @@ def test_every_raise_is_one_of_the_two_error_types():
     errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
     classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
     assert classes == ["PollardWaveError", "InputError", "NumericError"]
+
+
+NO_RANDOM_SCRIPT = """
+import contextlib, io, json, sys
+from pollardwaves import cli
+seen = []
+for command in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--out", f"{sys.argv[1]}/{command}.out"])
+    seen.append([command, code, "numpy.random" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    """numpy imports numpy.random on first use, and no command uses it: the
+    verifier draws its samples from random.Random.  One fresh interpreter runs
+    every command, and numpy.random is absent after each."""
+    commands = ["dispersion", "trajectory", "profile", "field", "verify"]
+    result = subprocess.run(
+        [sys.executable, "-c", NO_RANDOM_SCRIPT, str(tmp_path), *commands],
+        env={**os.environ, "PYTHONPATH": str(Path(pw.__file__).parent.parent)},
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[command, 0, False] for command in commands]
 
 
 def test_package_and_metadata_versions_agree():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def test_grid_sizes(ref_params):
     ("n_s", -1, "n_s must be at least 1"),
     ("n_time", 0, "n_time must be at least 1"),           # the lattice is read in steps of it
     ("n_random", 0, "n_random must be at least 1"),       # no random sample to take a worst of
-    ("seed", -1, "seed must be non-negative"),            # numpy takes no negative seed
+    ("seed", -1, "seed must be non-negative"),            # random.Random(-1) repeats seed 1
     ("tol_identity", 0.0, "tol_identity must be positive and finite"),
     ("tol_fd", math.nan, "tol_fd must be positive and finite"),
     ("tol_fd", math.inf, "tol_fd must be positive and finite"),
@@ -282,24 +283,24 @@ def samples(grid):
 
 
 def test_random_samples_follow_scalar_uniform_draws(ref_params):
-    """The grid's random part is the sequence of scalar rng.uniform draws
-    q, r, s, t per sample (q, r, t on the sheet)."""
+    """The random samples are the sequence of scalar random.Random.uniform
+    draws q, r, s, t per sample (q, r, t on the sheet), from the streams
+    seed (volume), seed + 1 (sheet) and seed + 2 (probe)."""
     config = verify.VerifyConfig(n_theta=2, n_s=2, n_time=2, n_random=25, seed=17)
     period = verify.wave_period(ref_params)
-    rng = np.random.default_rng(17)
-    expected = []
-    for _ in range(25):
-        expected.append((float(rng.uniform(0.0, ref_params.L)),
-                         float(rng.uniform(-10.0, 10.0)),
-                         float(rng.uniform(ref_params.s0, ref_params.s_plus)),
-                         float(rng.uniform(0.0, period))))
-    assert samples(verify._grid(ref_params, config))[8:] == expected
-    rng = np.random.default_rng(18)
-    sheet = []
-    for _ in range(25):
-        q, r = float(rng.uniform(0.0, ref_params.L)), float(rng.uniform(-10.0, 10.0))
-        sheet.append((q, r, ref_params.s0, float(rng.uniform(0.0, period))))
-    assert samples(verify._grid(ref_params, config, sheet=True))[4:] == sheet
+
+    def draws(seed, sheet=False):
+        rng, out = random.Random(seed), []
+        for _ in range(25):
+            q, r = rng.uniform(0.0, ref_params.L), rng.uniform(-10.0, 10.0)
+            s = ref_params.s0 if sheet else rng.uniform(ref_params.s0, ref_params.s_plus)
+            out.append((q, r, s, rng.uniform(0.0, period)))
+        return out
+
+    assert samples(verify._grid(ref_params, config))[8:] == draws(17)
+    assert samples(verify._grid(ref_params, config, sheet=True))[4:] == draws(18, sheet=True)
+    probe, _ = verify._probe(ref_params, config)
+    assert samples(verify._where(probe)) == draws(19)
 
 
 def test_worst_sample_is_first_largest_residual():
