@@ -27,7 +27,7 @@ from .geo import (
 )
 from .verify import VerificationReport, VerifyConfig, run_all
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 __all__ = [
     "DispersionRoots",

@@ -177,7 +177,7 @@ def solve_configured(config: RunConfig):
     """
     constants, site, strat = _setting(config)
     k = config.k
-    _, c = dsp.solve_branch(site, strat, k, config.branch, tol=config.tol_identity)
+    _, c = dsp.solve_branch(site, strat, k, config.branch, config.tol_identity)
     params = dsp._derive(site, strat, k, config.amplitude, c, config.s0, config.beta0_offset)
     if config.perturb_c != 0.0:
         params = dataclasses.replace(params, c=(1.0 + config.perturb_c) * params.c)

@@ -64,8 +64,7 @@ def coriolis(constants: PhysicalConstants, phi: float) -> Site:
     """
     if not abs(phi) < math.pi / 2:
         raise InputError(f"latitude must satisfy |phi| < pi/2, got {phi!r}")
-    return Site(f=2.0 * constants.Omega * math.sin(phi),
-                f_hat=2.0 * constants.Omega * math.cos(phi))
+    return Site(2.0 * constants.Omega * math.sin(phi), 2.0 * constants.Omega * math.cos(phi))
 
 
 def reduced_gravity(constants: PhysicalConstants, rho0: float,
@@ -83,8 +82,7 @@ def reduced_gravity(constants: PhysicalConstants, rho0: float,
     if not math.isfinite(g_tilde):
         raise InputError(
             f"g_tilde must be finite, got {g_tilde!r} from rho_plus={rho_plus!r}, rho0={rho0!r}")
-    return Stratification(rho0=rho0, rho_plus=rho_plus, g_tilde=g_tilde,
-                          g=constants.g)
+    return Stratification(rho0, rho_plus, g_tilde, constants.g)
 
 
 def min_wavenumber(site: Site, strat: Stratification) -> float:

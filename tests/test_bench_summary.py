@@ -13,9 +13,10 @@ bench_summary = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_summary)
 
 
-def write_record(directory, seed, op_p50_ref, commit, trace=0, peak_rss_mb=34.0, ok_frac=1.0):
+def write_record(directory, seed, op_p50_ref, commit, trace=0, peak_rss_mb=34.0, ok_frac=1.0,
+                 setup_s=0.3):
     metrics = {"op_p50_ref": (op_p50_ref, "ref"), "ops_per_ref": (1.0 / op_p50_ref, "1/ref"),
-               "setup_s": (0.3, "s"), "op_tail_ref": (1.5 * op_p50_ref, "ref"),
+               "setup_s": (setup_s, "s"), "op_tail_ref": (1.5 * op_p50_ref, "ref"),
                "ok_frac": (ok_frac, "1"), "peak_rss_mb": (peak_rss_mb, "MB")}
     record = {"workload": "sweep_solve", "seconds": 30.0, "trace": trace, "seed": seed,
               "python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "cpu_model": "test cpu",
@@ -61,6 +62,7 @@ def test_without_a_claim_the_runs_are_still_summarised(tmp_path):
     bench_summary.main([str(parent), str(change), "--out", str(out)])
     document = json.loads(out.read_text())
     assert document["claim"] is None
+    assert document["claim_met"] is None
     entry = document["workloads"]["sweep_solve"]
     assert not any(key.endswith("_in") for key in entry)  # no wins are counted
     assert entry["pairs"] == 3
@@ -113,4 +115,60 @@ def test_a_better_change_is_over_no_bound(tmp_path):
     changes = document["workloads"]["sweep_solve"]["relative_change"]
     assert changes["op_p50_ref"] == pytest.approx(-0.5)
     assert changes["ok_frac"] is None  # a parent median of 0 has no relative change
+    assert document["over_bound"] == []
+
+
+def summarise_pairs(tmp_path, pairs, claim="sweep_solve:op_p50_ref"):
+    """The document of one (parent, change) pair of records per item of
+    ``pairs``, each item an (op_p50_ref, setup_s) pair of pairs."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, ((p50_before, p50_after), (setup_before, setup_after)) in enumerate(pairs):
+        write_record(parent, seed, p50_before, "abc", setup_s=setup_before)
+        write_record(change, seed, p50_after, "def", setup_s=setup_after)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return bench_summary.summarise(bench_summary.load_runs(parent),
+                                   bench_summary.load_runs(change), claim, benchmark)
+
+
+PARENT_P50 = [2.0 + 0.04 * i for i in range(10)]  # median 2.18, q3 - q1 = 0.18 (8 %)
+
+
+def test_a_nine_in_ten_win_inside_the_parent_spread_is_not_met(tmp_path):
+    # 9 of 10 pairs 0.05 lower, one 0.05 higher: the medians differ by less than 0.18
+    steps = [-0.05] * 9 + [0.05]
+    document = summarise_pairs(tmp_path, [((p, p + dp), (0.3, 0.3))
+                                          for p, dp in zip(PARENT_P50, steps)])
+    entry = document["workloads"]["sweep_solve"]
+    assert entry["op_p50_ref_change_lower_in"] == "9 of 10 pairs"
+    assert entry["parent"]["op_p50_ref"]["q3"] - entry["parent"]["op_p50_ref"]["q1"] \
+        == pytest.approx(0.18)
+    assert document["claim_met"] is False
+    assert document["unresolved"] == []
+
+
+@pytest.mark.parametrize("steps, met", [
+    ([-0.5] * 10, True),             # a clear win in every pair
+    ([-0.5] * 9 + [0.05], True),     # 9 of 10 is enough
+    ([-0.5] * 8 + [0.05] * 2, False),  # 8 of 10 is not, however far the medians move
+    ([-0.5] * 9 + [0.0], True),      # a tie counts for neither side
+    ([-0.5] * 8 + [0.0] * 2, False),
+])
+def test_the_claim_rule_counts_wins_and_ties(tmp_path, steps, met):
+    document = summarise_pairs(tmp_path, [((p, p + dp), (0.3, 0.3))
+                                          for p, dp in zip(PARENT_P50, steps)])
+    assert document["claim_met"] is met
+
+
+@pytest.mark.parametrize("setup_after, listed", [
+    (lambda before: before, True),          # the parent spread hides any change
+    (lambda before: before - 0.15, True),   # medians apart, but the runs overlap
+    (lambda before: 0.1 * before, False),   # every change run beats every parent run
+])
+def test_a_metric_spread_wider_than_its_bound_is_unresolved(tmp_path, setup_after, listed):
+    # setup_s quartiles 0.3-0.6 around a median of 0.45: 67 % against a bound of 25 %
+    setup_before = [0.2 + 0.1 * (i % 5) for i in range(10)]
+    document = summarise_pairs(tmp_path, [((p, p - 0.5), (s, setup_after(s)))
+                                          for p, s in zip(PARENT_P50, setup_before)])
+    assert document["unresolved"] == (["sweep_solve:setup_s"] if listed else [])
+    assert document["claim_met"] is True  # the claimed metric is resolved either way
     assert document["over_bound"] == []

@@ -236,7 +236,7 @@ def test_profile_json_mirrors_columns(tmp_path):
 
 def test_profile_deep_thermocline_terminates():
     """At s0 = 1e8 m the ulp of s exceeds the 1e-9 m interface tolerance;
-    the interface bisection must still stop."""
+    the interface label's Newton solve must still stop (at a step of 2 ulp)."""
     src = os.path.dirname(os.path.dirname(pw.__file__))
     result = subprocess.run(
         [sys.executable, "-m", "pollardwaves.cli", "profile", "--s0", "1e8", "--n", "4"],

@@ -1,9 +1,10 @@
 """The package surface: the README's library example runs, nothing after the
 solve takes a Stratification, every exported name resolves, every raise is one
-of the two error types, no command loads numpy.random, and the package and its
-metadata carry one version."""
+of the two error types, the solve layer's records are built positionally, no
+command loads numpy.random, and the package and its metadata carry one version."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -70,6 +71,30 @@ def test_every_raise_is_one_of_the_two_error_types():
     errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
     classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
     assert classes == ["PollardWaveError", "InputError", "NumericError"]
+
+
+def test_solve_records_are_built_positionally():
+    """The solve layer builds its records with one positional argument per
+    field, in field order, and no keyword or ** (matching the 15 keywords of a
+    WaveParameters took about 0.7 us, of a configured solve's 10 us).  Every
+    such construction in the package is checked, and each record is built."""
+    records = {cls.__name__: len(dataclasses.fields(cls)) for cls in
+               (pw.WaveParameters, pw.NondimDispersion, pw.DispersionRoots, pw.Site,
+                pw.Stratification)}
+    package = Path(pw.__file__).parent
+    built, bad = set(), []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in records:
+                built.add(name)
+                if (node.keywords or len(node.args) != records[name]
+                        or any(isinstance(arg, ast.Starred) for arg in node.args)):
+                    bad.append(f"{path.name}:{node.lineno} {name}")
+    assert bad == []
+    assert built == set(records)
 
 
 NO_RANDOM_SCRIPT = """
