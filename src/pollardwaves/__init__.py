@@ -6,14 +6,12 @@ data export (cli).
 """
 
 from .dispersion import (
-    DispersionRoots,
     NondimDispersion,
     WaveParameters,
     derive_parameters,
     nondimensionalize,
     root_brackets,
     solve_branch,
-    solve_dispersion,
 )
 from .errors import InputError, NumericError, PollardWaveError
 from .flowfield import Flow
@@ -27,10 +25,9 @@ from .geo import (
 )
 from .verify import VerificationReport, VerifyConfig, run_all
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
-    "DispersionRoots",
     "Flow",
     "InputError",
     "NondimDispersion",
@@ -50,5 +47,4 @@ __all__ = [
     "root_brackets",
     "run_all",
     "solve_branch",
-    "solve_dispersion",
 ]

@@ -52,10 +52,11 @@ _SITE_BITS = struct.Struct("3d")  # (latitude_deg, rho0, rho_plus), _setting's m
 _JSON_TYPES = {float: (int, float), float | None: (int, float, type(None))}
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(ver.VerifyConfig):
     """Flat run configuration; defaults reproduce the reference scenario
-    (45 deg N, density jump 4e-3, k = 6.28e-2 1/m, a = 10 m)."""
+    (45 deg N, density jump 4e-3, k = 6.28e-2 1/m, a = 10 m).  The sampling
+    grids, seed and tolerances are VerifyConfig's fields, checked by validate."""
 
     latitude_deg: float = 45.0
     rho0: float = 1000.0
@@ -67,14 +68,10 @@ class RunConfig:
     beta0_offset: float = 2000.0
     branch: str = "positive"
     output_format: str = "csv"
-    seed: int = ver.VerifyConfig.seed
     perturb_c: float = 0.0
-    tol_identity: float = dsp.IDENTITY_TOL
-    tol_fd: float = ver.VerifyConfig.tol_fd
-    n_theta: int = ver.VerifyConfig.n_theta
-    n_s: int = ver.VerifyConfig.n_s
-    n_time: int = ver.VerifyConfig.n_time
-    n_random: int = ver.VerifyConfig.n_random
+
+    def __post_init__(self):
+        """Nothing: a flag may still override a file's value (load_config)."""
 
     def validate(self):
         """This config, if it passes the checks no solve gate makes; the
@@ -94,17 +91,12 @@ class RunConfig:
                 f"latitude must satisfy |lat| < 90 deg, got {self.latitude_deg!r}")
         if not -1.0 < self.perturb_c <= 1.0:
             raise InputError(f"perturb_c must satisfy -1 < perturb_c <= 1, got {self.perturb_c!r}")
-        self.verify_config()  # VerifyConfig checks the sampling grids, seed and tolerances
+        ver.VerifyConfig.__post_init__(self)  # the sampling grids, seed and tolerances
         samples = self.n_theta * self.n_s * self.n_time + self.n_random
         if samples > MAX_VERIFY_SAMPLES:
             raise InputError(f"n_theta * n_s * n_time + n_random must be at most "
                              f"{MAX_VERIFY_SAMPLES}, got {samples}")
         return self
-
-    def verify_config(self) -> ver.VerifyConfig:
-        """The VerifyConfig of this run's sampling and tolerance fields."""
-        return ver.VerifyConfig(**{fld.name: getattr(self, fld.name)
-                                   for fld in dataclasses.fields(ver.VerifyConfig)})
 
     @property
     def k(self) -> float:
@@ -271,7 +263,7 @@ def cmd_field(config: RunConfig, args) -> int:
 
 def cmd_verify(config: RunConfig, args) -> int:
     _, _, _, params = solve_configured(config)
-    reports = ver.run_all(params, config.verify_config())
+    reports = ver.run_all(params, config)
     passed = all(r.passed for r in reports)
     for r in reports:
         state = "PASS" if r.passed else "FAIL"

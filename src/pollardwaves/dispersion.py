@@ -15,8 +15,8 @@ closed-form bracket: X+ in (1, sqrt(1 + alpha + 2 beta)] and X- in
 root's side of 0, where P <= 0 since P is that product less
 (alpha - beta^2) X^2: inside the bracket on its inner side, and the root
 itself at the Equator.  Each step makes one call for P and P' together.
-solve_branch solves and checks one root of a (site, strat, k);
-solve_dispersion calls it twice, cli.solve_configured once.
+solve_branch solves and checks one root of a (site, strat, k); the dispersion
+command solves both roots through _branch_root, gating k once for the two.
 
 From a solved phase speed the dependent parameters follow in closed form:
 
@@ -72,16 +72,6 @@ class NondimDispersion:
         x2 = x * x
         return (((x2 - self.alpha) * x - 2.0 * self.beta) * x - 1.0,
                 (4.0 * x2 - 2.0 * self.alpha) * x - 2.0 * self.beta)
-
-
-@dataclass(frozen=True)
-class DispersionRoots:
-    """Both real roots of P and the corresponding dimensional phase speeds."""
-
-    x_plus: float
-    x_minus: float
-    c_plus: float
-    c_minus: float
 
 
 @dataclass
@@ -213,14 +203,6 @@ def _branch_root(nd, site, strat, k, branch, tol):
     return x, c
 
 
-def solve_dispersion(site: Site, strat: Stratification, k: float,
-                     tol: float = IDENTITY_TOL) -> DispersionRoots:
-    """Both real roots of P with their dimensional phase speeds, by solve_branch."""
-    x_plus, c_plus = solve_branch(site, strat, k, "positive", tol)
-    x_minus, c_minus = solve_branch(site, strat, k, "negative", tol)
-    return DispersionRoots(x_plus, x_minus, c_plus, c_minus)
-
-
 def _require_admissible_wavenumber(site, strat, k):
     """min_wavenumber(site, strat); raises InputError unless it < k < 1e77
     (orbit_parameters' k^4 overflows a double above 1.16e77)."""
@@ -264,6 +246,9 @@ def _invert_interface_map(strat, A, m, s0, map_s0, slope_s0, beta0):
     open above, to a step <= INTERFACE_TOL / 2.  A <= 0 makes the map convex as
     well as increasing, so Newton stays above s_plus: no call probes a lower end."""
     if not beta0 > map_s0:
+        if not math.isfinite(map_s0):
+            raise InputError(f"s0={s0!r} overflows the thermocline map "
+                             f"(rho_plus - rho0) g s0 - rho0 A e^(-2 m s0)")
         raise InputError(f"beta0={beta0!r} must exceed P0 - P0_tilde={map_s0!r}")
     offset = beta0 - map_s0
     least = s0 + offset / ((strat.rho_plus - strat.rho0) * strat.g)

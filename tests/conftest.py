@@ -57,15 +57,20 @@ def strat(constants):
     return pw.reduced_gravity(constants, 1000.0, 1004.0)
 
 
+def both_roots(site, strat, k):
+    """((X+, c+), (X-, c-)): both branches of solve_branch."""
+    return tuple(pw.solve_branch(site, strat, k, branch) for branch in ("positive", "negative"))
+
+
 @pytest.fixture(scope="session")
 def ref_roots(site45, strat):
-    return pw.solve_dispersion(site45, strat, REF_K)
+    return both_roots(site45, strat, REF_K)
 
 
 @pytest.fixture(scope="session")
 def ref_params(site45, strat, ref_roots):
-    return pw.derive_parameters(site45, strat, REF_K, REF_A,
-                                ref_roots.c_plus, REF_S0,
+    (_, c_plus), _ = ref_roots
+    return pw.derive_parameters(site45, strat, REF_K, REF_A, c_plus, REF_S0,
                                 REF_BETA0_OFFSET)
 
 

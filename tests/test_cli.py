@@ -15,7 +15,7 @@ from pollardwaves.cli import (FIELD_COLUMNS, PROFILE_COLUMNS, RunConfig, main,
                               solve_configured)
 from pollardwaves.errors import InputError
 
-from conftest import REF_K
+from conftest import REF_K, both_roots
 from equatorial import solve_equatorial
 
 
@@ -68,7 +68,7 @@ def test_dispersion_evaluates_P_only_in_its_root_solves(monkeypatch, capsys, str
                             lambda self, x, method=method, seen=calls[name]:
                             seen.append(x) or method(self, x))
     site = pw.coriolis(pw.PhysicalConstants(), math.radians(lat))
-    dsp.solve_dispersion(site, strat, k)
+    both_roots(site, strat, k)
     solve = {name: len(seen) for name, seen in calls.items()}
     assert main(["dispersion", "--lat", str(lat), "--k", str(k)]) == 0
     assert {name: len(seen) for name, seen in calls.items()} == {
@@ -589,6 +589,10 @@ def test_sampled_commands_need_two_samples(command, capsys):
     ["field", "--amplitude=-1"],
     *([command, *flag] for command in ("dispersion", "verify", "field")
       for flag in (["--k=-1"], ["--k", "0"], ["--k", "nan"])),
+    # (rho_plus - rho0) g s0 overflows the thermocline map; the message read
+    # "beta0=inf must exceed P0 - P0_tilde=inf"
+    *([command, "--amplitude", "0", "--s0", "1e308"]
+      for command in ("dispersion", "verify", "field")),
 ])
 def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
     """Each is a one-line configuration error (exit 2); a dict in argv is the
@@ -600,6 +604,30 @@ def test_config_gate_rejects_degenerate_inputs(argv, capsys, tmp_path):
     assert main([str(cfg) if isinstance(v, dict) else v for v in argv]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and err.count("\n") == 1
+    if argv[-2:] == ["--s0", "1e308"]:
+        assert "s0=1e+308 overflows" in err
+
+
+@pytest.mark.parametrize("settings, flags", [
+    ({"seed": -1}, ["--seed", "3"]),
+    ({"n_theta": 0}, ["--n-theta", "4"]),
+    ({"tol_fd": 0}, ["--tol-fd", "1e-8"]),
+])
+def test_flags_override_a_files_verify_settings(settings, flags, capsys, tmp_path):
+    """RunConfig checks VerifyConfig's fields in validate, after the flags are
+    merged: a file's bad value that a flag overrides is never checked."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(settings))
+    assert main(["verify", "--config", str(cfg), *flags]) == 0
+
+
+def test_a_files_two_faults_are_named_in_validate_order(capsys, tmp_path):
+    """validate checks the latitude before VerifyConfig's fields, so of a
+    file's two faults the latitude is named."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": -1, "latitude_deg": 95}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "latitude must satisfy" in capsys.readouterr().err
 
 
 # the verifier's default grid: samples before the random ones

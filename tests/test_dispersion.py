@@ -115,7 +115,7 @@ def test_bracket_width_shrinks_with_rotation():
     assert widths[2] == pytest.approx(1e-6, rel=1e-12)
 
 
-# --- solve_dispersion -------------------------------------------------------
+# --- solve_branch, both roots ----------------------------------------------
 
 def test_reference_roots_against_scan_oracle(site45, strat, ref_roots):
     nd = pw.nondimensionalize(site45, strat, REF_K)
@@ -126,20 +126,20 @@ def test_reference_roots_against_scan_oracle(site45, strat, ref_roots):
     idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     assert len(idx) == 1
     oracle = 0.5 * (xs[idx[0]] + xs[idx[0] + 1])
-    assert ref_roots.x_plus == pytest.approx(oracle, abs=1e-7)
+    (x_plus, c_plus), _ = ref_roots
+    assert x_plus == pytest.approx(oracle, abs=1e-7)
     # c = X sqrt(g_tilde / k), slightly above the rotationless speed;
     # agreement is limited by the scan resolution
-    assert ref_roots.c_plus == pytest.approx(oracle * scale, abs=1e-7 * scale)
-    delta = ref_roots.x_plus - 1.0
+    assert c_plus == pytest.approx(oracle * scale, abs=1e-7 * scale)
+    delta = x_plus - 1.0
     assert 0.0 < delta < nd.beta
     assert scale == pytest.approx(0.7905, rel=1e-3)
 
 
 def test_reference_roots_residual_and_identity(site45, strat, ref_roots):
     nd = pw.nondimensionalize(site45, strat, REF_K)
-    for x in (ref_roots.x_plus, ref_roots.x_minus):
+    for x, c in ref_roots:
         assert abs(nd.evaluate(x)) <= 1e-12 * max(1.0, x**4)
-    for c in (ref_roots.c_plus, ref_roots.c_minus):
         lhs = strat.rho0**2 * c**2 * (c**2 * REF_K**2 - site45.f**2)
         rhs = (strat.rho0 * c * site45.f_hat
                + strat.g * (strat.rho_plus - strat.rho0))**2
@@ -153,7 +153,8 @@ def test_root_count_matches_scan(site45, strat):
 
 
 def test_cauchy_bound(site45, strat, ref_roots):
-    assert abs(ref_roots.x_minus) <= ref_roots.x_plus
+    (x_plus, _), (x_minus, _) = ref_roots
+    assert abs(x_minus) <= x_plus
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,8 +198,8 @@ def test_equatorial_continuity_of_midlatitude_solver(constants, strat):
     """The solver near the Equator approaches the equatorial root."""
     c_eq, _ = solve_equatorial(constants, strat, REF_K)
     site = pw.coriolis(constants, 1e-3)
-    roots = pw.solve_dispersion(site, strat, REF_K)
-    assert roots.c_plus == pytest.approx(c_eq, rel=1e-4)
+    _, c_plus = pw.solve_branch(site, strat, REF_K, "positive")
+    assert c_plus == pytest.approx(c_eq, rel=1e-4)
 
 
 # --- derive_parameters ------------------------------------------------------
@@ -246,9 +247,8 @@ def test_hemisphere_mirror(constants, strat):
 
 
 def _solve_params(site, strat):
-    roots = pw.solve_dispersion(site, strat, REF_K)
-    return pw.derive_parameters(site, strat, REF_K, REF_A, roots.c_plus,
-                                REF_S0, 2000.0)
+    _, c_plus = pw.solve_branch(site, strat, REF_K, "positive")
+    return pw.derive_parameters(site, strat, REF_K, REF_A, c_plus, REF_S0, 2000.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -259,9 +259,8 @@ def test_consistency_chain_property(lat_deg, southern, k):
     const = pw.PhysicalConstants()
     site = pw.coriolis(const, math.radians(-lat_deg if southern else lat_deg))
     strat = pw.reduced_gravity(const, 1000.0, 1004.0)
-    roots = pw.solve_dispersion(site, strat, k)
-    params = pw.derive_parameters(site, strat, k, 0.5 / k, roots.c_plus,
-                                  50.0, 100.0)
+    _, c_plus = pw.solve_branch(site, strat, k, "positive")
+    params = pw.derive_parameters(site, strat, k, 0.5 / k, c_plus, 50.0, 100.0)
     a, b, c, d, m, f = (params.a, params.b, params.c, params.d, params.m,
                         site.f)
     assert m * a - k * b == pytest.approx(0.0, abs=1e-12 * m * a)
@@ -273,13 +272,13 @@ def test_consistency_chain_property(lat_deg, southern, k):
     assert (params.d > 0) == southern or params.d == 0.0
 
 
-def test_amplitude_gate_rejects_large_amplitude(site45, strat, ref_roots):
+def test_amplitude_gate_rejects_large_amplitude(site45, strat, ref_params):
     """a = 40 m at s0 = 1 m fails m^2 a^2 e^(-2 m s0) < 1; a = 16.5 m at s0 = 50 m
     meets it, but not the thermocline bound a <= 1/m (just under 16 m here);
     a = 1e200 m, whose m^2 a^2 e^(-2 m s0) overflows a double, fails both."""
     for a, s0 in ((40.0, 1.0), (16.5, 50.0), (1e200, 50.0)):
         with pytest.raises(InputError, match="1/m"):
-            pw.derive_parameters(site45, strat, REF_K, a, ref_roots.c_plus, s0, 2000.0)
+            pw.derive_parameters(site45, strat, REF_K, a, ref_params.c, s0, 2000.0)
 
 
 def test_evanescent_regime_rejected(site45, strat):
@@ -385,17 +384,16 @@ def test_interface_ordering_error(ref_params, site45, strat):
             interface_label(ref_params, site45, strat, offset)
 
 
-def test_derive_rejects_nonpositive_offset(site45, strat, ref_roots):
+def test_derive_rejects_nonpositive_offset(site45, strat, ref_params):
     with pytest.raises(InputError, match="must exceed P0 - P0_tilde"):
-        pw.derive_parameters(site45, strat, REF_K, REF_A, ref_roots.c_plus,
-                             REF_S0, -1.0)
+        pw.derive_parameters(site45, strat, REF_K, REF_A, ref_params.c, REF_S0, -1.0)
 
 
 @pytest.mark.parametrize("s0, offset, configured", [
     (math.inf, 2000.0, True), (math.nan, 2000.0, True),
     (REF_S0, math.inf, True), (REF_S0, math.inf, False), (REF_S0, math.nan, False),
 ])
-def test_derive_rejects_non_finite_s0_and_beta0(site45, strat, ref_roots, s0, offset,
+def test_derive_rejects_non_finite_s0_and_beta0(site45, strat, ref_params, s0, offset,
                                                 configured):
     """A non-finite s0 or beta0 offset is an InputError, given to
     derive_parameters directly or through a config's solve_configured."""
@@ -403,19 +401,18 @@ def test_derive_rejects_non_finite_s0_and_beta0(site45, strat, ref_roots, s0, of
         if configured:
             solve_configured(RunConfig(s0=s0, beta0_offset=offset).validate())
         else:
-            pw.derive_parameters(site45, strat, REF_K, REF_A, ref_roots.c_plus,
-                                 s0, offset)
+            pw.derive_parameters(site45, strat, REF_K, REF_A, ref_params.c, s0, offset)
 
 
 @pytest.mark.parametrize("k", [1e77, 1e80, 2.0 * math.pi / 1e-300, math.inf])
-def test_wavenumbers_whose_fourth_power_overflows_are_rejected(site45, strat, ref_roots, k):
+def test_wavenumbers_whose_fourth_power_overflows_are_rejected(site45, strat, ref_params, k):
     """k^4, taken by orbit_parameters, overflows above 1.16e77: the gate stops
     such k with a typed error before any power is taken."""
     for branch in ("positive", "negative"):
         with pytest.raises(InputError, match="must be below 1e77"):
             pw.solve_branch(site45, strat, k, branch)
     with pytest.raises(InputError, match="must be below 1e77"):
-        pw.derive_parameters(site45, strat, k, REF_A, ref_roots.c_plus, REF_S0, 2000.0)
+        pw.derive_parameters(site45, strat, k, REF_A, ref_params.c, REF_S0, 2000.0)
     below = math.nextafter(1e77, 0.0)
     _, c = pw.solve_branch(site45, strat, below, "positive")
     assert all(math.isfinite(v) for v in orbit_parameters(site45.f, below, 0.0, c))

@@ -31,6 +31,14 @@ def test_kernel_spells_every_value_as_python_does(values, fmt):
     assert check_float_format.mismatches(values, fmt) == []
 
 
+def test_check_script_runs_clean_from_its_entry_point(capsys):
+    """The script's own main, as documented: argument parsing, the block loop
+    and the per-format report, with no mismatch."""
+    assert check_float_format.main(["--n", "20000", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "csv: " in out and "json: " in out and out.count(" 0 mismatches") == 2
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_exact_17_digit_ties_round_half_to_even(fmt):
     ties = np.array([2251799813685247.75, 2251799813685246.25, -2251799813685247.75])

@@ -1,21 +1,25 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
 import pollardwaves as pw
-from pollardwaves.errors import NumericError
+from pollardwaves.cli import solve_configured
+from pollardwaves.errors import InputError, NumericError
 from pollardwaves.flowfield import Flow
 
 import inversion
 from conftest import REF_K, REF_S0
 from inversion import invert_labels, sheet_elevation
+from test_domain import draws as domain_draws
 
 
 @pytest.fixture(scope="module")
-def still(site45, strat, ref_roots):
+def still(site45, strat, ref_params):
     """Zero-amplitude regression set: still water."""
-    return pw.derive_parameters(site45, strat, REF_K, 0.0, ref_roots.c_plus,
+    return pw.derive_parameters(site45, strat, REF_K, 0.0, ref_params.c,
                                 REF_S0, 2000.0)
 
 
@@ -271,8 +275,8 @@ def test_orbit_tilt_direction_flips_with_hemisphere(constants, strat):
     """Top of the circle is closer to the Equator on both hemispheres."""
     for lat, sign in ((45.0, -1.0), (-45.0, 1.0)):
         site = pw.coriolis(constants, math.radians(lat))
-        roots = pw.solve_dispersion(site, strat, REF_K)
-        params = pw.derive_parameters(site, strat, REF_K, 10.0, roots.c_plus,
+        _, c_plus = pw.solve_branch(site, strat, REF_K, "positive")
+        params = pw.derive_parameters(site, strat, REF_K, 10.0, c_plus,
                                       REF_S0, 2000.0)
         assert math.copysign(1.0, params.d) == sign
 
@@ -388,3 +392,69 @@ def test_invert_stops_at_rounding_floor_for_long_waves():
         residual = np.subtract(Flow(params, *back, t).position, target)
         assert np.linalg.norm(residual) <= max(
             1e-12, 4 * np.finfo(float).eps * np.linalg.norm(target))
+
+
+# --- precision against a 50-digit evaluation ------------------------------------
+
+def exact_flow(params, q, r, s, t):
+    """(x, y, z, p) of Flow's closed forms at one label and time, in 50-digit
+    arithmetic, with every double of the set and of (q, r, s, t) taken as
+    exact: what Flow would return if it rounded nothing."""
+    with mpmath.workdps(50):
+        k, c, a, b, d, m, f, f_hat, rho0, g, p0_tilde, q, r, s, t = map(mpmath.mpf, (
+            params.k, params.c, params.a, params.b, params.d, params.m, params.f,
+            params.f_hat, params.strat.rho0, params.strat.g, params.P0_tilde, q, r, s, t))
+        theta = k * (q - c * t)
+        e, sin, cos = mpmath.exp(-m * s), mpmath.sin(theta), mpmath.cos(theta)
+        A = (-k**2 * c**2 * b**2 + f_hat * k * c * a * b - f * k * c * b * d) / 2
+        B = c * a * f_hat - c * d * f - k * c**2 * b - a * g
+        return (q - b * e * sin, r - d * e * cos, s - a * e * cos,
+                -rho0 * (A * e**2 + B * e * cos) - rho0 * g * s + p0_tilde)
+
+
+def term_scales(flow):
+    """Per sample, the largest term that x, z and p each sum; a trigonometric
+    term counts at its amplitude times |theta| + 1, because theta = k (q - c t)
+    is itself rounded before its sine is taken."""
+    p, e = flow.params, flow.e
+    A, B = flow._pressure_coefficients()
+    trig = e * (np.abs(flow.theta) + 1.0)
+    rho0, g = p.strat.rho0, p.strat.g
+    return {"x": np.maximum(np.abs(flow.q), abs(p.b) * trig),
+            "z": np.maximum(np.abs(flow.s), abs(p.a) * trig),
+            "p": np.maximum.reduce([abs(rho0 * A) * e * e, abs(rho0 * B) * trig,
+                                    rho0 * g * np.abs(flow.s),
+                                    np.full_like(e, abs(p.P0_tilde))])}
+
+
+# Worst error of each field over the admitted draws of test_domain.draws(300),
+# 6 samples each, in ulp of its term_scales, each bound just above the worst at
+# version 0.20.0: x 1.04, z 1.49, p 1.64.
+FLOW_ULPS = {"x": 1.1, "z": 1.6, "p": 1.7}
+
+
+def test_positions_and_pressure_meet_a_50_digit_evaluation():
+    """Flow's x, z and p over the domain's admitted draws, at labels and times
+    drawn across a wavelength, the layer [s0, s_plus] and a period, each
+    within its FLOW_ULPS bound of exact_flow."""
+    rng, worst, admitted = random.Random(1), dict.fromkeys(FLOW_ULPS, 0.0), 0
+    for config in domain_draws(300):
+        try:
+            params = solve_configured(config.validate())[3]
+        except InputError:
+            continue
+        admitted += 1
+        period = 2.0 * math.pi / (params.k * abs(params.c))
+        q, r, s, t = np.array([(rng.uniform(0.0, params.L), rng.uniform(-params.L, params.L),
+                                rng.uniform(params.s0, params.s_plus), rng.uniform(0.0, period))
+                               for _ in range(6)]).T
+        flow = Flow(params, q, r, s, t)
+        x, _, z = flow.position
+        got, scales = {"x": x, "z": z, "p": flow.pressure}, term_scales(flow)
+        for i in range(6):
+            exact = dict(zip("xyzp", exact_flow(params, q[i], r[i], s[i], t[i])))
+            for name in FLOW_ULPS:
+                miss = float(abs(mpmath.mpf(float(got[name][i])) - exact[name]))
+                worst[name] = max(worst[name], miss / math.ulp(float(scales[name][i])))
+    assert admitted == 181
+    assert all(worst[name] <= bound for name, bound in FLOW_ULPS.items()), worst

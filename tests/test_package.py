@@ -79,8 +79,7 @@ def test_solve_records_are_built_positionally():
     WaveParameters took about 0.7 us, of a configured solve's 10 us).  Every
     such construction in the package is checked, and each record is built."""
     records = {cls.__name__: len(dataclasses.fields(cls)) for cls in
-               (pw.WaveParameters, pw.NondimDispersion, pw.DispersionRoots, pw.Site,
-                pw.Stratification)}
+               (pw.WaveParameters, pw.NondimDispersion, pw.Site, pw.Stratification)}
     package = Path(pw.__file__).parent
     built, bad = set(), []
     for path in sorted(package.glob("*.py")):

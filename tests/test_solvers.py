@@ -19,8 +19,8 @@ from pollardwaves import cli, dispersion as dsp
 from pollardwaves.cli import RunConfig, solve_configured
 from pollardwaves.errors import InputError, NumericError
 
-from conftest import (REF_A, REF_BETA0_OFFSET, REF_K, REF_S0, derivative_discriminant,
-                      nondim_of, refine_root)
+from conftest import (REF_A, REF_BETA0_OFFSET, REF_K, REF_S0, both_roots,
+                      derivative_discriminant, nondim_of, refine_root)
 from test_domain import draws as domain_draws
 
 MP_DIGITS = 50
@@ -246,15 +246,15 @@ def test_newton_raises_at_its_iteration_cap():
 
 
 def test_roots_on_one_side_of_zero_are_rejected(monkeypatch, site45, strat):
-    """Given the other branch's bracket, each branch's root fails its sign check."""
+    """Given the other branch's bracket, each branch's root fails its sign check,
+    and the dispersion command, which solves both, exits 3."""
     nd = pw.nondimensionalize(site45, strat, REF_K)
     plus, minus = pw.root_brackets(nd)
     monkeypatch.setattr(dsp, "root_brackets", lambda nd: (minus, plus))
     for branch in ("positive", "negative"):
         with pytest.raises(NumericError, match=f"the {branch} root .* wrong side of 0"):
             pw.solve_branch(site45, strat, REF_K, branch)
-    with pytest.raises(NumericError, match="wrong side of 0"):
-        pw.solve_dispersion(site45, strat, REF_K)
+    assert cli.main(["dispersion"]) == cli.EXIT_NUMERIC
 
 
 def grid_site(eps, F, strat):
@@ -266,20 +266,15 @@ def grid_site(eps, F, strat):
 
 def test_branch_solve_equals_both_root_solve(strat):
     """On criterion 2's (eps, F) grid, mapped to sites, and on the lat 60-85 deg
-    grid, solve_branch's X and c equal solve_dispersion's fields and Newton on
-    root_brackets bit for bit."""
+    grid, solve_branch's X and c equal Newton on root_brackets bit for bit."""
     cases = [(*grid_site(float(eps), float(F), strat), strat)
              for eps in np.linspace(1e-3, 5e-2, 20) for F in np.linspace(0.42, 2.4, 20)]
     cases += [(site_of(lat_deg), k, strat_of(jump)) for lat_deg, jump, k in HIGH_LATITUDE_CASES]
     solved = 0
     for site, k, case_strat in cases:
         nd = pw.nondimensionalize(site, case_strat, k)
-        roots = pw.solve_dispersion(site, case_strat, k)
-        fields = {"positive": (roots.x_plus, roots.c_plus),
-                  "negative": (roots.x_minus, roots.c_minus)}
-        for branch, bracket in zip(fields, pw.root_brackets(nd)):
+        for branch, bracket in zip(("positive", "negative"), pw.root_brackets(nd)):
             x, c = pw.solve_branch(site, case_strat, k, branch)
-            assert (x.hex(), c.hex()) == tuple(v.hex() for v in fields[branch])
             assert x.hex() == refine_root(nd, *bracket).hex()
             assert c.hex() == (x * math.sqrt(case_strat.g_tilde / k)).hex()
         solved += 1
@@ -392,8 +387,7 @@ def solved_site(lat_deg, jump, k_over_threshold, branch):
     site = pw.coriolis(constants, math.radians(lat_deg))
     strat = pw.reduced_gravity(constants, 1000.0, 1000.0 + jump)
     k = k_over_threshold * pw.min_wavenumber(site, strat)
-    roots = pw.solve_dispersion(site, strat, k)
-    return site, strat, k, roots.c_plus if branch == "positive" else roots.c_minus
+    return site, strat, k, pw.solve_branch(site, strat, k, branch)[1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -455,10 +449,9 @@ def test_reference_solve_work_counts(monkeypatch, site45, strat, equator_site):
     evaluations = count_calls(monkeypatch, pw.NondimDispersion, "evaluate")
     map_calls = count_calls(monkeypatch, dsp, "_interface_map")
     thresholds = count_calls(monkeypatch, dsp, "min_wavenumber")
-    roots = pw.solve_dispersion(site45, strat, REF_K)
+    (_, c_plus), _ = both_roots(site45, strat, REF_K)
     assert (len(steps), len(evaluations)) == (6, 2)  # both roots
-    pw.derive_parameters(site45, strat, REF_K, REF_A, roots.c_plus, REF_S0,
-                         REF_BETA0_OFFSET)
+    pw.derive_parameters(site45, strat, REF_K, REF_A, c_plus, REF_S0, REF_BETA0_OFFSET)
     assert len(map_calls) == 3
     configured = ((RunConfig(), 3), (RunConfig(latitude_deg=82.6, wavenumber=4.6e-6), 5),
                   (RunConfig(latitude_deg=0.0), 1))

@@ -15,8 +15,8 @@ from inversion import sheet_elevation
 
 
 @pytest.fixture(scope="module")
-def still(site45, strat, ref_roots):
-    return pw.derive_parameters(site45, strat, REF_K, 0.0, ref_roots.c_plus,
+def still(site45, strat, ref_params):
+    return pw.derive_parameters(site45, strat, REF_K, 0.0, ref_params.c,
                                 REF_S0, 2000.0)
 
 
