@@ -25,7 +25,7 @@ from .geo import (
 )
 from .verify import VerificationReport, VerifyConfig, run_all
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 __all__ = [
     "Flow",

@@ -162,15 +162,15 @@ def solve_configured(config: RunConfig):
     Returns (constants, site, strat, params), with the site and stratification
     of the config before when it was at the same site (_setting).  Only the
     configured branch's root is solved and checked (solve_branch), at every
-    latitude, which gates k once; an overflowing k^4, a non-finite density, s0
-    or beta0 offset, an m that is not positive and finite and an amplitude
-    above the thermocline bound 1/m are InputErrors (exit 2).  The perturb_c
-    negative control replaces c after the set is solved, leaving m, b, d.
+    latitude, after nondimensionalize gates k once; an overflowing k^4, a
+    non-finite density, s0 or beta0 offset, an m that is not positive and
+    finite and an amplitude above the thermocline bound 1/m are InputErrors
+    (exit 2).  The perturb_c control replaces c after the solve, leaving m, b, d.
     """
     constants, site, strat = _setting(config)
-    k = config.k
-    _, c = dsp.solve_branch(site, strat, k, config.branch, config.tol_identity)
-    params = dsp._derive(site, strat, k, config.amplitude, c, config.s0, config.beta0_offset)
+    nd = dsp.nondimensionalize(site, strat, config.k)  # the one wavenumber gate
+    _, c = dsp.solve_branch(nd, config.branch, config.tol_identity)
+    params = dsp.derive_parameters(nd, config.amplitude, c, config.s0, config.beta0_offset)
     if config.perturb_c != 0.0:
         params = dataclasses.replace(params, c=(1.0 + config.perturb_c) * params.c)
     return constants, site, strat, params
@@ -201,14 +201,12 @@ def _flow_columns(fields: flow.Flow):
 
 def cmd_dispersion(config: RunConfig, args) -> int:
     _, site, strat = _setting(config)
-    k = config.k
-    nd = dsp.nondimensionalize(site, strat, k)  # the one wavenumber gate
+    nd = dsp.nondimensionalize(site, strat, config.k)  # the one wavenumber gate
     (x_plus, c_plus), (x_minus, c_minus) = (
-        dsp._branch_root(nd, site, strat, k, branch, config.tol_identity)
-        for branch in ("positive", "negative"))
+        dsp.solve_branch(nd, branch, config.tol_identity) for branch in ("positive", "negative"))
     c = c_minus if config.branch == "negative" else c_plus
-    params = dsp._derive(site, strat, k, config.amplitude, c, config.s0, config.beta0_offset)
-    report = {"latitude_deg": config.latitude_deg, "wavenumber": k, "wavelength": params.L,
+    params = dsp.derive_parameters(nd, config.amplitude, c, config.s0, config.beta0_offset)
+    report = {"latitude_deg": config.latitude_deg, "wavenumber": config.k, "wavelength": params.L,
               "g_tilde": strat.g_tilde, "min_wavenumber": min_wavenumber(site, strat),
               "alpha": nd.alpha, "beta": nd.beta, "x_plus": x_plus, "x_minus": x_minus,
               "c_plus": c_plus, "c_minus": c_minus, "m": params.m, "b": params.b, "d": params.d}
@@ -385,18 +383,22 @@ def load_config(args) -> RunConfig:
 def _check_table_size(args):
     """Reject a table size before anything is allocated: --n of trajectory and
     profile is at least 2, field's --nq and --ns are non-negative (0 gives a
-    header-only table), and no table has over MAX_TABLE_ROWS rows."""
+    header-only table), and no table or field axis exceeds MAX_TABLE_ROWS."""
     if args.command == "field":
-        for flag, n in (("--nq", args.nq), ("--ns", args.ns)):
+        axes = (("--nq", args.nq), ("--ns", args.ns))
+        for flag, n in axes:
             if n < 0:
                 raise InputError(f"{flag} must be non-negative, got {n!r}")
         rows = args.nq * args.ns
     else:
         if args.n < 2:
             raise InputError(f"--n must be at least 2, got {args.n!r}")
-        rows = args.n
+        axes, rows = (), args.n
     if rows > MAX_TABLE_ROWS:
         raise InputError(f"a table has at most {MAX_TABLE_ROWS} rows, got {rows}")
+    for flag, n in axes:
+        if n > MAX_TABLE_ROWS:
+            raise InputError(f"{flag} must be at most {MAX_TABLE_ROWS}, got {n!r}")
 
 
 def _check_labels(args, params, s, q_ends, t_ends):

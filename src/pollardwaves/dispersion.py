@@ -15,8 +15,8 @@ closed-form bracket: X+ in (1, sqrt(1 + alpha + 2 beta)] and X- in
 root's side of 0, where P <= 0 since P is that product less
 (alpha - beta^2) X^2: inside the bracket on its inner side, and the root
 itself at the Equator.  Each step makes one call for P and P' together.
-solve_branch solves and checks one root of a (site, strat, k); the dispersion
-command solves both roots through _branch_root, gating k once for the two.
+nondimensionalize, the one wavenumber gate, returns P with the (site, strat, k)
+it admitted; solve_branch and derive_parameters take P, so k is gated once.
 
 From a solved phase speed the dependent parameters follow in closed form:
 
@@ -49,19 +49,22 @@ _MAX_STEPS = 100  # iteration cap of the Newton loops
 @dataclass
 class NondimDispersion:
     """Non-dimensional dispersion polynomial P(X) = X^4 - alpha X^2 - 2 beta X - 1
-    for one (site, strat, k).
+    with the (site, strat, k) admitted by nondimensionalize, which alone makes one.
 
     alpha = 4 Omega^2 / (g_tilde k) and beta = f_hat / sqrt(g_tilde k) are
     positive and the same in both hemispheres, so the roots are too.
 
     Not frozen and built positionally, for the construction costs given under
-    WaveParameters (0.47 us frozen, 0.35 us plain by keyword, 0.20 us plain
-    positionally): each solve builds one.  Callers treat it as read-only;
-    dataclasses.replace makes a variant.
+    WaveParameters (of these 5 fields: 0.84 us frozen, 0.36 us plain by keyword,
+    0.23 us plain positionally): each solve builds one.  Callers treat it as
+    read-only; dataclasses.replace makes a variant.
     """
 
     alpha: float
     beta: float
+    site: Site
+    strat: Stratification
+    k: float
 
     def evaluate(self, x):
         """P(x); accepts scalars or numpy arrays."""
@@ -84,13 +87,13 @@ class WaveParameters:
 
     Not frozen: every configured solve builds a fresh set, and a frozen
     dataclass's __init__ sets each field through object.__setattr__, which
-    took 2.3 us per set of 15 against 0.38 us for this plain one (2-core Xeon
+    took 2.0 us per set of 15 against 0.30 us for this plain one (2-core Xeon
     host, CPython 3.11), where a configured solve takes about 10 us.  For the
-    same reason _derive passes the 15 fields positionally, in field order:
-    built by keyword, a set took 1.1 us, the extra spent matching names.  So
-    argument order alone maps each value to its field.  Callers treat a set as
-    read-only and make a variant with dataclasses.replace, as the perturb_c
-    control does.
+    same reason derive_parameters passes the 15 fields positionally, in field
+    order: built by keyword, a set took 0.65 us, the extra spent matching
+    names.  So argument order alone maps each value to its field.  Callers
+    treat a set as read-only and make a variant with dataclasses.replace, as
+    the perturb_c control does.
     """
 
     a: float        # amplitude parameter
@@ -112,10 +115,16 @@ class WaveParameters:
 
 def nondimensionalize(site: Site, strat: Stratification,
                       k: float) -> NondimDispersion:
-    """Map (site, strat, k), k above the 4 Omega^2 / g_tilde threshold, to P's
-    coefficients: alpha = threshold / k and beta = f_hat / sqrt(g_tilde k)."""
-    threshold = _require_admissible_wavenumber(site, strat, k)
-    return NondimDispersion(threshold / k, site.f_hat / math.sqrt(strat.g_tilde * k))
+    """The one wavenumber gate: P of (site, strat, k), alpha = threshold / k and
+    beta = f_hat / sqrt(g_tilde k), if min_wavenumber(site, strat) < k < 1e77
+    (k^4 overflows a double above 1.16e77), and an InputError otherwise."""
+    threshold = min_wavenumber(site, strat)
+    if not k > threshold:
+        raise InputError(f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
+    if not k < 1e77:
+        raise InputError(f"wavenumber k={k!r} must be below 1e77, where k^4 overflows")
+    return NondimDispersion(threshold / k, site.f_hat / math.sqrt(strat.g_tilde * k),
+                            site, strat, k)
 
 
 def root_brackets(nd: NondimDispersion):
@@ -168,21 +177,15 @@ def _refine_root(nd: NondimDispersion, inner: float, outer: float) -> float:
     return _newton(nd.value_and_slope, inner, outer, 0.5 * r if outer > 0.0 else -2.0 / r, 0.0)
 
 
-def solve_branch(site: Site, strat: Stratification, k: float, branch: str,
-                 tol: float = IDENTITY_TOL):
-    """(X, c) of one branch, "positive" (X > 0) or "negative" (X < 0), with
+def solve_branch(nd: NondimDispersion, branch: str, tol: float = IDENTITY_TOL):
+    """(X, c) of one branch of nd, "positive" (X > 0) or "negative" (X < 0), with
     c = X sqrt(g_tilde / k), |P(X)| <= tol * max(1, X^4) and the dimensional
     identity rho0^2 c^2 (c^2 k^2 - f^2) = (rho0 c f_hat + g (rho_plus - rho0))^2
-    met to the same relative tolerance.  Densities and k for which a side of
-    the identity overflows a double are an InputError."""
-    return _branch_root(nondimensionalize(site, strat, k), site, strat, k, branch, tol)
-
-
-def _branch_root(nd, site, strat, k, branch, tol):
-    """solve_branch on nd, the polynomial nondimensionalize(site, strat, k)
-    made after gating k."""
+    met to the same relative tolerance, at nd's (site, strat, k).  Densities and
+    k for which a side of the identity overflows a double are an InputError."""
     if branch not in ("positive", "negative"):
         raise InputError(f"unknown branch {branch!r}")
+    site, strat, k = nd.site, nd.strat, nd.k
     sign = 1.0 if branch == "positive" else -1.0
     x = _refine_root(nd, *root_brackets(nd)[0 if branch == "positive" else 1])
     p = nd.evaluate(x)
@@ -201,17 +204,6 @@ def _branch_root(nd, site, strat, k, branch, tol):
         raise NumericError(
             f"dimensional dispersion identity violated at c={c!r}: |{lhs!r} - {rhs!r}|")
     return x, c
-
-
-def _require_admissible_wavenumber(site, strat, k):
-    """min_wavenumber(site, strat); raises InputError unless it < k < 1e77
-    (orbit_parameters' k^4 overflows a double above 1.16e77)."""
-    threshold = min_wavenumber(site, strat)
-    if not k > threshold:
-        raise InputError(f"wavenumber k={k!r} must exceed 4*Omega^2/g_tilde={threshold!r}")
-    if not k < 1e77:
-        raise InputError(f"wavenumber k={k!r} must be below 1e77, where k^4 overflows")
-    return threshold
 
 
 def pressure_coefficient_a(f, f_hat, k, c, a, b, d):
@@ -290,26 +282,21 @@ def require_admissible_amplitude(m: float, a: float, s0: float):
             f"m^2 a^2 e^(-2 m s0) < 1 (got {gate!r})")
 
 
-def derive_parameters(site: Site, strat: Stratification, k: float, a: float,
-                      c: float, s0: float, beta0_offset: float) -> WaveParameters:
-    """Complete the parameter set for a solved phase speed c.
+def derive_parameters(nd: NondimDispersion, a: float, c: float, s0: float,
+                      beta0_offset: float) -> WaveParameters:
+    """Complete the parameter set for a phase speed c at nd's (site, strat, k).
 
     m, b, d follow from the closed forms; the amplitude gate
     (require_admissible_amplitude) is enforced before any map call; the pressure
     constants are fixed by the dynamic boundary condition at s0 (gauge
     P0_STANDARD) and the interface label s_plus solves the monotone
     thermocline map for beta0 = (P0 - P0_tilde) + beta0_offset, which must
-    exceed P0 - P0_tilde (an InputError otherwise).
+    exceed P0 - P0_tilde (an InputError otherwise).  The map is monotone for
+    the k that nondimensionalize admitted.
     """
-    _require_admissible_wavenumber(site, strat, k)  # the interface map's monotonicity
-    return _derive(site, strat, k, a, c, s0, beta0_offset)
-
-
-def _derive(site, strat, k, a, c, s0, beta0_offset):
-    """derive_parameters without its wavenumber gate, for a c that solve_branch
-    solved, and so gated, at this k: a configured solve gates k once."""
     if not (math.isfinite(s0) and math.isfinite(beta0_offset)):
         raise InputError(f"s0={s0!r} and beta0_offset={beta0_offset!r} must both be finite")
+    site, strat, k = nd.site, nd.strat, nd.k
     m, b, d = orbit_parameters(site.f, k, a, c)
     require_admissible_amplitude(m, a, s0)
     A = pressure_coefficient_a(site.f, site.f_hat, k, c, a, b, d)

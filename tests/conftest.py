@@ -21,8 +21,9 @@ REF_BETA0_OFFSET = 2000.0
 
 def nondim_of(eps, F):
     """The polynomial of eps = f / sqrt(g_tilde k) and F = f_hat / f:
-    (alpha, beta) = (eps^2 (1 + F^2), eps F)."""
-    return pw.NondimDispersion(alpha=float(eps**2 * (1.0 + F**2)), beta=float(eps * F))
+    (alpha, beta) = (eps^2 (1 + F^2), eps F), of no site: for P and its roots only."""
+    return pw.NondimDispersion(alpha=float(eps**2 * (1.0 + F**2)), beta=float(eps * F),
+                               site=None, strat=None, k=None)
 
 
 def refine_root(nd, inner, outer):
@@ -59,7 +60,8 @@ def strat(constants):
 
 def both_roots(site, strat, k):
     """((X+, c+), (X-, c-)): both branches of solve_branch."""
-    return tuple(pw.solve_branch(site, strat, k, branch) for branch in ("positive", "negative"))
+    nd = pw.nondimensionalize(site, strat, k)
+    return tuple(pw.solve_branch(nd, branch) for branch in ("positive", "negative"))
 
 
 @pytest.fixture(scope="session")
@@ -68,10 +70,15 @@ def ref_roots(site45, strat):
 
 
 @pytest.fixture(scope="session")
-def ref_params(site45, strat, ref_roots):
+def ref_nd(site45, strat):
+    """The reference polynomial, which solve_branch and derive_parameters take."""
+    return pw.nondimensionalize(site45, strat, REF_K)
+
+
+@pytest.fixture(scope="session")
+def ref_params(ref_nd, ref_roots):
     (_, c_plus), _ = ref_roots
-    return pw.derive_parameters(site45, strat, REF_K, REF_A, c_plus, REF_S0,
-                                REF_BETA0_OFFSET)
+    return pw.derive_parameters(ref_nd, REF_A, c_plus, REF_S0, REF_BETA0_OFFSET)
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +89,6 @@ def equator_site(constants):
 @pytest.fixture(scope="session")
 def equatorial(equator_site, strat):
     """Equatorial wave at the critical amplitude a = 1/m (= 1/k there)."""
-    _, c_plus = pw.solve_branch(equator_site, strat, REF_K, "positive")
-    return pw.derive_parameters(equator_site, strat, REF_K, 1.0 / REF_K,
-                                c_plus, REF_S0, REF_BETA0_OFFSET)
+    nd = pw.nondimensionalize(equator_site, strat, REF_K)
+    _, c_plus = pw.solve_branch(nd, "positive")
+    return pw.derive_parameters(nd, 1.0 / REF_K, c_plus, REF_S0, REF_BETA0_OFFSET)

@@ -80,7 +80,7 @@ def test_criterion_3_equatorial_consistency(constants, strat):
     ok = ok and all(abs(c - exact) <= 4 * math.ulp(exact) for (_, c), exact in
                     zip(both_roots(equator, strat, REF_K), (c_plus, c_minus)))
     site = pw.coriolis(constants, 1e-3)
-    _, c_near = pw.solve_branch(site, strat, REF_K, "positive")
+    _, c_near = pw.solve_branch(pw.nondimensionalize(site, strat, REF_K), "positive")
     ok = ok and abs(c_near - c_plus) <= 1e-4 * abs(c_plus)
     report_line(3, "equatorial consistency", ok)
     assert ok
@@ -130,8 +130,9 @@ def test_criterion_5_orbit_geometry(ref_params, constants, strat):
     tilt = math.acos(min(1.0, abs(normal[1])))
     tilt_err = abs(tilt - math.atan(abs(ref_params.d) / ref_params.a))
     south_site = pw.coriolis(constants, math.radians(-45.0))
-    _, south_c = pw.solve_branch(south_site, strat, REF_K, "positive")
-    south = pw.derive_parameters(south_site, strat, REF_K, REF_A, south_c, REF_S0, 2000.0)
+    south_nd = pw.nondimensionalize(south_site, strat, REF_K)
+    _, south_c = pw.solve_branch(south_nd, "positive")
+    south = pw.derive_parameters(south_nd, REF_A, south_c, REF_S0, 2000.0)
     sign_flip = ref_params.d < 0.0 < south.d
     ok = worst <= 1e-12 and tilt_err <= 1e-10 and sign_flip
     report_line(5, "orbit geometry", ok)

@@ -88,21 +88,23 @@ def test_dispersion_report_orbit_parameters_equal_derived(tmp_path, ref_params):
 @pytest.mark.parametrize("lat, branch", [(45.0, "positive"), (-60.0, "negative"),
                                          (0.0, "negative")])
 def test_dispersion_gates_its_wavenumber_once(monkeypatch, tmp_path, lat, branch):
-    """One wavenumber gate serves both roots and the configured set, and the
-    report holds what separate solves give: each root of solve_branch and the
-    (m, b, d) of solve_configured."""
-    gate, gates = dsp._require_admissible_wavenumber, []
-    monkeypatch.setattr(dsp, "_require_admissible_wavenumber",
-                        lambda *args: gates.append(None) or gate(*args))
+    """One wavenumber gate serves both roots and the configured set: the
+    command calls nondimensionalize once, and dispersion's min_wavenumber
+    once; the report holds what separate solves give: each root of
+    solve_branch and the (m, b, d) of solve_configured."""
+    gates, thresholds = [], []
+    for name, seen in (("nondimensionalize", gates), ("min_wavenumber", thresholds)):
+        monkeypatch.setattr(dsp, name, lambda *args, fn=getattr(dsp, name), seen=seen:
+                            seen.append(None) or fn(*args))
     out = tmp_path / "report.json"
     assert main(["dispersion", "--lat", str(lat), "--branch", branch, "--format", "json",
                  "--out", str(out)]) == 0
-    assert len(gates) == 1
+    assert len(gates) == 1 and len(thresholds) == 1
     report = json.loads(out.read_text())
     config = RunConfig(latitude_deg=lat, branch=branch).validate()
     _, site, strat, params = solve_configured(config)
     for root, sign in (("positive", "plus"), ("negative", "minus")):
-        x, c = dsp.solve_branch(site, strat, REF_K, root)
+        x, c = dsp.solve_branch(dsp.nondimensionalize(site, strat, REF_K), root)
         assert (report[f"x_{sign}"], report[f"c_{sign}"]) == (x, c)
     assert (report["m"], report["b"], report["d"]) == (params.m, params.b, params.d)
 
@@ -508,6 +510,26 @@ def test_missing_config_file(capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[1]", '"x"', "null"])
+def test_config_that_is_not_a_json_object_is_a_config_error(text, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    assert main(["dispersion", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: config must be a JSON object\n"
+
+
+@pytest.mark.parametrize("command", ["dispersion", "trajectory", "profile", "field", "verify"])
+def test_out_into_a_missing_directory_is_an_io_error(command, tmp_path, capsys):
+    """An --out that cannot be opened is a one-line i/o error (exit 2), not a traceback."""
+    out = tmp_path / "missing" / "out"
+    fast = VERIFY_FAST if command == "verify" else []
+    assert main([command, *fast, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(out) in err and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_negative_branch_selects_westward_speed(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["trajectory", "--branch", "negative", "--n", "8",
@@ -642,10 +664,13 @@ GRID = verify.VerifyConfig.n_theta * verify.VerifyConfig.n_s * verify.VerifyConf
     ["verify", "--n-random", str(cli.MAX_VERIFY_SAMPLES - GRID + 1)],
     ["verify", "--n-theta", "100", "--n-s", "100", "--n-time", "10", "--n-random", "1"],
     ["verify", "--config", {"n_theta": 10**6}],
+    ["field", "--nq", str(cli.MAX_TABLE_ROWS + 1), "--ns", "0"],
+    ["field", "--nq", "0", "--ns", str(cli.MAX_TABLE_ROWS + 1)],
 ])
 def test_sizes_past_their_ceiling_exit_before_allocating(argv, capsys, tmp_path):
     """One past a ceiling is a one-line configuration error within a second,
-    and no output file is made; a dict in argv is a --config file's content."""
+    and no output file is made; a dict in argv is a --config file's content.
+    A field axis has a ceiling of its own, also when the other is empty."""
     cfg = tmp_path / "run.json"
     for value in argv:
         if isinstance(value, dict):
@@ -662,6 +687,7 @@ def test_sizes_past_their_ceiling_exit_before_allocating(argv, capsys, tmp_path)
 @pytest.mark.parametrize("argv", [
     ["field", "--nq", "1000", "--ns", str(cli.MAX_TABLE_ROWS // 1000)],
     ["trajectory", "--n", str(cli.MAX_TABLE_ROWS)],
+    ["field", "--nq", str(cli.MAX_TABLE_ROWS), "--ns", "0"],
 ])
 def test_tables_at_the_ceiling_are_admitted(argv):
     """Checked only, not run: the check passes a table of MAX_TABLE_ROWS rows."""

@@ -79,8 +79,9 @@ def test_nondim_rejects_small_wavenumber(site45, strat):
 def test_nondim_southern_hemisphere_product_positive(constants, strat):
     south = pw.coriolis(constants, math.radians(-45.0))
     nd = pw.nondimensionalize(south, strat, REF_K)
+    north = pw.nondimensionalize(pw.coriolis(constants, math.radians(45.0)), strat, REF_K)
     assert south.f < 0.0 < nd.beta
-    assert nd == pw.nondimensionalize(pw.coriolis(constants, math.radians(45.0)), strat, REF_K)
+    assert (nd.alpha, nd.beta) == (north.alpha, north.beta)
 
 
 # --- root brackets ----------------------------------------------------------
@@ -173,6 +174,13 @@ def test_bracket_theorem_property(eps, F):
     assert abs(x_minus) <= x_plus
 
 
+@pytest.mark.parametrize("branch", ["equatorial", "Positive", ""])
+def test_solve_branch_rejects_an_unknown_branch(ref_nd, branch):
+    """The library's branch check: the CLI's validate stops these first."""
+    with pytest.raises(InputError, match=f"^unknown branch {branch!r}$"):
+        pw.solve_branch(ref_nd, branch)
+
+
 # --- solve_equatorial -------------------------------------------------------
 
 def test_equatorial_closed_form(constants, strat):
@@ -198,7 +206,7 @@ def test_equatorial_continuity_of_midlatitude_solver(constants, strat):
     """The solver near the Equator approaches the equatorial root."""
     c_eq, _ = solve_equatorial(constants, strat, REF_K)
     site = pw.coriolis(constants, 1e-3)
-    _, c_plus = pw.solve_branch(site, strat, REF_K, "positive")
+    _, c_plus = pw.solve_branch(pw.nondimensionalize(site, strat, REF_K), "positive")
     assert c_plus == pytest.approx(c_eq, rel=1e-4)
 
 
@@ -247,8 +255,9 @@ def test_hemisphere_mirror(constants, strat):
 
 
 def _solve_params(site, strat):
-    _, c_plus = pw.solve_branch(site, strat, REF_K, "positive")
-    return pw.derive_parameters(site, strat, REF_K, REF_A, c_plus, REF_S0, 2000.0)
+    nd = pw.nondimensionalize(site, strat, REF_K)
+    _, c_plus = pw.solve_branch(nd, "positive")
+    return pw.derive_parameters(nd, REF_A, c_plus, REF_S0, 2000.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -259,8 +268,9 @@ def test_consistency_chain_property(lat_deg, southern, k):
     const = pw.PhysicalConstants()
     site = pw.coriolis(const, math.radians(-lat_deg if southern else lat_deg))
     strat = pw.reduced_gravity(const, 1000.0, 1004.0)
-    _, c_plus = pw.solve_branch(site, strat, k, "positive")
-    params = pw.derive_parameters(site, strat, k, 0.5 / k, c_plus, 50.0, 100.0)
+    nd = pw.nondimensionalize(site, strat, k)
+    _, c_plus = pw.solve_branch(nd, "positive")
+    params = pw.derive_parameters(nd, 0.5 / k, c_plus, 50.0, 100.0)
     a, b, c, d, m, f = (params.a, params.b, params.c, params.d, params.m,
                         site.f)
     assert m * a - k * b == pytest.approx(0.0, abs=1e-12 * m * a)
@@ -272,29 +282,27 @@ def test_consistency_chain_property(lat_deg, southern, k):
     assert (params.d > 0) == southern or params.d == 0.0
 
 
-def test_amplitude_gate_rejects_large_amplitude(site45, strat, ref_params):
+def test_amplitude_gate_rejects_large_amplitude(ref_nd, ref_params):
     """a = 40 m at s0 = 1 m fails m^2 a^2 e^(-2 m s0) < 1; a = 16.5 m at s0 = 50 m
     meets it, but not the thermocline bound a <= 1/m (just under 16 m here);
     a = 1e200 m, whose m^2 a^2 e^(-2 m s0) overflows a double, fails both."""
     for a, s0 in ((40.0, 1.0), (16.5, 50.0), (1e200, 50.0)):
         with pytest.raises(InputError, match="1/m"):
-            pw.derive_parameters(site45, strat, REF_K, a, ref_params.c, s0, 2000.0)
+            pw.derive_parameters(ref_nd, a, ref_params.c, s0, 2000.0)
 
 
-def test_evanescent_regime_rejected(site45, strat):
+def test_evanescent_regime_rejected(site45, ref_nd):
     slow_c = site45.f / REF_K * 0.5
     with pytest.raises(InputError, match=r"must exceed f\^2"):
-        pw.derive_parameters(site45, strat, REF_K, 1.0, slow_c, 50.0,
-                             2000.0)
+        pw.derive_parameters(ref_nd, 1.0, slow_c, 50.0, 2000.0)
 
 
-def test_derive_rejects_wavenumber_below_threshold(constants, equator_site, strat):
-    # 4 Omega^2 / g_tilde is about 5.4e-7 1/m for the reference densities
-    k = 1e-7
-    c_plus, _ = solve_equatorial(constants, strat, k)
+def test_derive_rejects_wavenumber_below_threshold(equator_site, strat):
+    """derive_parameters takes only a polynomial that nondimensionalize built, and
+    it builds none at k = 1e-7: 4 Omega^2 / g_tilde is about 5.4e-7 1/m for the
+    reference densities."""
     with pytest.raises(InputError, match=r"must exceed 4\*Omega\^2/g_tilde"):
-        pw.derive_parameters(equator_site, strat, k, 0.1, c_plus, 50.0,
-                             2000.0)
+        pw.nondimensionalize(equator_site, strat, 1e-7)
 
 
 @pytest.mark.parametrize("lat_deg", [45.0, 30.0, -60.0, 82.6])
@@ -313,10 +321,8 @@ def test_interface_gate_is_min_wavenumber(constants, equator_site, strat):
     threshold = pw.min_wavenumber(equator_site, strat)
     above = math.nextafter(threshold, math.inf)
     with pytest.raises(InputError, match=r"must exceed 4\*Omega\^2/g_tilde"):
-        pw.derive_parameters(equator_site, strat, threshold, 0.1,
-                             solve_equatorial(constants, strat, threshold)[0],
-                             50.0, 2000.0)
-    params = pw.derive_parameters(equator_site, strat, above, 0.1,
+        pw.nondimensionalize(equator_site, strat, threshold)
+    params = pw.derive_parameters(pw.nondimensionalize(equator_site, strat, above), 0.1,
                                   solve_equatorial(constants, strat, above)[0],
                                   50.0, 2000.0)
     assert params.s_plus > params.s0
@@ -335,7 +341,8 @@ def interface_map(p, strat, s):
 
 def interface_label(p, site, strat, beta0_offset):
     """s_plus of p's set re-derived for another beta0 offset."""
-    return pw.derive_parameters(site, strat, p.k, p.a, p.c, p.s0, beta0_offset).s_plus
+    nd = pw.nondimensionalize(site, strat, p.k)
+    return pw.derive_parameters(nd, p.a, p.c, p.s0, beta0_offset).s_plus
 
 
 def offset_of(p, strat, s):
@@ -384,37 +391,34 @@ def test_interface_ordering_error(ref_params, site45, strat):
             interface_label(ref_params, site45, strat, offset)
 
 
-def test_derive_rejects_nonpositive_offset(site45, strat, ref_params):
+def test_derive_rejects_nonpositive_offset(ref_nd, ref_params):
     with pytest.raises(InputError, match="must exceed P0 - P0_tilde"):
-        pw.derive_parameters(site45, strat, REF_K, REF_A, ref_params.c, REF_S0, -1.0)
+        pw.derive_parameters(ref_nd, REF_A, ref_params.c, REF_S0, -1.0)
 
 
 @pytest.mark.parametrize("s0, offset, configured", [
     (math.inf, 2000.0, True), (math.nan, 2000.0, True),
     (REF_S0, math.inf, True), (REF_S0, math.inf, False), (REF_S0, math.nan, False),
 ])
-def test_derive_rejects_non_finite_s0_and_beta0(site45, strat, ref_params, s0, offset,
-                                                configured):
+def test_derive_rejects_non_finite_s0_and_beta0(ref_nd, ref_params, s0, offset, configured):
     """A non-finite s0 or beta0 offset is an InputError, given to
     derive_parameters directly or through a config's solve_configured."""
     with pytest.raises(InputError, match="must both be finite"):
         if configured:
             solve_configured(RunConfig(s0=s0, beta0_offset=offset).validate())
         else:
-            pw.derive_parameters(site45, strat, REF_K, REF_A, ref_params.c, s0, offset)
+            pw.derive_parameters(ref_nd, REF_A, ref_params.c, s0, offset)
 
 
 @pytest.mark.parametrize("k", [1e77, 1e80, 2.0 * math.pi / 1e-300, math.inf])
-def test_wavenumbers_whose_fourth_power_overflows_are_rejected(site45, strat, ref_params, k):
+def test_wavenumbers_whose_fourth_power_overflows_are_rejected(site45, strat, k):
     """k^4, taken by orbit_parameters, overflows above 1.16e77: the gate stops
-    such k with a typed error before any power is taken."""
-    for branch in ("positive", "negative"):
-        with pytest.raises(InputError, match="must be below 1e77"):
-            pw.solve_branch(site45, strat, k, branch)
+    such k with a typed error before any power is taken, when the polynomial
+    that solve_branch and derive_parameters take is built."""
     with pytest.raises(InputError, match="must be below 1e77"):
-        pw.derive_parameters(site45, strat, k, REF_A, ref_params.c, REF_S0, 2000.0)
+        pw.nondimensionalize(site45, strat, k)
     below = math.nextafter(1e77, 0.0)
-    _, c = pw.solve_branch(site45, strat, below, "positive")
+    _, c = pw.solve_branch(pw.nondimensionalize(site45, strat, below), "positive")
     assert all(math.isfinite(v) for v in orbit_parameters(site45.f, below, 0.0, c))
 
 

@@ -17,10 +17,9 @@ from test_domain import draws as domain_draws
 
 
 @pytest.fixture(scope="module")
-def still(site45, strat, ref_params):
+def still(ref_nd, ref_params):
     """Zero-amplitude regression set: still water."""
-    return pw.derive_parameters(site45, strat, REF_K, 0.0, ref_params.c,
-                                REF_S0, 2000.0)
+    return pw.derive_parameters(ref_nd, 0.0, ref_params.c, REF_S0, 2000.0)
 
 
 def wave_period(params):
@@ -198,8 +197,8 @@ def test_equatorial_critical_amplitude_vorticity(equatorial):
 
 
 def test_equatorial_general_amplitude_vorticity(equatorial, equator_site, strat):
-    params = pw.derive_parameters(equator_site, strat, REF_K, 4.0, equatorial.c,
-                                  REF_S0, 2000.0)
+    params = pw.derive_parameters(pw.nondimensionalize(equator_site, strat, REF_K), 4.0,
+                                  equatorial.c, REF_S0, 2000.0)
     k, c, m, a = params.k, params.c, params.m, params.a
     s = 62.0
     e2 = math.exp(-2.0 * m * s)
@@ -275,9 +274,9 @@ def test_orbit_tilt_direction_flips_with_hemisphere(constants, strat):
     """Top of the circle is closer to the Equator on both hemispheres."""
     for lat, sign in ((45.0, -1.0), (-45.0, 1.0)):
         site = pw.coriolis(constants, math.radians(lat))
-        _, c_plus = pw.solve_branch(site, strat, REF_K, "positive")
-        params = pw.derive_parameters(site, strat, REF_K, 10.0, c_plus,
-                                      REF_S0, 2000.0)
+        nd = pw.nondimensionalize(site, strat, REF_K)
+        _, c_plus = pw.solve_branch(nd, "positive")
+        params = pw.derive_parameters(nd, 10.0, c_plus, REF_S0, 2000.0)
         assert math.copysign(1.0, params.d) == sign
 
 

@@ -1,7 +1,8 @@
 """The package surface: the README's library example runs, nothing after the
 solve takes a Stratification, every exported name resolves, every raise is one
 of the two error types, the solve layer's records are built positionally, no
-command loads numpy.random, and the package and its metadata carry one version."""
+module reads another's private names, no command loads numpy.random, and the
+package and its metadata carry one version."""
 
 import ast
 import dataclasses
@@ -94,6 +95,40 @@ def test_solve_records_are_built_positionally():
                     bad.append(f"{path.name}:{node.lineno} {name}")
     assert bad == []
     assert built == set(records)
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_modules_read_only_each_others_public_names():
+    """No package module reads another's _-prefixed name, by import or as an
+    attribute of an imported module: a private helper serves its own module.
+    And NondimDispersion, which carries the (site, strat, k) its k was admitted
+    at, is built only inside nondimensionalize, the one wavenumber gate."""
+    package = Path(pw.__file__).parent
+    reads, constructions = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # names bound to package modules by "from . import ..."
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:
+                    modules.update(alias.asname or alias.name for alias in node.names)
+                else:
+                    reads += [f"{path.name}:{node.lineno} {alias.name}"
+                              for alias in node.names if is_private(alias.name)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and is_private(node.attr)):
+                reads.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and "NondimDispersion" in
+                        (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                    constructions.append((path.name, getattr(top, "name", None)))
+    assert reads == []
+    assert constructions == [("dispersion.py", "nondimensionalize")]
 
 
 NO_RANDOM_SCRIPT = """

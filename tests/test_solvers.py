@@ -105,13 +105,13 @@ def count_calls(monkeypatch, owner, name):
 def site_roots_checked(lat_deg, jump, k):
     """(X+, X-) of solve_branch at one site, each solved in at most 7 Newton
     steps (calls for P and P') and checked against the 50-digit root to 4 ulp."""
-    site, strat = site_of(lat_deg), strat_of(jump)
-    x_minus, x_plus = exact_real_roots(nondim_at(lat_deg, jump, k))
+    nd = nondim_at(lat_deg, jump, k)
+    x_minus, x_plus = exact_real_roots(nd)
     solved = []
     for branch, exact in (("positive", x_plus), ("negative", x_minus)):
         with pytest.MonkeyPatch.context() as patch:
             steps = count_calls(patch, pw.NondimDispersion, "value_and_slope")
-            x, _ = pw.solve_branch(site, strat, k, branch)
+            x, _ = pw.solve_branch(nd, branch)
         assert 1 <= len(steps) <= 7, (lat_deg, jump, k, branch)
         assert ulps_from(x, exact) <= 4.0, (lat_deg, jump, k, branch)
         solved.append(x)
@@ -187,12 +187,11 @@ def test_seeded_domain_roots_start_inside_their_brackets():
         patch.setattr(pw.NondimDispersion, "value_and_slope",
                       lambda nd, x: starts.append(x) or pair(nd, x))
         for index, (lat_deg, jump, k) in enumerate(domain_sites(3641, seed=25)):
-            site, strat = site_of(lat_deg), strat_of(jump)
-            nd = pw.nondimensionalize(site, strat, k)
+            nd = nondim_at(lat_deg, jump, k)
             solved = []
             for branch, (inner, outer) in zip(("positive", "negative"), pw.root_brackets(nd)):
                 starts.clear()
-                x, _ = pw.solve_branch(site, strat, k, branch)
+                x, _ = pw.solve_branch(nd, branch)
                 start = starts[0]
                 assert min(inner, outer) <= start <= max(inner, outer), (lat_deg, k, branch)
                 assert abs(start) <= abs(x) + 2.0 * math.ulp(x), (lat_deg, k, branch)
@@ -245,15 +244,14 @@ def test_newton_raises_at_its_iteration_cap():
     assert calls == [2.0**i for i in range(dsp._MAX_STEPS)]
 
 
-def test_roots_on_one_side_of_zero_are_rejected(monkeypatch, site45, strat):
+def test_roots_on_one_side_of_zero_are_rejected(monkeypatch, ref_nd):
     """Given the other branch's bracket, each branch's root fails its sign check,
     and the dispersion command, which solves both, exits 3."""
-    nd = pw.nondimensionalize(site45, strat, REF_K)
-    plus, minus = pw.root_brackets(nd)
+    plus, minus = pw.root_brackets(ref_nd)
     monkeypatch.setattr(dsp, "root_brackets", lambda nd: (minus, plus))
     for branch in ("positive", "negative"):
         with pytest.raises(NumericError, match=f"the {branch} root .* wrong side of 0"):
-            pw.solve_branch(site45, strat, REF_K, branch)
+            pw.solve_branch(ref_nd, branch)
     assert cli.main(["dispersion"]) == cli.EXIT_NUMERIC
 
 
@@ -274,7 +272,7 @@ def test_branch_solve_equals_both_root_solve(strat):
     for site, k, case_strat in cases:
         nd = pw.nondimensionalize(site, case_strat, k)
         for branch, bracket in zip(("positive", "negative"), pw.root_brackets(nd)):
-            x, c = pw.solve_branch(site, case_strat, k, branch)
+            x, c = pw.solve_branch(nd, branch)
             assert x.hex() == refine_root(nd, *bracket).hex()
             assert c.hex() == (x * math.sqrt(case_strat.g_tilde / k)).hex()
         solved += 1
@@ -386,8 +384,8 @@ def solved_site(lat_deg, jump, k_over_threshold, branch):
     constants = pw.PhysicalConstants()
     site = pw.coriolis(constants, math.radians(lat_deg))
     strat = pw.reduced_gravity(constants, 1000.0, 1000.0 + jump)
-    k = k_over_threshold * pw.min_wavenumber(site, strat)
-    return site, strat, k, pw.solve_branch(site, strat, k, branch)[1]
+    nd = pw.nondimensionalize(site, strat, k_over_threshold * pw.min_wavenumber(site, strat))
+    return nd, pw.solve_branch(nd, branch)[1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -405,15 +403,14 @@ def test_interface_label_property(lat_deg, jump_exp, k_exp, steepness, s0_exp,
     map to 1e-9 m (or a few ulp(s) and the map's roundoff) within the
     iteration cap."""
     try:
-        site, strat, k, c = solved_site(lat_deg, 10.0**jump_exp, 10.0**k_exp, branch)
-        m = dsp.orbit_parameters(site.f, k, 1.0, c)[0]
+        nd, c = solved_site(lat_deg, 10.0**jump_exp, 10.0**k_exp, branch)
+        m = dsp.orbit_parameters(nd.site.f, nd.k, 1.0, c)[0]
     except InputError:  # the set is not admitted: a typed input error ends the run
         assume(False)
-    s0 = 10.0**s0_exp
+    site, strat, k, s0 = nd.site, nd.strat, nd.k, 10.0**s0_exp
     with pytest.MonkeyPatch.context() as patch:
         calls = count_calls(patch, dsp, "_interface_map")
-        params = pw.derive_parameters(site, strat, k, steepness / m, c, s0,
-                                      10.0**offset_exp)
+        params = pw.derive_parameters(nd, steepness / m, c, s0, 10.0**offset_exp)
     assert params.s_plus > s0
     # A <= 0: the map is convex, so Newton from the upper tangent bound stays above s_plus
     assert dsp.pressure_coefficient_a(params.f, params.f_hat, k, c, params.a, params.b,
@@ -430,28 +427,28 @@ def test_interface_label_property(lat_deg, jump_exp, k_exp, steepness, s0_exp,
 def test_still_water_interface_in_one_step(monkeypatch, lat_deg, s0, offset):
     """a = 0 makes the map linear: the closed-form bracket's upper end is the
     root, and Newton accepts it with its first step."""
-    site, strat, k, c = solved_site(lat_deg, 4.0, 1e5, "positive")
+    nd, c = solved_site(lat_deg, 4.0, 1e5, "positive")
     calls = count_calls(monkeypatch, dsp, "_interface_map")
-    params = pw.derive_parameters(site, strat, k, 0.0, c, s0, offset)
+    params = pw.derive_parameters(nd, 0.0, c, s0, offset)
     assert len(calls) == 2  # F(s0) and the upper end, the root
-    assert abs(params.s_plus - (s0 + offset / (strat.rho0 * strat.g_tilde))) <= 1e-9
+    assert abs(params.s_plus - (s0 + offset / (nd.strat.rho0 * nd.strat.g_tilde))) <= 1e-9
 
 
-def test_reference_solve_work_counts(monkeypatch, site45, strat, equator_site):
+def test_reference_solve_work_counts(monkeypatch, site45, strat, ref_nd):
     """Newton's work, counted exactly: bisection took about 47 P evaluations per
     root and 44 map calls.  Each Newton step is one call for (P, P') and the
     residual gate one evaluate; from the root of X^2 - beta X - 1, a root takes
     3 steps at the reference, 1 at the Equator, where that start is the root,
     and 5 at 82.6 deg and k = 4.6e-6 (4, 4 and 5 from the brackets' outer ends).
     The label takes F(s0) and 2 Newton steps, and a configured solve computes
-    the wavenumber threshold once, in solve_branch's gate."""
+    the wavenumber threshold once, in nondimensionalize's gate."""
     steps = count_calls(monkeypatch, pw.NondimDispersion, "value_and_slope")
     evaluations = count_calls(monkeypatch, pw.NondimDispersion, "evaluate")
     map_calls = count_calls(monkeypatch, dsp, "_interface_map")
     thresholds = count_calls(monkeypatch, dsp, "min_wavenumber")
     (_, c_plus), _ = both_roots(site45, strat, REF_K)
     assert (len(steps), len(evaluations)) == (6, 2)  # both roots
-    pw.derive_parameters(site45, strat, REF_K, REF_A, c_plus, REF_S0, REF_BETA0_OFFSET)
+    pw.derive_parameters(ref_nd, REF_A, c_plus, REF_S0, REF_BETA0_OFFSET)
     assert len(map_calls) == 3
     configured = ((RunConfig(), 3), (RunConfig(latitude_deg=82.6, wavenumber=4.6e-6), 5),
                   (RunConfig(latitude_deg=0.0), 1))

@@ -10,14 +10,13 @@ import pollardwaves as pw
 from pollardwaves import verify
 from pollardwaves.flowfield import Flow
 
-from conftest import REF_K, REF_S0
+from conftest import REF_S0
 from inversion import sheet_elevation
 
 
 @pytest.fixture(scope="module")
-def still(site45, strat, ref_params):
-    return pw.derive_parameters(site45, strat, REF_K, 0.0, ref_params.c,
-                                REF_S0, 2000.0)
+def still(ref_nd, ref_params):
+    return pw.derive_parameters(ref_nd, 0.0, ref_params.c, REF_S0, 2000.0)
 
 
 SMALL = verify.VerifyConfig(n_theta=8, n_s=6, n_time=3, n_random=12, seed=3)
