@@ -87,10 +87,12 @@ def reduced_gravity(constants: PhysicalConstants, rho0: float,
 
 def min_wavenumber(site: Site, strat: Stratification) -> float:
     """Lower admissibility threshold 4 Omega^2 / g_tilde [m^-1], computed as
-    (f^2 + f_hat^2) / g_tilde from the site's Coriolis pair.
+    (f f + f_hat f_hat) / g_tilde from the site's Coriolis pair: products,
+    which give inf where a float power raises OverflowError, so an
+    overflowing threshold admits no k.
 
     Wave constructions require a wavenumber strictly greater than this
     value; it guarantees positivity of m^2 and monotonicity of the
     interface pressure map.
     """
-    return (site.f**2 + site.f_hat**2) / strat.g_tilde
+    return (site.f * site.f + site.f_hat * site.f_hat) / strat.g_tilde

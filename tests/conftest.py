@@ -28,7 +28,8 @@ def nondim_of(eps, F):
 
 def refine_root(nd, inner, outer):
     """The root X of P on one root_brackets bracket, by the solver's own Newton
-    loop and start (the root of X^2 - beta X - 1 on the bracket's side of 0),
+    loop and start (one Halley step on from the root of X^2 - beta X - 1 on
+    the bracket's side of 0),
     held to |P(X)| <= 1e-12 max(1, X^4) (solve_branch's residual gate, without
     its sign and dimensional checks)."""
     x = _refine_root(nd, inner, outer)

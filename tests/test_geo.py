@@ -116,3 +116,14 @@ def test_min_wavenumber_vanishes_for_large_reduced_gravity(constants, site45):
     strat = pw.Stratification(rho0=1000.0, rho_plus=2000.0, g_tilde=1e9,
                               g=constants.g)
     assert pw.min_wavenumber(site45, strat) < 1e-16
+
+
+@pytest.mark.parametrize("lat_deg", [45.0, 0.0, -60.0])
+def test_overflowing_threshold_is_an_input_error(lat_deg):
+    """At Omega = 1e200 the squares of f and f_hat overflow: the threshold is
+    inf, not an OverflowError, and the wavenumber gate admits no k."""
+    site = pw.coriolis(pw.PhysicalConstants(Omega=1e200), math.radians(lat_deg))
+    strat = pw.reduced_gravity(pw.PhysicalConstants(), 1000.0, 1004.0)
+    assert pw.min_wavenumber(site, strat) == math.inf
+    with pytest.raises(InputError, match="must exceed 4\\*Omega\\^2/g_tilde=inf"):
+        pw.nondimensionalize(site, strat, 1e76)

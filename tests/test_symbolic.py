@@ -9,7 +9,8 @@ sympy proves, for symbols rather than sampled numbers, the algebra that
   reduces to g_tilde^2 P(X) with P(X) = X^4 - alpha X^2 - 2 beta X - 1;
 * on P = 0, 1 + beta X = (X^4 - alpha X^2 + 1) / 2, which exceeds 3/8 for
   alpha < 1, so squaring added no spurious root;
-* P <= 0 at both roots of X^2 - beta X - 1, where the root solves start;
+* P = -(alpha - beta^2) X^2 <= 0 at both roots of X^2 - beta X - 1, from
+  which the root solves take their Halley step;
 * the cos^2 coefficient a^2 + d^2 - b^2 of the raw pressure vanishes under
   b = m a / k, d = -f m a / (k^2 c) and m^2 = k^4 c^2 / (k^2 c^2 - f^2);
 * the label Jacobian of the flow map has det J = 1 - k m a b e^(-2 m s)
@@ -68,9 +69,10 @@ def test_root_identity_and_its_positive_bound():
 
 def test_newton_starts_on_the_inner_side_of_each_root():
     """P = (X^2 - beta X - 1)(X^2 + beta X + 1) - (alpha - beta^2) X^2, so at
-    both roots x0 of X^2 - beta X - 1, the Newton starts of solve_branch,
-    P(x0) = -(alpha - beta^2) x0^2 = -(f^2 / (g_tilde k)) x0^2 <= 0: each start
-    lies between its bracket's inner end, where P < 0, and the root."""
+    both roots x0 of X^2 - beta X - 1, from which solve_branch takes one Halley
+    step, P(x0) = -(alpha - beta^2) x0^2 = -(f^2 / (g_tilde k)) x0^2 <= 0: each
+    x0 lies between its bracket's inner end, where P < 0, and the root, and the
+    Halley step reads P(x0) from this closed form."""
     factored = (X**2 - beta * X - 1) * (X**2 + beta * X + 1) - (alpha - beta**2) * X**2
     assert is_zero(P - factored)
     assert is_zero(ALPHA - BETA**2 - f**2 / (g_tilde * k))
