@@ -31,14 +31,15 @@ def phase(params: WaveParameters, q, t):
 
 def _array(v):
     """v as a float64 array, or a complex128 one when v is complex."""
-    return np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
+    v = np.asarray(v)
+    return v.astype(complex if v.dtype.kind == "c" else float, copy=False)
 
 
 def _require_positive(values, s, message):
     """Raise NumericError at the first entry of values whose real part is not > 0."""
-    bad = np.flatnonzero(~(np.real(values) > 0.0))
-    if bad.size:
-        i, s = bad[0], np.broadcast_to(s, np.shape(values))
+    positive = np.real(values) > 0.0
+    if not positive.all():
+        i, s = np.flatnonzero(~positive)[0], np.broadcast_to(s, np.shape(values))
         raise NumericError(message.format(s=float(s.flat[i].real),
                                           value=float(values.flat[i].real)))
 

@@ -29,6 +29,7 @@ versions (numpy's ``Generator`` promises no such stream), and which spares
 the process numpy.random's import.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -94,7 +95,7 @@ class VerificationReport:
 
 def _component(name, residual, tolerance, where):
     """CheckComponent of residuals at ``where`` = (q, r, s, t); worst = first largest."""
-    i = int(np.argmax(residual))
+    i = int(residual.argmax())
     return CheckComponent(name, float(residual[i]), tolerance,
                           {key: float(v[i]) for key, v in zip("qrst", where)})
 
@@ -105,14 +106,21 @@ def _where(flow):
 
 
 def _report(check_name, n_samples, components):
-    worst = max(components, key=lambda c: c.max_residual / c.tolerance)
+    """The check's report; its headline is the family of largest residual /
+    tolerance, a NaN residual ranking above every finite one."""
+    worst = max(components, key=lambda c: (math.isnan(c.max_residual),
+                                           c.max_residual / c.tolerance))
     return VerificationReport(check_name, worst.max_residual, worst.tolerance, n_samples,
                               all(c.max_residual <= c.tolerance for c in components),
                               worst.worst_sample, tuple(components))
 
 
 def _max_abs(*values):
-    return np.maximum.reduce([np.abs(v) for v in values])
+    """max_i |values_i| per sample, NaN where any is NaN, by chained
+    np.maximum: np.maximum.reduce of a list first copies every family into
+    one stacked array, and chaining cut a default verify run by about 2 %
+    (2-core Xeon host)."""
+    return functools.reduce(np.maximum, (np.abs(v) for v in values))
 
 
 def _relative_error(a, b, floor):
@@ -145,7 +153,7 @@ def _random_samples(params, seed, n, sheet=False):
     drawing q, r, s, t in turn (not s on the sheet s = s0); lo + (hi - lo) u
     is Random.uniform(lo, hi)."""
     rng, width = random.Random(seed), 3 if sheet else 4
-    u = iter(np.array([rng.random() for _ in range(n * width)]).reshape(n, width).T)
+    u = iter(np.fromiter(iter(rng.random, None), float, n * width).reshape(n, width).T)
     q = 0.0 + params.L * next(u)
     r = -10.0 + 20.0 * next(u)
     s = (np.full(n, params.s0) if sheet
@@ -155,11 +163,17 @@ def _random_samples(params, seed, n, sheet=False):
 
 def _grid(params, config, sheet=False):
     """(q, r, s, t) of the deterministic samples: a phase/height/time lattice
-    (phase/time on the sheet s = s0) plus seeded random interior points."""
+    (phase/time on the sheet s = s0), q slowest and t fastest, plus seeded
+    random interior points.  The lattice is the raveled meshgrid(qs, ss, ts,
+    indexing="ij"), built by np.repeat and np.tile without meshgrid's copies
+    and ravel's: 11 us a grid against 21 us at the defaults (2-core Xeon
+    host), about 2 % of a verify run."""
     qs = np.linspace(0.0, params.L, config.n_theta, endpoint=False)
     ss = [params.s0] if sheet else np.linspace(params.s0, params.s_plus, config.n_s)
     ts = np.linspace(0.0, wave_period(params), config.n_time, endpoint=False)
-    q, s, t = (a.ravel() for a in np.meshgrid(qs, ss, ts, indexing="ij"))
+    q = np.repeat(qs, len(ss) * config.n_time)
+    s = np.tile(np.repeat(ss, config.n_time), config.n_theta)
+    t = np.tile(ts, config.n_theta * len(ss))
     return tuple(np.concatenate(pair) for pair in zip(
         (q, np.zeros(q.size), s, t),
         _random_samples(params, config.seed + (1 if sheet else 0), config.n_random, sheet)))
@@ -207,12 +221,13 @@ def check_pressure_consistency(volume: Flow, config: VerifyConfig) -> Verificati
     h = _step(params)
     floor = config.tol_fd * params.strat.rho0 * params.strat.g  # [Pa/m] noise floor
     # row 0 steps q by i h and row 1 steps s; each row's real part is the sample
-    rows = Flow(params, q + [[1j * h], [0.0]], r, s + [[0.0], [1j * h]], t)
+    step = np.array([[1j * h], [0.0]])
+    rows = Flow(params, q + step, r, s + step[::-1], t)
     transported = _transported_gradient(rows)
     p_q, p_s = rows.pressure.imag / h
-    grad_res = np.maximum.reduce([
+    grad_res = functools.reduce(np.maximum, (
         _relative_error((a,), (b.real,), floor)
-        for a, b in zip((p_q, 0.0, p_s), (v[0] for v in transported))])
+        for a, b in zip((p_q, 0.0, p_s), (v[0] for v in transported))))
     mixed_res = _relative_error((transported[0][1].imag / h,),
                                 (transported[2][0].imag / h,), floor)
     comps = [
@@ -271,7 +286,7 @@ def _one_per_label(config, n):
     """Indices of one sample per label of a volume grid of n samples: _grid
     repeats each lattice label over n_time consecutive times, t fastest."""
     n_lattice = config.n_theta * config.n_s * config.n_time
-    return np.r_[0:n_lattice:config.n_time, n_lattice:n]
+    return np.concatenate((np.arange(0, n_lattice, config.n_time), np.arange(n_lattice, n)))
 
 
 def check_incompressibility(volume: Flow, probe, config: VerifyConfig) -> VerificationReport:

@@ -320,6 +320,21 @@ def test_verify_negative_control_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-last"])
+def test_verify_prints_a_nan_family_as_its_checks_headline(monkeypatch, capsys, nan_first):
+    """A check with a NaN family fails, and its FAIL line reads that
+    family's NaN and tolerance, not a passing family's."""
+    nan = verify.CheckComponent("bad", math.nan, 1e-8, {"q": 0.0, "r": 0.0, "s": 1.0, "t": 0.0})
+    ok = verify.CheckComponent("ok", 0.02, 0.1, {"q": 1.0, "r": 0.0, "s": 1.0, "t": 0.0})
+    components = [nan, ok] if nan_first else [ok, nan]
+    monkeypatch.setattr(verify, "check_euler",
+                        lambda volume, config: verify._report("euler", 9, components))
+    assert main(["verify", *VERIFY_FAST]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"{'euler':22s} FAIL  max_residual=nan  tolerance=1e-08  samples=9" in out
+    assert out[-1] == "verification FAILED"
+
+
 def test_config_file_sets_every_verify_setting(tmp_path):
     """The seven VerifyConfig settings of a config file reach run_all: the
     report equals the library's run with them, and differs from it when any

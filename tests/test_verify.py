@@ -310,6 +310,59 @@ def test_worst_sample_is_first_largest_residual():
     assert all(type(v) is float for v in comp.worst_sample.values())
 
 
+@pytest.mark.parametrize("sheet", [False, True], ids=["volume", "sheet"])
+def test_grid_lattice_is_the_raveled_meshgrid(ref_params, sheet):
+    """The lattice samples come first, in the order of meshgrid(qs, ss, ts,
+    indexing="ij") raveled, t fastest, bit for bit: _one_per_label and the
+    first-largest worst sample both read that order."""
+    config = verify.VerifyConfig(n_theta=5, n_s=4, n_time=3, n_random=7, seed=1)
+    qs = np.linspace(0.0, ref_params.L, 5, endpoint=False)
+    ss = [ref_params.s0] if sheet else np.linspace(ref_params.s0, ref_params.s_plus, 4)
+    ts = np.linspace(0.0, verify.wave_period(ref_params), 3, endpoint=False)
+    expected = [a.ravel() for a in np.meshgrid(qs, ss, ts, indexing="ij")]
+    q, r, s, t = verify._grid(ref_params, config, sheet=sheet)
+    n = 5 * len(ss) * 3
+    assert q.size == n + 7
+    for got, want in zip((q, s, t), expected):
+        assert got[:n].tobytes() == want.tobytes()
+    assert not r[:n].any()
+
+
+@pytest.mark.parametrize("nan_at", [0, 1, 2], ids=["first", "middle", "last"])
+def test_residual_maxima_keep_nan(nan_at):
+    """A NaN in any component makes that sample's residual NaN, so the check
+    fails: np.fmax or nanmax would drop it and pass."""
+    values = [np.array([1.0, -2.0, 3.0]), np.array([-4.0, 0.5, 0.0]),
+              np.array([0.25, 5.0, -1.0])]
+    values[nan_at] = values[nan_at].copy()
+    values[nan_at][1] = math.nan
+    zeros = [np.zeros(3)] * 3
+    for got in (verify._max_abs(*values), verify._relative_error(values, zeros, 1.0),
+                verify._relative_error(zeros, values, 1.0)):
+        assert math.isnan(got[1])
+        assert not np.isnan(got[[0, 2]]).any()
+        comp = verify._component("c", got, 10.0, (np.arange(3.0),) * 4)
+        assert not verify._report("x", 3, [comp]).passed
+    assert verify._max_abs(*values)[[0, 2]].tolist() == [4.0, 3.0]
+
+
+NAN_FAMILY = verify.CheckComponent("bad", math.nan, 1e-8, {"q": 2.0, "r": 0.0, "s": 3.0, "t": 4.0})
+OK_FAMILY = verify.CheckComponent("ok", 0.02, 0.1, {"q": 1.0, "r": 0.0, "s": 5.0, "t": 6.0})
+
+
+@pytest.mark.parametrize("components", [[NAN_FAMILY, OK_FAMILY], [OK_FAMILY, NAN_FAMILY]],
+                         ids=["nan-first", "nan-last"])
+def test_nan_family_is_the_headline(components):
+    """A family whose residual is NaN heads its check wherever it is listed:
+    its ratio to the tolerance ranks above every finite one."""
+    report = verify._report("x", 7, components)
+    assert not report.passed
+    assert math.isnan(report.max_residual)
+    assert report.tolerance == 1e-8
+    assert report.worst_sample == NAN_FAMILY.worst_sample
+    assert report.components == tuple(components)
+
+
 def test_incompressibility_reads_each_label_once(ref_params):
     """The Jacobian is read at one sample per label of the volume grid, in
     the order dict.fromkeys keeps them, and the probe at its n_random
