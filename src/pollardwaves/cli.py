@@ -169,7 +169,7 @@ def solve_configured(config: RunConfig):
     """
     constants, site, strat = _setting(config)
     nd = dsp.nondimensionalize(site, strat, config.k)  # the one wavenumber gate
-    _, c = dsp.solve_branch(nd, config.branch, config.tol_identity)
+    _, c = dsp.solve_branch(nd, config.branch)
     params = dsp.derive_parameters(nd, config.amplitude, c, config.s0, config.beta0_offset)
     if config.perturb_c != 0.0:
         params = dataclasses.replace(params, c=(1.0 + config.perturb_c) * params.c)
@@ -203,7 +203,7 @@ def cmd_dispersion(config: RunConfig, args) -> int:
     _, site, strat = _setting(config)
     nd = dsp.nondimensionalize(site, strat, config.k)  # the one wavenumber gate
     (x_plus, c_plus), (x_minus, c_minus) = (
-        dsp.solve_branch(nd, branch, config.tol_identity) for branch in ("positive", "negative"))
+        dsp.solve_branch(nd, branch) for branch in ("positive", "negative"))
     c = c_minus if config.branch == "negative" else c_plus
     params = dsp.derive_parameters(nd, config.amplitude, c, config.s0, config.beta0_offset)
     report = {"latitude_deg": config.latitude_deg, "wavenumber": config.k, "wavelength": params.L,

@@ -194,9 +194,9 @@ def _refine_root(nd: NondimDispersion, inner: float, outer: float) -> float:
     return _newton(nd.value_and_slope, inner, outer, x, 0.0)
 
 
-def solve_branch(nd: NondimDispersion, branch: str, tol: float = IDENTITY_TOL):
+def solve_branch(nd: NondimDispersion, branch: str):
     """(X, c) of one branch of nd, "positive" (X > 0) or "negative" (X < 0), with
-    c = X sqrt(g_tilde / k), |P(X)| <= tol * max(1, X^4) and the dimensional
+    c = X sqrt(g_tilde / k), |P(X)| <= IDENTITY_TOL * max(1, X^4) and the dimensional
     identity rho0^2 c^2 (c^2 k^2 - f^2) = (rho0 c f_hat + g (rho_plus - rho0))^2
     met to the same relative tolerance, at nd's (site, strat, k).  Densities and
     k for which a side of the identity overflows a double are an InputError."""
@@ -206,7 +206,7 @@ def solve_branch(nd: NondimDispersion, branch: str, tol: float = IDENTITY_TOL):
     sign = 1.0 if branch == "positive" else -1.0
     x = _refine_root(nd, *root_brackets(nd)[0 if branch == "positive" else 1])
     p = nd.evaluate(x)
-    if abs(p) > tol * max(1.0, x * x * (x * x)):
+    if abs(p) > IDENTITY_TOL * max(1.0, x * x * (x * x)):
         raise NumericError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
     if not sign * x > 0.0:
         raise NumericError(f"the {branch} root X={x!r} is on the wrong side of 0")
@@ -217,7 +217,7 @@ def solve_branch(nd: NondimDispersion, branch: str, tol: float = IDENTITY_TOL):
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise InputError(f"the dispersion relation overflows a double at rho0="
                          f"{strat.rho0!r}, rho_plus={strat.rho_plus!r}, k={k!r}")
-    if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs)):
+    if abs(lhs - rhs) > IDENTITY_TOL * max(abs(lhs), abs(rhs)):
         raise NumericError(
             f"dimensional dispersion identity violated at c={c!r}: |{lhs!r} - {rhs!r}|")
     return x, c

@@ -556,11 +556,19 @@ def test_negative_branch_selects_westward_speed(tmp_path):
 
 
 def test_verify_long_wave_reaches_a_verdict(capsys):
-    """The map inversion stops at the coordinates' rounding floor, so this
-    admitted long-wave config gives a verdict, not a numeric error."""
+    """This admitted long-wave config, whose positions reach 1e5 m, gives a
+    verdict, not a numeric error: the verifier steps each label in closed
+    form and inverts no map."""
     code = main(["verify", "--lat", "5", "--k", "7.5e-6", "--amplitude", "1000",
                  "--s0", "1"])
     assert code in (0, 1), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, verdicts", [("verify", (0, 1)), ("dispersion", (0,))])
+def test_a_tight_identity_tolerance_leaves_the_root_gate_alone(command, verdicts, capsys):
+    """--tol-identity sets the verifier's identity checks, not the root solve's
+    residual gate: at 1e-16 the solve stalled (exit 3) at |P(X)| = 2.2e-16."""
+    assert main([command, "--tol-identity", "1e-16"]) in verdicts, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["trajectory", "profile"])
@@ -590,7 +598,7 @@ def test_sampled_commands_need_two_samples(command, capsys):
     # where the interface map reads inf or 7.16e305, not beta0
     ["verify", "--beta0-offset", "1e306"],
     ["verify", "--beta0-offset", "1.7e308"],
-    ["verify", "--tol-identity", "nan"],   # abs(p) > nan * ... never holds
+    ["verify", "--tol-identity", "nan"],
     ["dispersion", "--tol-identity", "nan"],
     ["verify", "--tol-identity", "-1"],
     ["verify", "--tol-fd", "nan"],

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,17 +11,6 @@ from pollardwaves.errors import InputError
 from conftest import (REF_A, REF_BETA0_OFFSET, REF_K, REF_S0, derivative_discriminant,
                       nondim_of, refine_root)
 from equatorial import solve_equatorial
-from ferrari import ferrari_roots
-
-
-def scan_sign_changes(nd, lo=-3.0, hi=3.0, step=1e-4):
-    """Brute-force root localization: midpoints of sign-change cells."""
-    n = int(round((hi - lo) / step)) + 1
-    xs = np.linspace(lo, hi, n)
-    vals = nd.evaluate(xs)
-    assert np.all(vals != 0.0)
-    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    return [0.5 * (xs[i] + xs[i + 1]) for i in idx]
 
 
 # --- nondimensionalize -----------------------------------------------------
@@ -118,25 +106,6 @@ def test_bracket_width_shrinks_with_rotation():
 
 # --- solve_branch, both roots ----------------------------------------------
 
-def test_reference_roots_against_scan_oracle(site45, strat, ref_roots):
-    nd = pw.nondimensionalize(site45, strat, REF_K)
-    scale = math.sqrt(strat.g_tilde / REF_K)
-    # brute-force sign scan over [0.9, 1.1] with step 1e-7 as oracle
-    xs = np.linspace(0.9, 1.1, 2_000_001)
-    vals = nd.evaluate(xs)
-    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    assert len(idx) == 1
-    oracle = 0.5 * (xs[idx[0]] + xs[idx[0] + 1])
-    (x_plus, c_plus), _ = ref_roots
-    assert x_plus == pytest.approx(oracle, abs=1e-7)
-    # c = X sqrt(g_tilde / k), slightly above the rotationless speed;
-    # agreement is limited by the scan resolution
-    assert c_plus == pytest.approx(oracle * scale, abs=1e-7 * scale)
-    delta = x_plus - 1.0
-    assert 0.0 < delta < nd.beta
-    assert scale == pytest.approx(0.7905, rel=1e-3)
-
-
 def test_reference_roots_residual_and_identity(site45, strat, ref_roots):
     nd = pw.nondimensionalize(site45, strat, REF_K)
     for x, c in ref_roots:
@@ -145,12 +114,6 @@ def test_reference_roots_residual_and_identity(site45, strat, ref_roots):
         rhs = (strat.rho0 * c * site45.f_hat
                + strat.g * (strat.rho_plus - strat.rho0))**2
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_root_count_matches_scan(site45, strat):
-    nd = pw.nondimensionalize(site45, strat, REF_K)
-    locations = scan_sign_changes(nd)
-    assert len(locations) == 2
 
 
 def test_cauchy_bound(site45, strat, ref_roots):
@@ -420,24 +383,3 @@ def test_wavenumbers_whose_fourth_power_overflows_are_rejected(site45, strat, k)
     below = math.nextafter(1e77, 0.0)
     _, c = pw.solve_branch(pw.nondimensionalize(site45, strat, below), "positive")
     assert all(math.isfinite(v) for v in orbit_parameters(site45.f, below, 0.0, c))
-
-
-# --- Ferrari cross-check ----------------------------------------------------
-
-@pytest.mark.parametrize("eps, F", [(0.05, 2.4), (0.03, 1.0), (0.01, 0.5)])
-def test_ferrari_agrees_with_refinement(eps, F):
-    nd = nondim_of(eps, F)
-    bracket_plus, bracket_minus = pw.root_brackets(nd)
-    x_plus = refine_root(nd, *bracket_plus)
-    x_minus = refine_root(nd, *bracket_minus)
-    fer = ferrari_roots(nd)
-    assert len(fer) == 2
-    assert fer[1] == pytest.approx(x_plus, rel=1e-9)
-    assert fer[0] == pytest.approx(x_minus, rel=1e-9)
-
-
-def test_ferrari_agrees_with_numpy_roots():
-    nd = nondim_of(0.04, 1.7)
-    numpy_real = sorted(r.real for r in np.roots([1.0, 0.0, -nd.alpha, -2.0 * nd.beta, -1.0])
-                        if abs(r.imag) < 1e-12)
-    assert np.allclose(ferrari_roots(nd), numpy_real, rtol=1e-9)

@@ -1,7 +1,8 @@
-"""The array kernel against the per-label ``math`` oracle, its closed-form
-2x2 solves against numpy.linalg, its complex sin and cos against numpy's, the
-batched inversions of the test oracle ``inversion``, and the verify report's
-layout."""
+"""The array kernel against the per-label ``math`` oracle
+(``scalar_reference``), its closed-form 2x2 solves against numpy.linalg, its
+complex sin and cos against numpy's, its singular labels and real inputs,
+the batched inversions of the test oracle ``inversion``, and the verify
+report's layout."""
 
 import contextlib
 import io

@@ -1,8 +1,10 @@
-"""The safeguarded Newton solvers of ``dispersion``: 50-digit oracles and work counts.
+"""The solve layer against 50-digit oracles, its work counts and its records.
 
-The dispersion roots are compared with ``mpmath.polyroots`` and the interface
-label with a 50-digit root of the thermocline-constant map.  The work counts
-repeat exactly, so a return to bisection fails them loudly.
+The dispersion roots are compared with ``mpmath.polyroots``, every solved
+field with ``exact_parameters``, a 50-digit solve of the same config, and the
+interface label with a 50-digit root of the thermocline-constant map.  The
+Newton work counts repeat exactly.  The last tests pin what configured solves
+build and share: a WaveParameters each, and a Site and Stratification per site.
 """
 
 import dataclasses
@@ -32,14 +34,15 @@ def critical_epsilon(F):
     return (13.5 * F**2 / (1.0 + F**2) ** 3) ** 0.25
 
 
-# criterion 2's (eps, F) grid, rotation near zero, and the discriminant
-# boundary at F where the negative root keeps |P'| near 1; for F of about 2-3
-# P' vanishes at that root as eps reaches the boundary, and no double-precision
-# evaluation of P holds it to a few ulp there.  Each (eps, F) is solved as
-# (alpha, beta) = (eps^2 (1 + F^2), eps F).
+# criterion 2's (eps, F) grid and two points between its nodes, rotation near
+# zero, and the discriminant boundary at F where the negative root keeps |P'|
+# near 1; for F of about 2-3 P' vanishes at that root as eps reaches the
+# boundary, and no double-precision evaluation of P holds it to a few ulp
+# there.  Each (eps, F) is solved as (alpha, beta) = (eps^2 (1 + F^2), eps F).
 ROOT_CASES = (
     [(float(eps), float(F)) for eps in np.linspace(1e-3, 5e-2, 20)
      for F in np.linspace(0.42, 2.4, 20)]
+    + [(0.03, 1.0), (0.01, 0.5)]
     + [(eps, F) for eps in (1e-8, 1e-6, 1e-4) for F in (0.05, 1.0, 20.0)]
     + [(frac * critical_epsilon(F), F) for F in (5.0, 10.0, 20.0)
        for frac in (0.5, 0.9, 0.99, 0.999, 0.999999)]

@@ -136,6 +136,33 @@ def test_perturbed_m_breaks_vorticity_and_euler(ref_params):
     assert not checks["euler"].passed
 
 
+# (family, Flow field, its faulty value from the flow and the clean value): a
+# fault in the fields, not in the check, that puts the family at about 10 times
+# its tolerance, so a family switched off, or with a tolerance or scale 1e3
+# times looser, passes it
+FAULTS = [
+    ("jacobian_time_invariance", "det", lambda f, det: det + 1e-13 * f.cos),
+    ("kinematic_condition", "velocity", lambda f, v: (v[0], v[1], v[2] + 2e-9)),
+    ("gradient_transport", "acceleration", lambda f, a: (a[0], a[1] + 1e-14, a[2])),
+    ("mixed_partials", "acceleration", lambda f, a: (a[0] + 1e-14 * f.position[2], a[1], a[2])),
+    ("eulerian_divergence", "velocity", lambda f, v: (v[0] + 5e-9 * f.position[0], v[1], v[2])),
+]
+
+
+@pytest.mark.parametrize("family, field, fault", FAULTS, ids=[f[0] for f in FAULTS])
+def test_a_fault_in_the_fields_fails_its_family(monkeypatch, ref_params, family, field, fault):
+    """Every Flow the verifier builds, its stepped ones included, carries the
+    fault: a time-dependent det J, a vertical velocity off the sheet's motion,
+    an acceleration the pressure does not balance, a non-gradient force z e_x,
+    or a divergent velocity x e_x."""
+    clean = getattr(Flow, field)
+    faulty = property(lambda flow: fault(flow, clean.__get__(flow)))
+    monkeypatch.setattr(verify, "Flow", type("Faulty", (Flow,), {field: faulty}))
+    [component] = [c for r in pw.run_all(ref_params, SMALL) for c in r.components
+                   if c.name == family]
+    assert 3.0 * component.tolerance < component.max_residual < 30.0 * component.tolerance
+
+
 def test_kinematic_residual_with_mismatched_velocity_sheet(ref_params):
     """Velocity taken from labels one metre above the sheet must not satisfy
     the kinematic condition of the thermocline sheet."""
