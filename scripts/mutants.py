@@ -34,8 +34,8 @@ class Mutant(NamedTuple):
     item: int | None = None   # ROADMAP item of a mutant expected to survive
 
 
-DSP, FLOW, GEO, VER = (f"src/pollardwaves/{m}.py"
-                       for m in ("dispersion", "flowfield", "geo", "verify"))
+CLI, DSP, FLOW, GEO, VER = (f"src/pollardwaves/{m}.py"
+                            for m in ("cli", "dispersion", "flowfield", "geo", "verify"))
 FIFTY_DIGITS = "tests/test_solvers.py::test_every_solved_field_meets_a_50_digit_solve"
 CONTROL = "tests/test_verify.py::test_a_fault_in_the_fields_fails_its_family"
 S_PLUS, S_PLUS_X = "s0, s_plus, P0_STANDARD", "s0, 1.01 * s_plus, P0_STANDARD"
@@ -91,6 +91,12 @@ MUTANTS = (
     # a root 450 ulp off, inside solve_branch's residual gate: only 50-digit roots see it
     Mutant("root_x(1+1e-13)", DSP, "return _newton(nd.", "return (1 + 1e-13) * _newton(nd.",
            tests=("tests/test_solvers.py::test_roots_match_mpmath_polyroots",)),
+    # version 0.25.0's JSON layout and lazy fields
+    Mutant("json_keys_unsorted", CLI, "sorted(value.items()) if sort_keys",
+           "value.items() if sort_keys",
+           tests=("tests/test_serialise.py::test_json_reports_are_the_stdlib_encoding[reference]",)),
+    Mutant("lazy_field_not_stored", FLOW, "value = instance.__dict__[self.name] = ",
+           "value = ", tests=("tests/test_flowfield.py::test_every_field_is_computed_once",)),
 )
 
 

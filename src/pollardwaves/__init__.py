@@ -25,7 +25,7 @@ from .geo import (
 )
 from .verify import VerificationReport, VerifyConfig, run_all
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 __all__ = [
     "Flow",

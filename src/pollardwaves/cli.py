@@ -8,8 +8,10 @@ profile      wave profile at fixed (s, r, t), sampled uniformly in q
 field        flow samples on a (q, s) label lattice at a fixed time
 verify       run the full verification suite and write a JSON report
 
-Configuration is a flat JSON file; every key can be overridden on the
-command line (CLI > file > defaults).  Latitudes are degrees here and
+Configuration is a flat JSON file that every command accepts whole; a
+command takes a flag for each key it reads (CLI > file > defaults): --seed,
+--tol-identity and --tol-fd only verify, --perturb-c every command but
+dispersion.  Latitudes are degrees here and
 radians everywhere else.  Exit codes: 0 success, 1 verification failure,
 2 configuration error, 3 numeric error.
 """
@@ -193,6 +195,35 @@ def write_table(path: str, columns, values, fmt: str):
             handle.writelines(chunks)
 
 
+_JSON_STR = json.encoder.encode_basestring_ascii
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def json_text(value, sort_keys=False, newline="\n"):
+    """The text of ``json.dumps(value, indent=2, sort_keys=sort_keys)`` for
+    dicts with str keys, lists, tuples and JSON scalars.  Python lays out the
+    containers and each scalar is spelled as json's C encoder spells it:
+    ``indent`` runs json's pure-Python encoder instead."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_FLOATS.get(text, text)
+    if isinstance(value, str):
+        return _JSON_STR(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = sorted(value.items()) if sort_keys else value.items()
+        body = [_JSON_STR(key) + ": " + json_text(item, sort_keys, inner) for key, item in items]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        body, ends = [json_text(item, sort_keys, inner) for item in value], "[]"
+    else:
+        return int.__repr__(value)  # a TypeError for a value of no JSON type
+    return ends[0] + inner + ("," + inner).join(body) + newline + ends[1] if body else ends
+
+
 def _flow_columns(fields: flow.Flow):
     """FIELD_COLUMNS arrays of a kernel evaluation, each at its own broadcast shape."""
     return (fields.t, fields.q, fields.r, fields.s, *fields.position,
@@ -219,7 +250,7 @@ def cmd_dispersion(config: RunConfig, args) -> int:
             text = "name,value\n" + "".join(
                 f"{key},{value:.17g}\n" for key, value in report.items())
         else:
-            text = json.dumps(report, indent=2) + "\n"
+            text = json_text(report) + "\n"
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     return EXIT_OK
@@ -275,7 +306,7 @@ def cmd_verify(config: RunConfig, args) -> int:
         "checks": [{**vars(r), "components": [vars(c) for c in r.components]}
                    for r in reports],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json_text(payload, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -304,11 +335,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--branch", choices=("positive", "negative"))
     parser.add_argument("--format", choices=("csv", "json"),
                         dest="output_format", help="output file format")
-    parser.add_argument("--seed", type=int, help="seed for random sampling")
-    parser.add_argument("--perturb-c", type=float, dest="perturb_c",
-                        help="negative control: multiply solved c by (1 + x)")
-    parser.add_argument("--tol-identity", type=float, dest="tol_identity")
-    parser.add_argument("--tol-fd", type=float, dest="tol_fd")
 
 
 @functools.cache
@@ -359,9 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     _add_common(p_ver)
+    p_ver.add_argument("--seed", type=int, help="seed for random sampling")
+    p_ver.add_argument("--tol-identity", type=float, dest="tol_identity")
+    p_ver.add_argument("--tol-fd", type=float, dest="tol_fd")
     for name in ("n_theta", "n_s", "n_time", "n_random"):
         p_ver.add_argument("--" + name.replace("_", "-"), type=int, dest=name)
     p_ver.add_argument("--out", help="JSON report file")
+    for evaluating in (p_traj, p_prof, p_field, p_ver):  # dispersion reports the solve alone
+        evaluating.add_argument("--perturb-c", type=float, dest="perturb_c",
+                                help="negative control: multiply solved c by (1 + x)")
     return parser
 
 

@@ -16,8 +16,6 @@ upstream (the CLI's exports hold s to [s0, s_plus]), and every formula is
 well defined wherever the flow map stays a local diffeomorphism.
 """
 
-from functools import cached_property
-
 import numpy as np
 
 from .dispersion import WaveParameters, pressure_coefficient_a
@@ -44,6 +42,22 @@ def _require_positive(values, s, message):
                                           value=float(values.flat[i].real)))
 
 
+class _lazy:
+    """A field computed on its first read and stored in the instance's
+    ``__dict__``, where later reads find it before this non-data descriptor:
+    ``functools.cached_property`` as Python 3.12 has it, without the lock that
+    3.11's takes at each first read."""
+
+    def __init__(self, method):
+        self.method, self.name, self.__doc__ = method, method.__name__, method.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
+
+
 class Flow:
     """Every field of the wave at label and time arrays that broadcast.
 
@@ -59,22 +73,22 @@ class Flow:
             exponent = -params.m * self.s
         self.e = np.exp(exponent)
 
-    @cached_property
+    @_lazy
     def theta(self):
         """Phase theta = k (q - c t)."""
         return phase(self.params, self.q, self.t)
 
-    @cached_property
+    @_lazy
     def sin(self):
         """sin(theta)."""
         return self._complex_sin_cos[0] if np.iscomplexobj(self.theta) else np.sin(self.theta)
 
-    @cached_property
+    @_lazy
     def cos(self):
         """cos(theta)."""
         return self._complex_sin_cos[1] if np.iscomplexobj(self.theta) else np.cos(self.theta)
 
-    @cached_property
+    @_lazy
     def _complex_sin_cos(self):
         """(sin theta, cos theta) of a complex theta = x + i y from real parts,
         sin x cosh y + i cos x sinh y and cos x cosh y - i sin x sinh y: under
@@ -87,7 +101,7 @@ class Flow:
         cos.real, cos.imag = cos_x * cosh_y, -(sin_x * sinh_y)
         return sin, cos
 
-    @cached_property
+    @_lazy
     def position(self):
         """Particle position (x, y, z)."""
         p, e = self.params, self.e
@@ -95,7 +109,7 @@ class Flow:
                 self.r - p.d * e * self.cos,
                 self.s - p.a * e * self.cos)
 
-    @cached_property
+    @_lazy
     def velocity(self):
         """Particle velocity (u, v, w)."""
         p, e = self.params, self.e
@@ -104,7 +118,7 @@ class Flow:
                 -kc * p.d * e * self.sin,
                 -kc * p.a * e * self.sin)
 
-    @cached_property
+    @_lazy
     def acceleration(self):
         """Particle acceleration (Du/Dt, Dv/Dt, Dw/Dt)."""
         p, e = self.params, self.e
@@ -113,7 +127,7 @@ class Flow:
                 kc2 * p.d * e * self.cos,
                 kc2 * p.a * e * self.cos)
 
-    @cached_property
+    @_lazy
     def jacobian(self):
         """Rows d(x,y,z)/dq and d(x,y,z)/ds of the label Jacobian."""
         p, e, ct, st = self.params, self.e, self.cos, self.sin
@@ -121,7 +135,7 @@ class Flow:
         return ((1.0 - k * b * e * ct, k * d * e * st, k * a * e * st),
                 (m * b * e * st, m * d * e * ct, 1.0 + m * a * e * ct))
 
-    @cached_property
+    @_lazy
     def det(self):
         """Jacobian determinant 1 + (m a - k b) e^(-m s) cos(theta) - k m a b e^(-2 m s),
         time independent once m a = k b holds.  A non-positive value means the
@@ -132,7 +146,7 @@ class Flow:
         _require_positive(det, self.s, "flow map is singular at s={s!r} (det={value!r})")
         return det
 
-    @cached_property
+    @_lazy
     def velocity_gradient(self):
         """Rows d(u,v,w)/dq and d(u,v,w)/ds; d(u,v,w)/dr vanishes."""
         p, e, ct, st = self.params, self.e, self.cos, self.sin
@@ -162,7 +176,7 @@ class Flow:
         return (pressure_coefficient_a(p.f, p.f_hat, p.k, p.c, p.a, p.b, p.d),
                 p.c * p.a * p.f_hat - p.c * p.d * p.f - p.k * p.c**2 * p.b - p.a * p.strat.g)
 
-    @cached_property
+    @_lazy
     def dynamic_pressure(self):
         """Wave part of the pressure: P + rho0 g s - P0_tilde [Pa].
 
@@ -172,7 +186,7 @@ class Flow:
         A, B = self._pressure_coefficients()
         return -self.params.strat.rho0 * (A * self.e * self.e + B * self.e * self.cos)
 
-    @cached_property
+    @_lazy
     def pressure(self):
         """Pressure [Pa].
 
@@ -184,7 +198,7 @@ class Flow:
         strat = self.params.strat
         return self.dynamic_pressure - strat.rho0 * strat.g * self.s + self.params.P0_tilde
 
-    @cached_property
+    @_lazy
     def pressure_label_gradient(self):
         """Analytic gradient (P_q, P_r, P_s); P_r vanishes identically."""
         A, B = self._pressure_coefficients()
@@ -193,7 +207,7 @@ class Flow:
         p_s = -strat.rho0 * (-2.0 * m * A * e * e - m * B * e * self.cos + strat.g)
         return p_q, np.zeros_like(p_q), p_s
 
-    @cached_property
+    @_lazy
     def vorticity(self):
         """Vorticity (w_y - v_z, u_z - w_x, v_x - u_y).
 

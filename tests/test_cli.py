@@ -488,6 +488,41 @@ def test_cli_flags_are_mutually_exclusive():
     assert err.value.code == 2
 
 
+# the flags of the keys that not every command reads, with the commands that read them
+READERS = {"--seed": ("verify",), "--tol-identity": ("verify",), "--tol-fd": ("verify",),
+           "--perturb-c": ("trajectory", "profile", "field", "verify")}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_each_command_takes_the_flags_of_the_keys_it_reads(command, capsys):
+    """A flag of a key the command does not read exits 2: `dispersion
+    --perturb-c 0.5` printed the unperturbed c and exited 0."""
+    parser = cli.build_parser()
+    for flag, readers in READERS.items():
+        argv = [command, flag, "1"]
+        if command in readers:
+            assert getattr(parser.parse_args(argv), flag[2:].replace("-", "_")) == 1
+            continue
+        with pytest.raises(SystemExit) as err:
+            parser.parse_args(argv)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_a_config_file_takes_the_keys_a_command_does_not_read(capsys, tmp_path):
+    """One flat file serves every command, so each command accepts the keys it
+    does not read, and ignores them: dispersion reports the unperturbed c."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 3, "perturb_c": 0.5, "tol_identity": 1e-10,
+                               "tol_fd": 1e-6}))
+    assert main(["dispersion"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["dispersion", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["field", "--config", str(cfg), "--nq", "2", "--ns", "2", "--format", "json",
+                 "--out", str(tmp_path / "field.json")]) == 0
+
+
 def test_wavelength_clears_configured_wavenumber(tmp_path):
     out = tmp_path / "report.json"
     assert main(["dispersion", "--wavelength", "100", "--format", "json", "--out", str(out)]) == 0
@@ -565,10 +600,14 @@ def test_verify_long_wave_reaches_a_verdict(capsys):
 
 
 @pytest.mark.parametrize("command, verdicts", [("verify", (0, 1)), ("dispersion", (0,))])
-def test_a_tight_identity_tolerance_leaves_the_root_gate_alone(command, verdicts, capsys):
-    """--tol-identity sets the verifier's identity checks, not the root solve's
-    residual gate: at 1e-16 the solve stalled (exit 3) at |P(X)| = 2.2e-16."""
-    assert main([command, "--tol-identity", "1e-16"]) in verdicts, capsys.readouterr().err
+def test_a_tight_identity_tolerance_leaves_the_root_gate_alone(command, verdicts, capsys,
+                                                              tmp_path):
+    """tol_identity sets the verifier's identity checks, not the root solve's
+    residual gate: at 1e-16 the solve stalled (exit 3) at |P(X)| = 2.2e-16.
+    A config file sets it for both commands; only verify has the flag."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tol_identity": 1e-16}))
+    assert main([command, "--config", str(cfg)]) in verdicts, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["trajectory", "profile"])
@@ -599,7 +638,7 @@ def test_sampled_commands_need_two_samples(command, capsys):
     ["verify", "--beta0-offset", "1e306"],
     ["verify", "--beta0-offset", "1.7e308"],
     ["verify", "--tol-identity", "nan"],
-    ["dispersion", "--tol-identity", "nan"],
+    ["dispersion", "--config", {"tol_identity": math.nan}],  # a key it does not read
     ["verify", "--tol-identity", "-1"],
     ["verify", "--tol-fd", "nan"],
     ["verify", "--tol-fd", "0"],

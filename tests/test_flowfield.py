@@ -177,11 +177,31 @@ def test_pressure_splits_into_wave_and_column_parts(ref_params, strat):
         wave - strat.rho0 * strat.g * 66.0 + ref_params.P0_tilde, rel=1e-15)
 
 
-def test_pressures_are_cached_like_every_field(ref_params):
-    flow = Flow(ref_params, np.linspace(0.0, ref_params.L, 5), 0.0, 66.0, 2.0)
-    assert flow.pressure is flow.pressure
-    assert flow.dynamic_pressure is flow.dynamic_pressure
-    assert flow.pressure_label_gradient is flow.pressure_label_gradient
+# Flow's fields computed on first use
+LAZY_FIELDS = ("theta", "sin", "cos", "_complex_sin_cos", "position", "velocity",
+               "acceleration", "jacobian", "det", "velocity_gradient", "dynamic_pressure",
+               "pressure", "pressure_label_gradient", "vorticity")
+
+
+def test_every_field_is_computed_once(ref_params):
+    """A field's first read stores it in the instance, so a second read returns
+    the same object.  The labels are complex, so the complex sine and cosine
+    are among the fields."""
+    flow = Flow(ref_params, np.linspace(0.0, ref_params.L, 5) + 1e-30j, 0.0, 66.0, 2.0)
+    for name in LAZY_FIELDS:
+        first = getattr(flow, name)
+        assert getattr(flow, name) is first and vars(flow)[name] is first, name
+
+
+def test_fields_read_on_the_class_are_documented_descriptors():
+    """Flow.<field> is the class's own attribute, carrying its method's
+    docstring; no other attribute of the class is computed on first use."""
+    for name in LAZY_FIELDS:
+        descriptor = getattr(Flow, name)
+        assert descriptor is vars(Flow)[name] and descriptor.__doc__, name
+    assert Flow.theta.__doc__ == "Phase theta = k (q - c t)."
+    lazy = {name for name, attr in vars(Flow).items() if type(attr) is type(Flow.theta)}
+    assert lazy == set(LAZY_FIELDS)
 
 
 # --- vorticity ---------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Byte identity of the column-wise table writer with the row-wise oracle in
 ``table_reference``, through the CLI and on tables of edge-case floats, whole
-or broadcast from smaller arrays."""
+or broadcast from smaller arrays; and of the JSON reports' layout function
+with ``json.dumps(indent=2)``."""
 
 import contextlib
 import io
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pollardwaves import cli, flowfield
+from pollardwaves import cli, flowfield, verify
 
 import table_reference
 
@@ -160,3 +163,59 @@ def test_write_table_streams_the_table(fmt, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * path.stat().st_size
+
+
+# --- JSON reports ---------------------------------------------------------------
+
+# floats where repr changes its form (1e16 and 1e-4, the last 1e-5 form),
+# the subnormals' ends and the signed zero
+FORM_EDGES = [1e16, math.nextafter(1e16, 0.0), 1e-4, math.nextafter(1e-4, 0.0), 1e-5,
+              5e-324, math.nextafter(2.2250738585072014e-308, 0.0), -0.0,
+              math.nan, math.inf, -math.inf]
+JSON_LEAVES = (st.floats() | st.sampled_from(FORM_EDGES) | st.integers() | st.booleans()
+               | st.none() | st.text())  # text: non-ASCII, control and surrogate characters
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                                | st.dictionaries(st.text(), inner)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES, sort_keys=st.booleans())
+def test_json_text_is_the_stdlib_encoding(value, sort_keys):
+    assert cli.json_text(value, sort_keys) == json.dumps(value, indent=2, sort_keys=sort_keys)
+
+
+def nan_acceleration():
+    """A Flow whose vertical acceleration is NaN: the momentum checks read NaN."""
+    def acceleration(flow):
+        du, dv, _ = flowfield.Flow.acceleration.__get__(flow)
+        return du, dv, math.nan * flow.cos
+    return type("NanAcceleration", (flowfield.Flow,), {"acceleration": property(acceleration)})
+
+
+REPORTS = {  # argv, exit code, the verifier's Flow
+    "reference": (["verify"], 0, None),
+    "equator": (["verify", "--lat", "0"], 0, None),
+    "south": (["verify", "--lat", "-60", "--branch", "negative"], 0, None),
+    "perturbed": (["verify", "--perturb-c", "0.01"], 1, None),
+    "nan": (["verify"], 1, nan_acceleration()),
+    "dispersion": (["dispersion", "--format", "json"], 0, None),
+}
+
+
+@pytest.mark.parametrize("argv, code, flow", REPORTS.values(), ids=REPORTS)
+def test_json_reports_are_the_stdlib_encoding(argv, code, flow, monkeypatch, capsys, tmp_path):
+    """A report file has the bytes of json.dumps(indent=2) of its payload, with
+    sort_keys for verify's: the run is repeated with that encoder in place."""
+    if flow is not None:
+        monkeypatch.setattr(verify, "Flow", flow)
+    reports = []
+    for encoder in (cli.json_text, lambda value, sort_keys=False: json.dumps(
+            value, indent=2, sort_keys=sort_keys)):
+        out = tmp_path / f"report{len(reports)}.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "json_text", encoder)
+            assert cli.main([*argv, "--out", str(out)]) == code
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert (b"NaN" in reports[0]) == (flow is not None)
