@@ -47,7 +47,7 @@ MUTANTS = (
            tests=(f"{CONTROL}[jacobian_time_invariance]",)),
     Mutant("kinematic_scale_x1e3", VER, "eta_x)) / scale", "eta_x)) / (1e3 * scale)",
            tests=(f"{CONTROL}[kinematic_condition]",)),
-    Mutant("gradient_floor_x1e3", VER, "(b.real,), floor)", "(b.real,), 1e3 * floor)",
+    Mutant("gradient_floor_x1e3", VER, "b.real, floor)", "b.real, 1e3 * floor)",
            tests=(f"{CONTROL}[gradient_transport]",)),
     Mutant("mixed_partials_x0", VER, "mixed_res = _relative", "mixed_res = 0.0 * _relative",
            tests=(f"{CONTROL}[mixed_partials]",)),
@@ -86,8 +86,6 @@ MUTANTS = (
     # version 0.23.0's verify kernels
     Mutant("max_abs_fmax", VER, "reduce(np.maximum, (np.abs", "reduce(np.fmax, (np.abs",
            tests=("tests/test_verify.py::test_residual_maxima_keep_nan[first]",)),
-    Mutant("grid_t_repeat", VER, "t = np.tile(ts,", "t = np.repeat(ts,",
-           tests=("tests/test_verify.py::test_grid_lattice_is_the_raveled_meshgrid[volume]",)),
     # a root 450 ulp off, inside solve_branch's residual gate: only 50-digit roots see it
     Mutant("root_x(1+1e-13)", DSP, "return _newton(nd.", "return (1 + 1e-13) * _newton(nd.",
            tests=("tests/test_solvers.py::test_roots_match_mpmath_polyroots",)),
@@ -97,6 +95,23 @@ MUTANTS = (
            tests=("tests/test_serialise.py::test_json_reports_are_the_stdlib_encoding[reference]",)),
     Mutant("lazy_field_not_stored", FLOW, "value = instance.__dict__[self.name] = ",
            "value = ", tests=("tests/test_flowfield.py::test_every_field_is_computed_once",)),
+    # version 0.26.0's sampling layout and the controls of four more families
+    Mutant("grid_t_reversed", VER, "_spaced(wave_period(params), config.n_time)",
+           "_spaced(wave_period(params), config.n_time)[::-1]",
+           tests=("tests/test_verify.py::test_grid_lattice_is_the_raveled_meshgrid[volume]",)),
+    Mutant("grid_s_reversed", VER, "params.s0, params.s_plus, n_s", "params.s_plus, params.s0, n_s",
+           tests=("tests/test_verify.py::test_grid_lattice_is_the_raveled_meshgrid[volume]",)),
+    Mutant("random_decode_a_shift_6", VER, "(words[0::2] >> 5)", "(words[0::2] >> 6)",
+           tests=("tests/test_verify.py::test_random_samples_follow_scalar_uniform_draws",)),
+    Mutant("momentum_x0", VER, '"momentum_residual", _max_abs(',
+           '"momentum_residual", 0.0 * _max_abs(',
+           tests=(f"{CONTROL}[momentum_residual]",)),
+    Mutant("dynamic_x0", VER, "dyn_res = np.abs(", "dyn_res = 0.0 * np.abs(",
+           tests=(f"{CONTROL}[dynamic_condition]",)),
+    Mutant("matrix_product_x0", VER, "mp_res = _relative", "mp_res = 0.0 * _relative",
+           tests=(f"{CONTROL}[matrix_product]",)),
+    Mutant("fd_curl_x0", VER, "curl_res = _relative", "curl_res = 0.0 * _relative",
+           tests=(f"{CONTROL}[fd_curl]",)),
 )
 
 

@@ -398,18 +398,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> RunConfig:
-    """Merge defaults, config file and CLI flags (CLI wins)."""
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                config = RunConfig.from_json(handle.read())
-        except OSError as exc:
-            raise InputError(f"cannot read config file: {exc}") from exc
-    else:
-        config = RunConfig()
-    overrides = {fld.name: getattr(args, fld.name) for fld in dataclasses.fields(RunConfig)
-                 if getattr(args, fld.name, None) is not None}
-    return dataclasses.replace(config, **_clear_other_length(overrides)).validate()
+    """Merge defaults, config file and CLI flags (CLI wins); without a file,
+    one RunConfig is built, not the defaults and then a replaced copy."""
+    overrides = _clear_other_length({fld.name: getattr(args, fld.name)
+                                     for fld in dataclasses.fields(RunConfig)
+                                     if getattr(args, fld.name, None) is not None})
+    if not args.config:
+        return RunConfig(**overrides).validate()
+    try:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            config = RunConfig.from_json(handle.read())
+    except OSError as exc:
+        raise InputError(f"cannot read config file: {exc}") from exc
+    return dataclasses.replace(config, **overrides).validate()
 
 
 def _check_table_size(args):

@@ -146,6 +146,10 @@ FAULTS = [
     ("gradient_transport", "acceleration", lambda f, a: (a[0], a[1] + 1e-14, a[2])),
     ("mixed_partials", "acceleration", lambda f, a: (a[0] + 1e-14 * f.position[2], a[1], a[2])),
     ("eulerian_divergence", "velocity", lambda f, v: (v[0] + 5e-9 * f.position[0], v[1], v[2])),
+    ("momentum_residual", "acceleration", lambda f, a: (a[0] + 1e-10, a[1], a[2])),
+    ("dynamic_condition", "pressure", lambda f, p: p + 1e-3),
+    ("matrix_product", "vorticity", lambda f, w: (w[0], w[1] * (1.0 + 1e-11), w[2])),
+    ("fd_curl", "velocity", lambda f, v: (v[0], v[1] + 1.5e-14 * f.position[0], v[2])),
 ]
 
 
@@ -154,7 +158,9 @@ def test_a_fault_in_the_fields_fails_its_family(monkeypatch, ref_params, family,
     """Every Flow the verifier builds, its stepped ones included, carries the
     fault: a time-dependent det J, a vertical velocity off the sheet's motion,
     an acceleration the pressure does not balance, a non-gradient force z e_x,
-    or a divergent velocity x e_x."""
+    a divergent velocity x e_x, a constant acceleration 1e-10 m/s^2, a
+    constant pressure offset (it moves no derivative), a vorticity 1e-11 off
+    its own value, or a rotational, divergence-free velocity x e_y."""
     clean = getattr(Flow, field)
     faulty = property(lambda flow: fault(flow, clean.__get__(flow)))
     monkeypatch.setattr(verify, "Flow", type("Faulty", (Flow,), {field: faulty}))
@@ -311,22 +317,25 @@ def samples(grid):
 def test_random_samples_follow_scalar_uniform_draws(ref_params):
     """The random samples are the sequence of scalar random.Random.uniform
     draws q, r, s, t per sample (q, r, t on the sheet), from the streams
-    seed (volume), seed + 1 (sheet) and seed + 2 (probe)."""
-    config = verify.VerifyConfig(n_theta=2, n_s=2, n_time=2, n_random=25, seed=17)
+    seed (volume), seed + 1 (sheet) and seed + 2 (probe), bit for bit: the
+    one getrandbits read of a stream decodes to its random() values, for one
+    sample and for seeds past 32 and 64 bits too."""
     period = verify.wave_period(ref_params)
 
-    def draws(seed, sheet=False):
+    def draws(seed, n, sheet=False):
         rng, out = random.Random(seed), []
-        for _ in range(25):
+        for _ in range(n):
             q, r = rng.uniform(0.0, ref_params.L), rng.uniform(-10.0, 10.0)
             s = ref_params.s0 if sheet else rng.uniform(ref_params.s0, ref_params.s_plus)
             out.append((q, r, s, rng.uniform(0.0, period)))
         return out
 
-    assert samples(verify._grid(ref_params, config))[8:] == draws(17)
-    assert samples(verify._grid(ref_params, config, sheet=True))[4:] == draws(18, sheet=True)
-    probe, _ = verify._probe(ref_params, config)
-    assert samples(verify._where(probe)) == draws(19)
+    for n, seed in ((25, 17), (1, 0), (1, 2**32), (3, 10**20)):
+        config = verify.VerifyConfig(n_theta=2, n_s=2, n_time=2, n_random=n, seed=seed)
+        assert samples(verify._grid(ref_params, config))[8:] == draws(seed, n)
+        assert samples(verify._grid(ref_params, config, sheet=True))[4:] == draws(seed + 1, n, True)
+        probe, _ = verify._probe(ref_params, config)
+        assert samples(verify._where(probe)) == draws(seed + 2, n)
 
 
 def test_worst_sample_is_first_largest_residual():
@@ -337,18 +346,22 @@ def test_worst_sample_is_first_largest_residual():
     assert all(type(v) is float for v in comp.worst_sample.values())
 
 
-@pytest.mark.parametrize("sheet", [False, True], ids=["volume", "sheet"])
-def test_grid_lattice_is_the_raveled_meshgrid(ref_params, sheet):
+@pytest.mark.parametrize("sheet, shape", [(False, (5, 4, 3)), (True, (5, 4, 3)),
+                                          (False, (1, 1, 1)), (True, (1, 1, 1)),
+                                          (False, (16, 16, 5))],
+                         ids=["volume", "sheet", "volume-unit", "sheet-unit", "volume-default"])
+def test_grid_lattice_is_the_raveled_meshgrid(ref_params, sheet, shape):
     """The lattice samples come first, in the order of meshgrid(qs, ss, ts,
-    indexing="ij") raveled, t fastest, bit for bit: _one_per_label and the
-    first-largest worst sample both read that order."""
-    config = verify.VerifyConfig(n_theta=5, n_s=4, n_time=3, n_random=7, seed=1)
-    qs = np.linspace(0.0, ref_params.L, 5, endpoint=False)
-    ss = [ref_params.s0] if sheet else np.linspace(ref_params.s0, ref_params.s_plus, 4)
-    ts = np.linspace(0.0, verify.wave_period(ref_params), 3, endpoint=False)
+    indexing="ij") raveled, t fastest, with np.linspace's axes, bit for bit:
+    _one_per_label and the first-largest worst sample both read that order."""
+    n_theta, n_s, n_time = shape
+    config = verify.VerifyConfig(n_theta, n_s, n_time, n_random=7, seed=1)
+    qs = np.linspace(0.0, ref_params.L, n_theta, endpoint=False)
+    ss = [ref_params.s0] if sheet else np.linspace(ref_params.s0, ref_params.s_plus, n_s)
+    ts = np.linspace(0.0, verify.wave_period(ref_params), n_time, endpoint=False)
     expected = [a.ravel() for a in np.meshgrid(qs, ss, ts, indexing="ij")]
     q, r, s, t = verify._grid(ref_params, config, sheet=sheet)
-    n = 5 * len(ss) * 3
+    n = n_theta * len(ss) * n_time
     assert q.size == n + 7
     for got, want in zip((q, s, t), expected):
         assert got[:n].tobytes() == want.tobytes()
