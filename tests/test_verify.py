@@ -317,9 +317,8 @@ def samples(grid):
 def test_random_samples_follow_scalar_uniform_draws(ref_params):
     """The random samples are the sequence of scalar random.Random.uniform
     draws q, r, s, t per sample (q, r, t on the sheet), from the streams
-    seed (volume), seed + 1 (sheet) and seed + 2 (probe), bit for bit: the
-    one getrandbits read of a stream decodes to its random() values, for one
-    sample and for seeds past 32 and 64 bits too."""
+    seed (volume), seed + 1 (sheet) and seed + 2 (probe), bit for bit, for
+    one sample and for seeds past 32 and 64 bits too."""
     period = verify.wave_period(ref_params)
 
     def draws(seed, n, sheet=False):
