@@ -110,6 +110,18 @@ MUTANTS = (
            tests=(f"{CONTROL}[matrix_product]",)),
     Mutant("fd_curl_x0", VER, "curl_res = _relative", "curl_res = 0.0 * _relative",
            tests=(f"{CONTROL}[fd_curl]",)),
+    # faults that version 0.27.0's retired tests (the label-map inversion oracle's,
+    # the central differences' and the extra bracket tests) also caught
+    Mutant("p_q_x(1+1e-6)", FLOW, "p_q = -strat.rho0", "p_q = (1 + 1e-6) * -strat.rho0",
+           verify=("reference",)),
+    Mutant("p_s_mB_x(1+1e-6)", FLOW, "- m * B * e * self.cos",
+           "- (1 + 1e-6) * m * B * e * self.cos", verify=("reference",)),
+    Mutant("newton_step_ds_plus", FLOW, "ds = (j00 * res_z - j02 * res_x)",
+           "ds = (j00 * res_z + j02 * res_x)", verify=("reference",)),
+    Mutant("bracket_beta_not_2beta", DSP, "2.0 * nd.beta", "1.0 * nd.beta",
+           tests=("tests/test_dispersion.py::test_brackets_reference_case",)),
+    Mutant("kinematic_minus_u_eta_x", VER, "eta_t + u * eta_x", "eta_t - u * eta_x",
+           verify=("reference",)),
 )
 
 

@@ -25,7 +25,7 @@ from .geo import (
 )
 from .verify import VerificationReport, VerifyConfig, run_all
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"
 
 __all__ = [
     "Flow",

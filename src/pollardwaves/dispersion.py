@@ -68,12 +68,9 @@ class NondimDispersion:
     strat: Stratification
     k: float
 
-    def evaluate(self, x):
-        """P(x); accepts scalars or numpy arrays."""
-        return ((x * x - self.alpha) * x - 2.0 * self.beta) * x - 1.0
-
     def value_and_slope(self, x):
-        """(P(x), P'(x)), sharing x^2: one call per Newton step."""
+        """(P(x), P'(x)), sharing x^2: one call per Newton step and per residual
+        gate; accepts scalars or numpy arrays."""
         x2 = x * x
         return (((x2 - self.alpha) * x - 2.0 * self.beta) * x - 1.0,
                 (4.0 * x2 - 2.0 * self.alpha) * x - 2.0 * self.beta)
@@ -205,7 +202,7 @@ def solve_branch(nd: NondimDispersion, branch: str):
     site, strat, k = nd.site, nd.strat, nd.k
     sign = 1.0 if branch == "positive" else -1.0
     x = _refine_root(nd, *root_brackets(nd)[0 if branch == "positive" else 1])
-    p = nd.evaluate(x)
+    p = nd.value_and_slope(x)[0]
     if abs(p) > IDENTITY_TOL * max(1.0, x * x * (x * x)):
         raise NumericError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
     if not sign * x > 0.0:

@@ -33,7 +33,7 @@ def refine_root(nd, inner, outer):
     held to |P(X)| <= 1e-12 max(1, X^4) (solve_branch's residual gate, without
     its sign and dimensional checks)."""
     x = _refine_root(nd, inner, outer)
-    p = nd.evaluate(x)
+    p = nd.value_and_slope(x)[0]
     if abs(p) > 1e-12 * max(1.0, x**4):
         raise NumericError(f"root refinement stalled at X={x!r} with |P(X)|={abs(p)!r}")
     return x

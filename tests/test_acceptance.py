@@ -55,7 +55,7 @@ def test_criterion_2_dispersion_bracket_theorem():
             w = float(eps) * float(F)
             assert 0.0 < x_plus - 1.0 < w
             assert 0.0 < x_minus + 1.0 < w
-            vals = nd.evaluate(xs)
+            vals = nd.value_and_slope(xs)[0]
             idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
             assert len(idx) == 2
             scanned = 0.5 * (xs[idx] + xs[idx + 1])

@@ -10,9 +10,7 @@ from pollardwaves.cli import solve_configured
 from pollardwaves.errors import InputError, NumericError
 from pollardwaves.flowfield import Flow
 
-import inversion
 from conftest import REF_K, REF_S0
-from inversion import invert_labels, sheet_elevation
 from test_domain import draws as domain_draws
 
 
@@ -333,84 +331,6 @@ def test_amplitude_decay_over_half_wavelength(ref_params):
     # with m close to k the ratio is within a whisker of e^(-pi) ~ 4%
     assert ratio == pytest.approx(math.exp(-math.pi), rel=1e-4)
     assert ratio < 0.05
-
-
-# --- inversion ----------------------------------------------------------------
-
-def test_invert_still_water_in_one_step(still):
-    assert floats(invert_labels(still, 5.0, -2.0, 70.0, 3.0)) == (5.0, -2.0, 70.0)
-
-
-def test_invert_round_trip_random_labels(ref_params):
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(100):
-        lab = (float(rng.uniform(0.0, ref_params.L)), float(rng.uniform(-5.0, 5.0)),
-               float(rng.uniform(ref_params.s0, ref_params.s_plus)))
-        t = float(rng.uniform(0.0, wave_period(ref_params)))
-        back = invert_labels(ref_params, *Flow(ref_params, *lab, t).position, t)
-        worst = max(worst, *(abs(float(b) - v) for b, v in zip(back, lab)))
-    assert worst <= 1e-9
-
-
-def test_invert_converges_quickly(ref_params, monkeypatch):
-    monkeypatch.setattr(inversion, "_INVERT_MAX_ITER", 8)
-    target = Flow(ref_params, 10.0, 0.0, 55.0, 2.0).position
-    lab = invert_labels(ref_params, *target, 2.0)
-    assert np.allclose(Flow(ref_params, *lab, 2.0).position, target, atol=1e-12)
-
-
-def test_invert_newton_is_quadratic(ref_params):
-    """Error ratios e_{n+1} / e_n^2 stay bounded along the iteration."""
-    truth = np.array([10.0, 0.0, 55.0])
-    target = np.array(Flow(ref_params, *truth, 2.0).position)
-    current = target.copy()  # default initial guess
-    errors = []
-    for _ in range(5):
-        errors.append(np.linalg.norm(current - truth))
-        here = Flow(ref_params, *current, 2.0)
-        residual = np.array(here.position) - target
-        mat = label_jacobian(here).T
-        current = current - np.linalg.solve(mat, residual)
-    for before, after in zip(errors, errors[1:]):
-        if before < 1e-12:
-            break
-        # quadratic contraction until the roundoff floor
-        assert after <= max(10.0 * before**2, 1e-15)
-
-
-def test_eulerian_velocity_independent_of_y(ref_params):
-    x, z, t = 20.0, 60.0, 5.0
-    labels = invert_labels(ref_params, x, np.array([0.0, 8.0]), z, t)
-    v1, v2 = np.array(Flow(ref_params, *labels, t).velocity).T
-    assert np.allclose(v1, v2, atol=1e-12)
-
-
-# --- sheet elevation -----------------------------------------------------------
-
-def test_sheet_elevation_consistent_with_particles(ref_params):
-    for q in (0.0, 17.0, 44.0):
-        x, _, z = Flow(ref_params, q, 0.0, ref_params.s0, 6.0).position
-        assert sheet_elevation(ref_params, ref_params.s0, x, 6.0) == pytest.approx(
-            z, abs=1e-11)
-
-
-def test_invert_stops_at_rounding_floor_for_long_waves():
-    """At |x| ~ 1e5 m an absolute 1e-12 m is below the spacing of the
-    coordinates; the inversion stops at 4 eps |target| instead of failing.
-    The targets are finite-difference points of the verifier that an
-    absolute stopping rule failed on (lat 5, k 7.5e-6, a 1000 m, s0 1 m)."""
-    from pollardwaves.cli import RunConfig, solve_configured
-    config = RunConfig(latitude_deg=5.0, wavenumber=7.5e-6, amplitude=1000.0, s0=1.0)
-    params = solve_configured(config.validate())[3]
-    for target, t in [
-            ((347272.14586508356, -15.681170255824869, 1030.9973199172139), 9445.195280537442),
-            ((685070.7977167111, -16.906562321385415, 998.0641879324634), 3743.4263603122095),
-            ((9430.386986887572, -9.398589817408752, 703.8336220276968), 6546.814002625967)]:
-        back = invert_labels(params, *target, t)
-        residual = np.subtract(Flow(params, *back, t).position, target)
-        assert np.linalg.norm(residual) <= max(
-            1e-12, 4 * np.finfo(float).eps * np.linalg.norm(target))
 
 
 # --- precision against a 50-digit evaluation ------------------------------------

@@ -1,14 +1,12 @@
 """The array kernel against the per-label ``math`` oracle
 (``scalar_reference``), its closed-form 2x2 solves against numpy.linalg, its
-complex sin and cos against numpy's, its singular labels and real inputs,
-the batched inversions of the test oracle ``inversion``, and the verify
-report's layout."""
+complex sin and cos against numpy's, its singular labels and real inputs, and
+the verify report's layout."""
 
 import contextlib
 import io
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +15,7 @@ from pollardwaves import cli
 from pollardwaves.errors import NumericError
 from pollardwaves.flowfield import Flow
 
-import inversion
 import scalar_reference as ref
-from inversion import invert_labels, sheet_label_q
 
 N_LABELS = 200
 
@@ -156,79 +152,6 @@ def test_complex_trig_within_4_ulp_of_numpy(scenario):
         for part in (np.real, np.imag):
             a, b = part(got), part(want)
             assert np.all(np.abs(a - b) <= 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
-
-
-# --- batched inversions ---------------------------------------------------
-
-def test_batched_inversion_equals_per_target_inversion(ref_params):
-    q, r, s, t = random_labels(ref_params, seed=9, n=40)
-    x, y, z = Flow(ref_params, q, r, s, t).position
-    batch = invert_labels(ref_params, x, y, z, t)
-    for i in range(q.size):
-        one = invert_labels(ref_params, float(x[i]), float(y[i]), float(z[i]), float(t[i]))
-        assert tuple(map(float, one)) == tuple(float(v[i]) for v in batch)
-    assert np.allclose(batch[0], q, atol=1e-9) and np.allclose(batch[2], s, atol=1e-9)
-
-
-def test_batched_inversion_fails_if_any_target_fails(ref_params, monkeypatch):
-    monkeypatch.setattr(inversion, "_INVERT_MAX_ITER", 1)
-    q, r, s, t = random_labels(ref_params, seed=10, n=8)
-    x, y, z = Flow(ref_params, q, r, s, t).position
-    with pytest.raises(NumericError, match="map inversion did not reach"):
-        invert_labels(ref_params, x, y, z, t)
-
-
-def test_inversion_keeps_array_shape(ref_params):
-    x = np.full((2, 3), 20.0)
-    q, r, s = invert_labels(ref_params, x, 0.0, 60.0, np.array([0.0, 5.0, 9.0]))
-    assert q.shape == r.shape == s.shape == (2, 3)
-
-
-def test_inversion_of_a_huge_target_squares_nothing(ref_params):
-    """The residual size and the stop bound are scaled norms: at |target| 1e200
-    a sum of squares overflowed with a RuntimeWarning, and its inf bound
-    closed every entry after one step."""
-    target = (1e200, 0.0, 60.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        label = invert_labels(ref_params, *target, 0.0)
-        position = Flow(ref_params, *label, 0.0).position
-    residual = math.hypot(*(float(p) - v for p, v in zip(position, target)))
-    assert residual <= max(inversion._INVERT_TOL, 4 * np.finfo(float).eps * 1e200)
-
-
-def test_batched_sheet_inversion_equals_scalar(ref_params):
-    xs = np.linspace(-30.0, 130.0, 17)
-    batch = sheet_label_q(ref_params, ref_params.s0, xs, 4.0)
-    assert [float(sheet_label_q(ref_params, ref_params.s0, float(x), 4.0))
-            for x in xs] == batch.tolist()
-    z = Flow(ref_params, float(batch[3]), 0.0, ref_params.s0, 4.0).position[2]
-    assert inversion.sheet_elevation(ref_params, ref_params.s0, xs, 4.0)[3] == z
-
-
-def test_complex_step_inversions_match_the_inverse_jacobian(ref_params):
-    """Complex-step derivatives of both inversions equal the closed-form
-    inverse Jacobian to roundoff at entries whose real Newton residual starts
-    within its bound.  Such an entry must still take a step: otherwise its
-    imaginary part stays that of its start, and its derivative is the
-    identity."""
-    h = 1e-30
-    # the sheet at theta = 0, where the real residual b e^(-m s) sin(theta) is 0
-    q = sheet_label_q(ref_params, ref_params.s0, [1j * h, 0.0], [0.0, 1j * h])
-    flow = Flow(ref_params, 0.0, 0.0, ref_params.s0, 0.0)
-    assert q.real.tolist() == [0.0, 0.0]
-    assert q.imag[0] / h == pytest.approx(1.0 / flow.jacobian[0][0], rel=1e-15)
-    assert q.imag[1] / h == pytest.approx(-flow.velocity[0] / flow.jacobian[0][0], rel=1e-15)
-    # 490 m deep, the start's residual ~ a e^(-m s) = 4e-13 m is within 1e-12 m,
-    # while d(label)/d(x, y, z) differs from the identity by k a e^(-m s) = 3e-14
-    label, t = (7.0, 1.0, 490.0), 2.0
-    flow = Flow(ref_params, *label, t)
-    points = np.array(flow.position)[:, None] + 1j * h * np.eye(3)   # (xyz, j)
-    got = np.array(invert_labels(ref_params, *points, t))               # (qrs, j)
-    assert np.all(np.abs(got.real - np.array(label)[:, None]) <= 1e-12)
-    want = np.array([flow.newton_step(*e) for e in np.eye(3)]).T
-    assert np.abs(want - np.eye(3)).max() > 1e-14
-    assert np.abs(got.imag / h - want).max() <= 1e-15
 
 
 def test_real_inputs_stay_float64_bit_for_bit(ref_params):

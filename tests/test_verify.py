@@ -11,7 +11,6 @@ from pollardwaves import verify
 from pollardwaves.flowfield import Flow
 
 from conftest import REF_S0
-from inversion import sheet_elevation
 
 
 @pytest.fixture(scope="module")
@@ -167,54 +166,6 @@ def test_a_fault_in_the_fields_fails_its_family(monkeypatch, ref_params, family,
     [component] = [c for r in pw.run_all(ref_params, SMALL) for c in r.components
                    if c.name == family]
     assert 3.0 * component.tolerance < component.max_residual < 30.0 * component.tolerance
-
-
-def test_kinematic_residual_with_mismatched_velocity_sheet(ref_params):
-    """Velocity taken from labels one metre above the sheet must not satisfy
-    the kinematic condition of the thermocline sheet."""
-    t = 2.0
-    ht = 1e-3 / (ref_params.k * ref_params.c)
-    hx = 1e-4
-    q = (math.pi / 2) / ref_params.k + ref_params.c * t
-    x, _, _ = Flow(ref_params, q, 0.0, ref_params.s0, t).position
-    u, v, w = Flow(ref_params, q, 0.0, ref_params.s0 + 1.0, t).velocity
-    eta_t = (sheet_elevation(ref_params, ref_params.s0, x, t + ht)
-             - sheet_elevation(ref_params, ref_params.s0, x, t - ht)) / (2 * ht)
-    eta_x = (sheet_elevation(ref_params, ref_params.s0, x + hx, t)
-             - sheet_elevation(ref_params, ref_params.s0, x - hx, t)) / (2 * hx)
-    residual = abs(w - (eta_t + u * eta_x))
-    assert residual > 1e-5
-
-
-# --- finite-difference behaviour ---------------------------------------------
-
-def test_pressure_gradient_fd_convergence_order(ref_params):
-    """Central differences converge at second order: halving the step cuts
-    the error by about four."""
-    q, s = (math.pi / 2) / ref_params.k, ref_params.s0
-    exact = Flow(ref_params, q, 0.0, s, 0.0).pressure_label_gradient[0]
-
-    def fd_error(h):
-        hi = Flow(ref_params, q + h, 0.0, s, 0.0).pressure
-        lo = Flow(ref_params, q - h, 0.0, s, 0.0).pressure
-        return abs((hi - lo) / (2 * h) - exact)
-
-    ratio = fd_error(2e-2) / fd_error(1e-2)
-    assert 3.5 < ratio < 4.5
-
-
-def test_fd_gradient_matches_analytic_at_spec_step(ref_params):
-    q, s = (math.pi / 2) / ref_params.k, ref_params.s0
-    grad = Flow(ref_params, q, 0.0, s, 0.0).pressure_label_gradient
-    h = 1e-4
-
-    def pressure(q, s):
-        return Flow(ref_params, q, 0.0, s, 0.0).pressure
-
-    fd_q = (pressure(q + h, s) - pressure(q - h, s)) / (2 * h)
-    fd_s = (pressure(q, s + h) - pressure(q, s - h)) / (2 * h)
-    assert fd_q == pytest.approx(grad[0], rel=1e-6)
-    assert fd_s == pytest.approx(grad[2], rel=1e-6)
 
 
 # --- determinism ----------------------------------------------------------------
